@@ -69,8 +69,16 @@ def _parse_floats(fields: list[str], path, lineno: int) -> list[float]:
     return out
 
 
+def _check_unique_id(seen: dict[str, int], rid: str, path, lineno: int) -> None:
+    """Record rid's line; a second occurrence is a parse error."""
+    first = seen.setdefault(rid, lineno)
+    if first != lineno:
+        raise ParseError(f"{path}:{lineno}: duplicate id {rid!r} (first on line {first})")
+
+
 def load_segments_csv(path) -> list[SegmentRecord]:
     records: list[SegmentRecord] = []
+    seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -84,6 +92,7 @@ def load_segments_csv(path) -> list[SegmentRecord]:
             if len(row) != 1 + 2 * n:
                 raise ParseError(
                     f"{path}:{lineno}: expected {1 + 2 * n} fields, got {len(row)}")
+            _check_unique_id(seen, row[0], path, lineno)
             vals = _parse_floats(row[1:], path, lineno)
             records.append(SegmentRecord(
                 id=row[0],
@@ -114,6 +123,7 @@ def write_segments_csv(records: Sequence[SegmentRecord], path) -> None:
 def load_points_csv(path) -> list[tuple[str, tuple]]:
     """Rows of (id, values); a missing value is None (empty field or NA)."""
     rows: list[tuple[str, tuple]] = []
+    seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -129,6 +139,7 @@ def load_points_csv(path) -> list[tuple[str, tuple]]:
                 continue
             if len(row) != n + 1:
                 raise ParseError(f"{path}:{lineno}: expected {n + 1} fields, got {len(row)}")
+            _check_unique_id(seen, row[0], path, lineno)
             values = []
             for raw in row[1:]:
                 txt = raw.strip()

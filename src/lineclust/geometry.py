@@ -141,6 +141,22 @@ def _closest_sq(p: np.ndarray, l: SegmentLike) -> tuple[float, float]:
     return t, float(d @ d)
 
 
+def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndarray]:
+    """Array counterpart of `_closest_sq` for the rows of an (m, dim) array.
+
+    The rows must already be finite points of l's dimension; nothing is
+    checked.  Returns the (m,) parameters and (m,) squared distances.
+    """
+    if l.sq_length == 0.0:
+        d = P - l.x
+        return np.zeros(len(P)), np.einsum("ij,ij->i", d, d)
+    t = (P - l.x) @ l.direction / l.sq_length
+    if l.kind == "segment":
+        np.clip(t, 0.0, 1.0, out=t)
+    d = P - (l.x + t[:, None] * l.direction)
+    return t, np.einsum("ij,ij->i", d, d)
+
+
 def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     """Minimum distance between two lines/segments with achieving parameters.
 

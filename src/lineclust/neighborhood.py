@@ -21,6 +21,13 @@ runs golden-section refinement around every local minimum; a relation is
 reported only for an actually evaluated phi(s) < 0, so false positives are
 impossible and misses are bounded by the grid resolution (configurable via
 search_samples).
+
+Before any of this, a pair whose centre gap |c1 - c2| - h1 - h2 (a lower
+bound on the distance between two finite carriers) already reaches
+alpha1 * sup f1 is rejected, the bound version 1 applies; the exact
+min_distance then prunes the rest.  phi is evaluated on the whole grid in
+one array call; the refinement evaluates it point by point, both without
+the input validation of the public closest_point.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import SegmentLike, closest_point, min_distance
+from .geometry import SegmentLike, _closest_sq, _closest_sq_many, closest_point, min_distance
 from .profiles import (
     Profile,
     density,
@@ -242,6 +249,11 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     if cap <= 0.0:
         return False
     threshold = alpha1 * cap
+    if not (l1.is_line or l2.is_line):
+        # centre-distance lower bound, as in relates_v1
+        gap = float(np.linalg.norm(l1.center - l2.center)) - l1.half_length - l2.half_length
+        if gap >= threshold:
+            return False
     dmin = min_distance(l1, l2)
     if dmin.distance >= threshold:
         return False
@@ -265,19 +277,18 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
             return False
 
     def phi(s: float) -> float:
-        cp = closest_point(l2.x + l2.direction * s, l1)
-        return cp.distance - alpha1 * density(profile1, cp.t_star)
+        t, sq = _closest_sq(l2.x + l2.direction * s, l1)
+        return math.sqrt(sq) - alpha1 * density(profile1, t)
 
     lo, hi = window
     if l2.is_degenerate or hi - lo <= search_tol:
         return phi(lo) < 0.0
 
     grid = np.linspace(lo, hi, search_samples)
-    vals = np.empty(search_samples)
-    for k, s in enumerate(grid):
-        vals[k] = phi(float(s))
-        if vals[k] < 0.0:
-            return True
+    t, sq = _closest_sq_many(l2.x + grid[:, None] * l2.direction, l1)
+    vals = np.sqrt(sq) - alpha1 * profile1.pdf(t)
+    if (vals < 0.0).any():
+        return True
 
     # refine every local minimum of the sampled phi
     for k in range(search_samples):

@@ -71,7 +71,20 @@ class TestSegmentsCsv:
             assert (a.y == b.y).all()
 
 
+    def test_duplicate_id_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,1,1,1\na,0,2,1,2\n")
+        with pytest.raises(ParseError, match=r"dup\.csv:4: duplicate id 'a'"):
+            load_segments_csv(path)
+
+
 class TestPointsCsv:
+    def test_duplicate_id_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,x1,x2\np1,1,2\np1,,3\n")
+        with pytest.raises(ParseError, match=r"dup\.csv:3: duplicate id 'p1'"):
+            load_points_csv(path)
+
     def test_missing_markers(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("id,x1,x2,x3\np1,1.5,,3\np2,na,2,3\np3,1,2,3\n")

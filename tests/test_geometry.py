@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lineclust.geometry import (
+    _closest_sq_many,
     closest_point,
     length,
     line,
@@ -92,6 +96,37 @@ class TestClosestPoint:
             pts = l.x + ts[:, None] * l.direction
             dists = np.linalg.norm(pts - p, axis=1)
             assert r.distance <= dists.min() + 1e-12
+
+
+COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestClosestSqMany:
+    """The array kernel against the validating scalar closest_point."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 7]), kind=st.sampled_from(["segment", "line", "degenerate"]),
+           data=st.data())
+    def test_agrees_with_closest_point(self, dim, kind, data):
+        x = data.draw(hnp.arrays(np.float64, dim, elements=COORD))
+        y = x.copy() if kind == "degenerate" else data.draw(hnp.arrays(np.float64, dim, elements=COORD))
+        if kind == "line":
+            d = y - x
+            assume(float(d @ d) > 0.0)  # a line needs a representable direction
+            l = line(x, y)
+        else:
+            l = segment(x, y)
+        m = data.draw(st.integers(1, 16))
+        P = data.draw(hnp.arrays(np.float64, (m, dim), elements=COORD))
+        t, sq = _closest_sq_many(P, l)
+        assert t.shape == sq.shape == (m,)
+        scale = 1.0 + np.abs(P).max() + np.abs(x).max() + np.abs(y).max()
+        speed = math.sqrt(l.sq_length)
+        for k in range(m):
+            ref = closest_point(P[k], l)
+            t_tol = 1e-12 * (1.0 + scale / speed) if speed > 0 else 0.0
+            assert t[k] == pytest.approx(ref.t_star, rel=1e-12, abs=t_tol)
+            assert math.sqrt(sq[k]) == pytest.approx(ref.distance, rel=1e-12, abs=1e-12 * scale)
 
 
 class TestMinDistance:

@@ -1,0 +1,218 @@
+"""The witness search of versions 2 and 3 against references that do not
+share its φ evaluation.
+
+`reference_relates_prob` is the scalar search the array search replaced:
+φ through the validating `closest_point` at every grid sample, an early exit
+on the first negative sample, golden refinement of every local minimum, and
+no centre-gap bound.  The array search must take the same decision on every
+pair.  The one-way oracle samples l2 densely with plain numpy and demands a
+relation wherever a sample is a witness by more than the sampling error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lineclust.geometry import closest_point, line, min_distance, segment
+from lineclust.neighborhood import _line_candidate_window, _reach_window, relates_prob
+from lineclust.profiles import Profile, density, effective_window, peak_density
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_golden_min(phi, lo, hi, tol):
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
+    best = min(f1, f2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = phi(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = phi(x2)
+        best = min(best, f1, f2)
+        if best < 0.0:
+            break
+    return best
+
+
+def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
+                           search_samples=64, search_tol=1e-9):
+    """Scalar witness search, one `closest_point` call per φ evaluation."""
+    reach = _reach_window(l1, profile1)
+    if reach[1] < reach[0]:
+        return False
+    cap = peak_density(profile1, *reach)
+    if cap <= 0.0:
+        return False
+    threshold = alpha1 * cap
+    dmin = min_distance(l1, l2)
+    if dmin.distance >= threshold:
+        return False
+    window = None if l2.is_line else (0.0, 1.0)
+    if profile2 is not None:
+        w2 = effective_window(profile2)
+        window = w2 if window is None else (max(window[0], w2[0]), min(window[1], w2[1]))
+        if window[1] < window[0]:
+            return False
+    if window is None:
+        window = _line_candidate_window(l1, l2, threshold, reach, dmin)
+        if window is None:
+            return False
+
+    def phi(s):
+        cp = closest_point(l2.x + l2.direction * s, l1)
+        return cp.distance - alpha1 * density(profile1, cp.t_star)
+
+    lo, hi = window
+    if l2.is_degenerate or hi - lo <= search_tol:
+        return phi(lo) < 0.0
+    grid = np.linspace(lo, hi, search_samples)
+    vals = np.empty(search_samples)
+    for k, s in enumerate(grid):
+        vals[k] = phi(float(s))
+        if vals[k] < 0.0:
+            return True
+    for k in range(search_samples):
+        left = vals[k - 1] if k > 0 else math.inf
+        right = vals[k + 1] if k < search_samples - 1 else math.inf
+        if vals[k] <= left and vals[k] <= right:
+            blo = grid[k - 1] if k > 0 else grid[k]
+            bhi = grid[k + 1] if k < search_samples - 1 else grid[k]
+            if bhi > blo and _reference_golden_min(phi, float(blo), float(bhi), search_tol) < 0.0:
+                return True
+    return False
+
+
+FAMILIES = ("uniform", "normal", "ellipsoidal", "gamma", "beta", "exponential")
+
+
+def random_profile(rng, family):
+    if family == "uniform":
+        a = rng.uniform(-0.5, 0.5)
+        return Profile.uniform(a, a + rng.uniform(0.3, 1.5))
+    if family == "normal":
+        return Profile.normal(rng.uniform(0.0, 1.0), rng.uniform(0.002, 0.2))
+    if family == "ellipsoidal":
+        return Profile.ellipsoidal(rng.uniform(0.3, 1.5), 1.0)
+    if family == "gamma":
+        return Profile.gamma(rng.uniform(1.0, 5.0), rng.uniform(1.0, 12.0))
+    if family == "beta":
+        return Profile.beta(rng.uniform(1.0, 8.0), rng.uniform(1.0, 8.0))
+    return Profile.exponential(rng.uniform(0.5, 12.0))
+
+
+def random_carrier(rng, dim, kind):
+    x = rng.uniform(-3.0, 3.0, dim)
+    if kind == "degenerate":
+        return segment(x, x)
+    y = x + rng.normal(size=dim) * rng.uniform(0.2, 4.0)
+    return line(x, y) if kind == "line" else segment(x, y)
+
+
+def near_bound_target(rng, l1, threshold, factor):
+    """A segment l2 whose centre-gap to l1 is threshold * factor."""
+    dim = l1.dim
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    d = rng.normal(size=dim)
+    d /= np.linalg.norm(d)
+    h2 = rng.uniform(0.05, 1.0)
+    c2 = l1.center + u * (threshold * factor + l1.half_length + h2)
+    return segment(c2 - h2 * d, c2 + h2 * d)
+
+
+def random_case(rng, k):
+    """Pair k of the seeded regression sample: families, carrier kinds,
+    target profiles and the centre-gap boundary all rotate with k."""
+    dim = (2, 3, 7)[k % 3]
+    p1 = random_profile(rng, FAMILIES[k % 6])
+    p2 = random_profile(rng, FAMILIES[(k // 6) % 6]) if k % 2 else None
+    alpha = rng.uniform(0.05, 3.0)
+    kind1 = "line" if k % 11 == 0 else "segment"
+    l1 = random_carrier(rng, dim, kind1)
+    r = k % 9
+    if r in (0, 1) and kind1 == "segment":
+        threshold = alpha * peak_density(p1, 0.0, 1.0)
+        factor = 1.0 + (1e-9 if r == 0 else -1e-9) * rng.uniform(1.0, 1e3)
+        l2 = near_bound_target(rng, l1, threshold, factor)
+    else:
+        kind2 = {2: "line", 3: "degenerate"}.get(r, "segment")
+        l2 = random_carrier(rng, dim, kind2)
+    return l1, p1, alpha, l2, p2
+
+
+def test_decisions_match_the_scalar_search():
+    rng = np.random.default_rng(20241002)
+    decided = {True: 0, False: 0}
+    for k in range(2400):
+        l1, p1, alpha, l2, p2 = random_case(rng, k)
+        expected = reference_relates_prob(l1, p1, alpha, l2, p2)
+        assert relates_prob(l1, p1, alpha, l2, p2) == expected, (k, l1, p1, alpha, l2, p2)
+        decided[expected] += 1
+    assert min(decided.values()) > 300
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_pairs_at_the_centre_gap_bound(factor):
+    # collinear pairs: the minimum distance equals the centre gap
+    p = Profile.uniform(0.0, 1.0)
+    l1 = segment((0.0, 0.0), (2.0, 0.0))
+    threshold = 1.0 * peak_density(p, 0.0, 1.0)
+    start = 2.0 + threshold * factor
+    l2 = segment((start, 0.0), (start + 1.0, 0.0))
+    assert relates_prob(l1, p, 1.0, l2) == reference_relates_prob(l1, p, 1.0, l2) == (factor < 1.0)
+
+
+@pytest.mark.parametrize("variance", [1e-6, 1e-7, 1e-8])
+def test_decisions_match_where_refinement_decides(variance):
+    # a spike of density on a long segment, l2 parallel below it: the grid
+    # rarely lands on the spike, so golden refinement makes most decisions
+    rng = np.random.default_rng(int(-math.log10(variance)))
+    p = Profile.normal(0.5, variance)
+    l1 = segment((0.0, 0.0), (100.0, 0.0))
+    alpha = 0.5 / peak_density(p, 0.0, 1.0)
+    decided = {True: 0, False: 0}
+    for _ in range(30):
+        y = rng.uniform(0.05, 0.45)
+        x0 = rng.uniform(40.0, 49.0)
+        l2 = segment((x0, y), (x0 + rng.uniform(2.0, 11.0), y))
+        expected = reference_relates_prob(l1, p, alpha, l2)
+        assert relates_prob(l1, p, alpha, l2) == expected
+        decided[expected] += 1
+    assert decided[True] > 0
+
+
+ORACLE_SAMPLES = 4001
+
+
+def test_sampled_witness_forces_a_relation():
+    """One way: a witness found by dense numpy sampling of l2 means the pair
+    relates.  A sample counts only when it beats the threshold by more than
+    the sampling's Lipschitz slack: how far φ can move over one sampling
+    step, |d2| * step for the distance plus the largest jump of alpha1 * f
+    between neighbouring samples."""
+    rng = np.random.default_rng(4001)
+    s = np.linspace(0.0, 1.0, ORACLE_SAMPLES)
+    step = s[1] - s[0]
+    witnesses = 0
+    for k in range(600):
+        dim = (2, 7)[k % 2]
+        p1 = random_profile(rng, FAMILIES[k % 6])
+        l1 = random_carrier(rng, dim, "segment")
+        l2 = random_carrier(rng, dim, "segment")
+        alpha = rng.uniform(0.05, 3.0)
+        pts = l2.x + s[:, None] * l2.direction
+        t = np.clip((pts - l1.x) @ l1.direction / l1.sq_length, 0.0, 1.0)
+        dist = np.linalg.norm(pts - (l1.x + t[:, None] * l1.direction), axis=1)
+        f = p1.pdf(t)
+        slack = step * math.sqrt(l2.sq_length) + alpha * np.abs(np.diff(f)).max()
+        if np.any(dist < alpha * f - slack):
+            witnesses += 1
+            assert relates_prob(l1, p1, alpha, l2), (k, l1, p1, alpha, l2)
+    assert witnesses >= 100
