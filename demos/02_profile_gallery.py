@@ -61,7 +61,7 @@ def main():
             mode="expand", rng_seed=0, memberships=memberships,
             clusters=[list(range(len(upper))),
                       list(range(len(upper), len(upper) + len(lower)))],
-            seed_order=[], clusters_may_overlap=False, eval_count=0,
+            clusters_may_overlap=False, eval_count=0,
             trace=[], peak_aux=0, core_flags=[],
         )
         path = out_dir / f"profile_{p.family}.svg"

@@ -7,7 +7,7 @@ lines whose neighbour count clears a cardinality threshold.  Points with one
 missing coordinate join the same pipeline as axis-aligned segments.
 """
 
-from .engine import ClusterLabels, NOISE, RunConfig, is_core, relation_eval_count, run, run_expand, run_literal
+from .engine import ClusterLabels, NOISE, RunConfig, run, run_expand, run_literal
 from .errors import ConfigurationError, ParseError, UnsupportedRecordError
 from .geometry import (
     ClosestPointResult,
@@ -25,8 +25,6 @@ from .neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
     contains_point,
-    neighbor_set,
-    relates,
     relates_prob,
     relates_v1,
 )
@@ -71,21 +69,17 @@ __all__ = [
     "effective_window",
     "exact_volume_scaling_factor",
     "format_profile",
-    "is_core",
     "length",
     "lift",
     "lift_dataset",
     "line",
     "min_distance",
-    "neighbor_set",
     "neighbourhood_volume",
     "param_point",
     "parse_profile",
     "peak_density",
-    "relates",
     "relates_prob",
     "relates_v1",
-    "relation_eval_count",
     "run",
     "run_expand",
     "run_literal",

@@ -2,9 +2,10 @@
 
 Exit codes are stable: 0 success, 1 IO/runtime failure, 2 usage error.
 A JSON config file can pre-set any cluster or lift option; explicit flags
-override config values.  Outputs carry no timestamps, so a fixed seed fully
-determines the bytes written by gen and cluster.  The LINECLUST_LOG
-environment variable (debug/info/warning/error) sets the log verbosity.
+override config values, and a key that names no option is rejected.
+Outputs carry no timestamps, so a fixed seed fully determines the bytes
+written by gen and cluster.  The LINECLUST_LOG environment variable
+(debug/info/warning/error) sets the log verbosity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input format (default: by file extension)")
     p_cluster.add_argument("--version", type=int, choices=[1, 2, 3], default=None,
                            help="relation version (1 metric, 2 volume-derived, 3 scaled density)")
-    p_cluster.add_argument("--c", dest="cardinality", type=int, default=None,
+    p_cluster.add_argument("--c", type=int, default=None,
                            help="cardinality threshold (required)")
     p_cluster.add_argument("--alpha", type=float, default=None,
                            help="scale parameter (versions 1 and 3)")
@@ -53,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p_cluster.add_argument("--search-samples", type=int, default=None,
                            help="witness-search grid size (default 64)")
-    p_cluster.add_argument("--threads", type=int, default=None,
-                           help="threads for relation rows (default 1)")
     p_cluster.add_argument("--crop", default=None,
                            help="GeoJSON crop box minx,miny,maxx,maxy")
     p_cluster.add_argument("--out", default=None, help="results JSON path (default results.json)")
@@ -130,6 +129,21 @@ def _load_records(path, fmt, crop):
     return data_io.load_segments_csv(path)
 
 
+def _read_config(path, keys: set[str]) -> dict:
+    """The --config JSON object at path ({} without one); rejects other keys."""
+    if not path:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
+                                 f"accepted: {', '.join(sorted(keys))}")
+    return cfg
+
+
 def _per_line_profiles(path, ids) -> list[Profile | None]:
     with open(path, encoding="utf-8") as fh:
         mapping = json.load(fh)
@@ -137,31 +151,33 @@ def _per_line_profiles(path, ids) -> list[Profile | None]:
     if missing:
         raise ConfigurationError(
             f"profile map lacks entries for {len(missing)} record(s), e.g. {missing[:3]}")
-    return [parse_profile(mapping[rid]) if mapping[rid] else None for rid in ids]
+    for rid in ids:
+        if mapping[rid] is not None and not isinstance(mapping[rid], str):
+            raise ConfigurationError(f"{path}: profile for record {rid!r} must be a "
+                                     f"string or null, got {mapping[rid]!r}")
+    return [None if mapping[rid] is None else parse_profile(mapping[rid]) for rid in ids]
 
 
 def cmd_cluster(args) -> int:
-    file_cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+    # a config key is the name of a cluster option, the key pick() reads
+    file_cfg = _read_config(args.config, set(vars(args)) - {"command", "func", "input", "config"})
 
-    def pick(flag_value, key, default=None):
+    def pick(key, default=None):
+        flag_value = getattr(args, key)
         return flag_value if flag_value is not None else file_cfg.get(key, default)
 
-    version = pick(args.version, "version")
-    c = pick(args.cardinality, "c")
+    version = pick("version")
+    c = pick("c")
     if version is None or c is None:
         raise ConfigurationError("cluster requires --version and --c")
-    records = _load_records(args.input, pick(args.format, "format"),
-                            pick(args.crop, "crop"))
+    records = _load_records(args.input, pick("format"), pick("crop"))
     if not records:
         raise ValueError(f"{args.input}: no segments to cluster")
     U = [r.to_segment() for r in records]
     ids = [r.id for r in records]
 
-    profile_text = pick(args.profile, "profile")
-    profiles_path = pick(args.profiles, "profiles")
+    profile_text = pick("profile")
+    profiles_path = pick("profiles")
     if profile_text is not None and profiles_path is not None:
         raise ConfigurationError("--profile and --profiles are mutually exclusive")
     profile = None
@@ -173,19 +189,18 @@ def cmd_cluster(args) -> int:
     spec = NeighbourhoodSpec(
         version=int(version),
         c=int(c),
-        alpha=pick(args.alpha, "alpha"),
-        volume=pick(args.volume, "volume"),
+        alpha=pick("alpha"),
+        volume=pick("volume"),
         profile=profile,
-        alpha_mode=pick(args.alpha_mode, "alpha_mode", "literal"),
-        search_samples=int(pick(args.search_samples, "search_samples", 64)),
+        alpha_mode=pick("alpha_mode", "literal"),
+        search_samples=int(pick("search_samples", 64)),
     )
-    mode = pick(args.mode, "mode")
+    mode = pick("mode")
     if mode is None:
         mode = "expand"
         print("mode=expand (cluster growth); use --mode literal for the "
               "one-pass draw loop without growth", file=sys.stderr)
-    cfg = RunConfig(spec=spec, mode=mode, rng_seed=int(pick(args.seed, "seed", 0)),
-                    threads=int(pick(args.threads, "threads", 1)))
+    cfg = RunConfig(spec=spec, mode=mode, rng_seed=int(pick("seed", 0)))
     labels = run(U, cfg)
 
     echo = {
@@ -199,12 +214,12 @@ def cmd_cluster(args) -> int:
         "alpha_mode": spec.alpha_mode,
         "search_samples": spec.search_samples,
     }
-    out = pick(args.out, "out", "results.json")
+    out = pick("out", "results.json")
     data_io.write_results(labels, out, ids=ids, config=echo)
-    svg = pick(args.svg, "svg")
+    svg = pick("svg")
     if svg:
         data_io.write_svg(U, labels, svg)
-    trace = pick(args.trace, "trace")
+    trace = pick("trace")
     if trace:
         dump_trace(labels, trace)
     print(f"k={labels.k} outliers={len(labels.noise)} evals={labels.eval_count}")
@@ -254,10 +269,7 @@ def _parse_axis(text: str) -> AxisDomain:
 
 
 def cmd_lift(args) -> int:
-    file_cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+    file_cfg = _read_config(args.config, {"axes", "out", "profiles_out"})
     axis_texts = args.axis or file_cfg.get("axes", [])
     out = args.out if args.out is not None else file_cfg.get("out")
     profiles_out = args.profiles_out if args.profiles_out is not None \

@@ -176,7 +176,7 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
 
     Non-line geometries are skipped with a warning.  With a crop box
     (minx, miny, maxx, maxy) only segments whose both endpoints fall inside
-    are kept.
+    are kept.  Two features that yield one segment id are a parse error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -193,6 +193,7 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
         return minx <= pt[0] <= maxx and miny <= pt[1] <= maxy
 
     records: list[SegmentRecord] = []
+    seen: dict[str, int] = {}  # segment id -> index of the feature that made it
     for fi, feature in enumerate(obj.get("features", [])):
         geom = feature.get("geometry") or {}
         gtype = geom.get("type")
@@ -211,8 +212,12 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
                 a, b = coords[si], coords[si + 1]
                 if not (inside(a) and inside(b)):
                     continue
+                sid = f"{pid}-s{si}"
+                if seen.setdefault(sid, fi) != fi:
+                    raise ParseError(f"{path}: features {seen[sid]} and {fi} both give "
+                                     f"segment id {sid!r}")
                 records.append(SegmentRecord(
-                    id=f"{pid}-s{si}",
+                    id=sid,
                     x=np.array(a[:2], dtype=np.float64),
                     y=np.array(b[:2], dtype=np.float64),
                 ))

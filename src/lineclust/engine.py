@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import SegmentLike
 from .neighborhood import NeighbourhoodSpec, RelationEvaluator
 
@@ -42,11 +43,13 @@ class RunConfig:
     spec: NeighbourhoodSpec
     mode: str = "expand"  # "literal" or "expand"
     rng_seed: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1; kept because the benchmark's workloads still pass it
 
     def __post_init__(self):
         if self.mode not in ("literal", "expand"):
             raise ValueError(f"mode must be 'literal' or 'expand', got {self.mode!r}")
+        if self.threads != 1:
+            raise ConfigurationError(f"threads must be 1, got {self.threads!r}")
 
 
 @dataclass
@@ -55,22 +58,25 @@ class ClusterLabels:
 
     memberships[i] lists the 1-based ids of every cluster line i belongs to
     (several in literal mode, at most one in expand mode); an empty list
-    means noise.  seed_order records the drawn lines in draw order, trace one
-    record per draw.  peak_aux is the peak auxiliary container occupancy
-    (labels plus the largest transient neighbour set / frontier), used to
-    check that no quadratic structure is ever held.
+    means noise.  trace holds one record per draw; seed_order, the drawn
+    lines in draw order, is derived from it.  peak_aux is the peak auxiliary
+    container occupancy (labels plus the largest transient neighbour set /
+    frontier), used to check that no quadratic structure is ever held.
     """
 
     mode: str
     rng_seed: int
     memberships: list[list[int]]
     clusters: list[list[int]]
-    seed_order: list[int]
     clusters_may_overlap: bool
     eval_count: int
     trace: list[dict]
     peak_aux: int
     core_flags: list[Optional[bool]] = field(default_factory=list)
+
+    @property
+    def seed_order(self) -> list[int]:
+        return [rec["chosen"] for rec in self.trace]
 
     @property
     def k(self) -> int:
@@ -85,17 +91,6 @@ class ClusterLabels:
         return np.array([m[0] if m else NOISE for m in self.memberships], dtype=int)
 
 
-def relation_eval_count(labels: ClusterLabels) -> int:
-    """Number of relation evaluations the run performed (<= n^2 in literal mode)."""
-    return labels.eval_count
-
-
-def is_core(i: int, U: Sequence[SegmentLike], spec: NeighbourhoodSpec) -> bool:
-    """Does line i have at least c neighbours (itself included)."""
-    ev = RelationEvaluator(U, spec)
-    return len(ev.neighbor_set(i)) >= spec.c
-
-
 def _draw(rng: np.random.Generator, state: list[int]) -> int:
     candidates = [i for i, s in enumerate(state) if s == _UNVISITED]
     return candidates[int(rng.integers(len(candidates)))]
@@ -106,19 +101,17 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     if not U:
         raise ValueError("cannot cluster an empty dataset")
     n = len(U)
-    ev = RelationEvaluator(U, cfg.spec, threads=cfg.threads)
+    ev = RelationEvaluator(U, cfg.spec)
     rng = np.random.default_rng(cfg.rng_seed)
     state = [_UNVISITED] * n
     memberships: list[list[int]] = [[] for _ in range(n)]
     clusters: list[list[int]] = []
-    seed_order: list[int] = []
     trace: list[dict] = []
     peak_transient = 0
     unvisited = n
 
     while unvisited > 0:
         u = _draw(rng, state)
-        seed_order.append(u)
         region = ev.neighbor_set(u)
         peak_transient = max(peak_transient, len(region))
         if len(region) >= cfg.spec.c:
@@ -138,10 +131,9 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
             trace.append({"chosen": u, "neighbours": len(region),
                           "decision": "noise", "cluster": None})
 
-    ev.close()
     return ClusterLabels(
         mode="literal", rng_seed=cfg.rng_seed, memberships=memberships,
-        clusters=clusters, seed_order=seed_order, clusters_may_overlap=True,
+        clusters=clusters, clusters_may_overlap=True,
         eval_count=ev.eval_count, trace=trace, peak_aux=n + peak_transient,
         core_flags=[None] * n,
     )
@@ -152,20 +144,18 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     if not U:
         raise ValueError("cannot cluster an empty dataset")
     n = len(U)
-    ev = RelationEvaluator(U, cfg.spec, threads=cfg.threads)
+    ev = RelationEvaluator(U, cfg.spec)
     rng = np.random.default_rng(cfg.rng_seed)
     state = [_UNVISITED] * n
     core: list[Optional[bool]] = [None] * n
     memberships: list[list[int]] = [[] for _ in range(n)]
     clusters: list[list[int]] = []
-    seed_order: list[int] = []
     trace: list[dict] = []
     peak_transient = 0
     unvisited = n
 
     while unvisited > 0:
         u = _draw(rng, state)
-        seed_order.append(u)
         state[u] = _VISITED
         unvisited -= 1
         region = ev.neighbor_set(u)
@@ -204,10 +194,9 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
         trace.append({"chosen": u, "neighbours": len(region),
                       "decision": "cluster", "cluster": cid})
 
-    ev.close()
     return ClusterLabels(
         mode="expand", rng_seed=cfg.rng_seed, memberships=memberships,
-        clusters=clusters, seed_order=seed_order, clusters_may_overlap=False,
+        clusters=clusters, clusters_may_overlap=False,
         eval_count=ev.eval_count, trace=trace, peak_aux=n + peak_transient,
         core_flags=core,
     )

@@ -20,7 +20,7 @@ clamps at a segment end.  The search therefore scans a uniform grid and then
 runs golden-section refinement around every local minimum; a relation is
 reported only for an actually evaluated phi(s) < 0, so false positives are
 impossible and misses are bounded by the grid resolution (configurable via
-search_samples).
+search_samples); refinement stops at a bracket width of SEARCH_TOL.
 
 Before any of this, a pair whose centre gap |c1 - c2| - h1 - h2 (a lower
 bound on the distance between two finite carriers) already reaches
@@ -54,6 +54,7 @@ PerLineAlpha = Union[float, Sequence[float], Mapping[int, float]]
 PerLineProfile = Union[Profile, Sequence[Optional[Profile]], Mapping[int, Optional[Profile]]]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SEARCH_TOL = 1e-9  # parameter width at which the witness search stops refining
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class NeighbourhoodSpec:
     profile: PerLineProfile | None = None
     alpha_mode: str = "literal"  # "literal" or "exact-volume" (version 2)
     search_samples: int = 64
-    search_tol: float = 1e-9
 
     def __post_init__(self):
         if self.version not in (1, 2, 3):
@@ -84,8 +84,6 @@ class NeighbourhoodSpec:
             raise ConfigurationError(f"cardinality c must be >= 1, got {self.c}")
         if self.search_samples < 2:
             raise ConfigurationError("search_samples must be >= 2")
-        if self.search_tol <= 0:
-            raise ConfigurationError("search_tol must be positive")
         if self.alpha_mode not in ("literal", "exact-volume"):
             raise ConfigurationError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.version == 1:
@@ -110,36 +108,28 @@ class NeighbourhoodSpec:
             if self.volume is not None:
                 raise ConfigurationError("version 3 takes alpha directly, not a volume")
 
-    def alpha_for(self, i: int | None) -> float:
+    def alpha_for(self, i: int) -> float:
         a = self.alpha
         if a is None:
             raise ConfigurationError("no alpha configured")
-        if isinstance(a, Mapping):
-            if i is None or i not in a:
-                raise ConfigurationError(f"no alpha for line index {i}")
-            value = a[i]
-        elif isinstance(a, Sequence):
-            if i is None or not 0 <= i < len(a):
-                raise ConfigurationError(f"no alpha for line index {i}")
-            value = a[i]
-        else:
-            value = a
-        value = float(value)
+        value = float(_per_line(a, i, "alpha") if isinstance(a, (Mapping, Sequence)) else a)
         if value <= 0:
             raise ConfigurationError(f"alpha must be positive, got {value}")
         return value
 
-    def profile_for(self, i: int | None) -> Profile | None:
+    def profile_for(self, i: int) -> Profile | None:
         p = self.profile
         if p is None or isinstance(p, Profile):
             return p
-        if isinstance(p, Mapping):
-            if i is None or i not in p:
-                raise ConfigurationError(f"no profile entry for line index {i}")
-            return p[i]
-        if i is None or not 0 <= i < len(p):
-            raise ConfigurationError(f"no profile entry for line index {i}")
-        return p[i]
+        return _per_line(p, i, "profile entry")
+
+
+def _per_line(values, i: int, what: str):
+    """Entry i of a per-line mapping or sequence."""
+    found = i in values if isinstance(values, Mapping) else 0 <= i < len(values)
+    if not found:
+        raise ConfigurationError(f"no {what} for line index {i}")
+    return values[i]
 
 
 # -- membership and version 1 ------------------------------------------------
@@ -209,13 +199,13 @@ def _line_candidate_window(l1: SegmentLike, l2: SegmentLike, threshold: float,
     return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
 
 
-def _golden_min(phi, lo: float, hi: float, tol: float) -> float:
+def _golden_min(phi, lo: float, hi: float) -> float:
     """Minimum value found by golden-section search on [lo, hi]."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
     best = min(f1, f2)
-    while hi - lo > tol:
+    while hi - lo > SEARCH_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -235,7 +225,7 @@ def _golden_min(phi, lo: float, hi: float, tol: float) -> float:
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64, search_tol: float = 1e-9) -> bool:
+                 search_samples: int = 64) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood."""
     if l1.dim != l2.dim:
@@ -281,7 +271,7 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
         return math.sqrt(sq) - alpha1 * density(profile1, t)
 
     lo, hi = window
-    if l2.is_degenerate or hi - lo <= search_tol:
+    if l2.is_degenerate or hi - lo <= SEARCH_TOL:
         return phi(lo) < 0.0
 
     grid = np.linspace(lo, hi, search_samples)
@@ -298,7 +288,7 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
             blo = grid[k - 1] if k > 0 else grid[k]
             bhi = grid[k + 1] if k < search_samples - 1 else grid[k]
             if bhi > blo:
-                if _golden_min(phi, float(blo), float(bhi), search_tol) < 0.0:
+                if _golden_min(phi, float(blo), float(bhi)) < 0.0:
                     return True
     return False
 
@@ -309,19 +299,16 @@ class RelationEvaluator:
     """Evaluates the relation over a fixed dataset, with memoized per-line
     derived quantities and a relation-evaluation counter.
 
-    Version 2 scaling factors are derived once per source line and cached;
-    the cache is write-once and idempotent, so concurrent evaluation of
-    relation rows is safe.
+    relates(i, j) is the one place a spec and two line indices become a
+    decision; every call counts in eval_count.  Version 2 scaling factors
+    are derived once per source line and cached.
     """
 
-    def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec,
-                 threads: int = 1):
+    def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
         self.U = list(U)
         self.spec = spec
-        self.threads = max(1, threads)
         self.eval_count = 0
         self._alpha_cache: dict[int, float] = {}
-        self._pool = None
 
     def alpha_of(self, i: int) -> float:
         spec = self.spec
@@ -341,7 +328,9 @@ class RelationEvaluator:
             self._alpha_cache[i] = cached
         return cached
 
-    def _relates_uncounted(self, i: int, j: int) -> bool:
+    def relates(self, i: int, j: int) -> bool:
+        """Does line i relate to line j."""
+        self.eval_count += 1
         spec = self.spec
         l1, l2 = self.U[i], self.U[j]
         if spec.version == 1:
@@ -352,70 +341,9 @@ class RelationEvaluator:
             # declared density-free: Definition-style metric fallback
             return relates_v1(l1, l2, alpha1)
         return relates_prob(l1, p1, alpha1, l2, spec.profile_for(j),
-                            search_samples=spec.search_samples,
-                            search_tol=spec.search_tol)
-
-    def relates(self, i: int, j: int) -> bool:
-        self.eval_count += 1
-        return self._relates_uncounted(i, j)
+                            search_samples=spec.search_samples)
 
     def neighbor_set(self, i: int) -> set[int]:
-        n = len(self.U)
-        if self.threads == 1:
-            result = {j for j in range(n) if self.relates(i, j)}
-            return result
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-        chunk = (n + self.threads - 1) // self.threads
-        ranges = [range(k, min(k + chunk, n)) for k in range(0, n, chunk)]
-
-        def scan(rng):
-            hits = [j for j in rng if self._relates_uncounted(i, j)]
-            return hits, len(rng)
-
-        result = set()
-        for hits, evals in self._pool.map(scan, ranges):
-            result.update(hits)
-            self.eval_count += evals
-        return result
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-def relates(l1: SegmentLike, l2: SegmentLike, spec: NeighbourhoodSpec,
-            i: int | None = None, j: int | None = None) -> bool:
-    """Single-pair relation under a spec.  i and j are the line indices in
-    the dataset; they are only needed when alpha/profile are per-line."""
-    if spec.version == 1:
-        return relates_v1(l1, l2, spec.alpha_for(i))
-    p1 = spec.profile_for(i)
-    if spec.version == 2:
-        if p1 is None:
-            raise ConfigurationError("version 2 requires a profile for the source line")
-        if spec.alpha_mode == "exact-volume":
-            alpha1 = exact_volume_scaling_factor(spec.volume, p1, l1, l1.dim)
-        else:
-            alpha1 = scaling_factor(spec.volume, p1, l1, l1.dim)
-    else:
-        alpha1 = spec.alpha_for(i)
-    if p1 is None:
-        return relates_v1(l1, l2, alpha1)
-    return relates_prob(l1, p1, alpha1, l2, spec.profile_for(j),
-                        search_samples=spec.search_samples,
-                        search_tol=spec.search_tol)
-
-
-def neighbor_set(l: SegmentLike, U: Sequence[SegmentLike],
-                 spec: NeighbourhoodSpec) -> set[int]:
-    """Indices of all dataset lines l relates to (itself included, since the
-    relation is reflexive whenever l can reach its own density)."""
-    for i, candidate in enumerate(U):
-        if candidate is l:
-            break
-    else:
-        raise ValueError("l must be an element of U")
-    return RelationEvaluator(U, spec).neighbor_set(i)
+        """Indices of all dataset lines line i relates to (itself included
+        whenever it can reach its own density)."""
+        return {j for j in range(len(self.U)) if self.relates(i, j)}

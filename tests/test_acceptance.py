@@ -17,7 +17,7 @@ from lineclust.geometry import min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
     NeighbourhoodSpec,
-    relates,
+    RelationEvaluator,
     relates_prob,
     relates_v1,
 )
@@ -144,13 +144,13 @@ def test_criterion_04_relation_properties():
             else:
                 spec = NeighbourhoodSpec(version=3, c=1,
                                          alpha=float(rng.uniform(0.01, 5)), profile=prof)
-        assert relates(l, l, spec, i=0, j=0)
+        assert RelationEvaluator([l], spec).relates(0, 0)
 
     l1 = segment((0, 0), (1, 0))
     l2 = segment((0, 2), (1, 2))
     witness = NeighbourhoodSpec(version=1, c=1, alpha={0: 3.0, 1: 0.5})
-    assert relates(l1, l2, witness, i=0, j=1)
-    assert not relates(l2, l1, witness, i=1, j=0)
+    assert RelationEvaluator([l1, l2], witness).relates(0, 1)
+    assert not RelationEvaluator([l1, l2], witness).relates(1, 0)
 
     for _ in range(500):
         p = Profile.normal(rng.uniform(0.2, 0.8), rng.uniform(0.0025, 0.1))

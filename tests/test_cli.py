@@ -116,6 +116,51 @@ class TestCluster:
         doc = json.loads((tmp_path / "strict.json").read_text())
         assert doc["counts"]["k"] == 0  # nothing reaches c=200
 
+    def test_unknown_config_keys_are_usage_errors(self, tmp_path, capsys):
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        for extra in ({"threads": 4}, {"sead": 9}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"version": 1, "c": 5, "alpha": 12.0, **extra}))
+            out = tmp_path / "never.json"
+            assert run_cli("cluster", data, "--config", cfg, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert f"unknown config key(s) {next(iter(extra))}" in err
+            assert "accepted:" in err and "search_samples" in err
+            assert not out.exists()
+
+    def test_every_cluster_option_is_a_config_key(self, tmp_path):
+        data = self._gen(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "format": "csv", "version": 1, "c": 5, "alpha": 12.0, "mode": "literal",
+            "seed": 2, "search_samples": 32, "alpha_mode": "literal",
+            "out": str(tmp_path / "r.json"), "svg": str(tmp_path / "r.svg"),
+            "trace": str(tmp_path / "t.jsonl"), "crop": None, "volume": None,
+            "profile": None, "profiles": None,
+        }))
+        assert run_cli("cluster", data, "--config", cfg) == 0
+        assert (tmp_path / "r.svg").exists() and (tmp_path / "t.jsonl").exists()
+
+    def test_profile_map_values_must_be_string_or_null(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0.4,1,0.4\n")
+        profiles = tmp_path / "p.json"
+        for bad in (5, {"a": 5}, 0, False, [1]):
+            profiles.write_text(json.dumps({"a": bad, "b": None}))
+            code = run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                           "--profiles", profiles, "--out", tmp_path / "r.json")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(profiles) in err and "record 'a'" in err and "string or null" in err
+        # an empty string is not density-free: it fails to parse as a profile
+        profiles.write_text(json.dumps({"a": "", "b": None}))
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 2
+        profiles.write_text(json.dumps({"a": "uniform:0,1", "b": None}))
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 0
+
     def test_mode_notice_only_when_defaulted(self, tmp_path, capsys):
         data = self._gen(tmp_path)
         run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,
@@ -226,6 +271,18 @@ class TestLift:
         assert run_cli("lift", pts, "--config", cfg,
                        "--out", tmp_path / "flag.csv") == 0
         assert (tmp_path / "flag.csv").exists()
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("id,x1,x2\na,1.0,NA\n")
+        cfg = tmp_path / "lift.json"
+        cfg.write_text(json.dumps({"axes": ["2=uniform:-4,4"], "axis": ["1=uniform:0,1"],
+                                   "out": str(tmp_path / "s.csv")}))
+        assert run_cli("lift", pts, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s) axis" in err
+        assert "accepted: axes, out, profiles_out" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_without_axis_or_config_is_usage_error(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -192,6 +192,23 @@ class TestGeoJson:
         assert nothing == []
         assert any("excluded every segment" in r.message for r in caplog.records)
 
+    def test_duplicate_segment_id_rejected_with_feature_indices(self, tmp_path):
+        line = {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}
+        path = self._write(tmp_path, {
+            "type": "FeatureCollection",
+            "features": [
+                {"type": "Feature", "id": "r", "geometry": line, "properties": {}},
+                {"type": "Feature", "id": "q", "geometry": line, "properties": {}},
+                {"type": "Feature", "id": "r", "geometry": line, "properties": {}},
+            ],
+        })
+        match = r"features 0 and 2 both give segment id 'r-s0'"
+        with pytest.raises(ParseError, match=match) as exc:
+            load_geojson(path)
+        assert str(path) in str(exc.value)
+        # a cropped-out duplicate produces no segment, so nothing collides
+        assert [r.id for r in load_geojson(path, crop=(-1, -1, 0.5, 0.5))] == []
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.geojson"
         path.write_text("{not json")

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+import lineclust
 from lineclust.engine import (
     NOISE,
     RunConfig,
     dump_trace,
-    is_core,
-    relation_eval_count,
     run,
     run_expand,
     run_literal,
 )
+from lineclust.errors import ConfigurationError
 from lineclust.geometry import segment
-from lineclust.neighborhood import NeighbourhoodSpec
+from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator
 from lineclust.oracle import reference_dbscan
 
 
@@ -33,22 +33,23 @@ V1 = lambda c, alpha=1.0: NeighbourhoodSpec(version=1, c=c, alpha=alpha)
 class TestIsCore:
     def test_singleton(self):
         U = [segment((0, 0), (1, 0))]
-        assert is_core(0, U, V1(1))
-        assert not is_core(0, U, V1(2))
+        assert len(RelationEvaluator(U, V1(1)).neighbor_set(0)) >= 1
+        assert not len(RelationEvaluator(U, V1(2)).neighbor_set(0)) >= 2
 
     def test_collinear_triple(self):
         U = collinear_chain(3)
-        assert is_core(1, U, V1(3))
-        assert not is_core(0, U, V1(3))
-        assert not is_core(2, U, V1(3))
+        ev = RelationEvaluator(U, V1(3))
+        assert len(ev.neighbor_set(1)) >= 3
+        assert not len(ev.neighbor_set(0)) >= 3
+        assert not len(ev.neighbor_set(2)) >= 3
 
     def test_monotone_in_c(self):
         rng = np.random.default_rng(4)
         U = [segment(rng.uniform(0, 15, 2), rng.uniform(0, 15, 2)) for _ in range(30)]
         for i in range(len(U)):
             for c_small, c_big in ((1, 3), (2, 5)):
-                if is_core(i, U, V1(c_big, 4.0)):
-                    assert is_core(i, U, V1(c_small, 4.0))
+                if len(RelationEvaluator(U, V1(c_big, 4.0)).neighbor_set(i)) >= c_big:
+                    assert len(RelationEvaluator(U, V1(c_small, 4.0)).neighbor_set(i)) >= c_small
 
 
 class TestLiteral:
@@ -193,13 +194,13 @@ class TestInstrumentation:
         for n in (1, 10, 40):
             U = isolated(n)
             lab = run_literal(U, RunConfig(spec=V1(2), mode="literal", rng_seed=0))
-            assert relation_eval_count(lab) == n * n
+            assert lab.eval_count == n * n
 
     def test_eval_count_all_related(self):
         n = 12
         U = [segment((0, 0.01 * i), (1, 0.01 * i)) for i in range(n)]
         lab = run_literal(U, RunConfig(spec=V1(2), mode="literal", rng_seed=0))
-        assert relation_eval_count(lab) == n  # one draw clusters everything
+        assert lab.eval_count == n  # one draw clusters everything
 
     def test_literal_bound(self):
         rng = np.random.default_rng(3)
@@ -249,3 +250,20 @@ class TestInstrumentation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(spec=V1(1), mode="both", rng_seed=0)
+
+    def test_threads_other_than_one_rejected(self):
+        RunConfig(spec=V1(1), threads=1)
+        for threads in (0, 2, 4):
+            with pytest.raises(ConfigurationError):
+                RunConfig(spec=V1(1), threads=threads)
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        for name in lineclust.__all__:
+            assert getattr(lineclust, name) is not None, name
+
+    def test_removed_wrappers_not_exported(self):
+        for name in ("relates", "neighbor_set", "is_core", "relation_eval_count"):
+            assert name not in lineclust.__all__
+            assert not hasattr(lineclust, name)

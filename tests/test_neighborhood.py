@@ -9,8 +9,6 @@ from lineclust.neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
     contains_point,
-    neighbor_set,
-    relates,
     relates_prob,
     relates_v1,
 )
@@ -224,32 +222,34 @@ class TestDispatch:
         spec3 = NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=U01)
         other = segment((0.3, 0.5, 0), (0.7, 0.5, 0))
         far = segment((0.3, 1.5, 0), (0.7, 1.5, 0))
-        assert relates(seg3, other, spec2) == relates(seg3, other, spec3) is True
-        assert relates(seg3, far, spec2) == relates(seg3, far, spec3) is False
+        U = [seg3, other, far]
+        ev2, ev3 = RelationEvaluator(U, spec2), RelationEvaluator(U, spec3)
+        assert ev2.relates(0, 1) == ev3.relates(0, 1) is True
+        assert ev2.relates(0, 2) == ev3.relates(0, 2) is False
 
     def test_v1_regime(self):
         l1 = segment((0, 0), (4, 0))
         l2 = segment((0, 5), (4, 5))
         spec = NeighbourhoodSpec(version=1, c=1, alpha=12.0)
-        assert relates(l1, l2, spec)
+        assert RelationEvaluator([l1, l2], spec).relates(0, 1)
 
     def test_v3_none_profile_falls_back_to_metric(self):
         spec = NeighbourhoodSpec(version=3, c=1, alpha=1.5, profile=[None, U01])
         l1 = segment((0, 0), (1, 0))
         l2 = segment((0, 1), (1, 1))
-        assert relates(l1, l2, spec, i=0, j=1) == relates_v1(l1, l2, 1.5)
+        assert RelationEvaluator([l1, l2], spec).relates(0, 1) == relates_v1(l1, l2, 1.5)
 
     def test_v2_none_profile_is_an_error(self):
         spec = NeighbourhoodSpec(version=2, c=1, volume=1.0, profile=[None])
         with pytest.raises(ConfigurationError):
-            relates(UNIT, UNIT, spec, i=0, j=0)
+            RelationEvaluator([UNIT], spec).relates(0, 0)
 
     def test_asymmetry_witness(self):
         l1 = segment((0, 0), (1, 0))
         l2 = segment((0, 2), (1, 2))
         spec = NeighbourhoodSpec(version=1, c=1, alpha={0: 3.0, 1: 0.5})
-        assert relates(l1, l2, spec, i=0, j=1)
-        assert not relates(l2, l1, spec, i=1, j=0)
+        assert RelationEvaluator([l1, l2], spec).relates(0, 1)
+        assert not RelationEvaluator([l1, l2], spec).relates(1, 0)
 
     def test_reflexivity_across_versions(self):
         rng = np.random.default_rng(13)
@@ -271,25 +271,21 @@ class TestDispatch:
                 else:
                     spec = NeighbourhoodSpec(version=3, c=1,
                                              alpha=float(rng.uniform(0.01, 5)), profile=p)
-            assert relates(l, l, spec, i=0, j=0)
+            assert RelationEvaluator([l], spec).relates(0, 0)
 
 
 class TestNeighborSet:
     def test_singleton(self):
         spec = NeighbourhoodSpec(version=1, c=1, alpha=1.0)
-        assert neighbor_set(UNIT, [UNIT], spec) == {0}
+        assert RelationEvaluator([UNIT], spec).neighbor_set(0) == {0}
 
     def test_collinear_triple(self):
         U = [segment((0, 0), (1, 0)), segment((1.5, 0), (2.5, 0)), segment((3, 0), (4, 0))]
         spec = NeighbourhoodSpec(version=1, c=1, alpha=1.0)
-        assert neighbor_set(U[0], U, spec) == {0, 1}
-        assert neighbor_set(U[1], U, spec) == {0, 1, 2}
-        assert neighbor_set(U[2], U, spec) == {1, 2}
-
-    def test_requires_membership(self):
-        spec = NeighbourhoodSpec(version=1, c=1, alpha=1.0)
-        with pytest.raises(ValueError):
-            neighbor_set(segment((9, 9), (9.5, 9)), [UNIT], spec)
+        ev = RelationEvaluator(U, spec)
+        assert ev.neighbor_set(0) == {0, 1}
+        assert ev.neighbor_set(1) == {0, 1, 2}
+        assert ev.neighbor_set(2) == {1, 2}
 
     def test_evaluator_counts(self):
         U = [segment((0, 0), (1, 0)), segment((5, 0), (6, 0))]
@@ -297,17 +293,6 @@ class TestNeighborSet:
         ev.neighbor_set(0)
         ev.neighbor_set(1)
         assert ev.eval_count == 4
-
-    def test_threaded_rows_match_serial(self):
-        rng = np.random.default_rng(77)
-        U = [segment(rng.uniform(0, 20, 2), rng.uniform(0, 20, 2)) for _ in range(40)]
-        spec = NeighbourhoodSpec(version=1, c=2, alpha=4.0)
-        serial = RelationEvaluator(U, spec)
-        threaded = RelationEvaluator(U, spec, threads=4)
-        for i in range(len(U)):
-            assert serial.neighbor_set(i) == threaded.neighbor_set(i)
-        assert serial.eval_count == threaded.eval_count
-        threaded.close()
 
     def test_v2_alpha_memoized(self):
         U = [segment((0, 0, 0), (1, 0, 0)), segment((0, 0.5, 0), (1, 0.5, 0))]
