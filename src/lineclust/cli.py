@@ -129,12 +129,22 @@ def _load_records(path, fmt, crop):
     return data_io.load_segments_csv(path)
 
 
+def _load_json(path):
+    """The JSON value in the file at path; malformed JSON is a configuration
+    error that names the file, line and column."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: "
+                                     f"malformed JSON: {exc.msg}") from None
+
+
 def _read_config(path, keys: set[str]) -> dict:
     """The --config JSON object at path ({} without one); rejects other keys."""
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
     unknown = sorted(set(cfg) - keys)
@@ -145,12 +155,13 @@ def _read_config(path, keys: set[str]) -> dict:
 
 
 def _per_line_profiles(path, ids) -> list[Profile | None]:
-    with open(path, encoding="utf-8") as fh:
-        mapping = json.load(fh)
+    mapping = _load_json(path)
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"{path}: profile map must be a JSON object")
     missing = [rid for rid in ids if rid not in mapping]
     if missing:
-        raise ConfigurationError(
-            f"profile map lacks entries for {len(missing)} record(s), e.g. {missing[:3]}")
+        raise ConfigurationError(f"{path}: profile map lacks entries for "
+                                 f"{len(missing)} record(s), e.g. {missing[:3]}")
     for rid in ids:
         if mapping[rid] is not None and not isinstance(mapping[rid], str):
             raise ConfigurationError(f"{path}: profile for record {rid!r} must be a "

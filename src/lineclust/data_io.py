@@ -170,13 +170,20 @@ def write_points_csv(rows: Sequence[tuple[str, tuple]], path) -> None:
 
 # -- GeoJSON ------------------------------------------------------------------
 
+def _is_planar_position(pos) -> bool:
+    """Is pos a GeoJSON position of exactly two numbers."""
+    return (isinstance(pos, list) and len(pos) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pos))
+
+
 def load_geojson(path, crop: tuple[float, float, float, float] | None = None
                  ) -> list[SegmentRecord]:
     """Split LineString / MultiLineString features into vertex-pair segments.
 
     Non-line geometries are skipped with a warning.  With a crop box
     (minx, miny, maxx, maxy) only segments whose both endpoints fall inside
-    are kept.  Two features that yield one segment id are a parse error.
+    are kept.  Two features that yield one segment id, or a position that
+    is not two numbers (a 3-d coordinate, say), are parse errors.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -208,6 +215,10 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
             log.warning("%s: feature %s has non-line geometry %r, skipped", path, fid, gtype)
             continue
         for pid, coords in zip(part_ids, parts):
+            for pos in coords:
+                if not _is_planar_position(pos):
+                    raise ParseError(f"{path}: feature {fi} has position {pos!r}; "
+                                     f"positions must be [x, y]")
             for si in range(len(coords) - 1):
                 a, b = coords[si], coords[si + 1]
                 if not (inside(a) and inside(b)):

@@ -168,7 +168,10 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     (singular normal matrix) fall through to the same edge enumeration;
     for two parallel infinite lines the pair (t1=0, perpendicular partner)
     is returned.  Squared distances throughout; one root at the return.
+    A carrier against itself is (0, 0, 0), what the enumeration would give.
     """
+    if l1 is l2:
+        return MinDistance(0.0, 0.0, 0.0)
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
     a = l1.sq_length

@@ -24,10 +24,14 @@ search_samples); refinement stops at a bracket width of SEARCH_TOL.
 
 Before any of this, a pair whose centre gap |c1 - c2| - h1 - h2 (a lower
 bound on the distance between two finite carriers) already reaches
-alpha1 * sup f1 is rejected, the bound version 1 applies; the exact
-min_distance then prunes the rest.  phi is evaluated on the whole grid in
-one array call; the refinement evaluates it point by point, both without
-the input validation of the public closest_point.
+alpha1 * sup f1 is rejected, the bound version 1 applies with alpha1; the
+exact min_distance then prunes the rest.  RelationEvaluator computes that
+bound for a whole relation row in one array expression, from centres and
+half-lengths built once per dataset, and hands each pair's value to
+relates_v1 / relates_prob as `gap`, the caller's lower bound; called
+without it, they go straight to the exact min_distance.  phi is evaluated
+on the whole grid in one array call; the refinement evaluates it point by
+point, both without the input validation of the public closest_point.
 """
 
 from __future__ import annotations
@@ -140,11 +144,14 @@ def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
     return cp.distance < alpha * density(p, cp.t_star)
 
 
-def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float) -> bool:
-    """Metric relation: minimum distance strictly below alpha1."""
-    # centre-distance lower bound; skips the exact solve for far pairs
-    gap = float(np.linalg.norm(l1.center - l2.center)) - l1.half_length - l2.half_length
-    if not (l1.is_line or l2.is_line) and gap >= alpha1:
+def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
+               gap: float = -math.inf) -> bool:
+    """Metric relation: minimum distance strictly below alpha1.
+
+    gap is a lower bound on that distance known to the caller; a pair it
+    already puts at alpha1 or beyond is rejected without the exact solve.
+    """
+    if gap >= alpha1:
         return False
     return min_distance(l1, l2).distance < alpha1
 
@@ -225,9 +232,14 @@ def _golden_min(phi, lo: float, hi: float) -> float:
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64) -> bool:
+                 search_samples: int = 64, gap: float = -math.inf) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
-    fall strictly inside l1's alpha-scaled density neighbourhood."""
+    fall strictly inside l1's alpha-scaled density neighbourhood.
+
+    gap is a lower bound on the distance between l1 and l2 known to the
+    caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
+    the exact solve.
+    """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
     if alpha1 <= 0:
@@ -239,11 +251,8 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     if cap <= 0.0:
         return False
     threshold = alpha1 * cap
-    if not (l1.is_line or l2.is_line):
-        # centre-distance lower bound, as in relates_v1
-        gap = float(np.linalg.norm(l1.center - l2.center)) - l1.half_length - l2.half_length
-        if gap >= threshold:
-            return False
+    if gap >= threshold:
+        return False
     dmin = min_distance(l1, l2)
     if dmin.distance >= threshold:
         return False
@@ -299,9 +308,16 @@ class RelationEvaluator:
     """Evaluates the relation over a fixed dataset, with memoized per-line
     derived quantities and a relation-evaluation counter.
 
-    relates(i, j) is the one place a spec and two line indices become a
-    decision; every call counts in eval_count.  Version 2 scaling factors
-    are derived once per source line and cached.
+    The dataset's array layout is built once: centres (n x dim) and
+    half-lengths (n), infinite for a line.  A relation row, line i against
+    a slice of the dataset, computes every pair's centre gap
+    |c_i - c_j| - h_i - h_j in one array expression (-inf where either
+    carrier is a line, which has no such bound), resolves line i's alpha and
+    profile once, and passes each gap to relates_v1 / relates_prob as the
+    caller's lower bound.  neighbor_set(i) is that row over the whole
+    dataset and relates(i, j) is that row over line j alone; both count
+    every pair in eval_count.  Version 2 scaling factors are derived once
+    per source line and cached.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -309,6 +325,10 @@ class RelationEvaluator:
         self.spec = spec
         self.eval_count = 0
         self._alpha_cache: dict[int, float] = {}
+        if len({l.dim for l in self.U}) > 1:
+            raise ValueError("all lines of a dataset must have the same dimension")
+        self.centre = np.array([l.center for l in self.U], dtype=np.float64)
+        self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
 
     def alpha_of(self, i: int) -> float:
         spec = self.spec
@@ -328,22 +348,32 @@ class RelationEvaluator:
             self._alpha_cache[i] = cached
         return cached
 
-    def relates(self, i: int, j: int) -> bool:
-        """Does line i relate to line j."""
-        self.eval_count += 1
-        spec = self.spec
-        l1, l2 = self.U[i], self.U[j]
-        if spec.version == 1:
-            return relates_v1(l1, l2, spec.alpha_for(i))
+    def _related(self, i: int, js: slice) -> list[int]:
+        """The lines of the dataset slice js that line i relates to."""
+        lines = range(len(self.U))[js]
+        self.eval_count += len(lines)
+        gaps = self.centre[js] - self.centre[i]
+        gaps = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+        gaps -= self.half_len[i]
+        gaps -= self.half_len[js]
+        pairs = zip(lines, gaps.tolist())
+        spec, U, l1 = self.spec, self.U, self.U[i]
         p1 = spec.profile_for(i)
         alpha1 = self.alpha_of(i)
         if p1 is None:
-            # declared density-free: Definition-style metric fallback
-            return relates_v1(l1, l2, alpha1)
-        return relates_prob(l1, p1, alpha1, l2, spec.profile_for(j),
-                            search_samples=spec.search_samples)
+            # version 1, or a declared density-free line: the metric relation
+            return [j for j, g in pairs if relates_v1(l1, U[j], alpha1, g)]
+        samples = spec.search_samples
+        return [j for j, g in pairs
+                if relates_prob(l1, p1, alpha1, U[j], spec.profile_for(j),
+                                search_samples=samples, gap=g)]
+
+    def relates(self, i: int, j: int) -> bool:
+        """Does line i relate to line j."""
+        j = range(len(self.U))[j]  # an IndexError out of range, as U[j]
+        return bool(self._related(i, slice(j, j + 1)))
 
     def neighbor_set(self, i: int) -> set[int]:
         """Indices of all dataset lines line i relates to (itself included
         whenever it can reach its own density)."""
-        return {j for j in range(len(self.U)) if self.relates(i, j)}
+        return set(self._related(i, slice(None)))

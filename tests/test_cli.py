@@ -161,6 +161,38 @@ class TestCluster:
         assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
                        "--profiles", profiles, "--out", tmp_path / "r.json") == 0
 
+    def test_malformed_config_names_file_line_and_column(self, tmp_path, capsys):
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"version": 1,\n {not json')
+        assert run_cli("cluster", data, "--config", cfg, "--c", 5, "--alpha", 12,
+                       "--out", tmp_path / "r.json") == 2
+        assert f"{cfg}:2:2: malformed JSON" in capsys.readouterr().err
+
+    def test_malformed_profile_map_names_file_line_and_column(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0.4,1,0.4\n")
+        profiles = tmp_path / "p.json"
+        profiles.write_text("{not json")
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 2
+        assert f"{profiles}:1:2: malformed JSON" in capsys.readouterr().err
+
+    def test_profile_map_gaps_and_shape_name_the_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0.4,1,0.4\n")
+        profiles = tmp_path / "p.json"
+        profiles.write_text(json.dumps({"a": None}))
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert f"{profiles}: profile map lacks entries for 1 record(s)" in err
+        profiles.write_text(json.dumps(["uniform:0,1", None]))
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 2
+        assert f"{profiles}: profile map must be a JSON object" in capsys.readouterr().err
+
     def test_mode_notice_only_when_defaulted(self, tmp_path, capsys):
         data = self._gen(tmp_path)
         run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,
@@ -283,6 +315,14 @@ class TestLift:
         assert "unknown config key(s) axis" in err
         assert "accepted: axes, out, profiles_out" in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_malformed_config_names_file_line_and_column(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("id,x1,x2\na,1.0,NA\n")
+        cfg = tmp_path / "lift.json"
+        cfg.write_text("{not json")
+        assert run_cli("lift", pts, "--config", cfg) == 2
+        assert f"{cfg}:1:2: malformed JSON" in capsys.readouterr().err
 
     def test_without_axis_or_config_is_usage_error(self, tmp_path):
         pts = tmp_path / "pts.csv"

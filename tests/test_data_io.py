@@ -209,6 +209,22 @@ class TestGeoJson:
         # a cropped-out duplicate produces no segment, so nothing collides
         assert [r.id for r in load_geojson(path, crop=(-1, -1, 0.5, 0.5))] == []
 
+    def test_positions_must_be_two_numbers(self, tmp_path):
+        for bad in ([0, 0, 5], [0], ["0", 0]):
+            path = self._write(tmp_path, {
+                "type": "FeatureCollection",
+                "features": [
+                    {"type": "Feature", "properties": {},
+                     "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}},
+                    {"type": "Feature", "properties": {},
+                     "geometry": {"type": "MultiLineString",
+                                  "coordinates": [[[2, 0], [3, 0]], [[0, 0], bad]]}},
+                ],
+            })
+            with pytest.raises(ParseError, match="feature 1 has position") as exc:
+                load_geojson(path)
+            assert str(path) in str(exc.value)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.geojson"
         path.write_text("{not json")

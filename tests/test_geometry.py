@@ -152,6 +152,17 @@ class TestMinDistance:
         ll = line((0.0, 1.0), (2.0, 5.0))
         assert min_distance(ll, ll).distance == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_self_pair_matches_an_equal_copy(self, dim):
+        # the identity shortcut must return what the enumeration returns
+        rng = np.random.default_rng(dim)
+        for _ in range(40):
+            x = rng.uniform(-10, 10, dim)
+            y = x + rng.normal(size=dim)
+            for l in (segment(x, y), line(x, y), segment(x, x)):
+                copy = type(l)(l.x.copy(), l.y.copy(), l.kind)
+                assert min_distance(l, l) == min_distance(l, copy) == (0.0, 0.0, 0.0)
+
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(300):

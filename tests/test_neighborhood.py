@@ -12,7 +12,7 @@ from lineclust.neighborhood import (
     relates_prob,
     relates_v1,
 )
-from lineclust.profiles import Profile, density
+from lineclust.profiles import Profile, density, scaling_factor
 
 UNIT = segment((0.0, 0.0), (1.0, 0.0))
 U01 = Profile.uniform(0.0, 1.0)
@@ -331,3 +331,104 @@ class TestInfiniteLineTargets:
         vertical_miss = line((9.0, -3.0), (9.0, 4.0))  # crosses far in the tail
         assert relates_prob(src, p, 1.0, vertical_hit)
         assert not relates_prob(src, p, 1.0, vertical_miss)
+
+
+class TestRowKernel:
+    """RelationEvaluator's rows against per-pair decisions made without a bound."""
+
+    @staticmethod
+    def _dataset(version, dim, seed):
+        """Seeded segments, lines and degenerate segments with per-line alpha
+        and profiles, plus, for three anchors, collinear partners whose
+        centre gap lies 1e-9 relative below and above the anchor's threshold.
+        Returns (U, spec, [(anchor, below, above), ...])."""
+        rng = np.random.default_rng([version, dim, seed])
+        U = []
+        for k in range(18):
+            x = rng.uniform(-3, 3, dim)
+            y = x + rng.normal(scale=1.5, size=dim)
+            if k % 6 == 4:
+                U.append(line(x, y))
+            elif k % 6 == 5 and version != 2:  # version 2 has no volume for a point
+                U.append(segment(x, x))
+            else:
+                U.append(segment(x, y))
+        anchors = [0, 1, 2]
+        n = len(U) + 2 * len(anchors)
+        families = [Profile.normal(0.5, 0.02), Profile.uniform(0.0, 1.0), Profile.beta(2, 5), None]
+        profiles = [families[k % 4] for k in range(n)]
+        if version == 2:
+            profiles = [p or U01 for p in profiles]
+        for a in anchors:
+            profiles[a] = U01  # the threshold is reached at the segment's end
+        alpha = None if version == 2 else {i: float(rng.uniform(0.3, 2.0)) for i in range(n)}
+        spec = NeighbourhoodSpec(version=version, c=1, alpha=alpha,
+                                 volume=3.0 if version == 2 else None,
+                                 profile=None if version == 1 else profiles)
+        near = []
+        for a in anchors:
+            l1 = U[a]
+            if version == 2:
+                threshold = scaling_factor(spec.volume, U01, l1, dim)
+            else:
+                threshold = spec.alpha_for(a)  # uniform(0, 1) peaks at 1
+            unit = l1.direction / math.sqrt(l1.sq_length)
+            ids = []
+            for rel in (1.0 - 1e-9, 1.0 + 1e-9):
+                start = l1.y + unit * (threshold * rel)
+                ids.append(len(U))
+                U.append(segment(start, start + unit * rng.uniform(0.5, 2.0)))
+            gaps = [float(np.linalg.norm(l1.center - U[j].center))
+                    - l1.half_length - U[j].half_length for j in ids]
+            assert gaps[0] < threshold <= gaps[1]
+            near.append((a, *ids))
+        return U, spec, near
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_unbounded_pairs(self, version, dim, seed):
+        U, spec, near = self._dataset(version, dim, seed)
+        ev = RelationEvaluator(U, spec)
+        for i, l1 in enumerate(U):
+            p1 = spec.profile_for(i)
+            if version == 2:
+                alpha1 = scaling_factor(spec.volume, p1, l1, dim)
+            else:
+                alpha1 = spec.alpha_for(i)
+            if p1 is None:
+                expected = {j for j, l2 in enumerate(U) if relates_v1(l1, l2, alpha1)}
+            else:
+                expected = {j for j, l2 in enumerate(U)
+                            if relates_prob(l1, p1, alpha1, l2, spec.profile_for(j))}
+            assert ev.neighbor_set(i) == expected, f"row {i}"
+            assert {j for j in range(len(U)) if ev.relates(i, j)} == expected, f"row {i}"
+        # the pairs beside the bound reach both outcomes
+        for a, below, above in near:
+            assert ev.relates(a, below) and not ev.relates(a, above)
+
+    def test_counts(self):
+        U, spec, _ = self._dataset(3, 2, 0)
+        ev = RelationEvaluator(U, spec)
+        ev.relates(0, 5)
+        assert ev.eval_count == 1
+        ev.neighbor_set(3)
+        assert ev.eval_count == 1 + len(U)
+
+    def test_missing_per_line_entries_raise(self):
+        U = [UNIT, segment((0, 1), (1, 1))]
+        no_alpha = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha={0: 2.0}))
+        assert no_alpha.neighbor_set(0) == {0, 1}
+        for call in (lambda: no_alpha.neighbor_set(1), lambda: no_alpha.relates(1, 0)):
+            with pytest.raises(ConfigurationError, match="no alpha for line index 1"):
+                call()
+        no_profile = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0,
+                                                            profile={0: U01}))
+        for call in (lambda: no_profile.neighbor_set(1), lambda: no_profile.relates(0, 1)):
+            with pytest.raises(ConfigurationError, match="no profile entry for line index 1"):
+                call()
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="same dimension"):
+            RelationEvaluator([UNIT, segment((0, 0, 0), (1, 0, 0))],
+                              NeighbourhoodSpec(version=1, c=1, alpha=1.0))
