@@ -1,4 +1,4 @@
-"""Command-line interface: cluster, gen, lift and bench subcommands.
+"""Command-line interface: cluster, gen and lift subcommands.
 
 Exit codes are stable: 0 success, 1 IO/runtime failure, 2 usage error.
 A JSON config file can pre-set any cluster or lift option; explicit flags
@@ -15,13 +15,12 @@ import json
 import logging
 import os
 import sys
-import time
 
 from . import data_io
 from .engine import RunConfig, dump_trace, run
 from .errors import ConfigurationError, ParseError, UnsupportedRecordError
 from .missing_data import AxisDomain, lift_dataset
-from .neighborhood import NeighbourhoodSpec, RelationEvaluator
+from .neighborhood import NeighbourhoodSpec
 from .profiles import Profile, format_profile, parse_profile
 
 
@@ -83,14 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config with keys axes/out/profiles_out; flags override")
     p_lift.set_defaults(func=cmd_lift)
 
-    p_bench = sub.add_parser("bench", help="run the draw-loop worst case and report scaling")
-    p_bench.add_argument("--sizes", default="250,500,1000",
-                         help="dataset sizes, comma-separated")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--verify", action="store_true",
-                         help="also cross-check neighbour sets against the exhaustive relation matrix")
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -118,15 +109,27 @@ def main(argv=None) -> int:
 def _load_records(path, fmt, crop):
     if fmt is None:
         fmt = "geojson" if str(path).lower().endswith((".json", ".geojson")) else "csv"
-    if fmt == "geojson":
-        box = None
+    if fmt != "geojson":
         if crop:
-            parts = [float(v) for v in crop.split(",")]
-            if len(parts) != 4:
-                raise ConfigurationError("--crop needs minx,miny,maxx,maxy")
-            box = tuple(parts)
-        return data_io.load_geojson(path, crop=box)
-    return data_io.load_segments_csv(path)
+            raise ConfigurationError("--crop applies to GeoJSON input only")
+        return data_io.load_segments_csv(path)
+    if not crop:
+        return data_io.load_geojson(path)
+    try:
+        box = tuple(float(v) for v in crop.split(","))
+    except ValueError:
+        box = None
+    if box is None or len(box) != 4:
+        raise ConfigurationError(f"--crop needs four numbers minx,miny,maxx,maxy, got {crop!r}")
+    return data_io.load_geojson(path, crop=box)
+
+
+def _seed(value) -> int:
+    """A --seed value; the RNG takes only non-negative integers."""
+    seed = int(value)
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_json(path):
@@ -211,7 +214,7 @@ def cmd_cluster(args) -> int:
         mode = "expand"
         print("mode=expand (cluster growth); use --mode literal for the "
               "one-pass draw loop without growth", file=sys.stderr)
-    cfg = RunConfig(spec=spec, mode=mode, rng_seed=int(pick("seed", 0)))
+    cfg = RunConfig(spec=spec, mode=mode, rng_seed=_seed(pick("seed", 0)))
     labels = run(U, cfg)
 
     echo = {
@@ -244,7 +247,7 @@ def cmd_gen(args) -> int:
     if count is None:
         count = 150 if args.kind == "convex" else 400
     gen = data_io.gen_convex if args.kind == "convex" else data_io.gen_doughnut
-    records = gen(count, seed=args.seed)
+    records = gen(count, seed=_seed(args.seed))
     data_io.write_segments_csv(records, args.out)
     print(f"wrote {len(records)} segments to {args.out}")
     return 0
@@ -313,42 +316,6 @@ def cmd_lift(args) -> int:
     lifted = sum(1 for p in result.profiles if p is not None)
     print(f"lifted {len(records)} records ({lifted} with a missing entry) "
           f"to {out} + {profiles_out}")
-    return 0
-
-
-# -- bench ----------------------------------------------------------------------
-
-def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
-    if not sizes:
-        raise ConfigurationError("--sizes must name at least one size")
-    spec = NeighbourhoodSpec(version=1, c=2, alpha=1.0)
-    for n in sizes:
-        records = data_io.gen_isolated(n)
-        U = [r.to_segment() for r in records]
-        cfg = RunConfig(spec=spec, mode="literal", rng_seed=args.seed)
-        start = time.perf_counter()
-        labels = run(U, cfg)
-        elapsed = time.perf_counter() - start
-        print(f"n={n} evals={labels.eval_count} bound={n * n} seconds={elapsed:.3f}")
-        if labels.eval_count > n * n:
-            print(f"error: eval count exceeds n^2 for n={n}", file=sys.stderr)
-            return 1
-    if args.verify:
-        from .oracle import relation_matrix
-
-        records = data_io.gen_doughnut(120, seed=args.seed)
-        U = [r.to_segment() for r in records]
-        vspec = NeighbourhoodSpec(version=1, c=5, alpha=12.0)
-        M = relation_matrix(U, vspec)
-        ev = RelationEvaluator(U, vspec)
-        for i in range(len(U)):
-            row = ev.neighbor_set(i)
-            if row != set(int(j) for j in M[i].nonzero()[0]):
-                print(f"error: neighbour set of line {i} disagrees with the "
-                      f"relation matrix", file=sys.stderr)
-                return 1
-        print(f"verify: relation matrix consistent (n={len(U)})")
     return 0
 
 

@@ -182,8 +182,9 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
 
     Non-line geometries are skipped with a warning.  With a crop box
     (minx, miny, maxx, maxy) only segments whose both endpoints fall inside
-    are kept.  Two features that yield one segment id, or a position that
-    is not two numbers (a 3-d coordinate, say), are parse errors.
+    are kept.  Two features that yield one segment id, a position that is
+    not two numbers (a 3-d coordinate, say), and a feature list, feature,
+    geometry or line of the wrong JSON type are parse errors.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -201,8 +202,15 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
 
     records: list[SegmentRecord] = []
     seen: dict[str, int] = {}  # segment id -> index of the feature that made it
-    for fi, feature in enumerate(obj.get("features", [])):
+    features = obj.get("features", [])
+    if not isinstance(features, list):
+        raise ParseError(f"{path}: features must be a JSON array, got {features!r}")
+    for fi, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ParseError(f"{path}: feature {fi} is {feature!r}, not a JSON object")
         geom = feature.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise ParseError(f"{path}: feature {fi} has geometry {geom!r}, not a JSON object")
         gtype = geom.get("type")
         fid = str(feature.get("id", f"f{fi}"))
         if gtype == "LineString":
@@ -210,11 +218,17 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
             part_ids = [fid]
         elif gtype == "MultiLineString":
             parts = geom.get("coordinates", [])
+            if not isinstance(parts, list):
+                raise ParseError(f"{path}: feature {fi} has coordinates {parts!r}; "
+                                 f"a MultiLineString must be a list of lines")
             part_ids = [f"{fid}-p{pi}" for pi in range(len(parts))]
         else:
             log.warning("%s: feature %s has non-line geometry %r, skipped", path, fid, gtype)
             continue
         for pid, coords in zip(part_ids, parts):
+            if not isinstance(coords, list):
+                raise ParseError(f"{path}: feature {fi} has line {coords!r}; "
+                                 f"a line must be a list of positions")
             for pos in coords:
                 if not _is_planar_position(pos):
                     raise ParseError(f"{path}: feature {fi} has position {pos!r}; "
@@ -362,14 +376,15 @@ _PALETTE = [
     "#ffbb78", "#98df8a",
 ]
 _NOISE_COLOUR = "#bbbbbb"
+_SVG_WIDTH = 800.0
 
 
-def write_svg(U: Sequence[SegmentLike], labels: ClusterLabels, path,
-              width: float = 800.0) -> None:
+def write_svg(U: Sequence[SegmentLike], labels: ClusterLabels, path) -> None:
     """Render a 2-d dataset, one colour per cluster and noise in grey.
 
-    The viewport auto-fits the data with a 5% margin.  Output bytes are a
-    pure function of (U, labels), so renders are reproducible.
+    The viewport is _SVG_WIDTH wide and auto-fits the data with a 5%
+    margin.  Output bytes are a pure function of (U, labels), so renders
+    are reproducible.
     """
     if any(l.dim != 2 for l in U):
         raise ValueError("SVG output requires 2-d data")
@@ -382,9 +397,9 @@ def write_svg(U: Sequence[SegmentLike], labels: ClusterLabels, path,
     margin = 0.05 * float(span.max())
     lo = lo - margin
     span = span + 2 * margin
-    scale = width / float(span[0])
+    scale = _SVG_WIDTH / float(span[0])
     height = float(span[1]) * scale
-    stroke = max(0.75, 0.004 * width)
+    stroke = max(0.75, 0.004 * _SVG_WIDTH)
 
     def sx(v: float) -> float:
         return (v - lo[0]) * scale
@@ -394,9 +409,9 @@ def write_svg(U: Sequence[SegmentLike], labels: ClusterLabels, path,
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
-        f'<rect width="{width:.2f}" height="{height:.2f}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {_SVG_WIDTH:.2f} {height:.2f}">',
+        f'<rect width="{_SVG_WIDTH:.2f}" height="{height:.2f}" fill="#ffffff"/>',
     ]
     for l, members in zip(U, labels.memberships):
         colour = _PALETTE[(members[0] - 1) % len(_PALETTE)] if members else _NOISE_COLOUR

@@ -120,13 +120,8 @@ def closest_point(P, l: SegmentLike) -> ClosestPointResult:
     p = as_point(P)
     if p.size != l.dim:
         raise ValueError(f"dimension mismatch: point is {p.size}-d, carrier is {l.dim}-d")
-    if l.sq_length == 0.0:
-        return ClosestPointResult(0.0, l.x, float(np.linalg.norm(p - l.x)))
-    t = float((p - l.x) @ l.direction) / l.sq_length
-    if l.kind == "segment":
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    q = l.x + l.direction * t
-    return ClosestPointResult(t, q, float(np.linalg.norm(p - q)))
+    t, sq = _closest_sq(p, l)
+    return ClosestPointResult(t, l.x + l.direction * t, math.sqrt(sq))
 
 
 def _closest_sq(p: np.ndarray, l: SegmentLike) -> tuple[float, float]:
@@ -160,14 +155,17 @@ def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndar
 def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     """Minimum distance between two lines/segments with achieving parameters.
 
-    The squared distance |g1(t1) - g2(t2)|^2 is a convex quadratic in
-    (t1, t2); the unconstrained minimizer solves the 2x2 normal equations.
-    When a segment constraint is violated the minimum lies on a boundary
-    edge, so the point-to-carrier subproblems on the violated edges are
-    enumerated and the best taken.  Parallel or near-parallel directions
-    (singular normal matrix) fall through to the same edge enumeration;
-    for two parallel infinite lines the pair (t1=0, perpendicular partner)
-    is returned.  Squared distances throughout; one root at the return.
+    A point operand (degenerate segment) is projected onto the other
+    carrier.  Otherwise |g1(t1) - g2(t2)|^2 is a convex quadratic in
+    (t1, t2) and the unconstrained minimizer solves the 2x2 normal
+    equations.  One boundary-edge enumeration, each segment endpoint
+    projected onto the other carrier, covers every pair whose unconstrained
+    optimum is infeasible (the minimum lies on an edge, and minimizing over
+    the other parameter leaves a convex function of the edge's, so its
+    clamped end is one of the endpoints tried) and every parallel pair
+    (singular normal matrix) except two lines.  Two parallel lines have no
+    endpoints: their gap is constant and (t1=0, perpendicular partner) is
+    returned.  Squared distances throughout; one root at the return.
     A carrier against itself is (0, 0, 0), what the enumeration would give.
     """
     if l1 is l2:
@@ -203,30 +201,15 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
         if ok1 and ok2:
             diff = r + d1 * t1 - d2 * t2
             return MinDistance(math.sqrt(max(float(diff @ diff), 0.0)), t1, t2)
-        if ok1 and not ok2 and l1.is_line:
-            # only t2 constrained: partial minimization over t1 is convex in
-            # t2, so clamping t2 and re-projecting is exact
-            t2 = 0.0 if t2 < 0.0 else 1.0
-            t1, sq = _closest_sq(l2.x + d2 * t2, l1)
-            return MinDistance(math.sqrt(sq), t1, t2)
-        if ok2 and not ok1 and l2.is_line:
-            t1 = 0.0 if t1 < 0.0 else 1.0
-            t2, sq = _closest_sq(l1.x + d1 * t1, l2)
-            return MinDistance(math.sqrt(sq), t1, t2)
     elif l1.is_line and l2.is_line:
         # parallel lines: constant gap, return t1=0 and its perpendicular foot
         t2 = e / c
         diff = r - d2 * t2
         return MinDistance(math.sqrt(max(float(diff @ diff), 0.0)), 0.0, t2)
-    elif l1.is_line:
-        t1, sq = _closest_sq(l2.x, l1)
-        return MinDistance(math.sqrt(sq), t1, 0.0)
-    elif l2.is_line:
-        t2, sq = _closest_sq(l1.x, l2)
-        return MinDistance(math.sqrt(sq), 0.0, t2)
 
-    # boundary-edge enumeration (both carriers segments, or parallel mix);
-    # compare squared distances, root only the winner
+    # boundary-edge enumeration: a line has no endpoints, so with one line
+    # operand only the segment's endpoints are tried, and their projections
+    # include the clamped one; compare squared distances, root the winner
     best = None
     if not l1.is_line:
         for t1_edge, p_edge in ((0.0, l1.x), (1.0, l1.y)):

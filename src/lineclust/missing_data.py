@@ -50,7 +50,6 @@ class AxisDomain:
 
 @dataclass(frozen=True)
 class LiftedPoint:
-    original: tuple
     missing_axis: int | None
     segment: SegmentLike
     profile: Profile | None
@@ -67,7 +66,7 @@ def lift(point: Sequence, domains: Mapping[int, AxisDomain],
             f"record {source_id!r} has {len(missing)} missing values; at most 1 is supported")
     if not missing:
         coords = np.asarray([float(v) for v in values], dtype=np.float64)
-        return LiftedPoint(tuple(values), None, segment(coords, coords), None, source_id)
+        return LiftedPoint(None, segment(coords, coords), None, source_id)
     k = missing[0]
     dom = domains.get(k)
     if dom is None:
@@ -75,7 +74,7 @@ def lift(point: Sequence, domains: Mapping[int, AxisDomain],
             f"record {source_id!r} is missing axis {k} but no domain is declared for it")
     lo = [float(v) if i != k else dom.window[0] for i, v in enumerate(values)]
     hi = [float(v) if i != k else dom.window[1] for i, v in enumerate(values)]
-    return LiftedPoint(tuple(values), k, segment(lo, hi), dom.profile_template, source_id)
+    return LiftedPoint(k, segment(lo, hi), dom.profile_template, source_id)
 
 
 @dataclass
@@ -85,7 +84,6 @@ class LiftResult:
     segments: list[SegmentLike]
     profiles: list[Profile | None]
     source_ids: list[str]
-    lifted: list[LiftedPoint]
 
     def labels_by_source(self, labels) -> dict[str, list[int]]:
         """Map a ClusterLabels result back onto source record ids."""
@@ -115,5 +113,4 @@ def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
         segments=[lp.segment for lp in lifted],
         profiles=[lp.profile for lp in lifted],
         source_ids=list(ids),
-        lifted=lifted,
     )

@@ -98,8 +98,9 @@ class NeighbourhoodSpec:
             if self.volume is not None:
                 raise ConfigurationError("version 1 takes no volume")
         elif self.version == 2:
-            if self.volume is None or self.volume <= 0:
-                raise ConfigurationError("version 2 requires a positive volume V")
+            if self.volume is None or not 0 < self.volume < math.inf:
+                raise ConfigurationError(
+                    f"version 2 requires a finite positive volume V, got {self.volume}")
             if self.profile is None:
                 raise ConfigurationError("version 2 requires a profile")
             if self.alpha is not None:
@@ -117,8 +118,8 @@ class NeighbourhoodSpec:
         if a is None:
             raise ConfigurationError("no alpha configured")
         value = float(_per_line(a, i, "alpha") if isinstance(a, (Mapping, Sequence)) else a)
-        if value <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"alpha must be finite and positive, got {value}")
         return value
 
     def profile_for(self, i: int) -> Profile | None:

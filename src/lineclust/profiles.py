@@ -43,6 +43,9 @@ FAMILIES = ("uniform", "normal", "ellipsoidal", "gamma", "beta", "exponential")
 
 #: quantile used to truncate unbounded supports (quadrature and search)
 WINDOW_EPS = 1e-6
+#: adaptive quadrature stops at this relative error estimate or interval count
+QUAD_REL_TOL = 1e-8
+QUAD_MAX_INTERVALS = 1 << 16
 
 
 class Support(NamedTuple):
@@ -66,6 +69,8 @@ class Profile:
             raise ConfigurationError(f"unknown profile family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         p = self.params
+        if not all(math.isfinite(v) for v in p):
+            raise ConfigurationError(f"{self.family} parameters must be finite, got {p}")
         checks = {
             "uniform": (len(p) == 2 and p[0] < p[1], "uniform needs a < b"),
             "normal": (len(p) == 2 and p[1] > 0, "normal needs variance > 0"),
@@ -224,17 +229,13 @@ def effective_window(p: Profile, eps: float = WINDOW_EPS) -> tuple[float, float]
     return (max(lo, sup.lo), min(hi, sup.hi))
 
 
-def peak_density(p: Profile, lo: float | None = None, hi: float | None = None) -> float:
-    """Supremum of the density on [lo, hi] (defaults: the effective window).
+def peak_density(p: Profile, lo: float, hi: float) -> float:
+    """Supremum of the density on [lo, hi].
 
     Every family is unimodal, so the supremum on an interval is the density
     at the mode clamped into the interval; the endpoints are taken as a
     safety max.
     """
-    if lo is None or hi is None:
-        wlo, whi = effective_window(p)
-        lo = wlo if lo is None else lo
-        hi = whi if hi is None else hi
     if hi < lo:
         return 0.0
     m = min(max(p.mode(), lo), hi)
@@ -307,12 +308,12 @@ def _gk15(fn, lo: float, hi: float) -> tuple[float, float]:
     return kron, abs(kron - gauss)
 
 
-def adaptive_quadrature(fn, lo: float, hi: float, rel_tol: float = 1e-8,
-                        max_intervals: int = 1 << 16) -> float:
+def adaptive_quadrature(fn, lo: float, hi: float) -> float:
     """Globally adaptive Gauss-Kronrod integration of a vectorized fn.
 
     The worst interval (largest error estimate) is bisected until the summed
-    error drops below rel_tol of the integral, or the interval cap is hit.
+    error drops below QUAD_REL_TOL of the integral, or QUAD_MAX_INTERVALS
+    intervals exist.
     Subdivision naturally concentrates at support endpoints where profile
     families lose smoothness.
     """
@@ -325,7 +326,7 @@ def adaptive_quadrature(fn, lo: float, hi: float, rel_tol: float = 1e-8,
     heap = [(-err, 0, lo, hi, val)]
     tick = 1
     count = 1
-    while total_err > rel_tol * max(abs(total), 1e-300) and count < max_intervals:
+    while total_err > QUAD_REL_TOL * max(abs(total), 1e-300) and count < QUAD_MAX_INTERVALS:
         neg_err, _, a, b, old = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1 = _gk15(fn, a, m)
@@ -384,6 +385,4 @@ def exact_volume_scaling_factor(V: float, p: Profile, l: SegmentLike, n: int) ->
     The swept volume grows like scale^(n-1), so this is the (n-1)-th root of
     the plain ratio; for n = 2 the two coincide.
     """
-    if V <= 0.0:
-        raise ValueError(f"volume parameter must be positive, got {V}")
-    return (V / neighbourhood_volume(p, l, n, 1.0)) ** (1.0 / (n - 1))
+    return scaling_factor(V, p, l, n) ** (1.0 / (n - 1))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lineclust.cli import main
 
 
@@ -242,6 +244,48 @@ class TestCluster:
         assert run_cli("cluster", geo, "--version", 1, "--c", 1, "--alpha", 0.5,
                        "--crop", "0,0,2", "--out", tmp_path / "x.json") == 2
 
+    def test_crop_on_csv_input_is_usage_error(self, tmp_path, capsys):
+        data = self._gen(tmp_path)
+        code = run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,
+                       "--crop", "a,b,c,d", "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "--crop applies to GeoJSON input only" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_numeric_crop_is_usage_error(self, tmp_path, capsys):
+        geo = tmp_path / "net.geojson"
+        geo.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+        code = run_cli("cluster", geo, "--version", 1, "--c", 1, "--alpha", 0.5,
+                       "--crop", "0,0,x,2", "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "--crop needs four numbers" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        code = run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,
+                       "--seed", -1, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+        assert run_cli("gen", "doughnut", "--seed", -1, "--out", tmp_path / "g.csv") == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--version", 1, "--alpha", "nan"),
+        ("--version", 1, "--alpha", "inf"),
+        ("--version", 3, "--alpha", "nan", "--profile", "uniform:0,1"),
+        ("--version", 2, "--volume", "nan", "--profile", "uniform:0,1"),
+        ("--version", 2, "--volume", "inf", "--profile", "uniform:0,1"),
+        ("--version", 2, "--volume", 60, "--profile", "normal:nan,0.04"),
+        ("--version", 3, "--alpha", 1, "--profile", "uniform:0,inf"),
+    ])
+    def test_non_finite_parameters_are_usage_errors(self, tmp_path, capsys, flags):
+        data = self._gen(tmp_path)
+        code = run_cli("cluster", data, "--c", 5, *flags, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestLift:
     def test_lift_then_cluster_v3(self, tmp_path, capsys):
@@ -328,15 +372,3 @@ class TestLift:
         pts = tmp_path / "pts.csv"
         pts.write_text("id,x1\na,1.0\n")
         assert run_cli("lift", pts, "--out", tmp_path / "s.csv") == 2
-
-
-class TestBench:
-    def test_small_sizes(self, capsys):
-        assert run_cli("bench", "--sizes", "30,60") == 0
-        out = capsys.readouterr().out
-        assert "n=30 evals=900 bound=900" in out
-        assert "n=60 evals=3600 bound=3600" in out
-
-    def test_verify(self, capsys):
-        assert run_cli("bench", "--sizes", "30", "--verify") == 0
-        assert "relation matrix consistent" in capsys.readouterr().out

@@ -236,6 +236,32 @@ class TestGeoJson:
         with pytest.raises(ParseError, match="FeatureCollection"):
             load_geojson(path)
 
+    def _assert_parse_error(self, tmp_path, features, match):
+        path = self._write(tmp_path, {"type": "FeatureCollection", "features": features})
+        with pytest.raises(ParseError, match=match) as exc:
+            load_geojson(path)
+        assert str(path) in str(exc.value)
+
+    def test_feature_that_is_not_an_object(self, tmp_path):
+        self._assert_parse_error(tmp_path, [5], "feature 0 is 5, not a JSON object")
+
+    def test_features_that_are_not_an_array(self, tmp_path):
+        self._assert_parse_error(tmp_path, {"a": 1}, "features must be a JSON array")
+
+    def test_linestring_coordinates_that_are_not_a_list(self, tmp_path):
+        good = {"type": "Feature", "properties": {},
+                "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}}
+        bad = {"type": "Feature", "properties": {},
+               "geometry": {"type": "LineString", "coordinates": 5}}
+        self._assert_parse_error(tmp_path, [good, bad], "feature 1 has line 5")
+
+    def test_multilinestring_part_that_is_not_a_list(self, tmp_path):
+        bad = {"type": "Feature", "properties": {},
+               "geometry": {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], 5]}}
+        self._assert_parse_error(tmp_path, [bad], "feature 0 has line 5")
+        bad["geometry"]["coordinates"] = 5
+        self._assert_parse_error(tmp_path, [bad], "feature 0 has coordinates 5")
+
 
 class TestGenerators:
     def test_counts(self):

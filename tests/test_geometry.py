@@ -190,6 +190,45 @@ class TestMinDistance:
         assert d.distance == pytest.approx(2.0)
         assert d.t1 == 0.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3, 7]), kind2=st.sampled_from(["line", "segment", "point"]),
+           parallel=st.booleans(), data=st.data())
+    def test_line_operand_is_exact_and_optimal(self, dim, kind2, parallel, data):
+        # pairs with a line operand: line-line, line-segment, line-point
+        coords = hnp.arrays(np.float64, dim, elements=st.floats(-100, 100), fill=st.nothing())
+        x1, y1, x2 = data.draw(coords), data.draw(coords), data.draw(coords)
+        assume(np.linalg.norm(y1 - x1) > 1e-3)
+        if kind2 == "point":
+            y2 = x2.copy()
+        elif parallel:
+            k = data.draw(st.floats(0.01, 10)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            y2 = x2 + k * (y1 - x1)
+        else:
+            y2 = data.draw(coords)
+            assume(np.linalg.norm(y2 - x2) > 1e-3)
+        l1 = line(x1, y1)
+        l2 = line(x2, y2) if kind2 == "line" else segment(x2, y2)
+        md = min_distance(l1, l2)
+        p1 = x1 + md.t1 * l1.direction
+        p2 = x2 + md.t2 * l2.direction
+        scale = 1.0 + max(np.abs(v).max() for v in (x1, y1, x2, y2, p1, p2))
+        tol = 1e-12 * scale
+        if kind2 != "line":
+            assert 0.0 <= md.t2 <= 1.0
+        assert md.distance == pytest.approx(float(np.linalg.norm(p1 - p2)), rel=1e-12, abs=tol)
+        assert min_distance(l2, l1).distance == pytest.approx(md.distance, rel=1e-12, abs=tol)
+        # sampled pairs: a grid on each carrier around the optimum, and each
+        # sampled point of one operand against its foot on the other
+        offsets = np.concatenate([np.linspace(-1.0, 1.0, 41) * w for w in (1e-3, 1.0, 100.0)])
+        t1s = md.t1 + offsets
+        t2s = md.t2 + offsets if kind2 == "line" else np.linspace(0.0, 1.0, 41)
+        P1 = x1 + t1s[:, None] * l1.direction
+        P2 = x2 + t2s[:, None] * l2.direction
+        grid = np.sqrt(((P1[:, None, :] - P2[None, :, :]) ** 2).sum(axis=2)).min()
+        feet = min(min(closest_point(p, l2).distance for p in P1),
+                   min(closest_point(p, l1).distance for p in P2))
+        assert md.distance <= min(grid, feet) * (1 + 1e-12) + tol
+
     def test_matches_grid_oracle(self):
         # unit-scale segments: grid min at step 1e-3 agrees within 2e-3
         rng = np.random.default_rng(42)

@@ -56,6 +56,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             spec.profile_for(2)
 
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0])
+    def test_volume_must_be_finite_and_positive(self, volume):
+        with pytest.raises(ConfigurationError, match="finite positive volume"):
+            NeighbourhoodSpec(version=2, c=2, volume=volume, profile=U01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, bad):
+        for spec, i in ((NeighbourhoodSpec(version=1, c=2, alpha=bad), 0),
+                        (NeighbourhoodSpec(version=3, c=2, alpha=bad, profile=U01), 0),
+                        (NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad]), 1)):
+            with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
+                spec.alpha_for(i)
+        ev = RelationEvaluator([UNIT, UNIT], NeighbourhoodSpec(version=1, c=1, alpha=bad))
+        with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
+            ev.neighbor_set(0)
+
 
 class TestContainsPoint:
     def test_inside(self):

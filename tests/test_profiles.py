@@ -146,6 +146,23 @@ class TestParameterValidation:
         with pytest.raises(ConfigurationError):
             bad()
 
+    @pytest.mark.parametrize("family, params", [
+        ("normal", (math.nan, 0.04)),
+        ("normal", (0.5, math.inf)),
+        ("uniform", (0.0, math.inf)),
+        ("uniform", (-math.inf, 0.0)),
+        ("ellipsoidal", (1.0, math.nan)),
+        ("gamma", (2.0, math.inf)),
+        ("beta", (math.inf, 2.0)),
+        ("exponential", (math.nan,)),
+    ])
+    def test_non_finite_parameters_rejected(self, family, params):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            Profile(family, params)
+        text = f"{family}:" + ",".join(str(v) for v in params)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            parse_profile(text)
+
 
 class TestTextForm:
     def test_parse_case_insensitive(self):
