@@ -11,6 +11,7 @@ written by gen and cluster.  The LINECLUST_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--svg", default=None, help="also render an SVG (2-d data only)")
     p_cluster.add_argument("--trace", default=None, help="write the draw trace as JSON lines")
     p_cluster.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p_cluster.set_defaults(func=cmd_cluster)
+    p_cluster.set_defaults(func=functools.partial(cmd_cluster, options=_options(p_cluster)))
 
     p_gen = sub.add_parser("gen", help="generate a synthetic segments file")
     p_gen.add_argument("kind", choices=["convex", "doughnut"])
@@ -80,9 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile map JSON (default: <out>.profiles.json)")
     p_lift.add_argument("--config", default=None,
                         help="JSON config with keys axes/out/profiles_out; flags override")
-    p_lift.set_defaults(func=cmd_lift)
+    p_lift.set_defaults(func=functools.partial(cmd_lift, options=_options(p_lift)))
 
     return parser
+
+
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A parser's options by name (dest), for checking --config values."""
+    return {a.dest: a for a in parser._actions}
 
 
 def main(argv=None) -> int:
@@ -126,10 +132,9 @@ def _load_records(path, fmt, crop):
 
 def _seed(value) -> int:
     """A --seed value; the RNG takes only non-negative integers."""
-    seed = int(value)
-    if seed < 0:
-        raise ConfigurationError(f"--seed must be a non-negative integer, got {seed}")
-    return seed
+    if value < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _load_json(path):
@@ -143,17 +148,40 @@ def _load_json(path):
                                      f"malformed JSON: {exc.msg}") from None
 
 
-def _read_config(path, keys: set[str]) -> dict:
-    """The --config JSON object at path ({} without one); rejects other keys."""
+# the JSON values a --config key may hold, by its option's type (None: a string)
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
+def _read_config(path, options: dict[str, argparse.Action]) -> dict:
+    """The --config JSON object at path ({} without one).
+
+    Its keys must name options, and each value other than null must be what
+    the option's flag parses to: of its type, and one of its choices.  A key
+    mapped to None has no flag of its own; the caller checks its value.
+    """
     if not path:
         return {}
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - keys)
+    unknown = sorted(set(cfg) - set(options))
     if unknown:
         raise ConfigurationError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
-                                 f"accepted: {', '.join(sorted(keys))}")
+                                 f"accepted: {', '.join(sorted(options))}")
+    for key, value in cfg.items():
+        option = options[key]
+        if value is None or option is None:
+            continue
+        kinds, expected = _CONFIG_TYPES[option.type]
+        # bool is an int subclass, but true/false is no number
+        valid = isinstance(value, kinds) and not isinstance(value, bool)
+        if option.choices is not None:
+            valid = valid and value in option.choices
+            expected = "one of " + ", ".join(map(str, option.choices))
+        if not valid:
+            raise ConfigurationError(f"{path}: config key {key!r} must be {expected}, "
+                                     f"got {json.dumps(value)}")
     return cfg
 
 
@@ -172,9 +200,10 @@ def _per_line_profiles(path, ids) -> list[Profile | None]:
     return [None if mapping[rid] is None else parse_profile(mapping[rid]) for rid in ids]
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, options: dict[str, argparse.Action]) -> int:
     # a config key is the name of a cluster option, the key pick() reads
-    file_cfg = _read_config(args.config, set(vars(args)) - {"command", "func", "input", "config"})
+    keys = set(vars(args)) - {"command", "func", "input", "config"}
+    file_cfg = _read_config(args.config, {key: options[key] for key in keys})
 
     def pick(key, default=None):
         flag_value = getattr(args, key)
@@ -201,13 +230,13 @@ def cmd_cluster(args) -> int:
         profile = _per_line_profiles(profiles_path, ids)
 
     spec = NeighbourhoodSpec(
-        version=int(version),
-        c=int(c),
+        version=version,
+        c=c,
         alpha=pick("alpha"),
         volume=pick("volume"),
         profile=profile,
         alpha_mode=pick("alpha_mode", "literal"),
-        search_samples=int(pick("search_samples", 64)),
+        search_samples=pick("search_samples", 64),
     )
     mode = pick("mode")
     if mode is None:
@@ -221,7 +250,7 @@ def cmd_cluster(args) -> int:
         "input": str(args.input),
         "version": spec.version,
         "c": spec.c,
-        "alpha": spec.alpha if not isinstance(spec.alpha, (list, dict)) else "per-line",
+        "alpha": spec.alpha,
         "volume": spec.volume,
         "profile": format_profile(profile) if isinstance(profile, Profile) else
                    ("per-line" if profile is not None else None),
@@ -282,9 +311,13 @@ def _parse_axis(text: str) -> AxisDomain:
                       profile_template=Profile.uniform(0.0, 1.0))
 
 
-def cmd_lift(args) -> int:
-    file_cfg = _read_config(args.config, {"axes", "out", "profiles_out"})
-    axis_texts = args.axis or file_cfg.get("axes", [])
+def cmd_lift(args, options: dict[str, argparse.Action]) -> int:
+    file_cfg = _read_config(args.config, {"axes": None, "out": options["out"],
+                                          "profiles_out": options["profiles_out"]})
+    axis_texts = args.axis or file_cfg.get("axes") or []
+    if not isinstance(axis_texts, list) or not all(isinstance(t, str) for t in axis_texts):
+        raise ConfigurationError(f"{args.config}: config key 'axes' must be a list of "
+                                 f"K=SPEC strings, got {json.dumps(axis_texts)}")
     out = args.out if args.out is not None else file_cfg.get("out")
     profiles_out = args.profiles_out if args.profiles_out is not None \
         else file_cfg.get("profiles_out")

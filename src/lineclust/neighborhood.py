@@ -29,9 +29,18 @@ exact min_distance then prunes the rest.  RelationEvaluator computes that
 bound for a whole relation row in one array expression, from centres and
 half-lengths built once per dataset, and hands each pair's value to
 relates_v1 / relates_prob as `gap`, the caller's lower bound; called
-without it, they go straight to the exact min_distance.  phi is evaluated
-on the whole grid in one array call; the refinement evaluates it point by
-point, both without the input validation of the public closest_point.
+without it, they go straight to the exact min_distance.
+
+The rest of the witness set-up also splits by line.  The threshold
+alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
+l1 alone (_witness_threshold), and l2's witness domain, [0, 1] or unbounded
+intersected with the effective window of f2, on l2 alone
+(_witness_domain).  RelationEvaluator resolves the first once per relation
+row and the second once per line, and passes both to relates_prob beside
+`gap`; a direct call without them computes them with the same helpers.
+phi is evaluated on the whole grid in one array call; the refinement
+evaluates it point by point, both without the input validation of the
+public closest_point.
 """
 
 from __future__ import annotations
@@ -90,6 +99,13 @@ class NeighbourhoodSpec:
             raise ConfigurationError("search_samples must be >= 2")
         if self.alpha_mode not in ("literal", "exact-volume"):
             raise ConfigurationError(f"unknown alpha_mode {self.alpha_mode!r}")
+        # a str or bytes is a Sequence, and would otherwise pass for per-line values
+        if isinstance(self.alpha, (str, bytes)):
+            raise ConfigurationError(f"alpha must be a number or per-line numbers, "
+                                     f"got the string {self.alpha!r}")
+        if isinstance(self.profile, (str, bytes)):
+            raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
+                                     f"string {self.profile!r} (parse_profile reads that form)")
         if self.version == 1:
             if self.alpha is None:
                 raise ConfigurationError("version 1 requires alpha")
@@ -159,12 +175,36 @@ def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
 
 # -- witness search for the probabilistic versions ----------------------------
 
-def _reach_window(l1: SegmentLike, p1: Profile) -> tuple[float, float]:
-    """Range of t*(s) values the projection onto l1 can produce, intersected
-    with the density's effective window when l1 is an infinite line."""
-    if l1.is_line:
-        return effective_window(p1)
-    return (0.0, 1.0)
+def _witness_domain(l: SegmentLike, p: Profile | None) -> tuple[float, float]:
+    """Parameters of l a witness may take: [0, 1] for a segment, unbounded
+    for a line, intersected with the effective window of l's own density p.
+    Empty (hi < lo) when that window misses [0, 1]."""
+    lo, hi = (-math.inf, math.inf) if l.is_line else (0.0, 1.0)
+    if p is not None:
+        w = effective_window(p)
+        lo, hi = max(lo, w[0]), min(hi, w[1])
+    return lo, hi
+
+
+def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
+                       domain1: tuple[float, float] | None = None
+                       ) -> tuple[tuple[float, float], float]:
+    """Line l1's reach and witness threshold, which depend on l1 alone.
+
+    The reach is the range of t*(s) values the projection onto l1 can
+    produce: [0, 1] for a segment, and for a line its witness domain
+    (domain1 when the caller has it), the effective window of f1.  The
+    threshold is alpha1 * sup f1 over the reach, 0.0 where f1 vanishes
+    there; no witness lies at or beyond it.
+    """
+    if alpha1 <= 0:
+        raise ConfigurationError(f"alpha must be positive, got {alpha1}")
+    if not l1.is_line:
+        reach = (0.0, 1.0)
+    else:
+        reach = domain1 if domain1 is not None else _witness_domain(l1, p1)
+    cap = peak_density(p1, *reach)
+    return reach, alpha1 * cap if cap > 0.0 else 0.0
 
 
 def _line_candidate_window(l1: SegmentLike, l2: SegmentLike, threshold: float,
@@ -233,54 +273,41 @@ def _golden_min(phi, lo: float, hi: float) -> float:
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64, gap: float = -math.inf) -> bool:
+                 search_samples: int = 64, gap: float = -math.inf,
+                 reach: tuple[float, float] | None = None, threshold: float | None = None,
+                 window: tuple[float, float] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
 
     gap is a lower bound on the distance between l1 and l2 known to the
     caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
-    the exact solve.
+    the exact solve.  reach and threshold (from _witness_threshold) depend
+    on l1 alone and window (from _witness_domain) on l2 alone; a caller
+    deciding many pairs passes them, and whatever it leaves out is computed
+    here with the same helpers.
     """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    if alpha1 <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha1}")
-    reach = _reach_window(l1, profile1)
-    if reach[1] < reach[0]:
-        return False
-    cap = peak_density(profile1, *reach)
-    if cap <= 0.0:
-        return False
-    threshold = alpha1 * cap
-    if gap >= threshold:
+    if threshold is None:
+        reach, threshold = _witness_threshold(l1, profile1, alpha1)
+    if threshold <= 0.0 or gap >= threshold:
         return False
     dmin = min_distance(l1, l2)
     if dmin.distance >= threshold:
         return False
-
-    # witness domain on l2
-    if l2.is_line:
-        window = None
-    else:
-        window = (0.0, 1.0)
-    if profile2 is not None:
-        w2 = effective_window(profile2)
-        if window is None:
-            window = w2
-        else:
-            window = (max(window[0], w2[0]), min(window[1], w2[1]))
-        if window[1] < window[0]:
-            return False
-    if window is None:
+    lo, hi = window if window is not None else _witness_domain(l2, profile2)
+    if hi < lo:
+        return False
+    if math.isinf(lo):  # a line without a density of its own
         window = _line_candidate_window(l1, l2, threshold, reach, dmin)
         if window is None:
             return False
+        lo, hi = window
 
     def phi(s: float) -> float:
         t, sq = _closest_sq(l2.x + l2.direction * s, l1)
         return math.sqrt(sq) - alpha1 * density(profile1, t)
 
-    lo, hi = window
     if l2.is_degenerate or hi - lo <= SEARCH_TOL:
         return phi(lo) < 0.0
 
@@ -315,10 +342,17 @@ class RelationEvaluator:
     |c_i - c_j| - h_i - h_j in one array expression (-inf where either
     carrier is a line, which has no such bound), resolves line i's alpha and
     profile once, and passes each gap to relates_v1 / relates_prob as the
-    caller's lower bound.  neighbor_set(i) is that row over the whole
-    dataset and relates(i, j) is that row over line j alone; both count
-    every pair in eval_count.  Version 2 scaling factors are derived once
-    per source line and cached.
+    caller's lower bound.  A witness row (line i with a profile) also
+    resolves line i's reach and threshold once and hands them to every
+    relates_prob call of the row.  neighbor_set(i) is that row over the
+    whole dataset and relates(i, j) is that row over line j alone; both
+    count every pair in eval_count.
+
+    Cached per line and held by the evaluator alone, so nothing outlives
+    it: version 2 scaling factors, derived on a line's first row, and each
+    line's profile and witness domain, resolved on its first use as a
+    target.  A missing per-line alpha or profile entry therefore raises at
+    the relation call that needs it, not at construction.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -326,6 +360,7 @@ class RelationEvaluator:
         self.spec = spec
         self.eval_count = 0
         self._alpha_cache: dict[int, float] = {}
+        self._targets: dict[int, tuple[Profile | None, tuple[float, float]]] = {}
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         self.centre = np.array([l.center for l in self.U], dtype=np.float64)
@@ -349,6 +384,14 @@ class RelationEvaluator:
             self._alpha_cache[i] = cached
         return cached
 
+    def _target(self, j: int) -> tuple[Profile | None, tuple[float, float]]:
+        """Line j's profile and witness domain, resolved on first use."""
+        got = self._targets.get(j)
+        if got is None:
+            p = self.spec.profile_for(j)
+            got = self._targets[j] = (p, _witness_domain(self.U[j], p))
+        return got
+
     def _related(self, i: int, js: slice) -> list[int]:
         """The lines of the dataset slice js that line i relates to."""
         lines = range(len(self.U))[js]
@@ -364,10 +407,12 @@ class RelationEvaluator:
         if p1 is None:
             # version 1, or a declared density-free line: the metric relation
             return [j for j, g in pairs if relates_v1(l1, U[j], alpha1, g)]
+        reach, threshold = _witness_threshold(l1, p1, alpha1, self._target(i)[1])
+        targets = [self._target(j) for j in lines]
         samples = spec.search_samples
-        return [j for j, g in pairs
-                if relates_prob(l1, p1, alpha1, U[j], spec.profile_for(j),
-                                search_samples=samples, gap=g)]
+        return [j for (j, g), (p2, window) in zip(pairs, targets)
+                if relates_prob(l1, p1, alpha1, U[j], p2, search_samples=samples, gap=g,
+                                reach=reach, threshold=threshold, window=window)]
 
     def relates(self, i: int, j: int) -> bool:
         """Does line i relate to line j."""

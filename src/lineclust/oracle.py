@@ -4,8 +4,8 @@ Everything here is deliberately dumb and independent of the production
 routes: distances by dense grids, integrals by fixed-panel Simpson, point
 clustering by a textbook scan.  Only plain array arithmetic is shared with
 the rest of the package, except in relation_matrix, which decides every
-pair with the per-pair relation functions to check RelationEvaluator's
-rows against them.  Performance is not a goal.
+pair with the per-pair relation functions, without any per-row set-up, to
+check RelationEvaluator's rows against them.  Performance is not a goal.
 """
 
 from __future__ import annotations
@@ -97,10 +97,13 @@ def relation_matrix(U: Sequence[SegmentLike], spec: NeighbourhoodSpec) -> np.nda
     """Exhaustive n x n relation table; row i holds 'i relates to j'.
 
     Each pair is decided by relates_v1 / relates_prob alone, with alpha and
-    the profiles resolved from the spec here and no caller's bound, so the
-    table checks RelationEvaluator's row bound and per-line resolution
-    rather than calling them.  The diagonal is true wherever the line can
-    reach its own density; the matrix need not be symmetric.
+    the profiles resolved from the spec here, no caller's bound and no
+    witness set-up, so relates_prob derives l1's reach and threshold and
+    l2's witness domain for every pair itself.  By not using them, the table
+    checks RelationEvaluator's row bound, its per-row witness set-up and its
+    per-line resolution rather than calling them.  The diagonal is true
+    wherever the line can reach its own density; the matrix need not be
+    symmetric.
     """
     n = len(U)
     M = np.zeros((n, n), dtype=bool)

@@ -131,6 +131,30 @@ class TestCluster:
             assert "accepted:" in err and "search_samples" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [
+        {"crop": [0, 0, 1, 1]},
+        {"search_samples": "many"},
+        {"c": 2.7},
+        {"seed": 2.9},
+        {"version": True},
+        {"mode": 3},
+        {"alpha": "x"},
+    ])
+    def test_config_values_must_fit_their_flags(self, tmp_path, capsys, bad):
+        (key,) = bad
+        if key == "crop":  # only GeoJSON input takes a crop box
+            data = tmp_path / "net.geojson"
+            data.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+        else:
+            data = self._gen(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "c": 5, "alpha": 12.0, **bad}))
+        out = tmp_path / "never.json"
+        assert run_cli("cluster", data, "--config", cfg, "--out", out) == 2
+        assert f"{cfg}: config key {key!r} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_cluster_option_is_a_config_key(self, tmp_path):
         data = self._gen(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -347,6 +371,17 @@ class TestLift:
         assert run_cli("lift", pts, "--config", cfg,
                        "--out", tmp_path / "flag.csv") == 0
         assert (tmp_path / "flag.csv").exists()
+
+    def test_axes_in_config_must_be_a_list_of_strings(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("id,x1,x2\na,1.0,NA\n")
+        cfg = tmp_path / "lift.json"
+        for axes in ("2=uniform:-4,4", [2], {"2": "uniform:-4,4"}):
+            cfg.write_text(json.dumps({"axes": axes, "out": str(tmp_path / "s.csv")}))
+            assert run_cli("lift", pts, "--config", cfg) == 2
+            assert f"{cfg}: config key 'axes' must be a list of K=SPEC strings" \
+                in capsys.readouterr().err
+            assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

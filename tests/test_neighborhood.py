@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lineclust import neighborhood
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import closest_point, line, min_distance, segment
 from lineclust.neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
+    _witness_domain,
+    _witness_threshold,
     contains_point,
     relates_prob,
     relates_v1,
@@ -38,6 +41,18 @@ class TestSpecValidation:
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
+            NeighbourhoodSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, what", [
+        (dict(version=1, c=2, alpha="2"), "alpha"),
+        (dict(version=3, c=2, alpha="2", profile=U01), "alpha"),
+        (dict(version=1, c=2, alpha=b"2"), "alpha"),
+        (dict(version=3, c=2, alpha=1.0, profile="uniform:0,1"), "profile"),
+        (dict(version=2, c=2, volume=2.0, profile="uniform:0,1"), "profile"),
+    ])
+    def test_string_alpha_or_profile_rejected(self, kwargs, what):
+        # a str is a sequence: "2" would pass for one per-line alpha
+        with pytest.raises(ConfigurationError, match=f"{what} must be .* got the string"):
             NeighbourhoodSpec(**kwargs)
 
     def test_per_line_lookup(self):
@@ -448,3 +463,69 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="same dimension"):
             RelationEvaluator([UNIT, segment((0, 0, 0), (1, 0, 0))],
                               NeighbourhoodSpec(version=1, c=1, alpha=1.0))
+
+
+class TestWitnessSetUp:
+    """The witness set-up a RelationEvaluator resolves once per row (line i's
+    reach and threshold) and once per line (line j's witness domain)."""
+
+    @staticmethod
+    def _dataset():
+        U = [
+            segment((0.0, 0.0), (1.0, 0.0)),      # 0 source segment
+            line((0.0, 0.3), (1.0, 0.3)),         # 1 source line
+            line((40.0, 0.5), (41.0, 0.5)),       # 2 infinite target without a profile
+            line((0.5, -3.0), (0.5, 4.0)),        # 3 infinite target with a profile
+            segment((0.0, 0.1), (1.0, 0.1)),      # 4 target whose window misses [0, 1]
+            segment((0.2, 0.4), (0.8, 0.6)),      # 5 segment target
+            line((40.0, 5.0), (41.0, 5.0)),       # 6 far infinite target without a profile
+        ]
+        gauss = Profile.normal(0.5, 0.04)
+        profiles = [U01, gauss, None, gauss, Profile.uniform(2.0, 3.0), Profile.beta(2, 5), None]
+        return U, NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=profiles)
+
+    def test_set_up_gives_the_same_decisions(self):
+        U, spec = self._dataset()
+        ev = RelationEvaluator(U, spec)
+        decided = {}
+        for i, l1 in enumerate(U):
+            p1 = spec.profile_for(i)
+            if p1 is None:
+                continue
+            reach, threshold = _witness_threshold(l1, p1, 1.0, _witness_domain(l1, p1))
+            for j, l2 in enumerate(U):
+                p2 = spec.profile_for(j)
+                bare = relates_prob(l1, p1, 1.0, l2, p2)
+                assert relates_prob(l1, p1, 1.0, l2, p2, reach=reach, threshold=threshold,
+                                    window=_witness_domain(l2, p2)) == bare, (i, j)
+                assert ev.relates(i, j) == bare, (i, j)
+                decided[i, j] = bare
+        # each kind of target, from a source segment and a source line
+        assert decided[0, 2] and decided[1, 2]            # no profile: candidate window
+        assert decided[0, 3] and decided[1, 3]            # infinite, with a profile
+        assert not decided[0, 4] and not decided[1, 4]    # within reach, empty window
+        assert not decided[0, 6] and not decided[1, 6]
+
+    def test_set_up_runs_once_per_row_and_line(self, monkeypatch):
+        calls = {"peak_density": 0, "effective_window": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(neighborhood, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(neighborhood, name, counted)
+        U, spec, _ = TestRowKernel._dataset(3, 2, 0)
+        profiled = [j for j in range(len(U)) if spec.profile_for(j) is not None]
+        assert 0 < len(profiled) < len(U)
+        counts = []
+        for _ in range(2):  # a second evaluator resolves everything again
+            calls.update(peak_density=0, effective_window=0)
+            ev = RelationEvaluator(U, spec)
+            for i in range(len(U)):
+                before = calls["peak_density"]
+                ev.neighbor_set(i)
+                assert calls["peak_density"] - before == (i in profiled), f"row {i}"
+            ev.relates(profiled[0], profiled[-1])
+            assert calls["peak_density"] == len(profiled) + 1
+            assert calls["effective_window"] == len(profiled)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]

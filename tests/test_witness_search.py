@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lineclust.geometry import closest_point, line, min_distance, segment
-from lineclust.neighborhood import _line_candidate_window, _reach_window, relates_prob
+from lineclust.neighborhood import _line_candidate_window, relates_prob
 from lineclust.profiles import Profile, density, effective_window, peak_density
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,7 +44,7 @@ def _reference_golden_min(phi, lo, hi, tol):
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
                            search_samples=64, search_tol=1e-9):
     """Scalar witness search, one `closest_point` call per φ evaluation."""
-    reach = _reach_window(l1, profile1)
+    reach = effective_window(profile1) if l1.is_line else (0.0, 1.0)
     if reach[1] < reach[0]:
         return False
     cap = peak_density(profile1, *reach)
