@@ -14,10 +14,8 @@ from .geometry import (
     MinDistance,
     SegmentLike,
     closest_point,
-    length,
     line,
     min_distance,
-    param_point,
     segment,
 )
 from .missing_data import AxisDomain, LiftedPoint, LiftResult, lift, lift_dataset
@@ -69,13 +67,11 @@ __all__ = [
     "effective_window",
     "exact_volume_scaling_factor",
     "format_profile",
-    "length",
     "lift",
     "lift_dataset",
     "line",
     "min_distance",
     "neighbourhood_volume",
-    "param_point",
     "parse_profile",
     "peak_density",
     "relates_prob",

@@ -4,12 +4,22 @@ A line or segment is stored as an endpoint pair (x, y) with the parametric
 map g(t) = x + (y - x) * t.  The parameter domain is [0, 1] for segments and
 all of R for lines.  Distances are Euclidean; squared distances are used
 internally and the root is taken at the API boundary.
+
+The coordinates are numpy arrays, but the scalar solves (`min_distance`,
+`_closest_sq`) run on Python floats: they read the carriers with `tolist()`
+on entry and do their few multiply-adds in plain arithmetic.  Each numpy
+operation on a 2- to 7-element array costs a fixed dispatch overhead far
+larger than its arithmetic, and a relation row makes one such solve per
+pair.  Work over many points at once, the witness grid of
+`_closest_sq_many`, stays in numpy, where that overhead is paid once per
+array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -99,14 +109,11 @@ class MinDistance(NamedTuple):
     t2: float
 
 
-def param_point(l: SegmentLike, t: float) -> np.ndarray:
-    """Evaluate g(t) = x + (y - x) * t.
-
-    For segments t must lie in [0, 1]; lines accept any real t.
-    """
-    if l.kind == "segment" and not (0.0 <= t <= 1.0):
-        raise ValueError(f"segment parameter must lie in [0, 1], got {t}")
-    return l.x + l.direction * t
+def _clamp(t: float, is_segment: bool) -> float:
+    """t clamped to a segment's domain [0, 1]; a line's t unchanged."""
+    if not is_segment:
+        return t
+    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
 
 
 def closest_point(P, l: SegmentLike) -> ClosestPointResult:
@@ -120,20 +127,23 @@ def closest_point(P, l: SegmentLike) -> ClosestPointResult:
     p = as_point(P)
     if p.size != l.dim:
         raise ValueError(f"dimension mismatch: point is {p.size}-d, carrier is {l.dim}-d")
-    t, sq = _closest_sq(p, l)
+    t, sq = _closest_sq(p.tolist(), l)
     return ClosestPointResult(t, l.x + l.direction * t, math.sqrt(sq))
 
 
-def _closest_sq(p: np.ndarray, l: SegmentLike) -> tuple[float, float]:
-    """(t, squared distance) of the closest carrier point to p; no root."""
-    if l.sq_length == 0.0:
-        d = p - l.x
-        return 0.0, float(d @ d)
-    t = float((p - l.x) @ l.direction) / l.sq_length
-    if l.kind == "segment":
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    d = p - (l.x + l.direction * t)
-    return t, float(d @ d)
+def _closest_sq(p: list[float], l: SegmentLike) -> tuple[float, float]:
+    """(t, squared distance) of the closest carrier point to p, a list of
+    floats of l's dimension; nothing is checked and no root is taken."""
+    x = l.x.tolist()
+    u = l.direction.tolist()
+    t = 0.0  # a degenerate segment's only parameter; u is zero there
+    if l.sq_length > 0.0:
+        t = _clamp(sum(map(mul, map(sub, p, x), u)) / l.sq_length, l.kind == "segment")
+    sq = 0.0
+    for pi, xi, ui in zip(p, x, u):
+        q = pi - (xi + ui * t)
+        sq += q * q
+    return t, sq
 
 
 def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndarray]:
@@ -152,80 +162,83 @@ def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndar
     return t, np.einsum("ij,ij->i", d, d)
 
 
+def _gap_sq(r: list[float], d1: list[float], t1: float, d2: list[float], t2: float) -> float:
+    """|r + d1*t1 - d2*t2|^2, the squared length of g1(t1) - g2(t2) when
+    r = x1 - x2."""
+    sq = 0.0
+    for ri, ui, vi in zip(r, d1, d2):
+        q = ri + ui * t1 - vi * t2
+        sq += q * q
+    return sq
+
+
 def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     """Minimum distance between two lines/segments with achieving parameters.
 
-    A point operand (degenerate segment) is projected onto the other
-    carrier.  Otherwise |g1(t1) - g2(t2)|^2 is a convex quadratic in
-    (t1, t2) and the unconstrained minimizer solves the 2x2 normal
-    equations.  One boundary-edge enumeration, each segment endpoint
-    projected onto the other carrier, covers every pair whose unconstrained
-    optimum is infeasible (the minimum lies on an edge, and minimizing over
-    the other parameter leaves a convex function of the edge's, so its
-    clamped end is one of the endpoints tried) and every parallel pair
-    (singular normal matrix) except two lines.  Two parallel lines have no
-    endpoints: their gap is constant and (t1=0, perpendicular partner) is
-    returned.  Squared distances throughout; one root at the return.
-    A carrier against itself is (0, 0, 0), what the enumeration would give.
+    With r = x1 - x2, |g1(t1) - g2(t2)|^2 is a convex quadratic in (t1, t2)
+    whose coefficients are the scalars a = d1.d1, b = d1.d2, c = d2.d2,
+    d = d1.r and e = d2.r.  The unconstrained minimizer solves the 2x2
+    normal equations.  One boundary-edge enumeration covers every pair
+    whose unconstrained optimum is infeasible (the minimum lies on an edge,
+    and minimizing over the other parameter leaves a convex function of the
+    edge's, so its clamped end is one of the endpoints tried) and every
+    parallel pair (singular normal matrix) except two lines.  Its endpoint
+    parameters come from the same scalars, clamped to the other carrier
+    when it is a segment: l1's ends project onto l2 at e/c and (e + b)/c,
+    l2's ends onto l1 at -d/a and (b - d)/a.  Each candidate is scored by
+    the squared length of the point difference r + d1*t1 - d2*t2, not by
+    the expanded quadratic, which cancels; one root is taken, for the
+    winner.  Two parallel lines have no endpoints: their gap is constant
+    and (t1=0, perpendicular partner) is returned.  A point operand
+    (degenerate segment) is projected onto the other carrier by
+    `_closest_sq`.  A carrier against itself is (0, 0, 0), what the
+    enumeration would give.
     """
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
-    if l1.dim != l2.dim:
-        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
+    x1 = l1.x.tolist()
+    x2 = l2.x.tolist()
+    if len(x1) != len(x2):
+        raise ValueError(f"dimension mismatch: {len(x1)}-d vs {len(x2)}-d")
     a = l1.sq_length
     c = l2.sq_length
-    if a == 0.0 and c == 0.0:
-        diff = l1.x - l2.x
-        return MinDistance(math.sqrt(float(diff @ diff)), 0.0, 0.0)
-    if a == 0.0:
-        t2, sq = _closest_sq(l1.x, l2)
+    if a == 0.0:  # l1 is a point (a line never is): its foot on l2
+        t2, sq = _closest_sq(x1, l2)
         return MinDistance(math.sqrt(sq), 0.0, t2)
-    if c == 0.0:
-        t1, sq = _closest_sq(l2.x, l1)
+    if c == 0.0:  # l2 is a point: its foot on l1
+        t1, sq = _closest_sq(x2, l1)
         return MinDistance(math.sqrt(sq), t1, 0.0)
 
-    d1 = l1.direction
-    d2 = l2.direction
-    r = l1.x - l2.x
-    b = float(d1 @ d2)
-    d = float(d1 @ r)
-    e = float(d2 @ r)
+    r = list(map(sub, x1, x2))
+    d1 = l1.direction.tolist()
+    d2 = l2.direction.tolist()
+    b = sum(map(mul, d1, d2))
+    d = sum(map(mul, d1, r))
+    e = sum(map(mul, d2, r))
+    seg1 = l1.kind == "segment"
+    seg2 = l2.kind == "segment"
     den = a * c - b * b  # >= 0, zero iff parallel
-    parallel = den <= 1e-14 * a * c
-
-    if not parallel:
+    if den > 1e-14 * a * c:
         t1 = (b * e - c * d) / den
         t2 = (a * e - b * d) / den
-        ok1 = l1.is_line or 0.0 <= t1 <= 1.0
-        ok2 = l2.is_line or 0.0 <= t2 <= 1.0
-        if ok1 and ok2:
-            diff = r + d1 * t1 - d2 * t2
-            return MinDistance(math.sqrt(max(float(diff @ diff), 0.0)), t1, t2)
-    elif l1.is_line and l2.is_line:
+        if (not seg1 or 0.0 <= t1 <= 1.0) and (not seg2 or 0.0 <= t2 <= 1.0):
+            return MinDistance(math.sqrt(_gap_sq(r, d1, t1, d2, t2)), t1, t2)
+    elif not seg1 and not seg2:
         # parallel lines: constant gap, return t1=0 and its perpendicular foot
         t2 = e / c
-        diff = r - d2 * t2
-        return MinDistance(math.sqrt(max(float(diff @ diff), 0.0)), 0.0, t2)
+        return MinDistance(math.sqrt(_gap_sq(r, d1, 0.0, d2, t2)), 0.0, t2)
 
     # boundary-edge enumeration: a line has no endpoints, so with one line
     # operand only the segment's endpoints are tried, and their projections
     # include the clamped one; compare squared distances, root the winner
+    candidates = []
+    if seg1:
+        candidates += [(0.0, _clamp(e / c, seg2)), (1.0, _clamp((e + b) / c, seg2))]
+    if seg2:
+        candidates += [(_clamp(-d / a, seg1), 0.0), (_clamp((b - d) / a, seg1), 1.0)]
     best = None
-    if not l1.is_line:
-        for t1_edge, p_edge in ((0.0, l1.x), (1.0, l1.y)):
-            t2c, sq = _closest_sq(p_edge, l2)
-            if best is None or sq < best[0]:
-                best = (sq, t1_edge, t2c)
-    if not l2.is_line:
-        for t2_edge, p_edge in ((0.0, l2.x), (1.0, l2.y)):
-            t1c, sq = _closest_sq(p_edge, l1)
-            if best is None or sq < best[0]:
-                best = (sq, t1c, t2_edge)
+    for t1, t2 in candidates:
+        sq = _gap_sq(r, d1, t1, d2, t2)
+        if best is None or sq < best[0]:
+            best = (sq, t1, t2)
     return MinDistance(math.sqrt(best[0]), best[1], best[2])
-
-
-def length(l: SegmentLike) -> float:
-    """Euclidean length of a segment; lines have no finite length."""
-    if l.is_line:
-        raise ValueError("length is undefined for an infinite line")
-    return math.sqrt(l.sq_length)

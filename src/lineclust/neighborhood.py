@@ -38,9 +38,12 @@ intersected with the effective window of f2, on l2 alone
 (_witness_domain).  RelationEvaluator resolves the first once per relation
 row and the second once per line, and passes both to relates_prob beside
 `gap`; a direct call without them computes them with the same helpers.
-phi is evaluated on the whole grid in one array call; the refinement
-evaluates it point by point, both without the input validation of the
-public closest_point.
+phi is evaluated on the whole grid in one array call (_closest_sq_many
+and Profile.pdf).  The golden refinement evaluates it point by point:
+g2(s) is built as a list of Python floats from l2's coordinates, read once
+per pair, and projected onto l1 by the scalar _closest_sq, followed by one
+density call; neither path repeats the input validation of the public
+closest_point.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Union
 
 import numpy as np
@@ -79,7 +83,9 @@ class NeighbourhoodSpec:
     index in the dataset.  An explicit None profile entry declares a line
     density-free (version 3 then falls back to the metric relation for that
     line, and its whole extent acts as the witness set); an absent key is a
-    configuration error.
+    configuration error.  Per-line entries are checked when the spec is
+    built: a profile entry must be a Profile or None, an alpha entry a
+    finite positive real number other than a bool.
     """
 
     version: int
@@ -106,6 +112,14 @@ class NeighbourhoodSpec:
         if isinstance(self.profile, (str, bytes)):
             raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
                                      f"string {self.profile!r} (parse_profile reads that form)")
+        for key, value in _per_line_entries(self.alpha):
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ConfigurationError(f"alpha at {key} must be a finite positive number, "
+                                         f"got {value!r}")
+        for key, value in _per_line_entries(self.profile):
+            if value is not None and not isinstance(value, Profile):
+                raise ConfigurationError(f"profile at {key} must be a Profile or None, "
+                                         f"got {value!r}")
         if self.version == 1:
             if self.alpha is None:
                 raise ConfigurationError("version 1 requires alpha")
@@ -143,6 +157,16 @@ class NeighbourhoodSpec:
         if p is None or isinstance(p, Profile):
             return p
         return _per_line(p, i, "profile entry")
+
+
+def _per_line_entries(values):
+    """(label, entry) for each entry of a per-line mapping or sequence, the
+    label naming its key or index; nothing for a single value."""
+    if isinstance(values, Mapping):
+        return [(f"key {k!r}", v) for k, v in values.items()]
+    if isinstance(values, Sequence):
+        return [(f"index {k}", v) for k, v in enumerate(values)]
+    return []
 
 
 def _per_line(values, i: int, what: str):
@@ -304,8 +328,10 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
             return False
         lo, hi = window
 
+    x2, u2 = l2.x.tolist(), l2.direction.tolist()
+
     def phi(s: float) -> float:
-        t, sq = _closest_sq(l2.x + l2.direction * s, l1)
+        t, sq = _closest_sq([x + u * s for x, u in zip(x2, u2)], l1)
         return math.sqrt(sq) - alpha1 * density(profile1, t)
 
     if l2.is_degenerate or hi - lo <= SEARCH_TOL:

@@ -264,6 +264,7 @@ class TestPublicApi:
             assert getattr(lineclust, name) is not None, name
 
     def test_removed_wrappers_not_exported(self):
-        for name in ("relates", "neighbor_set", "is_core", "relation_eval_count"):
+        for name in ("relates", "neighbor_set", "is_core", "relation_eval_count",
+                     "param_point", "length"):
             assert name not in lineclust.__all__
             assert not hasattr(lineclust, name)

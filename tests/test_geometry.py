@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lineclust.geometry import (
+    MinDistance,
     _closest_sq_many,
     closest_point,
-    length,
     line,
     min_distance,
-    param_point,
     segment,
 )
+from lineclust.neighborhood import relates_v1
 from lineclust.oracle import grid_min_distance
 
 
@@ -26,32 +26,21 @@ def rand_segment(rng, dim, span=10.0, max_len=None):
     return segment(x, x + d)
 
 
-class TestParamPoint:
-    def test_endpoints_and_midpoint(self):
-        l = segment((0, 0), (2, 0))
-        assert np.allclose(param_point(l, 0.0), (0, 0))
-        assert np.allclose(param_point(l, 1.0), (2, 0))
-        assert np.allclose(param_point(l, 0.5), (1, 0))
+class TestDerivedQuantities:
+    def test_345(self):
+        l = segment((0, 0), (3, 4))
+        assert l.sq_length == 25.0
+        assert l.half_length == pytest.approx(2.5)
 
-    def test_line_extrapolates(self):
-        l = line((1, 1), (3, 5))
-        assert np.allclose(param_point(l, -1.0), (-1, -3))
+    def test_degenerate(self):
+        l = segment((1, 1), (1, 1))
+        assert l.sq_length == l.half_length == 0.0
+        assert l.is_degenerate
 
-    def test_segment_domain_enforced(self):
-        l = segment((0, 0), (2, 0))
-        with pytest.raises(ValueError):
-            param_point(l, 1.5)
-        with pytest.raises(ValueError):
-            param_point(l, -0.1)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            l = rand_segment(rng, int(rng.integers(2, 6)))
-            t = rng.uniform(0, 1)
-            lhs = param_point(l, t) - param_point(l, 0.0)
-            rhs = t * (param_point(l, 1.0) - param_point(l, 0.0))
-            assert np.abs(lhs - rhs).max() < 1e-12
+    def test_sqrt3(self):
+        l = segment((0, 0, 0), (1, 1, 1))
+        assert 2.0 * l.half_length == pytest.approx(math.sqrt(3))
+        assert np.allclose(l.center, (0.5, 0.5, 0.5))
 
 
 class TestClosestPoint:
@@ -127,6 +116,67 @@ class TestClosestSqMany:
             t_tol = 1e-12 * (1.0 + scale / speed) if speed > 0 else 0.0
             assert t[k] == pytest.approx(ref.t_star, rel=1e-12, abs=t_tol)
             assert math.sqrt(sq[k]) == pytest.approx(ref.distance, rel=1e-12, abs=1e-12 * scale)
+
+
+def _reference_closest_sq(p, l):
+    """The numpy `_closest_sq` the scalar kernel replaced."""
+    if l.sq_length == 0.0:
+        d = p - l.x
+        return 0.0, float(d @ d)
+    t = float((p - l.x) @ l.direction) / l.sq_length
+    if l.kind == "segment":
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    d = p - (l.x + l.direction * t)
+    return t, float(d @ d)
+
+
+def reference_min_distance(l1, l2):
+    """The numpy `min_distance` the scalar kernel replaced: the same
+    normal-equation solve and boundary-edge enumeration, with every
+    endpoint projected by `_reference_closest_sq` on 2- to 7-element
+    arrays."""
+    if l1 is l2:
+        return MinDistance(0.0, 0.0, 0.0)
+    a = l1.sq_length
+    c = l2.sq_length
+    if a == 0.0 and c == 0.0:
+        diff = l1.x - l2.x
+        return MinDistance(math.sqrt(float(diff @ diff)), 0.0, 0.0)
+    if a == 0.0:
+        t2, sq = _reference_closest_sq(l1.x, l2)
+        return MinDistance(math.sqrt(sq), 0.0, t2)
+    if c == 0.0:
+        t1, sq = _reference_closest_sq(l2.x, l1)
+        return MinDistance(math.sqrt(sq), t1, 0.0)
+    d1 = l1.direction
+    d2 = l2.direction
+    r = l1.x - l2.x
+    b = float(d1 @ d2)
+    d = float(d1 @ r)
+    e = float(d2 @ r)
+    den = a * c - b * b
+    if den > 1e-14 * a * c:
+        t1 = (b * e - c * d) / den
+        t2 = (a * e - b * d) / den
+        if (l1.is_line or 0.0 <= t1 <= 1.0) and (l2.is_line or 0.0 <= t2 <= 1.0):
+            diff = r + d1 * t1 - d2 * t2
+            return MinDistance(math.sqrt(float(diff @ diff)), t1, t2)
+    elif l1.is_line and l2.is_line:
+        t2 = e / c
+        diff = r - d2 * t2
+        return MinDistance(math.sqrt(float(diff @ diff)), 0.0, t2)
+    best = None
+    if not l1.is_line:
+        for t1_edge, p_edge in ((0.0, l1.x), (1.0, l1.y)):
+            t2c, sq = _reference_closest_sq(p_edge, l2)
+            if best is None or sq < best[0]:
+                best = (sq, t1_edge, t2c)
+    if not l2.is_line:
+        for t2_edge, p_edge in ((0.0, l2.x), (1.0, l2.y)):
+            t1c, sq = _reference_closest_sq(p_edge, l1)
+            if best is None or sq < best[0]:
+                best = (sq, t1c, t2_edge)
+    return MinDistance(math.sqrt(best[0]), best[1], best[2])
 
 
 class TestMinDistance:
@@ -242,19 +292,76 @@ class TestMinDistance:
             assert abs(exact - grid) < 2e-3
 
 
-class TestLength:
-    def test_345(self):
-        assert length(segment((0, 0), (3, 4))) == pytest.approx(5.0)
+def _carrier(kind, x, y):
+    if kind == "line":
+        return line(x, y)
+    return segment(x, x.copy() if kind == "point" else y)
 
-    def test_degenerate(self):
-        assert length(segment((1, 1), (1, 1))) == 0.0
 
-    def test_sqrt3(self):
-        assert length(segment((0, 0, 0), (1, 1, 1))) == pytest.approx(math.sqrt(3))
+class TestScalarKernel:
+    """`min_distance` on Python floats against the numpy reference above."""
 
-    def test_line_rejected(self):
-        with pytest.raises(ValueError):
-            length(line((0, 0), (1, 0)))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3, 7]),
+           kind1=st.sampled_from(["segment", "line", "point"]),
+           kind2=st.sampled_from(["segment", "line", "point"]),
+           make_parallel=st.booleans(), data=st.data())
+    def test_agrees_with_reference(self, dim, kind1, kind2, make_parallel, data):
+        coords = hnp.arrays(np.float64, dim, elements=COORD)
+        x1, y1, x2, y2 = (data.draw(coords) for _ in range(4))
+        if make_parallel and kind1 != "point":
+            k = data.draw(st.floats(0.01, 10)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            y2 = x2 + k * (y1 - x1)
+        for kind, x, y in ((kind1, x1, y1), (kind2, x2, y2)):
+            assume(kind == "point" or np.linalg.norm(y - x) > 1e-3)
+        l1, l2 = _carrier(kind1, x1, y1), _carrier(kind2, x2, y2)
+        a, c = l1.sq_length, l2.sq_length
+        den = a * c - float(l1.direction @ l2.direction) ** 2
+        # the near-parallel band where the normal equations cancel in both
+        assume(not 1e-14 * a * c < den <= 1e-6 * a * c)
+        point = a == 0.0 or c == 0.0
+        parallel = not point and den <= 1e-14 * a * c
+        # both kernels solve the same normal equations from differently
+        # rounded b, d, e, so their agreement scales with its condition number
+        cond = 1.0 if point or parallel else a * c / den
+        scale = 1.0 + max(np.abs(v).max() for v in (x1, y1, x2, y2))
+        tol = 1e-12 * scale * cond
+        for p, q in ((l1, l2), (l2, l1)):
+            got, ref = min_distance(p, q), reference_min_distance(p, q)
+            assert got.distance == pytest.approx(ref.distance, rel=1e-12, abs=tol)
+            if parallel and not (p.is_line and q.is_line):
+                # parallel with an endpoint: equally near endpoints may tie,
+                # so the parameters need only achieve the distance in range
+                for t, l in ((got.t1, p), (got.t2, q)):
+                    assert l.is_line or 0.0 <= t <= 1.0
+                gap = (p.x + got.t1 * p.direction) - (q.x + got.t2 * q.direction)
+                assert float(np.linalg.norm(gap)) == pytest.approx(got.distance, rel=1e-12,
+                                                                   abs=tol)
+                continue
+            for t, t_ref, l in ((got.t1, ref.t1, p), (got.t2, ref.t2, q)):
+                speed = math.sqrt(l.sq_length)
+                assert t == pytest.approx(t_ref, rel=1e-12, abs=tol / speed if speed else 0.0)
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_relates_v1_at_alpha(self, side):
+        # alpha placed 1e-9 relative either side of the reference distance
+        rng = np.random.default_rng(1985)
+        kinds = ("segment", "line", "point")
+        decided = 0
+        for k in range(600):
+            dim = (2, 3, 7)[k % 3]
+            l1 = _carrier(kinds[(k // 3) % 3], *rng.uniform(-50, 50, (2, dim)))
+            x2, y2 = rng.uniform(-50, 50, (2, dim))
+            if k % 4 == 0 and not l1.is_degenerate:  # an exactly parallel partner
+                y2 = x2 + rng.uniform(0.1, 3.0) * l1.direction
+            l2 = _carrier(kinds[(k // 9) % 3], x2, y2)
+            ref = reference_min_distance(l1, l2)
+            if ref.distance < 1.0:
+                continue  # too close for a relative placement to clear rounding
+            decided += 1
+            alpha = ref.distance * side
+            assert relates_v1(l1, l2, alpha) == (ref.distance < alpha) == (side > 1.0)
+        assert decided > 300
 
 
 class TestValidation:

@@ -55,6 +55,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match=f"{what} must be .* got the string"):
             NeighbourhoodSpec(**kwargs)
 
+    def test_per_line_profile_entry_must_be_a_profile(self):
+        with pytest.raises(ConfigurationError,
+                           match="profile at index 0 must be a Profile or None, got 'uniform:0,1'"):
+            NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=["uniform:0,1", "uniform:0,1"])
+        with pytest.raises(ConfigurationError, match="profile at key 1 must be a Profile or None"):
+            NeighbourhoodSpec(version=2, c=1, volume=2.0, profile={0: U01, 1: 0.5})
+
+    def test_per_line_alpha_must_be_a_number(self):
+        with pytest.raises(ConfigurationError, match="alpha at index 1 .* got 'x'"):
+            NeighbourhoodSpec(version=1, c=1, alpha=[1.0, "x"])
+
+    def test_per_line_alpha_must_not_be_a_bool(self):
+        with pytest.raises(ConfigurationError, match="alpha at key 1 .* got True"):
+            NeighbourhoodSpec(version=1, c=1, alpha={0: 1.0, 1: True})
+
     def test_per_line_lookup(self):
         spec = NeighbourhoodSpec(version=1, c=1, alpha={0: 2.0, 1: 0.5})
         assert spec.alpha_for(0) == 2.0
@@ -79,10 +94,12 @@ class TestSpecValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_alpha_must_be_finite_and_positive(self, bad):
         for spec, i in ((NeighbourhoodSpec(version=1, c=2, alpha=bad), 0),
-                        (NeighbourhoodSpec(version=3, c=2, alpha=bad, profile=U01), 0),
-                        (NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad]), 1)):
+                        (NeighbourhoodSpec(version=3, c=2, alpha=bad, profile=U01), 0)):
             with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
                 spec.alpha_for(i)
+        # a per-line value is checked when the spec is built
+        with pytest.raises(ConfigurationError, match="alpha at index 1 must be a finite positive"):
+            NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad])
         ev = RelationEvaluator([UNIT, UNIT], NeighbourhoodSpec(version=1, c=1, alpha=bad))
         with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
             ev.neighbor_set(0)
