@@ -10,7 +10,6 @@ missing coordinate join the same pipeline as axis-aligned segments.
 from .engine import ClusterLabels, NOISE, RunConfig, run, run_expand, run_literal
 from .errors import ConfigurationError, ParseError, UnsupportedRecordError
 from .geometry import (
-    ClosestPointResult,
     MinDistance,
     SegmentLike,
     closest_point,
@@ -18,17 +17,10 @@ from .geometry import (
     min_distance,
     segment,
 )
-from .missing_data import AxisDomain, LiftedPoint, LiftResult, lift, lift_dataset
-from .neighborhood import (
-    NeighbourhoodSpec,
-    RelationEvaluator,
-    contains_point,
-    relates_prob,
-    relates_v1,
-)
+from .missing_data import AxisDomain, LiftResult, lift, lift_dataset
+from .neighborhood import NeighbourhoodSpec, RelationEvaluator, contains_point
 from .profiles import (
     Profile,
-    Support,
     adaptive_quadrature,
     density,
     effective_window,
@@ -38,18 +30,15 @@ from .profiles import (
     parse_profile,
     peak_density,
     scaling_factor,
-    unit_ball_volume,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AxisDomain",
-    "ClosestPointResult",
     "ClusterLabels",
     "ConfigurationError",
     "LiftResult",
-    "LiftedPoint",
     "MinDistance",
     "NOISE",
     "NeighbourhoodSpec",
@@ -58,7 +47,6 @@ __all__ = [
     "RelationEvaluator",
     "RunConfig",
     "SegmentLike",
-    "Support",
     "UnsupportedRecordError",
     "adaptive_quadrature",
     "closest_point",
@@ -74,12 +62,9 @@ __all__ = [
     "neighbourhood_volume",
     "parse_profile",
     "peak_density",
-    "relates_prob",
-    "relates_v1",
     "run",
     "run_expand",
     "run_literal",
     "scaling_factor",
     "segment",
-    "unit_ball_volume",
 ]

@@ -35,15 +35,15 @@ The rest of the witness set-up also splits by line.  The threshold
 alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
 l1 alone (_witness_threshold), and l2's witness domain, [0, 1] or unbounded
 intersected with the effective window of f2, on l2 alone
-(_witness_domain).  RelationEvaluator resolves the first once per relation
-row and the second once per line, and passes both to relates_prob beside
-`gap`; a direct call without them computes them with the same helpers.
-phi is evaluated on the whole grid in one array call (_closest_sq_many
-and Profile.pdf).  The golden refinement evaluates it point by point:
-g2(s) is built as a list of Python floats from l2's coordinates, read once
-per pair, and projected onto l1 by the scalar _closest_sq, followed by one
-density call; neither path repeats the input validation of the public
-closest_point.
+(_witness_domain).  RelationEvaluator resolves every line's alpha, profile,
+witness domain, reach and threshold once, when it is built, and passes
+them to relates_prob beside `gap`; a direct call without them computes
+them with the same helpers.  phi is evaluated on the whole grid in one
+array call (_closest_sq_many and Profile.pdf).  The golden refinement
+evaluates it point by point: g2(s) is built as a list of Python floats from
+l2's coordinates, read once per pair, and projected onto l1 by the scalar
+_closest_sq, followed by one density call; neither path repeats the input
+validation of the public closest_point.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from .profiles import (
     scaling_factor,
 )
 
-PerLineAlpha = Union[float, Sequence[float], Mapping[int, float]]
-PerLineProfile = Union[Profile, Sequence[Optional[Profile]], Mapping[int, Optional[Profile]]]
+PerLineAlpha = Union[float, Sequence[float]]
+PerLineProfile = Union[Profile, Sequence[Optional[Profile]]]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_TOL = 1e-9  # parameter width at which the witness search stops refining
@@ -79,13 +79,13 @@ class NeighbourhoodSpec:
     """Version selector plus the parameters the chosen version needs.
 
     c is the cardinality threshold.  alpha and profile may be a single value
-    applied to every line, or a per-line sequence/mapping keyed by the line's
-    index in the dataset.  An explicit None profile entry declares a line
-    density-free (version 3 then falls back to the metric relation for that
-    line, and its whole extent acts as the witness set); an absent key is a
-    configuration error.  Per-line entries are checked when the spec is
-    built: a profile entry must be a Profile or None, an alpha entry a
-    finite positive real number other than a bool.
+    applied to every line, or a per-line sequence indexed like the dataset.
+    A None profile entry declares a line density-free (version 3 then falls
+    back to the metric relation for that line, and its whole extent acts as
+    the witness set).  Values are checked when the spec is built: a profile
+    must be a Profile (an entry may also be None), an alpha a finite
+    positive real number other than a bool.  A per-line sequence is checked
+    against the dataset's length when a RelationEvaluator is built.
     """
 
     version: int
@@ -112,14 +112,13 @@ class NeighbourhoodSpec:
         if isinstance(self.profile, (str, bytes)):
             raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
                                      f"string {self.profile!r} (parse_profile reads that form)")
-        for key, value in _per_line_entries(self.alpha):
+        for what, value in _entries(self.alpha, "alpha"):
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-                raise ConfigurationError(f"alpha at {key} must be a finite positive number, "
+                raise ConfigurationError(f"{what} must be a finite positive number, "
                                          f"got {value!r}")
-        for key, value in _per_line_entries(self.profile):
+        for what, value in _entries(self.profile, "profile"):
             if value is not None and not isinstance(value, Profile):
-                raise ConfigurationError(f"profile at {key} must be a Profile or None, "
-                                         f"got {value!r}")
+                raise ConfigurationError(f"{what} must be a Profile or None, got {value!r}")
         if self.version == 1:
             if self.alpha is None:
                 raise ConfigurationError("version 1 requires alpha")
@@ -143,38 +142,28 @@ class NeighbourhoodSpec:
             if self.volume is not None:
                 raise ConfigurationError("version 3 takes alpha directly, not a volume")
 
-    def alpha_for(self, i: int) -> float:
-        a = self.alpha
-        if a is None:
-            raise ConfigurationError("no alpha configured")
-        value = float(_per_line(a, i, "alpha") if isinstance(a, (Mapping, Sequence)) else a)
-        if not 0 < value < math.inf:
-            raise ConfigurationError(f"alpha must be finite and positive, got {value}")
-        return value
 
-    def profile_for(self, i: int) -> Profile | None:
-        p = self.profile
-        if p is None or isinstance(p, Profile):
-            return p
-        return _per_line(p, i, "profile entry")
-
-
-def _per_line_entries(values):
-    """(label, entry) for each entry of a per-line mapping or sequence, the
-    label naming its key or index; nothing for a single value."""
+def _entries(values, field: str):
+    """(label, entry) for each entry of a per-line sequence, the label naming
+    the field and index; (field, values) for a single value, nothing for
+    None."""
     if isinstance(values, Mapping):
-        return [(f"key {k!r}", v) for k, v in values.items()]
+        raise ConfigurationError(f"{field} must be a single value or a per-line sequence, "
+                                 f"not a mapping")
     if isinstance(values, Sequence):
-        return [(f"index {k}", v) for k, v in enumerate(values)]
-    return []
+        return [(f"{field} at index {k}", v) for k, v in enumerate(values)]
+    return [] if values is None else [(field, values)]
 
 
-def _per_line(values, i: int, what: str):
-    """Entry i of a per-line mapping or sequence."""
-    found = i in values if isinstance(values, Mapping) else 0 <= i < len(values)
-    if not found:
-        raise ConfigurationError(f"no {what} for line index {i}")
-    return values[i]
+def _per_line(values, n: int, field: str) -> list:
+    """values as a list of n per-line entries: a single value repeated, or a
+    per-line sequence of exactly n entries."""
+    if not isinstance(values, Sequence):
+        return [values] * n
+    if len(values) != n:
+        raise ConfigurationError(f"{field} has {len(values)} per-line entries "
+                                 f"for a dataset of {n} lines")
+    return list(values)
 
 
 # -- membership and version 1 ------------------------------------------------
@@ -358,65 +347,57 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
 
 # -- dispatch and neighbour sets ----------------------------------------------
 
-class RelationEvaluator:
-    """Evaluates the relation over a fixed dataset, with memoized per-line
-    derived quantities and a relation-evaluation counter.
+def _volume_alpha(spec: NeighbourhoodSpec, i: int, l: SegmentLike,
+                  p: Profile | None) -> float:
+    """Version 2's alpha for line i (l, with profile p), from the volume V."""
+    if p is None:
+        raise ConfigurationError(f"version 2 cannot derive alpha for line {i} without a profile")
+    if spec.alpha_mode == "exact-volume":
+        return exact_volume_scaling_factor(spec.volume, p, l, l.dim)
+    return scaling_factor(spec.volume, p, l, l.dim)
 
-    The dataset's array layout is built once: centres (n x dim) and
-    half-lengths (n), infinite for a line.  A relation row, line i against
-    a slice of the dataset, computes every pair's centre gap
-    |c_i - c_j| - h_i - h_j in one array expression (-inf where either
-    carrier is a line, which has no such bound), resolves line i's alpha and
-    profile once, and passes each gap to relates_v1 / relates_prob as the
-    caller's lower bound.  A witness row (line i with a profile) also
-    resolves line i's reach and threshold once and hands them to every
-    relates_prob call of the row.  neighbor_set(i) is that row over the
+
+class RelationEvaluator:
+    """Evaluates the relation over a fixed dataset, with per-line parameters
+    resolved once and a relation-evaluation counter.
+
+    Everything that depends on one line alone is resolved when the
+    evaluator is built, into lists indexed like the dataset: the array
+    layout (centres, n x dim, and half-lengths, infinite for a line), each
+    line's alpha (version 2 derives it from V through _volume_alpha),
+    profile and witness domain, and, for each line with a profile, its
+    reach and threshold.  A per-line alpha or profile sequence of the wrong
+    length, or a version 2 line without a profile, is a ConfigurationError
+    here, not at the first row that needs the entry.
+
+    A relation row, line i against a slice of the dataset, computes every
+    pair's centre gap |c_i - c_j| - h_i - h_j in one array expression (-inf
+    where either carrier is a line, which has no such bound) and passes
+    each gap, with the resolved parameters, to relates_v1 / relates_prob
+    as the caller's lower bound.  neighbor_set(i) is that row over the
     whole dataset and relates(i, j) is that row over line j alone; both
     count every pair in eval_count.
-
-    Cached per line and held by the evaluator alone, so nothing outlives
-    it: version 2 scaling factors, derived on a line's first row, and each
-    line's profile and witness domain, resolved on its first use as a
-    target.  A missing per-line alpha or profile entry therefore raises at
-    the relation call that needs it, not at construction.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
         self.U = list(U)
         self.spec = spec
         self.eval_count = 0
-        self._alpha_cache: dict[int, float] = {}
-        self._targets: dict[int, tuple[Profile | None, tuple[float, float]]] = {}
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
+        n = len(self.U)
         self.centre = np.array([l.center for l in self.U], dtype=np.float64)
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
-
-    def alpha_of(self, i: int) -> float:
-        spec = self.spec
-        if spec.version != 2:
-            return spec.alpha_for(i)
-        cached = self._alpha_cache.get(i)
-        if cached is None:
-            p = spec.profile_for(i)
-            if p is None:
-                raise ConfigurationError(
-                    f"version 2 cannot derive alpha for line {i} without a profile")
-            l = self.U[i]
-            if spec.alpha_mode == "exact-volume":
-                cached = exact_volume_scaling_factor(spec.volume, p, l, l.dim)
-            else:
-                cached = scaling_factor(spec.volume, p, l, l.dim)
-            self._alpha_cache[i] = cached
-        return cached
-
-    def _target(self, j: int) -> tuple[Profile | None, tuple[float, float]]:
-        """Line j's profile and witness domain, resolved on first use."""
-        got = self._targets.get(j)
-        if got is None:
-            p = self.spec.profile_for(j)
-            got = self._targets[j] = (p, _witness_domain(self.U[j], p))
-        return got
+        self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
+        if spec.version == 2:
+            self.alphas = [_volume_alpha(spec, i, l, p)
+                           for i, (l, p) in enumerate(zip(self.U, self.profiles))]
+        else:
+            self.alphas = [float(a) for a in _per_line(spec.alpha, n, "alpha")]
+        self.windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
+        # (reach, threshold) of each line with a profile, None for a metric line
+        self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
+                           for l, p, a, w in zip(self.U, self.profiles, self.alphas, self.windows)]
 
     def _related(self, i: int, js: slice) -> list[int]:
         """The lines of the dataset slice js that line i relates to."""
@@ -427,18 +408,15 @@ class RelationEvaluator:
         gaps -= self.half_len[i]
         gaps -= self.half_len[js]
         pairs = zip(lines, gaps.tolist())
-        spec, U, l1 = self.spec, self.U, self.U[i]
-        p1 = spec.profile_for(i)
-        alpha1 = self.alpha_of(i)
+        U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
         if p1 is None:
             # version 1, or a declared density-free line: the metric relation
             return [j for j, g in pairs if relates_v1(l1, U[j], alpha1, g)]
-        reach, threshold = _witness_threshold(l1, p1, alpha1, self._target(i)[1])
-        targets = [self._target(j) for j in lines]
-        samples = spec.search_samples
-        return [j for (j, g), (p2, window) in zip(pairs, targets)
-                if relates_prob(l1, p1, alpha1, U[j], p2, search_samples=samples, gap=g,
-                                reach=reach, threshold=threshold, window=window)]
+        reach, threshold = self.thresholds[i]
+        samples, profiles, windows = self.spec.search_samples, self.profiles, self.windows
+        return [j for j, g in pairs
+                if relates_prob(l1, p1, alpha1, U[j], profiles[j], search_samples=samples, gap=g,
+                                reach=reach, threshold=threshold, window=windows[j])]
 
     def relates(self, i: int, j: int) -> bool:
         """Does line i relate to line j."""

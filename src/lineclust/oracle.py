@@ -3,21 +3,14 @@
 Everything here is deliberately dumb and independent of the production
 routes: distances by dense grids, integrals by fixed-panel Simpson, point
 clustering by a textbook scan.  Only plain array arithmetic is shared with
-the rest of the package, except in relation_matrix, which decides every
-pair with the per-pair relation functions, without any per-row set-up, to
-check RelationEvaluator's rows against them.  Performance is not a goal.
+the rest of the package.  Performance is not a goal.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from .errors import ConfigurationError
 from .geometry import SegmentLike
-from .neighborhood import NeighbourhoodSpec, relates_prob, relates_v1
-from .profiles import exact_volume_scaling_factor, scaling_factor
 
 
 def grid_min_distance(l1: SegmentLike, l2: SegmentLike, step: float = 1e-3) -> float:
@@ -91,39 +84,6 @@ def reference_dbscan(points, eps: float, minpts: int):
                 if core[j]:
                     queue.extend(neighbours[j])
     return labels, core
-
-
-def relation_matrix(U: Sequence[SegmentLike], spec: NeighbourhoodSpec) -> np.ndarray:
-    """Exhaustive n x n relation table; row i holds 'i relates to j'.
-
-    Each pair is decided by relates_v1 / relates_prob alone, with alpha and
-    the profiles resolved from the spec here, no caller's bound and no
-    witness set-up, so relates_prob derives l1's reach and threshold and
-    l2's witness domain for every pair itself.  By not using them, the table
-    checks RelationEvaluator's row bound, its per-row witness set-up and its
-    per-line resolution rather than calling them.  The diagonal is true
-    wherever the line can reach its own density; the matrix need not be
-    symmetric.
-    """
-    n = len(U)
-    M = np.zeros((n, n), dtype=bool)
-    for i, l1 in enumerate(U):
-        p1 = spec.profile_for(i)
-        if spec.version != 2:
-            alpha1 = spec.alpha_for(i)
-        elif p1 is None:
-            raise ConfigurationError(f"version 2 needs a profile for line {i}")
-        elif spec.alpha_mode == "exact-volume":
-            alpha1 = exact_volume_scaling_factor(spec.volume, p1, l1, l1.dim)
-        else:
-            alpha1 = scaling_factor(spec.volume, p1, l1, l1.dim)
-        for j, l2 in enumerate(U):
-            if p1 is None:
-                M[i, j] = relates_v1(l1, l2, alpha1)
-            else:
-                M[i, j] = relates_prob(l1, p1, alpha1, l2, spec.profile_for(j),
-                                       search_samples=spec.search_samples)
-    return M
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -158,36 +158,21 @@ class Profile:
         return Support(0.0, math.inf)  # gamma, exponential
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF at q in (0, 1)."""
+        """Inverse CDF at q in (0, 1), for the families with an unbounded
+        support; effective_window returns a bounded support whole and never
+        asks for its quantiles."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
         fam, p = self.family, self.params
-        if fam == "uniform":
-            a, b = p
-            return a + (b - a) * q
         if fam == "normal":
             mu, var = p
             return mu + math.sqrt(2.0 * var) * float(special.erfinv(2.0 * q - 1.0))
         if fam == "gamma":
             k, lam = p
             return float(special.gammaincinv(k, q)) / lam
-        if fam == "beta":
-            a1, a2 = p
-            return float(special.betaincinv(a1, a2, q))
         if fam == "exponential":
             return -math.log1p(-q) / p[0]
-        # ellipsoidal: invert the semicircle CDF by bisection
-        a = p[0]
-        lo, hi = -a, a
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            u = mid / a
-            cdf = 0.5 + (u * math.sqrt(max(0.0, 1.0 - u * u)) + math.asin(u)) / math.pi
-            if cdf < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        raise ValueError(f"quantile is not implemented for the bounded {fam} family")
 
     def mode(self) -> float:
         """Parameter of the density maximum (every family is unimodal)."""

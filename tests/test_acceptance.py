@@ -148,7 +148,7 @@ def test_criterion_04_relation_properties():
 
     l1 = segment((0, 0), (1, 0))
     l2 = segment((0, 2), (1, 2))
-    witness = NeighbourhoodSpec(version=1, c=1, alpha={0: 3.0, 1: 0.5})
+    witness = NeighbourhoodSpec(version=1, c=1, alpha=[3.0, 0.5])
     assert RelationEvaluator([l1, l2], witness).relates(0, 1)
     assert not RelationEvaluator([l1, l2], witness).relates(1, 0)
 

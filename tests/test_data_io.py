@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lineclust.data_io import (
     write_segments_csv,
     write_svg,
 )
-from lineclust.engine import RunConfig, run_expand
+from lineclust.engine import RunConfig, run_expand, run_literal
 from lineclust.errors import ParseError
 from lineclust.neighborhood import NeighbourhoodSpec
 
@@ -325,6 +326,19 @@ class TestResults:
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
         assert doc["seed"] == 8 and doc["mode"] == "expand"
+
+    def test_documents_match_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((Path(__file__).parent.parent / "docs" /
+                             "result_document.schema.json").read_text())
+        U, expand = self._labels()
+        literal = run_literal(U, RunConfig(spec=NeighbourhoodSpec(version=1, c=4, alpha=12.0),
+                                           mode="literal", rng_seed=0))
+        members = [m for cluster in literal.clusters for m in cluster]
+        assert len(members) > len(set(members))  # a line in several clusters
+        for labels in (expand, literal):
+            doc = result_document(labels, config={"version": 1, "alpha": 12.0})
+            jsonschema.validate(doc, schema)
 
 
 class TestSvg:

@@ -265,6 +265,7 @@ class TestPublicApi:
 
     def test_removed_wrappers_not_exported(self):
         for name in ("relates", "neighbor_set", "is_core", "relation_eval_count",
-                     "param_point", "length"):
+                     "param_point", "length", "relates_v1", "relates_prob",
+                     "unit_ball_volume", "ClosestPointResult", "Support", "LiftedPoint"):
             assert name not in lineclust.__all__
             assert not hasattr(lineclust, name)

@@ -59,32 +59,56 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError,
                            match="profile at index 0 must be a Profile or None, got 'uniform:0,1'"):
             NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=["uniform:0,1", "uniform:0,1"])
-        with pytest.raises(ConfigurationError, match="profile at key 1 must be a Profile or None"):
-            NeighbourhoodSpec(version=2, c=1, volume=2.0, profile={0: U01, 1: 0.5})
+        with pytest.raises(ConfigurationError,
+                           match="profile at index 1 must be a Profile or None"):
+            NeighbourhoodSpec(version=2, c=1, volume=2.0, profile=[U01, 0.5])
+        with pytest.raises(ConfigurationError, match="profile must be a Profile or None, got 0.5"):
+            NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=0.5)
 
     def test_per_line_alpha_must_be_a_number(self):
         with pytest.raises(ConfigurationError, match="alpha at index 1 .* got 'x'"):
             NeighbourhoodSpec(version=1, c=1, alpha=[1.0, "x"])
 
     def test_per_line_alpha_must_not_be_a_bool(self):
-        with pytest.raises(ConfigurationError, match="alpha at key 1 .* got True"):
-            NeighbourhoodSpec(version=1, c=1, alpha={0: 1.0, 1: True})
+        with pytest.raises(ConfigurationError, match="alpha at index 1 .* got True"):
+            NeighbourhoodSpec(version=1, c=1, alpha=[1.0, True])
+
+    def test_single_alpha_must_not_be_a_bool(self):
+        # True is a Real equal to 1, so without the check it would read as alpha = 1.0
+        with pytest.raises(ConfigurationError, match="alpha must be a finite positive number, "
+                                                     "got True"):
+            NeighbourhoodSpec(version=1, c=1, alpha=True)
+
+    def test_alpha_array_rejected(self):
+        # an ndarray is neither one number nor a Sequence of per-line numbers
+        with pytest.raises(ConfigurationError, match=r"alpha must be a finite positive number, "
+                                                     r"got array\(\[1\., 2\.\]\)"):
+            NeighbourhoodSpec(version=1, c=1, alpha=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("kwargs, what", [
+        (dict(version=1, c=1, alpha={0: 2.0, 1: 0.5}), "alpha"),
+        (dict(version=3, c=1, alpha=1.0, profile={0: U01, 1: None}), "profile"),
+    ])
+    def test_mapping_rejected(self, kwargs, what):
+        with pytest.raises(ConfigurationError,
+                           match=f"{what} must be a single value or a per-line sequence, "
+                                 f"not a mapping"):
+            NeighbourhoodSpec(**kwargs)
 
     def test_per_line_lookup(self):
-        spec = NeighbourhoodSpec(version=1, c=1, alpha={0: 2.0, 1: 0.5})
-        assert spec.alpha_for(0) == 2.0
-        assert spec.alpha_for(1) == 0.5
-        with pytest.raises(ConfigurationError):
-            spec.alpha_for(2)
-        with pytest.raises(ConfigurationError):
-            spec.alpha_for(None)
+        spec = NeighbourhoodSpec(version=1, c=1, alpha=[2, 0.5])
+        ev = RelationEvaluator([UNIT, UNIT], spec)
+        assert ev.alphas == [2.0, 0.5]
+        assert ev.profiles == [None, None]
+        single = RelationEvaluator([UNIT, UNIT], NeighbourhoodSpec(version=1, c=1, alpha=3.0))
+        assert single.alphas == [3.0, 3.0]
 
     def test_sequence_profile_none_is_allowed_but_gap_is_not(self):
         spec = NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=[U01, None])
-        assert spec.profile_for(0) == U01
-        assert spec.profile_for(1) is None
-        with pytest.raises(ConfigurationError):
-            spec.profile_for(2)
+        assert RelationEvaluator([UNIT, UNIT], spec).profiles == [U01, None]
+        with pytest.raises(ConfigurationError,
+                           match="profile has 2 per-line entries for a dataset of 3 lines"):
+            RelationEvaluator([UNIT, UNIT, UNIT], spec)
 
     @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0])
     def test_volume_must_be_finite_and_positive(self, volume):
@@ -93,16 +117,13 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_alpha_must_be_finite_and_positive(self, bad):
-        for spec, i in ((NeighbourhoodSpec(version=1, c=2, alpha=bad), 0),
-                        (NeighbourhoodSpec(version=3, c=2, alpha=bad, profile=U01), 0)):
-            with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
-                spec.alpha_for(i)
-        # a per-line value is checked when the spec is built
+        # a single value and a per-line value are both checked when the spec is built
+        for kwargs in (dict(version=1, c=2, alpha=bad),
+                       dict(version=3, c=2, alpha=bad, profile=U01)):
+            with pytest.raises(ConfigurationError, match="alpha must be a finite positive"):
+                NeighbourhoodSpec(**kwargs)
         with pytest.raises(ConfigurationError, match="alpha at index 1 must be a finite positive"):
             NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad])
-        ev = RelationEvaluator([UNIT, UNIT], NeighbourhoodSpec(version=1, c=1, alpha=bad))
-        with pytest.raises(ConfigurationError, match="alpha must be finite and positive"):
-            ev.neighbor_set(0)
 
 
 class TestContainsPoint:
@@ -295,7 +316,7 @@ class TestDispatch:
     def test_asymmetry_witness(self):
         l1 = segment((0, 0), (1, 0))
         l2 = segment((0, 2), (1, 2))
-        spec = NeighbourhoodSpec(version=1, c=1, alpha={0: 3.0, 1: 0.5})
+        spec = NeighbourhoodSpec(version=1, c=1, alpha=[3.0, 0.5])
         assert RelationEvaluator([l1, l2], spec).relates(0, 1)
         assert not RelationEvaluator([l1, l2], spec).relates(1, 0)
 
@@ -342,15 +363,22 @@ class TestNeighborSet:
         ev.neighbor_set(1)
         assert ev.eval_count == 4
 
-    def test_v2_alpha_memoized(self):
+    def test_v2_alpha_memoized(self, monkeypatch):
+        # derived once per line when the evaluator is built, never by a row
+        calls = []
+
+        def counted(*args, _real=neighborhood.scaling_factor):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(neighborhood, "scaling_factor", counted)
         U = [segment((0, 0, 0), (1, 0, 0)), segment((0, 0.5, 0), (1, 0.5, 0))]
         spec = NeighbourhoodSpec(version=2, c=1, volume=math.pi, profile=U01)
         ev = RelationEvaluator(U, spec)
+        assert len(calls) == len(U)
         ev.neighbor_set(0)
-        first = dict(ev._alpha_cache)
         ev.neighbor_set(0)
-        assert ev._alpha_cache == first
-        assert ev.alpha_of(0) == pytest.approx(1.0, rel=1e-9)
+        assert len(calls) == len(U)
+        assert ev.alphas == pytest.approx([1.0, 1.0], rel=1e-9)
 
 
 class TestInfiniteLineTargets:
@@ -409,7 +437,7 @@ class TestRowKernel:
             profiles = [p or U01 for p in profiles]
         for a in anchors:
             profiles[a] = U01  # the threshold is reached at the segment's end
-        alpha = None if version == 2 else {i: float(rng.uniform(0.3, 2.0)) for i in range(n)}
+        alpha = None if version == 2 else [float(rng.uniform(0.3, 2.0)) for _ in range(n)]
         spec = NeighbourhoodSpec(version=version, c=1, alpha=alpha,
                                  volume=3.0 if version == 2 else None,
                                  profile=None if version == 1 else profiles)
@@ -419,7 +447,7 @@ class TestRowKernel:
             if version == 2:
                 threshold = scaling_factor(spec.volume, U01, l1, dim)
             else:
-                threshold = spec.alpha_for(a)  # uniform(0, 1) peaks at 1
+                threshold = spec.alpha[a]  # uniform(0, 1) peaks at 1
             unit = l1.direction / math.sqrt(l1.sq_length)
             ids = []
             for rel in (1.0 - 1e-9, 1.0 + 1e-9):
@@ -438,17 +466,18 @@ class TestRowKernel:
     def test_rows_match_unbounded_pairs(self, version, dim, seed):
         U, spec, near = self._dataset(version, dim, seed)
         ev = RelationEvaluator(U, spec)
+        profiles = spec.profile or [None] * len(U)
         for i, l1 in enumerate(U):
-            p1 = spec.profile_for(i)
+            p1 = profiles[i]
             if version == 2:
                 alpha1 = scaling_factor(spec.volume, p1, l1, dim)
             else:
-                alpha1 = spec.alpha_for(i)
+                alpha1 = spec.alpha[i]
             if p1 is None:
                 expected = {j for j, l2 in enumerate(U) if relates_v1(l1, l2, alpha1)}
             else:
                 expected = {j for j, l2 in enumerate(U)
-                            if relates_prob(l1, p1, alpha1, l2, spec.profile_for(j))}
+                            if relates_prob(l1, p1, alpha1, l2, profiles[j])}
             assert ev.neighbor_set(i) == expected, f"row {i}"
             assert {j for j in range(len(U)) if ev.relates(i, j)} == expected, f"row {i}"
         # the pairs beside the bound reach both outcomes
@@ -464,17 +493,19 @@ class TestRowKernel:
         assert ev.eval_count == 1 + len(U)
 
     def test_missing_per_line_entries_raise(self):
+        # a per-line sequence must cover the dataset exactly, checked when
+        # the evaluator is built rather than at the first row that needs it
         U = [UNIT, segment((0, 1), (1, 1))]
-        no_alpha = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha={0: 2.0}))
-        assert no_alpha.neighbor_set(0) == {0, 1}
-        for call in (lambda: no_alpha.neighbor_set(1), lambda: no_alpha.relates(1, 0)):
-            with pytest.raises(ConfigurationError, match="no alpha for line index 1"):
-                call()
-        no_profile = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0,
-                                                            profile={0: U01}))
-        for call in (lambda: no_profile.neighbor_set(1), lambda: no_profile.relates(0, 1)):
-            with pytest.raises(ConfigurationError, match="no profile entry for line index 1"):
-                call()
+        for entries in (1, 3):
+            message = f"has {entries} per-line entries for a dataset of 2 lines"
+            with pytest.raises(ConfigurationError, match="alpha " + message):
+                RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=[2.0] * entries))
+            with pytest.raises(ConfigurationError, match="profile " + message):
+                RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0,
+                                                       profile=[U01] * entries))
+            with pytest.raises(ConfigurationError, match="profile " + message):
+                RelationEvaluator(U, NeighbourhoodSpec(version=2, c=1, volume=1.0,
+                                                       profile=[U01] * entries))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="same dimension"):
@@ -483,8 +514,9 @@ class TestRowKernel:
 
 
 class TestWitnessSetUp:
-    """The witness set-up a RelationEvaluator resolves once per row (line i's
-    reach and threshold) and once per line (line j's witness domain)."""
+    """The witness set-up a RelationEvaluator resolves once per line when it
+    is built: each profiled line's reach and threshold, and every line's
+    witness domain."""
 
     @staticmethod
     def _dataset():
@@ -506,12 +538,12 @@ class TestWitnessSetUp:
         ev = RelationEvaluator(U, spec)
         decided = {}
         for i, l1 in enumerate(U):
-            p1 = spec.profile_for(i)
+            p1 = spec.profile[i]
             if p1 is None:
                 continue
             reach, threshold = _witness_threshold(l1, p1, 1.0, _witness_domain(l1, p1))
             for j, l2 in enumerate(U):
-                p2 = spec.profile_for(j)
+                p2 = spec.profile[j]
                 bare = relates_prob(l1, p1, 1.0, l2, p2)
                 assert relates_prob(l1, p1, 1.0, l2, p2, reach=reach, threshold=threshold,
                                     window=_witness_domain(l2, p2)) == bare, (i, j)
@@ -531,18 +563,15 @@ class TestWitnessSetUp:
                 return _real(*args)
             monkeypatch.setattr(neighborhood, name, counted)
         U, spec, _ = TestRowKernel._dataset(3, 2, 0)
-        profiled = [j for j in range(len(U)) if spec.profile_for(j) is not None]
+        profiled = [j for j in range(len(U)) if spec.profile[j] is not None]
         assert 0 < len(profiled) < len(U)
-        counts = []
         for _ in range(2):  # a second evaluator resolves everything again
             calls.update(peak_density=0, effective_window=0)
             ev = RelationEvaluator(U, spec)
+            # one threshold and one witness domain per profiled line, when built
+            built = {"peak_density": len(profiled), "effective_window": len(profiled)}
+            assert calls == built
             for i in range(len(U)):
-                before = calls["peak_density"]
                 ev.neighbor_set(i)
-                assert calls["peak_density"] - before == (i in profiled), f"row {i}"
             ev.relates(profiled[0], profiled[-1])
-            assert calls["peak_density"] == len(profiled) + 1
-            assert calls["effective_window"] == len(profiled)
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
+            assert calls == built

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from lineclust.geometry import line, min_distance, segment
-from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator
 from lineclust.oracle import (
     adjusted_rand_index,
     grid_min_distance,
     reference_dbscan,
-    relation_matrix,
     simpson_integral,
 )
 
@@ -73,27 +71,6 @@ class TestReferenceDbscan:
         labels, core = reference_dbscan(pts, eps=0.8, minpts=3)
         assert list(core) == [False, True, True, False]
         assert list(labels) == [1, 1, 1, 1]
-
-
-class TestRelationMatrix:
-    def test_single_line(self):
-        M = relation_matrix([segment((0, 0), (1, 0))],
-                            NeighbourhoodSpec(version=1, c=1, alpha=1.0))
-        assert M.shape == (1, 1) and M[0, 0]
-
-    def test_asymmetry_witness(self):
-        U = [segment((0, 0), (1, 0)), segment((0, 2), (1, 2))]
-        spec = NeighbourhoodSpec(version=1, c=1, alpha={0: 3.0, 1: 0.5})
-        M = relation_matrix(U, spec)
-        assert M.tolist() == [[True, True], [False, True]]
-
-    def test_matches_neighbor_sets(self):
-        U = [segment((0, 0), (1, 0)), segment((1.5, 0), (2.5, 0)), segment((3, 0), (4, 0))]
-        spec = NeighbourhoodSpec(version=1, c=1, alpha=1.0)
-        M = relation_matrix(U, spec)
-        ev = RelationEvaluator(U, spec)
-        for i in range(3):
-            assert set(np.flatnonzero(M[i])) == ev.neighbor_set(i)
 
 
 class TestAri:

@@ -90,6 +90,12 @@ class TestSupportAndWindow:
         assert effective_window(Profile.uniform(0, 1), 1e-6) == (0.0, 1.0)
         assert effective_window(Profile.beta(2, 2), 1e-6) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("p", [Profile.uniform(0, 1), Profile.beta(2, 2),
+                                   Profile.ellipsoidal(1.5, 1)])
+    def test_bounded_family_has_no_quantile(self, p):
+        with pytest.raises(ValueError, match=f"bounded {p.family} family"):
+            p.quantile(0.5)
+
     def test_normal_window_matches_cdf_inversion(self):
         # eps = Phi(-2) puts the window at +/- 2 sigma
         eps = 0.5 * math.erfc(2.0 / math.sqrt(2.0))
