@@ -19,18 +19,7 @@ from .geometry import (
 )
 from .missing_data import AxisDomain, LiftResult, lift, lift_dataset
 from .neighborhood import NeighbourhoodSpec, RelationEvaluator, contains_point
-from .profiles import (
-    Profile,
-    adaptive_quadrature,
-    density,
-    effective_window,
-    exact_volume_scaling_factor,
-    format_profile,
-    neighbourhood_volume,
-    parse_profile,
-    peak_density,
-    scaling_factor,
-)
+from .profiles import Profile, effective_window, neighbourhood_volume, scaling_factor
 
 __version__ = "0.1.0"
 
@@ -48,20 +37,14 @@ __all__ = [
     "RunConfig",
     "SegmentLike",
     "UnsupportedRecordError",
-    "adaptive_quadrature",
     "closest_point",
     "contains_point",
-    "density",
     "effective_window",
-    "exact_volume_scaling_factor",
-    "format_profile",
     "lift",
     "lift_dataset",
     "line",
     "min_distance",
     "neighbourhood_volume",
-    "parse_profile",
-    "peak_density",
     "run",
     "run_expand",
     "run_literal",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("literal", "expand"):
             raise ValueError(f"mode must be 'literal' or 'expand', got {self.mode!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ConfigurationError(f"rng_seed must be a non-negative integer, got {seed!r}")
         if self.threads != 1:
             raise ConfigurationError(f"threads must be 1, got {self.threads!r}")
 

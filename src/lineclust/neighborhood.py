@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional, Union
 
 import numpy as np
@@ -84,8 +84,9 @@ class NeighbourhoodSpec:
     back to the metric relation for that line, and its whole extent acts as
     the witness set).  Values are checked when the spec is built: a profile
     must be a Profile (an entry may also be None), an alpha a finite
-    positive real number other than a bool.  A per-line sequence is checked
-    against the dataset's length when a RelationEvaluator is built.
+    positive real number, and version, c and search_samples integers; a
+    bool is neither.  A per-line sequence is checked against the dataset's
+    length when a RelationEvaluator is built.
     """
 
     version: int
@@ -97,6 +98,10 @@ class NeighbourhoodSpec:
     search_samples: int = 64
 
     def __post_init__(self):
+        for name in ("version", "c", "search_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.version not in (1, 2, 3):
             raise ConfigurationError(f"version must be 1, 2 or 3, got {self.version}")
         if self.c < 1:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -251,6 +256,12 @@ class TestInstrumentation:
         with pytest.raises(ValueError):
             RunConfig(spec=V1(1), mode="both", rng_seed=0)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # True would otherwise run as seed 1, and -1 or 1.5 fail only inside run
+        with pytest.raises(ConfigurationError, match="rng_seed must be a non-negative integer"):
+            RunConfig(spec=V1(1), rng_seed=seed)
+
     def test_threads_other_than_one_rejected(self):
         RunConfig(spec=V1(1), threads=1)
         for threads in (0, 2, 4):
@@ -258,7 +269,35 @@ class TestInstrumentation:
                 RunConfig(spec=V1(1), threads=threads)
 
 
+# a version 1 run, a version 2 run with a normal profile and a lifted version 3
+# run, in a process where any import of scipy fails
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from lineclust import (AxisDomain, NeighbourhoodSpec, Profile, RunConfig,
+                       lift_dataset, run, segment)
+U = [segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.5), (1.0, 0.5)),
+     segment((9.0, 0.0), (10.0, 0.0))]
+specs = [NeighbourhoodSpec(version=1, c=2, alpha=1.0),
+         NeighbourhoodSpec(version=2, c=2, volume=1.0, profile=Profile.normal(0.5, 0.04))]
+for spec in specs:
+    print(run(U, RunConfig(spec=spec)).memberships)
+lifted = lift_dataset([[0.0, 0.0], [0.2, None], [9.0, 9.0]],
+                      {1: AxisDomain(axis=1, window=(-1.0, 1.0))})
+spec = NeighbourhoodSpec(version=3, c=2, alpha=0.5, profile=lifted.profiles)
+print(run(lifted.segments, RunConfig(spec=spec)).memberships)
+"""
+
+
 class TestPublicApi:
+    def test_runs_without_scipy(self):
+        # scipy is imported only for a gamma window; none of these runs needs one
+        env = dict(os.environ, PYTHONPATH=str(Path(lineclust.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[[1], [1], []]", "[[1], [1], []]", "[[1], [1], []]"]
+
     def test_every_exported_name_resolves(self):
         for name in lineclust.__all__:
             assert getattr(lineclust, name) is not None, name
@@ -266,6 +305,8 @@ class TestPublicApi:
     def test_removed_wrappers_not_exported(self):
         for name in ("relates", "neighbor_set", "is_core", "relation_eval_count",
                      "param_point", "length", "relates_v1", "relates_prob",
-                     "unit_ball_volume", "ClosestPointResult", "Support", "LiftedPoint"):
+                     "unit_ball_volume", "ClosestPointResult", "Support", "LiftedPoint",
+                     "adaptive_quadrature", "density", "peak_density",
+                     "exact_volume_scaling_factor", "format_profile", "parse_profile"):
             assert name not in lineclust.__all__
             assert not hasattr(lineclust, name)

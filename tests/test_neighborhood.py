@@ -44,6 +44,20 @@ class TestSpecValidation:
             NeighbourhoodSpec(**kwargs)
 
     @pytest.mark.parametrize("kwargs, what", [
+        (dict(version=True, c=2, alpha=1.0), "version"),
+        (dict(version=2.0, c=2, volume=2.0, profile=U01), "version"),
+        (dict(version=1, c=2.5, alpha=1.0), "c"),
+        (dict(version=1, c=True, alpha=1.0), "c"),
+        (dict(version=3, c=2, alpha=1.0, profile=U01, search_samples=8.5), "search_samples"),
+        (dict(version=3, c=2, alpha=1.0, profile=U01, search_samples=False), "search_samples"),
+    ])
+    def test_integer_fields_must_be_integers(self, kwargs, what):
+        # True would otherwise run as version 1, and search_samples=8.5 would
+        # fail only at the first witness row
+        with pytest.raises(ConfigurationError, match=f"{what} must be an integer"):
+            NeighbourhoodSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, what", [
         (dict(version=1, c=2, alpha="2"), "alpha"),
         (dict(version=3, c=2, alpha="2", profile=U01), "alpha"),
         (dict(version=1, c=2, alpha=b"2"), "alpha"),

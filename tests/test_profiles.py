@@ -89,12 +89,7 @@ class TestSupportAndWindow:
     def test_bounded_window_is_support(self):
         assert effective_window(Profile.uniform(0, 1), 1e-6) == (0.0, 1.0)
         assert effective_window(Profile.beta(2, 2), 1e-6) == (0.0, 1.0)
-
-    @pytest.mark.parametrize("p", [Profile.uniform(0, 1), Profile.beta(2, 2),
-                                   Profile.ellipsoidal(1.5, 1)])
-    def test_bounded_family_has_no_quantile(self, p):
-        with pytest.raises(ValueError, match=f"bounded {p.family} family"):
-            p.quantile(0.5)
+        assert effective_window(Profile.ellipsoidal(1.5, 1), 1e-6) == (-1.5, 1.5)
 
     def test_normal_window_matches_cdf_inversion(self):
         # eps = Phi(-2) puts the window at +/- 2 sigma
@@ -109,6 +104,19 @@ class TestSupportAndWindow:
         lo, hi = effective_window(Profile.exponential(lam), eps)
         assert hi == pytest.approx(-math.log(eps) / lam)
         assert lo == pytest.approx(-math.log1p(-eps) / lam)
+
+    def test_gamma_window_cuts_eps_from_each_tail(self):
+        # checked against Simpson integrals of the pdf, not through gammaincinv;
+        # the gamma mass beyond hi + (60 + 10k) / rate is negligible
+        eps = 1e-3
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            k, rate = rng.uniform(1, 10), rng.uniform(0.2, 10)
+            p = Profile.gamma(k, rate)
+            lo, hi = effective_window(p, eps)
+            assert simpson_integral(p.pdf, 0.0, lo) == pytest.approx(eps, abs=1e-6)
+            assert simpson_integral(p.pdf, hi, hi + (60 + 10 * k) / rate) == pytest.approx(
+                eps, abs=1e-6)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
