@@ -193,11 +193,16 @@ def _per_line_profiles(path, ids) -> list[Profile | None]:
     if missing:
         raise ConfigurationError(f"{path}: profile map lacks entries for "
                                  f"{len(missing)} record(s), e.g. {missing[:3]}")
+    profiles = []
     for rid in ids:
         if mapping[rid] is not None and not isinstance(mapping[rid], str):
             raise ConfigurationError(f"{path}: profile for record {rid!r} must be a "
                                      f"string or null, got {mapping[rid]!r}")
-    return [None if mapping[rid] is None else parse_profile(mapping[rid]) for rid in ids]
+        try:
+            profiles.append(None if mapping[rid] is None else parse_profile(mapping[rid]))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: profile for record {rid!r}: {exc}") from None
+    return profiles
 
 
 def cmd_cluster(args, options: dict[str, argparse.Action]) -> int:
@@ -298,11 +303,12 @@ def _parse_axis(text: str) -> AxisDomain:
     prof_text, at, window_text = spec.partition("@")
     template = parse_profile(prof_text)
     if at:
-        lo_hi = window_text.split(",")
-        if len(lo_hi) != 2:
-            raise ConfigurationError(f"--axis window needs lo,hi after @, got {text!r}")
-        window = (float(lo_hi[0]), float(lo_hi[1]))
-        return AxisDomain(axis=k - 1, window=window, profile_template=template)
+        try:  # a wrong count fails to unpack, a non-number to convert
+            lo, hi = map(float, window_text.split(","))
+        except ValueError:
+            raise ConfigurationError(f"--axis window needs numbers lo,hi after @, "
+                                     f"got {text!r}") from None
+        return AxisDomain(axis=k - 1, window=(lo, hi), profile_template=template)
     if template.family != "uniform":
         raise ConfigurationError(
             f"--axis {text!r}: non-uniform templates need an explicit @lo,hi window")

@@ -12,7 +12,9 @@ operation on a 2- to 7-element array costs a fixed dispatch overhead far
 larger than its arithmetic, and a relation row makes one such solve per
 pair.  Work over many points at once, the witness grid of
 `_closest_sq_many`, stays in numpy, where that overhead is paid once per
-array.
+array.  `min_distance` is one clamp-project-reclamp solve, exact in at
+most two steps for any two non-degenerate carriers; a point operand takes
+the cheaper projection of `_closest_sq` instead.
 """
 
 from __future__ import annotations
@@ -177,22 +179,20 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
 
     With r = x1 - x2, |g1(t1) - g2(t2)|^2 is a convex quadratic in (t1, t2)
     whose coefficients are the scalars a = d1.d1, b = d1.d2, c = d2.d2,
-    d = d1.r and e = d2.r.  The unconstrained minimizer solves the 2x2
-    normal equations.  One boundary-edge enumeration covers every pair
-    whose unconstrained optimum is infeasible (the minimum lies on an edge,
-    and minimizing over the other parameter leaves a convex function of the
-    edge's, so its clamped end is one of the endpoints tried) and every
-    parallel pair (singular normal matrix) except two lines.  Its endpoint
-    parameters come from the same scalars, clamped to the other carrier
-    when it is a segment: l1's ends project onto l2 at e/c and (e + b)/c,
-    l2's ends onto l1 at -d/a and (b - d)/a.  Each candidate is scored by
-    the squared length of the point difference r + d1*t1 - d2*t2, not by
-    the expanded quadratic, which cancels; one root is taken, for the
-    winner.  Two parallel lines have no endpoints: their gap is constant
-    and (t1=0, perpendicular partner) is returned.  A point operand
-    (degenerate segment) is projected onto the other carrier by
-    `_closest_sq`.  A carrier against itself is (0, 0, 0), what the
-    enumeration would give.
+    d = d1.r and e = d2.r.  One clamp-project-reclamp solve (Lumelsky 1985;
+    Ericson 2005, 5.1.9) is exact for every segment/line mix, parallel pairs
+    included.  For a fixed t1 the best t2 is (b*t1 + e)/c; minimizing over
+    that free t2 leaves a convex function of t1, so its minimizer
+    (b*e - c*d)/(a*c - b^2), clamped to l1's domain, is optimal whenever its
+    best t2 is feasible (a parallel pair leaves a constant: t1 = 0).  When
+    that t2 is not, the KKT conditions put the optimum on the end of l2 it
+    overshot, and t1 becomes that endpoint's clamped projection (b*t2 - d)/a.
+    The distance is the root of the squared length of the point difference
+    r + d1*t1 - d2*t2, not of the expanded quadratic, which cancels.  A point
+    operand (degenerate segment) is projected onto the other carrier by
+    `_closest_sq`: the solve would divide by its zero length, and the early
+    path is twice as fast on the point-point pairs of lifted data.  A carrier
+    against itself is (0, 0, 0), what the solve would give.
     """
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
@@ -218,27 +218,9 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     seg1 = l1.kind == "segment"
     seg2 = l2.kind == "segment"
     den = a * c - b * b  # >= 0, zero iff parallel
-    if den > 1e-14 * a * c:
-        t1 = (b * e - c * d) / den
-        t2 = (a * e - b * d) / den
-        if (not seg1 or 0.0 <= t1 <= 1.0) and (not seg2 or 0.0 <= t2 <= 1.0):
-            return MinDistance(math.sqrt(_gap_sq(r, d1, t1, d2, t2)), t1, t2)
-    elif not seg1 and not seg2:
-        # parallel lines: constant gap, return t1=0 and its perpendicular foot
-        t2 = e / c
-        return MinDistance(math.sqrt(_gap_sq(r, d1, 0.0, d2, t2)), 0.0, t2)
-
-    # boundary-edge enumeration: a line has no endpoints, so with one line
-    # operand only the segment's endpoints are tried, and their projections
-    # include the clamped one; compare squared distances, root the winner
-    candidates = []
-    if seg1:
-        candidates += [(0.0, _clamp(e / c, seg2)), (1.0, _clamp((e + b) / c, seg2))]
-    if seg2:
-        candidates += [(_clamp(-d / a, seg1), 0.0), (_clamp((b - d) / a, seg1), 1.0)]
-    best = None
-    for t1, t2 in candidates:
-        sq = _gap_sq(r, d1, t1, d2, t2)
-        if best is None or sq < best[0]:
-            best = (sq, t1, t2)
-    return MinDistance(math.sqrt(best[0]), best[1], best[2])
+    t1 = _clamp((b * e - c * d) / den, seg1) if den > 1e-14 * a * c else 0.0
+    t2 = (b * t1 + e) / c
+    if seg2 and not 0.0 <= t2 <= 1.0:  # the optimum is on l2's violated end
+        t2 = 0.0 if t2 < 0.0 else 1.0
+        t1 = _clamp((b * t2 - d) / a, seg1)
+    return MinDistance(math.sqrt(_gap_sq(r, d1, t1, d2, t2)), t1, t2)

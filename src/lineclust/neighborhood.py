@@ -83,10 +83,10 @@ class NeighbourhoodSpec:
     A None profile entry declares a line density-free (version 3 then falls
     back to the metric relation for that line, and its whole extent acts as
     the witness set).  Values are checked when the spec is built: a profile
-    must be a Profile (an entry may also be None), an alpha a finite
-    positive real number, and version, c and search_samples integers; a
-    bool is neither.  A per-line sequence is checked against the dataset's
-    length when a RelationEvaluator is built.
+    must be a Profile (an entry may also be None), an alpha and a volume a
+    finite positive real number, and version, c and search_samples
+    integers; a bool is neither.  A per-line sequence is checked against
+    the dataset's length when a RelationEvaluator is built.
     """
 
     version: int
@@ -132,9 +132,9 @@ class NeighbourhoodSpec:
             if self.volume is not None:
                 raise ConfigurationError("version 1 takes no volume")
         elif self.version == 2:
-            if self.volume is None or not 0 < self.volume < math.inf:
-                raise ConfigurationError(
-                    f"version 2 requires a finite positive volume V, got {self.volume}")
+            V = self.volume
+            if isinstance(V, bool) or not isinstance(V, Real) or not 0 < V < math.inf:
+                raise ConfigurationError(f"version 2 requires a finite positive volume V, got {V!r}")
             if self.profile is None:
                 raise ConfigurationError("version 2 requires a profile")
             if self.alpha is not None:

@@ -196,6 +196,16 @@ class TestCluster:
                        "--out", tmp_path / "r.json") == 2
         assert f"{cfg}:2:2: malformed JSON" in capsys.readouterr().err
 
+    def test_bad_profile_entry_names_file_and_record(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0.4,1,0.4\n")
+        profiles = tmp_path / "p.json"
+        profiles.write_text(json.dumps({"a": "uniform:0,1", "b": "normal:0.5"}))
+        assert run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", 1,
+                       "--profiles", profiles, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert f"error: {profiles}: profile for record 'b': normal needs variance" in err
+
     def test_malformed_profile_map_names_file_line_and_column(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0.4,1,0.4\n")
@@ -356,6 +366,14 @@ class TestLift:
                        "--out", tmp_path / "s.csv") == 2
         assert run_cli("lift", pts, "--axis", "2=normal:0.5,0.01@-4,4",
                        "--out", tmp_path / "s.csv") == 0
+
+    def test_axis_window_must_be_two_numbers(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("id,x1,x2\na,NA,1.0\n")
+        for text in ("1=normal:0.5,0.01@a,b", "1=normal:0.5,0.01@-4"):
+            assert run_cli("lift", pts, "--axis", text, "--out", tmp_path / "s.csv") == 2
+            assert f"--axis window needs numbers lo,hi after @, got {text!r}" in \
+                capsys.readouterr().err
 
     def test_axes_from_config_file(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,10 +132,11 @@ def _reference_closest_sq(p, l):
 
 
 def reference_min_distance(l1, l2):
-    """The numpy `min_distance` the scalar kernel replaced: the same
-    normal-equation solve and boundary-edge enumeration, with every
-    endpoint projected by `_reference_closest_sq` on 2- to 7-element
-    arrays."""
+    """The enumeration `min_distance` no longer runs, on numpy 2- to
+    7-element arrays: the interior normal-equation solve when it is
+    feasible, else the best of the segment endpoints each projected by
+    `_reference_closest_sq`.  It shares neither method nor arithmetic with
+    the clamp-project-reclamp solve, so the comparison is independent."""
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
     a = l1.sq_length
@@ -204,7 +206,7 @@ class TestMinDistance:
 
     @pytest.mark.parametrize("dim", [2, 7])
     def test_self_pair_matches_an_equal_copy(self, dim):
-        # the identity shortcut must return what the enumeration returns
+        # the identity shortcut must return what the solve returns
         rng = np.random.default_rng(dim)
         for _ in range(40):
             x = rng.uniform(-10, 10, dim)
@@ -299,7 +301,7 @@ def _carrier(kind, x, y):
 
 
 class TestScalarKernel:
-    """`min_distance` on Python floats against the numpy reference above."""
+    """`min_distance` against the numpy enumeration above."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 3, 7]),
@@ -362,6 +364,116 @@ class TestScalarKernel:
             alpha = ref.distance * side
             assert relates_v1(l1, l2, alpha) == (ref.distance < alpha) == (side > 1.0)
         assert decided > 300
+
+
+def _exact_gap_sq(l1, l2, t1, t2) -> Fraction:
+    """|g1(t1) - g2(t2)|^2 in rationals, for float or rational parameters."""
+    t1, t2 = Fraction(t1), Fraction(t2)
+    return sum((Fraction(x1) + (Fraction(y1) - Fraction(x1)) * t1
+                - Fraction(x2) - (Fraction(y2) - Fraction(x2)) * t2) ** 2
+               for x1, y1, x2, y2 in zip(l1.x.tolist(), l1.y.tolist(),
+                                         l2.x.tolist(), l2.y.tolist()))
+
+
+def exact_min_sq(l1, l2) -> Fraction:
+    """The exact squared minimum distance, by the enumeration `min_distance`
+    no longer runs: the interior critical point when it is feasible, each
+    segment endpoint against its clamped projection onto the other carrier,
+    and one point of two parallel lines.  A convex quadratic attains its
+    minimum over the parameter domains at one of these, so no solve from
+    production code is needed to know it."""
+    u1 = [Fraction(y) - Fraction(x) for x, y in zip(l1.x.tolist(), l1.y.tolist())]
+    u2 = [Fraction(y) - Fraction(x) for x, y in zip(l2.x.tolist(), l2.y.tolist())]
+    r = [Fraction(x1) - Fraction(x2) for x1, x2 in zip(l1.x.tolist(), l2.x.tolist())]
+    a, b, c = (sum(p * q for p, q in zip(*uv)) for uv in ((u1, u1), (u1, u2), (u2, u2)))
+    d = sum(p * q for p, q in zip(u1, r))
+    e = sum(p * q for p, q in zip(u2, r))
+    seg1, seg2 = not l1.is_line, not l2.is_line
+
+    def clamp(t, seg):
+        return min(max(t, Fraction(0)), Fraction(1)) if seg else t
+
+    candidates = []
+    den = a * c - b * b
+    if den:
+        t1, t2 = (b * e - c * d) / den, (a * e - b * d) / den
+        if clamp(t1, seg1) == t1 and clamp(t2, seg2) == t2:
+            candidates.append((t1, t2))
+    elif not seg1 and not seg2:
+        candidates.append((Fraction(0), e / c))
+    if seg1:
+        candidates += [(t1, clamp((b * t1 + e) / c, seg2) if c else Fraction(0))
+                       for t1 in (Fraction(0), Fraction(1))]
+    if seg2:
+        candidates += [(clamp((b * t2 - d) / a, seg1) if a else Fraction(0), t2)
+                       for t2 in (Fraction(0), Fraction(1))]
+    return min(_exact_gap_sq(l1, l2, t1, t2) for t1, t2 in candidates)
+
+
+# small-integer carriers, exactly representable, whose optimum takes each
+# branch of the clamp-project-reclamp solve in at least one order
+EXACT_CASES = {
+    "interior": (segment((0, 0, 0), (4, 0, 0)), segment((2, -1, 3), (2, 3, 3))),
+    "interior-generic": (segment((0, 0, 0), (3, 1, -2)), segment((1, -2, 2), (2, 3, 1))),
+    "t1-clamped-t2-feasible": (segment((0, 0), (2, 0)), segment((5, -1), (5, 3))),
+    "t2-reclamped-at-0": (segment((0, 0), (4, 0)), segment((1, 1), (3, 3))),
+    "t2-reclamped-at-1": (segment((0, 0), (4, 0)), segment((3, 3), (1, 1))),
+    "t1-clamped-t2-reclamped": (segment((0, 0, 0), (4, 0, 0)), segment((3, 1, 2), (7, 2, 2))),
+    "parallel-overlap": (segment((0, 0), (4, 0)), segment((1, 2), (3, 2))),
+    "parallel-overlap-partial": (segment((0, 0), (4, 0)), segment((-1, 2), (3, 2))),
+    "parallel-disjoint": (segment((0, 0), (4, 0)), segment((6, 1), (9, 1))),
+    "parallel-reverse": (segment((0, 0, 0), (4, 2, 0)), segment((12, 6, 1), (6, 3, 1))),
+    "parallel-reverse-overlap": (segment((0, 0), (4, 0)), segment((3, 2), (-1, 2))),
+    "parallel-lines": (line((0, 0), (1, 0)), line((3, 2), (9, 2))),
+    "parallel-lines-reverse-3d": (line((0, 0, 0), (1, 2, 2)), line((5, 1, 0), (3, -3, -4))),
+    "segment-line": (segment((5, 2), (5, 3)), line((0, 0), (1, 0))),
+    "segment-line-skew": (segment((1, 1, 4), (3, 2, 1)), line((0, 0, 0), (1, 2, 0))),
+    "segment-line-parallel": (segment((0, 1), (2, 1)), line((5, 0), (7, 0))),
+    "lines-skew": (line((0, 0, 0), (1, 0, 0)), line((0, 1, 2), (0, 2, 3))),
+    "point-segment-end": (segment((7, 1), (7, 1)), segment((0, 0), (4, 0))),
+    "point-segment-foot": (segment((2, 3), (2, 3)), segment((0, 0), (4, 0))),
+    "point-line": (segment((9, -2, 1), (9, -2, 1)), line((0, 0, 0), (1, 1, 1))),
+    "point-point": (segment((1, 2, 3), (1, 2, 3)), segment((4, 6, 3), (4, 6, 3))),
+}
+
+
+class TestExactReference:
+    """`min_distance` against `exact_min_sq`, which shares no arithmetic or
+    method with it."""
+
+    @staticmethod
+    def check(p, q):
+        got = min_distance(p, q)
+        exact = math.sqrt(exact_min_sq(p, q))
+        # a few ulps of the largest term of a gap component r + d1*t1 - d2*t2
+        scale = max(1.0, *(abs(v) for l in (p, q) for v in (*l.x, *l.y)))
+        tol = 8 * math.ulp(scale * (1.0 + abs(got.t1) + abs(got.t2)))
+        assert abs(got.distance - exact) <= tol
+        for t, l in ((got.t1, p), (got.t2, q)):
+            assert l.is_line or 0.0 <= t <= 1.0
+        assert abs(math.sqrt(_exact_gap_sq(p, q, got.t1, got.t2)) - exact) <= tol
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_cases_in_both_orders(self, case):
+        l1, l2 = EXACT_CASES[case]
+        self.check(l1, l2)
+        self.check(l2, l1)
+
+    def test_random_small_integer_carriers(self):
+        rng = np.random.default_rng(1985)
+        kinds = ("segment", "line", "point")
+        checked = 0
+        for k in range(600):
+            dim = (2, 3, 7)[k % 3]
+            x1, y1, x2, y2 = rng.integers(-6, 7, (4, dim)).astype(float)
+            if k % 4 == 0:  # an exactly parallel partner, either way round
+                y2 = x2 + rng.integers(-3, 4) * (y1 - x1)
+            pairs = ((kinds[(k // 3) % 3], x1, y1), (kinds[(k // 9) % 3], x2, y2))
+            if any(kind == "line" and (x == y).all() for kind, x, y in pairs):
+                continue  # a line needs two distinct points
+            self.check(*(_carrier(*pair) for pair in pairs))
+            checked += 1
+        assert checked > 500
 
 
 class TestValidation:

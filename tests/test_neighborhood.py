@@ -124,7 +124,7 @@ class TestSpecValidation:
                            match="profile has 2 per-line entries for a dataset of 3 lines"):
             RelationEvaluator([UNIT, UNIT, UNIT], spec)
 
-    @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0, True, "3"])
     def test_volume_must_be_finite_and_positive(self, volume):
         with pytest.raises(ConfigurationError, match="finite positive volume"):
             NeighbourhoodSpec(version=2, c=2, volume=volume, profile=U01)
