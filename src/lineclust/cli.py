@@ -24,6 +24,8 @@ from .missing_data import AxisDomain, lift_dataset
 from .neighborhood import NeighbourhoodSpec
 from .profiles import Profile, format_profile, parse_profile
 
+log = logging.getLogger(__name__)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -250,6 +252,9 @@ def cmd_cluster(args, options: dict[str, argparse.Action]) -> int:
               "one-pass draw loop without growth", file=sys.stderr)
     cfg = RunConfig(spec=spec, mode=mode, rng_seed=_seed(pick("seed", 0)))
     labels = run(U, cfg)
+    if labels.undecided_count:
+        log.warning("%d pairs were undecided by the witness search and taken as unrelated",
+                    labels.undecided_count)
 
     echo = {
         "input": str(args.input),

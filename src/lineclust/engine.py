@@ -66,6 +66,8 @@ class ClusterLabels:
     lines in draw order, is derived from it.  peak_aux is the peak auxiliary
     container occupancy (labels plus the largest transient neighbour set /
     frontier), used to check that no quadratic structure is ever held.
+    undecided_count is the number of pairs the witness search could not
+    decide within its tolerance or budget; each was taken as unrelated.
     """
 
     mode: str
@@ -77,6 +79,7 @@ class ClusterLabels:
     trace: list[dict]
     peak_aux: int
     core_flags: list[Optional[bool]] = field(default_factory=list)
+    undecided_count: int = 0
 
     @property
     def seed_order(self) -> list[int]:
@@ -139,7 +142,7 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
         mode="literal", rng_seed=cfg.rng_seed, memberships=memberships,
         clusters=clusters, clusters_may_overlap=True,
         eval_count=ev.eval_count, trace=trace, peak_aux=n + peak_transient,
-        core_flags=[None] * n,
+        undecided_count=ev.undecided_count, core_flags=[None] * n,
     )
 
 
@@ -202,7 +205,7 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
         mode="expand", rng_seed=cfg.rng_seed, memberships=memberships,
         clusters=clusters, clusters_may_overlap=False,
         eval_count=ev.eval_count, trace=trace, peak_aux=n + peak_transient,
-        core_flags=core,
+        undecided_count=ev.undecided_count, core_flags=core,
     )
 
 

@@ -16,11 +16,18 @@ The witness test minimizes
 over l2's parameter domain intersected with the effective window of l2's own
 density (its declared support).  phi can be multimodal: the density may have
 several influential bumps along t*(s) and dist has kinks where the projection
-clamps at a segment end.  The search therefore scans a uniform grid and then
-runs golden-section refinement around every local minimum; a relation is
-reported only for an actually evaluated phi(s) < 0, so false positives are
-impossible and misses are bounded by the grid resolution (configurable via
-search_samples); refinement stops at a bracket width of SEARCH_TOL.
+clamps at a segment end.  The search is a certified branch and bound over
+the cells of a uniform root grid of search_samples parameters (Shubert 1972;
+Hansen & Walster 2004).  Every cell [a, b] gets a lower bound on phi from
+its two ends (_cell_bounds): dist(g2(s), l1) is convex in s, and t*(s) is
+monotone with every density unimodal.  One numpy pass per level prunes the
+cells whose bound is >= 0 (with a relative pad of PRUNE_PAD), evaluates phi
+at the midpoints of the rest and bisects them.  A relation is reported only
+for an actually evaluated phi(s) < 0, so false positives are impossible, and
+a pair is unrelated only when every cell is pruned.  A pair that still has
+a cell when the cells are narrower than SEARCH_TOL, or that would spend more
+than WITNESS_BUDGET evaluations, is undecided: it is reported as unrelated
+and counted through the caller's on_undecided.
 
 Before any of this, a pair whose centre gap |c1 - c2| - h1 - h2 (a lower
 bound on the distance between two finite carriers) already reaches
@@ -38,18 +45,16 @@ intersected with the effective window of f2, on l2 alone
 (_witness_domain).  RelationEvaluator resolves every line's alpha, profile,
 witness domain, reach and threshold once, when it is built, and passes
 them to relates_prob beside `gap`; a direct call without them computes
-them with the same helpers.  phi is evaluated on the whole grid in one
-array call (_closest_sq_many and Profile.pdf).  The golden refinement
-evaluates it point by point: g2(s) is built as a list of Python floats from
-l2's coordinates, read once per pair, and projected onto l1 by the scalar
-_closest_sq, followed by one density call; neither path repeats the input
-validation of the public closest_point.
+them with the same helpers.  phi is evaluated on whole levels of cells in
+one array call (_closest_sq_many and Profile.pdf); only a point l2, or a
+window narrower than SEARCH_TOL, is decided by one scalar evaluation
+through _closest_sq and density.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Union
@@ -70,8 +75,9 @@ from .profiles import (
 PerLineAlpha = Union[float, Sequence[float]]
 PerLineProfile = Union[Profile, Sequence[Optional[Profile]]]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-SEARCH_TOL = 1e-9  # parameter width at which the witness search stops refining
+SEARCH_TOL = 1e-9  # cell width in l2's parameter below which a witness search is undecided
+WITNESS_BUDGET = 4096  # phi evaluations one pair may spend below its root grid
+PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to prune it
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class NeighbourhoodSpec:
     finite positive real number, and version, c and search_samples
     integers; a bool is neither.  A per-line sequence is checked against
     the dataset's length when a RelationEvaluator is built.
+
+    search_samples is the size of the root grid the witness search
+    partitions l2's window with.  The branch and bound below it decides
+    every pair it can certify whatever the grid, so the grid sets where
+    the search starts, not which witnesses it can miss.
     """
 
     version: int
@@ -265,35 +276,38 @@ def _line_candidate_window(l1: SegmentLike, l2: SegmentLike, threshold: float,
     return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
 
 
-def _golden_min(phi, lo: float, hi: float) -> float:
-    """Minimum value found by golden-section search on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = phi(x1), phi(x2)
-    best = min(f1, f2)
-    while hi - lo > SEARCH_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = phi(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = phi(x2)
-        if f1 < best:
-            best = f1
-        if f2 < best:
-            best = f2
-        if best < 0.0:
-            break
-    return best
+def _cell_bounds(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray,
+                 ta: np.ndarray, tb: np.ndarray, s_min: float, speed: float,
+                 alpha1: float, profile1: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on phi over cells [a, b] of l2's parameter, and the
+    pad each bound must clear before its cell is pruned: PRUNE_PAD times the
+    sum of the two bounded parts, the distance and alpha1 * f1.
+
+    da, db are the distances from g2(a), g2(b) to l1 and ta, tb their
+    projection parameters on l1; s_min is the evaluated parameter with the
+    smallest distance and speed is |d2|.  s -> dist(g2(s), l1) is convex,
+    the distance to a convex set along an affine map, so it is monotone on
+    a cell that does not end at s_min and its minimum there is min(da, db).
+    The at most two cells that end at s_min take the Lipschitz bound
+    (da + db - speed * (b - a)) / 2, and no distance bound is below 0.
+    t*(s) is affine and then clamped, so monotone, and every family is
+    unimodal: f1 on a cell is at most f1 at its mode clipped into
+    [min(ta, tb), max(ta, tb)].  Neither bound reads min_distance.
+    """
+    at_min = (a == s_min) | (b == s_min)
+    lipschitz = np.maximum(0.5 * (da + db - speed * (b - a)), 0.0)
+    dist = np.where(at_min, lipschitz, np.minimum(da, db))
+    peak = np.clip(profile1.mode(), np.minimum(ta, tb), np.maximum(ta, tb))
+    scaled = alpha1 * profile1.pdf(peak)
+    return dist - scaled, PRUNE_PAD * (dist + scaled)
 
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
                  search_samples: int = 64, gap: float = -math.inf,
                  reach: tuple[float, float] | None = None, threshold: float | None = None,
-                 window: tuple[float, float] | None = None) -> bool:
+                 window: tuple[float, float] | None = None,
+                 on_undecided: Callable[[], None] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
 
@@ -302,7 +316,8 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     the exact solve.  reach and threshold (from _witness_threshold) depend
     on l1 alone and window (from _witness_domain) on l2 alone; a caller
     deciding many pairs passes them, and whatever it leaves out is computed
-    here with the same helpers.
+    here with the same helpers.  A pair the branch and bound cannot decide
+    returns False and calls on_undecided, when given.
     """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
@@ -322,32 +337,47 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
             return False
         lo, hi = window
 
-    x2, u2 = l2.x.tolist(), l2.direction.tolist()
-
-    def phi(s: float) -> float:
-        t, sq = _closest_sq([x + u * s for x, u in zip(x2, u2)], l1)
-        return math.sqrt(sq) - alpha1 * density(profile1, t)
-
     if l2.is_degenerate or hi - lo <= SEARCH_TOL:
-        return phi(lo) < 0.0
+        # a point, or a window too narrow to split: phi at its one parameter
+        p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
+        t, sq = _closest_sq(p, l1)
+        return math.sqrt(sq) - alpha1 * density(profile1, t) < 0.0
 
-    grid = np.linspace(lo, hi, search_samples)
-    t, sq = _closest_sq_many(l2.x + grid[:, None] * l2.direction, l1)
-    vals = np.sqrt(sq) - alpha1 * profile1.pdf(t)
-    if (vals < 0.0).any():
+    # the root partition: search_samples parameters, search_samples - 1 cells
+    s = np.linspace(lo, hi, search_samples)
+    t, sq = _closest_sq_many(l2.x + s[:, None] * l2.direction, l1)
+    d = np.sqrt(sq)
+    if (d - alpha1 * profile1.pdf(t) < 0.0).any():
         return True
-
-    # refine every local minimum of the sampled phi
-    for k in range(search_samples):
-        left = vals[k - 1] if k > 0 else math.inf
-        right = vals[k + 1] if k < search_samples - 1 else math.inf
-        if vals[k] <= left and vals[k] <= right:
-            blo = grid[k - 1] if k > 0 else grid[k]
-            bhi = grid[k + 1] if k < search_samples - 1 else grid[k]
-            if bhi > blo:
-                if _golden_min(phi, float(blo), float(bhi)) < 0.0:
-                    return True
-    return False
+    k = int(np.argmin(d))
+    s_min, d_min = float(s[k]), float(d[k])
+    a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
+    speed = math.sqrt(l2.sq_length)
+    width = (hi - lo) / (search_samples - 1)
+    spent = 0
+    while True:
+        bound, pad = _cell_bounds(a, b, da, db, ta, tb, s_min, speed, alpha1, profile1)
+        keep = bound < pad
+        if not keep.any():
+            return False
+        if width <= SEARCH_TOL or spent + int(keep.sum()) > WITNESS_BUDGET:
+            if on_undecided is not None:
+                on_undecided()
+            return False
+        a, b, da, db, ta, tb = a[keep], b[keep], da[keep], db[keep], ta[keep], tb[keep]
+        m = 0.5 * (a + b)
+        spent += len(m)
+        tm, sq = _closest_sq_many(l2.x + m[:, None] * l2.direction, l1)
+        dm = np.sqrt(sq)
+        if (dm - alpha1 * profile1.pdf(tm) < 0.0).any():
+            return True
+        k = int(np.argmin(dm))
+        if dm[k] < d_min:
+            s_min, d_min = float(m[k]), float(dm[k])
+        a, b = np.concatenate((a, m)), np.concatenate((m, b))
+        da, db = np.concatenate((da, dm)), np.concatenate((dm, db))
+        ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
+        width *= 0.5
 
 
 # -- dispatch and neighbour sets ----------------------------------------------
@@ -381,13 +411,15 @@ class RelationEvaluator:
     each gap, with the resolved parameters, to relates_v1 / relates_prob
     as the caller's lower bound.  neighbor_set(i) is that row over the
     whole dataset and relates(i, j) is that row over line j alone; both
-    count every pair in eval_count.
+    count every pair in eval_count, and every pair the witness search
+    leaves undecided (reported as unrelated) in undecided_count.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
         self.U = list(U)
         self.spec = spec
         self.eval_count = 0
+        self.undecided_count = 0
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
@@ -419,9 +451,14 @@ class RelationEvaluator:
             return [j for j, g in pairs if relates_v1(l1, U[j], alpha1, g)]
         reach, threshold = self.thresholds[i]
         samples, profiles, windows = self.spec.search_samples, self.profiles, self.windows
+        count = self._count_undecided
         return [j for j, g in pairs
                 if relates_prob(l1, p1, alpha1, U[j], profiles[j], search_samples=samples, gap=g,
-                                reach=reach, threshold=threshold, window=windows[j])]
+                                reach=reach, threshold=threshold, window=windows[j],
+                                on_undecided=count)]
+
+    def _count_undecided(self) -> None:
+        self.undecided_count += 1
 
     def relates(self, i: int, j: int) -> bool:
         """Does line i relate to line j."""

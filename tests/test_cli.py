@@ -88,6 +88,20 @@ class TestCluster:
             assert doc["counts"]["k"] == 2
             assert doc["counts"]["outliers"] == 0
 
+    def test_undecided_pairs_are_logged(self, tmp_path, caplog):
+        # under beta:2,1 and alpha 0.5 * (1 - 1e-15), the scaled density of l1
+        # at t is t * (1 - 1e-15), and l2 climbs at 45 degrees from l1's start:
+        # phi along l2 is within rounding of 0, so the pair stays undecided
+        data = tmp_path / "tangent.csv"
+        data.write_text("id,x1,x2,y1,y2\nl1,0,0,1,0\nl2,0,0,1,1\n")
+        for alpha, warned in ((0.5 * (1.0 - 1e-15), True), (2.0, False)):
+            caplog.clear()
+            code = run_cli("cluster", data, "--version", 3, "--c", 1, "--alpha", repr(alpha),
+                           "--profile", "beta:2,1", "--mode", "expand",
+                           "--out", tmp_path / "r.json")
+            assert code == 0
+            assert ("undecided by the witness search" in caplog.text) == warned
+
     def test_v1_with_profile_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)
         code = run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,

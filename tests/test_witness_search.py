@@ -1,12 +1,17 @@
 """The witness search of versions 2 and 3 against references that do not
 share its φ evaluation.
 
-`reference_relates_prob` is the scalar search the array search replaced:
-φ through the validating `closest_point` at every grid sample, an early exit
-on the first negative sample, golden refinement of every local minimum, and
-no centre-gap bound.  The array search must take the same decision on every
-pair.  The one-way oracle samples l2 densely with plain numpy and demands a
-relation wherever a sample is a witness by more than the sampling error.
+`reference_relates_prob` is the earlier scalar search: φ through the
+validating `closest_point` at every grid sample, an early exit on the first
+negative sample, golden refinement of every local minimum, and no
+centre-gap bound.  It only ever reports a witness it evaluated, so it is a
+one-way lower bound on what the certified branch and bound finds; on the
+seeded samples below the two still take the same decision on every pair.
+The narrow-profile pairs are ones the reference misses.  The one-way oracle
+samples l2 densely with plain numpy and demands a relation wherever a
+sample is a witness by more than the sampling error.  The cell bound is
+checked against φ sampled densely over each cell, and a pair with no
+certifiable answer must be reported as undecided within the budget.
 """
 
 import math
@@ -14,8 +19,18 @@ import math
 import numpy as np
 import pytest
 
+from lineclust import neighborhood
 from lineclust.geometry import closest_point, line, min_distance, segment
-from lineclust.neighborhood import _line_candidate_window, relates_prob
+from lineclust.neighborhood import (
+    SEARCH_TOL,
+    WITNESS_BUDGET,
+    NeighbourhoodSpec,
+    RelationEvaluator,
+    _cell_bounds,
+    _line_candidate_window,
+    contains_point,
+    relates_prob,
+)
 from lineclust.profiles import Profile, density, effective_window, peak_density
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -216,3 +231,121 @@ def test_sampled_witness_forces_a_relation():
             witnesses += 1
             assert relates_prob(l1, p1, alpha, l2), (k, l1, p1, alpha, l2)
     assert witnesses >= 100
+
+
+@pytest.mark.parametrize("variance", [1e-6, 1e-7, 1e-8, 1e-10])
+def test_narrow_profile_witnesses_are_found(variance):
+    # the density spike of l1 sits at x = 50; every l2 runs parallel below
+    # the spike's reach of 0.5 and crosses x = 50, where its witness is
+    rng = np.random.default_rng(int(round(-math.log10(variance))))
+    p = Profile.normal(0.5, variance)
+    l1 = segment((0.0, 0.0), (100.0, 0.0))
+    alpha = 0.5 / peak_density(p, 0.0, 1.0)
+    found = 0
+    for _ in range(120):
+        y = rng.uniform(0.05, 0.45)
+        x0 = rng.uniform(-49.0, 49.0)
+        l2 = segment((x0, y), (x0 + 100.0, y))
+        assert contains_point(l1, p, alpha, (50.0, y))
+        found += relates_prob(l1, p, alpha, l2, Profile.uniform(0.0, 1.0))
+    assert found == 120
+
+
+def _phi_parts(l1, l2, s):
+    """Distances from g2(s) to l1 and the projection parameters, by plain numpy."""
+    pts = l2.x + np.outer(s, l2.direction)
+    t = (pts - l1.x) @ l1.direction / l1.sq_length
+    if not l1.is_line:
+        t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm(pts - (l1.x + np.outer(t, l1.direction)), axis=1), t
+
+
+def near_parallel(rng, l1, angle):
+    """A segment or line turned by angle (radians) from l1's direction,
+    offset from it by 0.1 to 2."""
+    u = l1.direction / math.sqrt(l1.sq_length)
+    w = rng.normal(size=l1.dim)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    v = math.cos(angle) * u + math.sin(angle) * w
+    x = l1.x + w * rng.uniform(0.1, 2.0) + u * rng.uniform(-1.0, 1.0)
+    y = x + v * rng.uniform(0.5, 4.0)
+    return line(x, y) if rng.random() < 0.3 else segment(x, y)
+
+
+def test_cell_bounds_never_exceed_phi():
+    """On seeded pairs, profiles and cells, the bound on every cell is at most
+    the minimum of φ over 1,001 points of the cell, beyond the pad; on the
+    narrowest cells it is also within 1e-3 of that minimum, so it is no
+    trivial bound."""
+    rng = np.random.default_rng(1972)
+    cells = near = 0
+    for k in range(240):
+        dim = (2, 3, 7)[k % 3]
+        p1 = random_profile(rng, FAMILIES[k % 6])
+        alpha = rng.uniform(0.05, 3.0)
+        l1 = random_carrier(rng, dim, "line" if k % 5 == 0 else "segment")
+        if k % 4 == 0:
+            l2 = near_parallel(rng, l1, rng.uniform(1e-7, 1e-6))
+        else:
+            l2 = random_carrier(rng, dim, "line" if k % 7 == 0 else "segment")
+        lo, hi = (-2.0, 3.0) if l2.is_line else (0.0, 1.0)
+        # a coarse partition plus a cluster of narrow cells around one point
+        centre = rng.uniform(lo, hi)
+        s = np.unique(np.concatenate([np.linspace(lo, hi, 6), rng.uniform(lo, hi, 4),
+                                      np.clip(centre + rng.uniform(-1e-5, 1e-5, 4), lo, hi)]))
+        d, t = _phi_parts(l1, l2, s)
+        bound, pad = _cell_bounds(s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:],
+                                  float(s[np.argmin(d)]), math.sqrt(l2.sq_length), alpha, p1)
+        for c in range(len(s) - 1):
+            du, tu = _phi_parts(l1, l2, np.linspace(s[c], s[c + 1], 1001))
+            phi_min = float((du - alpha * p1.pdf(tu)).min())
+            assert bound[c] <= phi_min + pad[c], (k, c, l1, l2, p1, alpha)
+            if s[c + 1] - s[c] <= 2e-5:
+                assert phi_min - bound[c] <= 1e-3 * (1.0 + abs(phi_min)), (k, c)
+                near += 1
+            cells += 1
+    assert cells > 2000 and near > 200
+
+
+def _undecided_flat():
+    # alpha1 * f1(t) = t * (1 - 1e-15) under beta(2, 1), and l2 climbs at
+    # 45 degrees from l1's start: phi(s) = s * 1e-15 (up to rounding), >= 0
+    # everywhere, and no cell bound clears its pad, so only the budget ends it
+    return (segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.0), (1.0, 1.0)),
+            Profile.beta(2.0, 1.0), 0.5 * (1.0 - 1e-15))
+
+
+def _undecided_edge():
+    # f1 = 2 on t in [0, 0.5] and 0 beyond; l2 starts at height 1 above
+    # t = 0.5 and heads away: phi is exactly 0 at s = 0 and positive after,
+    # so one cell survives each level until SEARCH_TOL ends it
+    return (segment((0.0, 0.0), (1.0, 0.0)), segment((0.5, 1.0), (1.5, 0.0)),
+            Profile.uniform(0.0, 0.5), 0.5)
+
+
+@pytest.mark.parametrize("case, min_refined, max_refined", [
+    (_undecided_flat, WITNESS_BUDGET // 2, WITNESS_BUDGET),
+    (_undecided_edge, round(math.log2(0.5 / 63 / SEARCH_TOL)), 100),
+])
+def test_undecided_pair_is_counted_within_budget(monkeypatch, case, min_refined, max_refined):
+    l1, l2, p, alpha = case()
+    # phi's minimum is within 1e-15 relative of 0, and never below it
+    d, t = _phi_parts(l1, l2, np.linspace(0.0, 1.0, 100_001))
+    scaled = alpha * p.pdf(t)
+    assert (d - scaled >= 0.0).all()
+    assert (d - scaled <= 1e-15 * (d + scaled)).any()
+    evaluated = []
+    many = neighborhood._closest_sq_many
+
+    def counting(P, l):
+        evaluated.append(len(P))
+        return many(P, l)
+
+    monkeypatch.setattr(neighborhood, "_closest_sq_many", counting)
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
+    ev = RelationEvaluator([l1, l2], spec)
+    assert ev.relates(0, 1) is False
+    assert ev.undecided_count == 1
+    assert evaluated[0] == spec.search_samples  # the root grid
+    assert min_refined <= sum(evaluated[1:]) <= max_refined
