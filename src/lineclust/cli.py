@@ -337,11 +337,20 @@ def cmd_lift(args, options: dict[str, argparse.Action]) -> int:
                                  "(or an axes list in --config)")
     if out is None:
         raise ConfigurationError("lift requires --out (or out in --config)")
-    domains = {}
+    domains, declared = {}, {}
     for text in axis_texts:
         dom = _parse_axis(text)
-        domains[dom.axis] = dom
+        if dom.axis in declared:
+            raise ConfigurationError(f"--axis {text!r} declares axis {dom.axis + 1} again, "
+                                     f"after {declared[dom.axis]!r}")
+        domains[dom.axis], declared[dom.axis] = dom, text
     rows = data_io.load_points_csv(args.input)
+    if rows:
+        dim = len(rows[0][1])
+        for axis, text in declared.items():
+            if axis >= dim:
+                raise ConfigurationError(f"--axis {text!r} names axis {axis + 1}, but the "
+                                         f"points of {args.input} have {dim} coordinates")
     result = lift_dataset([values for _, values in rows], domains,
                           ids=[rid for rid, _ in rows])
     records = [

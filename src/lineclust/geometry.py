@@ -152,12 +152,16 @@ def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndar
     """Array counterpart of `_closest_sq` for the rows of an (m, dim) array.
 
     The rows must already be finite points of l's dimension; nothing is
-    checked.  Returns the (m,) parameters and (m,) squared distances.
+    checked.  Returns the (m,) parameters and (m,) squared distances.  Each
+    row's result is the same bits whatever m and wherever the row sits:
+    the projection is an einsum, which sums every row in one order, not a
+    BLAS matrix-vector product, whose kernels and threads split the rows
+    into blocks that sum in different orders.
     """
     if l.sq_length == 0.0:
         d = P - l.x
         return np.zeros(len(P)), np.einsum("ij,ij->i", d, d)
-    t = (P - l.x) @ l.direction / l.sq_length
+    t = np.einsum("ij,j->i", P - l.x, l.direction) / l.sq_length
     if l.kind == "segment":
         np.clip(t, 0.0, 1.0, out=t)
     d = P - (l.x + t[:, None] * l.direction)

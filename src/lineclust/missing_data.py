@@ -92,7 +92,12 @@ class LiftResult:
 
 def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
                  ids: Sequence[str] | None = None) -> LiftResult:
-    """Lift every record, collecting per-record failures into one error."""
+    """Lift every record, collecting per-record failures into one error.
+
+    domains maps each axis to its AxisDomain; a domain filed under another
+    key than its own axis, or for an axis at or beyond the records'
+    dimension, is a ConfigurationError.
+    """
     if ids is None:
         ids = [str(i) for i in range(len(points))]
     if len(ids) != len(points):
@@ -100,6 +105,12 @@ def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise UnsupportedRecordError(f"records have inconsistent dimensions: {sorted(dims)}")
+    for key, dom in domains.items():
+        if key != dom.axis:
+            raise ConfigurationError(f"domain for axis {dom.axis} is declared under key {key}")
+        if dims and dom.axis >= min(dims):
+            raise ConfigurationError(f"domain for axis {dom.axis} (0-based) is at or beyond "
+                                     f"the records' dimension {min(dims)}")
     lifted: list[LiftedPoint] = []
     failures: list[str] = []
     for idx, (rec, sid) in enumerate(zip(points, ids)):

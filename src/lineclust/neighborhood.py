@@ -29,14 +29,20 @@ a cell when the cells are narrower than SEARCH_TOL, or that would spend more
 than WITNESS_BUDGET evaluations, is undecided: it is reported as unrelated
 and counted through the caller's on_undecided.
 
-Before any of this, a pair whose centre gap |c1 - c2| - h1 - h2 (a lower
-bound on the distance between two finite carriers) already reaches
-alpha1 * sup f1 is rejected, the bound version 1 applies with alpha1; the
-exact min_distance then prunes the rest.  RelationEvaluator computes that
-bound for a whole relation row in one array expression, from centres and
-half-lengths built once per dataset, and hands each pair's value to
-relates_v1 / relates_prob as `gap`, the caller's lower bound; called
-without it, they go straight to the exact min_distance.
+Before any of this, a pair whose lower bound on the distance between the
+two carriers already reaches alpha1 * sup f1 is rejected, the bound version
+1 applies with alpha1; the exact min_distance then prunes the rest.
+RelationEvaluator computes the bound for a whole relation row in a few
+array expressions, from the centres, half-lengths and carriers stacked once
+per dataset, and hands each pair's value to relates_v1 / relates_prob as
+`gap`, the caller's lower bound; called without it, they go straight to the
+exact min_distance.  A version 1 row uses the centre gap
+|c1 - c2| - h1 - h2 alone.  A row whose line has a profile tightens it to
+the carrier bound: the largest of the centre gap, dist(c2, carrier1) - h2
+and dist(c1, carrier2) - h1, TRACLUS's perpendicular-distance pruning
+(Lee, Han & Whang 2007).  It is finite unless both carriers are lines, and
+it rejects the lifted segments that sweep a whole axis past one another,
+whose centre gaps are all negative.
 
 The rest of the witness set-up also splits by line.  The threshold
 alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
@@ -45,10 +51,18 @@ intersected with the effective window of f2, on l2 alone
 (_witness_domain).  RelationEvaluator resolves every line's alpha, profile,
 witness domain, reach and threshold once, when it is built, and passes
 them to relates_prob beside `gap`; a direct call without them computes
-them with the same helpers.  phi is evaluated on whole levels of cells in
-one array call (_closest_sq_many and Profile.pdf); only a point l2, or a
-window narrower than SEARCH_TOL, is decided by one scalar evaluation
-through _closest_sq and density.
+them with the same helpers.
+
+phi is evaluated on whole levels of cells in one array call
+(_closest_sq_many and Profile.pdf).  Most pairs are decided by the root
+level alone, a hit on the grid or every cell pruned, so a profile row
+evaluates the root level of every pair its bound leaves open in one array
+pass per block of ROOT_BLOCK pairs (_root_level) and hands each pair its
+row; relates_prob, still called once per pair, evaluates the root level
+itself as a batch of one when it gets no row, so there is one code path.
+Each pair's row has the same bits in a batch of any size.  Only a point
+l2, or a window narrower than SEARCH_TOL, is decided by one scalar
+evaluation through _closest_sq and density.
 """
 
 from __future__ import annotations
@@ -78,6 +92,7 @@ PerLineProfile = Union[Profile, Sequence[Optional[Profile]]]
 SEARCH_TOL = 1e-9  # cell width in l2's parameter below which a witness search is undecided
 WITNESS_BUDGET = 4096  # phi evaluations one pair may spend below its root grid
 PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to prune it
+ROOT_BLOCK = 32  # pairs whose root levels one array pass evaluates, bounding a row's temporaries
 
 
 @dataclass(frozen=True)
@@ -302,11 +317,41 @@ def _cell_bounds(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray,
     return dist - scaled, PRUNE_PAD * (dist + scaled)
 
 
+def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float, X: np.ndarray,
+                D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                samples: int) -> tuple[np.ndarray, ...]:
+    """The root level of the witness search for m pairs (l1, l2_k) at once.
+
+    X, D are the (m, dim) base points and directions of the l2s, sq their
+    (m,) squared lengths (none zero) and lo, hi their (m,) finite witness
+    windows.  Returns (s, t, d, hit, keep): the (m, samples) grid of each
+    window, np.linspace's arithmetic lo + k * step with the last point set
+    to hi; the projection parameters on l1 and distances to l1 of the grid
+    points; each pair's (m,) hit flag, some grid phi < 0; and its
+    (m, samples - 1) mask of the cells _cell_bounds does not prune, with
+    s_min the first grid point of least distance and the speed sqrt(sq).
+    Every operation acts on each pair's row alone, so a pair's row has the
+    same bits whatever the other pairs are.
+    """
+    step = (hi - lo) / (samples - 1)
+    s = np.arange(samples) * step[:, None] + lo[:, None]
+    s[:, -1] = hi
+    P = X[:, None, :] + s[:, :, None] * D[:, None, :]
+    t, sq_d = _closest_sq_many(P.reshape(-1, P.shape[2]), l1)
+    t = t.reshape(s.shape)
+    d = np.sqrt(sq_d).reshape(s.shape)
+    hit = (d - alpha1 * profile1.pdf(t) < 0.0).any(axis=1)
+    s_min = np.take_along_axis(s, np.argmin(d, axis=1)[:, None], axis=1)
+    bound, pad = _cell_bounds(s[:, :-1], s[:, 1:], d[:, :-1], d[:, 1:], t[:, :-1], t[:, 1:],
+                              s_min, np.sqrt(sq)[:, None], alpha1, profile1)
+    return s, t, d, hit, bound < pad
+
+
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
                  search_samples: int = 64, gap: float = -math.inf,
                  reach: tuple[float, float] | None = None, threshold: float | None = None,
-                 window: tuple[float, float] | None = None,
+                 window: tuple[float, float] | None = None, root: Sequence | None = None,
                  on_undecided: Callable[[], None] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
@@ -316,12 +361,16 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     the exact solve.  reach and threshold (from _witness_threshold) depend
     on l1 alone and window (from _witness_domain) on l2 alone; a caller
     deciding many pairs passes them, and whatever it leaves out is computed
-    here with the same helpers.  A pair the branch and bound cannot decide
+    here with the same helpers (both reach and threshold when either is
+    missing).  root is this pair's row (s, t, d, hit, keep) of a
+    _root_level batch over window, for a caller that evaluated the root
+    levels of many pairs at once; without it the root level is evaluated
+    here, as a batch of one.  A pair the branch and bound cannot decide
     returns False and calls on_undecided, when given.
     """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    if threshold is None:
+    if reach is None or threshold is None:
         reach, threshold = _witness_threshold(l1, profile1, alpha1)
     if threshold <= 0.0 or gap >= threshold:
         return False
@@ -344,11 +393,15 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
         return math.sqrt(sq) - alpha1 * density(profile1, t) < 0.0
 
     # the root partition: search_samples parameters, search_samples - 1 cells
-    s = np.linspace(lo, hi, search_samples)
-    t, sq = _closest_sq_many(l2.x + s[:, None] * l2.direction, l1)
-    d = np.sqrt(sq)
-    if (d - alpha1 * profile1.pdf(t) < 0.0).any():
+    if root is None:
+        root = [r[0] for r in _root_level(l1, profile1, alpha1, l2.x[None], l2.direction[None],
+                                          np.array([l2.sq_length]), np.array([lo]),
+                                          np.array([hi]), search_samples)]
+    s, t, d, hit, keep = root
+    if hit:
         return True
+    if not keep.any():
+        return False
     k = int(np.argmin(d))
     s_min, d_min = float(s[k]), float(d[k])
     a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
@@ -356,10 +409,6 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     width = (hi - lo) / (search_samples - 1)
     spent = 0
     while True:
-        bound, pad = _cell_bounds(a, b, da, db, ta, tb, s_min, speed, alpha1, profile1)
-        keep = bound < pad
-        if not keep.any():
-            return False
         if width <= SEARCH_TOL or spent + int(keep.sum()) > WITNESS_BUDGET:
             if on_undecided is not None:
                 on_undecided()
@@ -378,6 +427,10 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
         da, db = np.concatenate((da, dm)), np.concatenate((dm, db))
         ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
         width *= 0.5
+        bound, pad = _cell_bounds(a, b, da, db, ta, tb, s_min, speed, alpha1, profile1)
+        keep = bound < pad
+        if not keep.any():
+            return False
 
 
 # -- dispatch and neighbour sets ----------------------------------------------
@@ -397,22 +450,29 @@ class RelationEvaluator:
     resolved once and a relation-evaluation counter.
 
     Everything that depends on one line alone is resolved when the
-    evaluator is built, into lists indexed like the dataset: the array
-    layout (centres, n x dim, and half-lengths, infinite for a line), each
-    line's alpha (version 2 derives it from V through _volume_alpha),
-    profile and witness domain, and, for each line with a profile, its
-    reach and threshold.  A per-line alpha or profile sequence of the wrong
-    length, or a version 2 line without a profile, is a ConfigurationError
-    here, not at the first row that needs the entry.
+    evaluator is built, into lists and arrays indexed like the dataset: the
+    array layout (centres, base points and directions, n x dim, squared
+    lengths, half-lengths, infinite for a line, and parameter domains),
+    each line's alpha (version 2 derives it from V through _volume_alpha),
+    profile and witness domain, stacked as window bounds too, and, for each
+    line with a profile, its reach and threshold.  A per-line alpha or
+    profile sequence of the wrong length, or a version 2 line without a
+    profile, is a ConfigurationError here, not at the first row that needs
+    the entry.
 
     A relation row, line i against a slice of the dataset, computes every
     pair's centre gap |c_i - c_j| - h_i - h_j in one array expression (-inf
-    where either carrier is a line, which has no such bound) and passes
-    each gap, with the resolved parameters, to relates_v1 / relates_prob
-    as the caller's lower bound.  neighbor_set(i) is that row over the
-    whole dataset and relates(i, j) is that row over line j alone; both
-    count every pair in eval_count, and every pair the witness search
-    leaves undecided (reported as unrelated) in undecided_count.
+    where either carrier is a line).  A row whose line has a profile
+    tightens it to the carrier bound (_carrier_bound), -inf only where both
+    carriers are lines, and evaluates the root level of the witness search
+    (_root_level) for every pair the bound leaves below the threshold whose
+    l2 is no point and whose window is finite and wider than SEARCH_TOL, in
+    blocks of ROOT_BLOCK pairs.  Each pair's bound, with the resolved
+    parameters and its root row, goes to relates_v1 / relates_prob, called
+    once per pair, as the caller's lower bound.  neighbor_set(i) is that
+    row over the whole dataset and relates(i, j) is that row over line j
+    alone; both count every pair in eval_count, and every pair the witness
+    search leaves undecided (reported as unrelated) in undecided_count.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -425,6 +485,14 @@ class RelationEvaluator:
         n = len(self.U)
         self.centre = np.array([l.center for l in self.U], dtype=np.float64)
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
+        self.x = np.array([l.x for l in self.U], dtype=np.float64)
+        self.direction = np.array([l.direction for l in self.U], dtype=np.float64)
+        self.sq_length = np.array([l.sq_length for l in self.U], dtype=np.float64)
+        self.inv_sq = np.divide(1.0, self.sq_length, out=np.zeros(n), where=self.sq_length > 0.0)
+        # parameter domains: [0, 1] for a segment, all of R for a line
+        is_line = np.isinf(self.half_len)
+        self.domain_lo = np.where(is_line, -math.inf, 0.0)
+        self.domain_hi = np.where(is_line, math.inf, 1.0)
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
         if spec.version == 2:
             self.alphas = [_volume_alpha(spec, i, l, p)
@@ -432,9 +500,36 @@ class RelationEvaluator:
         else:
             self.alphas = [float(a) for a in _per_line(spec.alpha, n, "alpha")]
         self.windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
+        self.window_lo = np.array([w[0] for w in self.windows], dtype=np.float64)
+        self.window_hi = np.array([w[1] for w in self.windows], dtype=np.float64)
+        # the pairs a row batches: l2 no point, its window finite and wider than SEARCH_TOL
+        width = self.window_hi - self.window_lo
+        self.searchable = (self.sq_length > 0.0) & np.isfinite(width) & (width > SEARCH_TOL)
         # (reach, threshold) of each line with a profile, None for a metric line
         self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
                            for l, p, a, w in zip(self.U, self.profiles, self.alphas, self.windows)]
+
+    def _carrier_bound(self, i: int, js: slice, gaps: np.ndarray) -> np.ndarray:
+        """A lower bound on the distance from line i to each line of js:
+        max(gap, dist(c_j, carrier_i) - h_j, dist(c_i, carrier_j) - h_i),
+        with gaps the row's centre gaps.
+
+        Every point of a finite carrier lies within its half-length h of its
+        centre c, and the distance to a set is 1-Lipschitz, so each term is
+        a lower bound.  A point's carrier is the point itself; only when
+        both carriers are lines is every term -inf.
+        """
+        l1 = self.U[i]
+        _, sq = _closest_sq_many(self.centre[js], l1)
+        bound = np.maximum(gaps, np.sqrt(sq) - self.half_len[js])
+        if not l1.is_line:
+            D = self.direction[js]
+            r = self.centre[i] - self.x[js]
+            t = np.clip(np.einsum("ij,ij->i", r, D) * self.inv_sq[js],
+                        self.domain_lo[js], self.domain_hi[js])
+            r -= t[:, None] * D
+            np.maximum(bound, np.sqrt(np.einsum("ij,ij->i", r, r)) - self.half_len[i], out=bound)
+        return bound
 
     def _related(self, i: int, js: slice) -> list[int]:
         """The lines of the dataset slice js that line i relates to."""
@@ -444,18 +539,26 @@ class RelationEvaluator:
         gaps = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
         gaps -= self.half_len[i]
         gaps -= self.half_len[js]
-        pairs = zip(lines, gaps.tolist())
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
         if p1 is None:
             # version 1, or a declared density-free line: the metric relation
-            return [j for j, g in pairs if relates_v1(l1, U[j], alpha1, g)]
+            return [j for j, g in zip(lines, gaps.tolist()) if relates_v1(l1, U[j], alpha1, g)]
         reach, threshold = self.thresholds[i]
-        samples, profiles, windows = self.spec.search_samples, self.profiles, self.windows
-        count = self._count_undecided
-        return [j for j, g in pairs
+        bound = self._carrier_bound(i, js, gaps)
+        samples = self.spec.search_samples
+        batched = np.arange(len(self.U))[js][(bound < threshold) & self.searchable[js]]
+        roots = {}
+        for k in range(0, len(batched), ROOT_BLOCK):
+            idx = batched[k:k + ROOT_BLOCK]
+            s, t, d, hit, keep = _root_level(l1, p1, alpha1, self.x[idx], self.direction[idx],
+                                             self.sq_length[idx], self.window_lo[idx],
+                                             self.window_hi[idx], samples)
+            roots.update(zip(idx.tolist(), zip(s, t, d, hit.tolist(), keep)))
+        profiles, windows, count = self.profiles, self.windows, self._count_undecided
+        return [j for j, g in zip(lines, bound.tolist())
                 if relates_prob(l1, p1, alpha1, U[j], profiles[j], search_samples=samples, gap=g,
                                 reach=reach, threshold=threshold, window=windows[j],
-                                on_undecided=count)]
+                                root=roots.get(j), on_undecided=count)]
 
     def _count_undecided(self) -> None:
         self.undecided_count += 1

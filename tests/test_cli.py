@@ -389,6 +389,21 @@ class TestLift:
             assert f"--axis window needs numbers lo,hi after @, got {text!r}" in \
                 capsys.readouterr().err
 
+    @pytest.mark.parametrize("axes, named", [
+        (["2=uniform:0,1", "2=uniform:5,9"], "'2=uniform:5,9' declares axis 2 again, "
+                                             "after '2=uniform:0,1'"),
+        (["2=uniform:0,1", "9=uniform:0,1"], "'9=uniform:0,1' names axis 9, but the points"),
+    ])
+    def test_contradictory_axes_are_usage_errors(self, tmp_path, capsys, axes, named):
+        # a second window for one axis, or an axis the points do not have,
+        # would otherwise be dropped or ignored without a word
+        pts = tmp_path / "pts.csv"
+        pts.write_text("id,x1,x2,x3\na,1.0,NA,2.0\n")
+        flags = [part for text in axes for part in ("--axis", text)]
+        assert run_cli("lift", pts, *flags, "--out", tmp_path / "s.csv") == 2
+        assert f"--axis {named}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_axes_from_config_file(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("id,x1,x2\na,1.0,NA\nb,0.5,0.5\n")

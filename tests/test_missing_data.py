@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestLiftDataset:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(UnsupportedRecordError):
             lift_dataset([(1.0, 2.0), (1.0, 2.0, 3.0)], {})
+
+    @pytest.mark.parametrize("domains, message", [
+        ({0: AxisDomain(axis=1, window=(-1, 1))}, "domain for axis 1 is declared under key 0"),
+        ({2: AxisDomain(axis=2, window=(-1, 1))},
+         "domain for axis 2 (0-based) is at or beyond the records' dimension 2"),
+    ])
+    def test_inconsistent_domains_rejected(self, domains, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            lift_dataset([(0.0, 1.0), (None, 2.0)], domains)
 
     def test_all_complete_matches_direct_point_run(self):
         # degenerate-segment distances are point distances, so a fully

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lineclust import neighborhood
 from lineclust.errors import ConfigurationError
@@ -16,6 +19,7 @@ from lineclust.neighborhood import (
     relates_v1,
 )
 from lineclust.profiles import Profile, density, scaling_factor
+from test_geometry import exact_min_sq
 
 UNIT = segment((0.0, 0.0), (1.0, 0.0))
 U01 = Profile.uniform(0.0, 1.0)
@@ -429,9 +433,11 @@ class TestRowKernel:
     @staticmethod
     def _dataset(version, dim, seed):
         """Seeded segments, lines and degenerate segments with per-line alpha
-        and profiles, plus, for three anchors, collinear partners whose
-        centre gap lies 1e-9 relative below and above the anchor's threshold.
-        Returns (U, spec, [(anchor, below, above), ...])."""
+        and profiles, plus, for three anchors, two pairs of partners 1e-9
+        relative below and above the anchor's threshold: collinear ones,
+        where the centre gap is the minimum distance, and ones pointing away
+        perpendicular to the anchor's midpoint, where only the carrier bound
+        is.  Returns (U, spec, [(anchor, below, above), ...])."""
         rng = np.random.default_rng([version, dim, seed])
         U = []
         for k in range(18):
@@ -444,7 +450,7 @@ class TestRowKernel:
             else:
                 U.append(segment(x, y))
         anchors = [0, 1, 2]
-        n = len(U) + 2 * len(anchors)
+        n = len(U) + 4 * len(anchors)
         families = [Profile.normal(0.5, 0.02), Profile.uniform(0.0, 1.0), Profile.beta(2, 5), None]
         profiles = [families[k % 4] for k in range(n)]
         if version == 2:
@@ -472,6 +478,18 @@ class TestRowKernel:
                     - l1.half_length - U[j].half_length for j in ids]
             assert gaps[0] < threshold <= gaps[1]
             near.append((a, *ids))
+            normal = rng.normal(size=dim)
+            normal -= (normal @ unit) * unit
+            normal /= np.linalg.norm(normal)
+            ids = []
+            for rel in (1.0 - 1e-9, 1.0 + 1e-9):
+                start = l1.center + normal * (threshold * rel)
+                ids.append(len(U))
+                U.append(segment(start, start + normal * rng.uniform(0.5, 2.0)))
+            gaps = [float(np.linalg.norm(l1.center - U[j].center))
+                    - l1.half_length - U[j].half_length for j in ids]
+            assert max(gaps) < threshold  # the centre gap rejects neither
+            near.append((a, *ids))
         return U, spec, near
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -497,6 +515,10 @@ class TestRowKernel:
         # the pairs beside the bound reach both outcomes
         for a, below, above in near:
             assert ev.relates(a, below) and not ev.relates(a, above)
+            if version != 1:  # a profile row: its carrier bound alone rejects `above`
+                bound = ev._carrier_bound(a, slice(None), np.full(len(U), -np.inf))
+                threshold = ev.thresholds[a][1]
+                assert bound[below] < threshold <= bound[above]
 
     def test_counts(self):
         U, spec, _ = self._dataset(3, 2, 0)
@@ -525,6 +547,44 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="same dimension"):
             RelationEvaluator([UNIT, segment((0, 0, 0), (1, 0, 0))],
                               NeighbourhoodSpec(version=1, c=1, alpha=1.0))
+
+
+def _carrier(kind, x, y):
+    if kind == "point":
+        return segment(x, x)
+    return line(x, y) if kind == "line" else segment(x, y)
+
+
+CARRIER_COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+class TestCarrierBound:
+    """RelationEvaluator._carrier_bound's terms against the exact rational
+    minimum distance."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3, 7]),
+           kinds=st.lists(st.sampled_from(["segment", "line", "point"]), min_size=2, max_size=5),
+           data=st.data())
+    def test_never_exceeds_the_distance(self, dim, kinds, data):
+        U = []
+        for kind in kinds:
+            x = data.draw(hnp.arrays(np.float64, dim, elements=CARRIER_COORD))
+            y = data.draw(hnp.arrays(np.float64, dim, elements=CARRIER_COORD))
+            assume(kind != "line" or float((y - x) @ (y - x)) > 0.0)
+            U.append(_carrier(kind, x, y))
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=U01))
+        n = len(U)
+        scale = 1.0 + max(max(np.abs(l.x).max(), np.abs(l.y).max()) for l in U)
+        for i, l1 in enumerate(U):
+            # the carrier terms alone: no centre gap
+            bound = ev._carrier_bound(i, slice(None), np.full(n, -np.inf))
+            for j, l2 in enumerate(U):
+                both_lines = l1.is_line and l2.is_line
+                assert (bound[j] == -np.inf) == both_lines, (i, j)
+                if not both_lines:
+                    exact = math.sqrt(exact_min_sq(l1, l2))
+                    assert bound[j] <= exact + 8 * np.spacing(scale), (i, j, bound[j], exact)
 
 
 class TestWitnessSetUp:

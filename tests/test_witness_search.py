@@ -22,12 +22,15 @@ import pytest
 from lineclust import neighborhood
 from lineclust.geometry import closest_point, line, min_distance, segment
 from lineclust.neighborhood import (
+    ROOT_BLOCK,
     SEARCH_TOL,
     WITNESS_BUDGET,
     NeighbourhoodSpec,
     RelationEvaluator,
     _cell_bounds,
     _line_candidate_window,
+    _root_level,
+    _witness_threshold,
     contains_point,
     relates_prob,
 )
@@ -347,5 +350,81 @@ def test_undecided_pair_is_counted_within_budget(monkeypatch, case, min_refined,
     ev = RelationEvaluator([l1, l2], spec)
     assert ev.relates(0, 1) is False
     assert ev.undecided_count == 1
-    assert evaluated[0] == spec.search_samples  # the root grid
-    assert min_refined <= sum(evaluated[1:]) <= max_refined
+    # the row's carrier bound projects l2's one centre, then the root grid
+    assert evaluated[:2] == [1, spec.search_samples]
+    assert min_refined <= sum(evaluated[2:]) <= max_refined
+
+
+def _root_pairs(rng, dim, family):
+    """l1 with a density of the family, and l2s to batch against it: seeded
+    segments with windows inside [0, 1] and lines with a density of their
+    own, whose window is that density's effective window."""
+    l1 = random_carrier(rng, dim, "line" if rng.random() < 0.3 else "segment")
+    p1 = random_profile(rng, family)
+    l2s, windows = [], []
+    for k in range(int(rng.integers(2, 12))):
+        if k % 3 == 2:
+            l2s.append(random_carrier(rng, dim, "line"))
+            windows.append(effective_window(random_profile(rng, FAMILIES[k % 6])))
+        else:
+            l2s.append(random_carrier(rng, dim, "segment"))
+            windows.append(tuple(sorted(rng.uniform(0.0, 1.0, 2))))
+    return l1, p1, l2s, windows
+
+
+@pytest.mark.parametrize("samples", [64, 17])
+def test_root_level_batch_is_bit_identical_to_single_pairs(samples):
+    """_root_level over m pairs gives each pair the bits a batch of one
+    gives it, and its grid is np.linspace's."""
+    rng = np.random.default_rng(samples)
+    for k in range(48):
+        dim = (2, 7)[k % 2]
+        l1, p1, l2s, windows = _root_pairs(rng, dim, FAMILIES[k % 6])
+        alpha = rng.uniform(0.05, 3.0)
+        X = np.array([l.x for l in l2s])
+        D = np.array([l.direction for l in l2s])
+        sq = np.array([l.sq_length for l in l2s])
+        lo, hi = (np.array(w) for w in zip(*windows))
+        batch = _root_level(l1, p1, alpha, X, D, sq, lo, hi, samples)
+        for r in range(len(l2s)):
+            single = _root_level(l1, p1, alpha, X[r:r + 1], D[r:r + 1], sq[r:r + 1],
+                                 lo[r:r + 1], hi[r:r + 1], samples)
+            for name, whole, one in zip(("s", "t", "d", "hit", "keep"), batch, single):
+                assert np.array_equal(whole[r], one[0]), (k, r, name)
+            assert np.array_equal(batch[0][r], np.linspace(lo[r], hi[r], samples)), (k, r)
+
+
+def test_row_wider_than_a_block_matches_single_pairs(monkeypatch):
+    """A row whose candidates fill several blocks decides every pair as
+    relates_prob does on its own."""
+    rng = np.random.default_rng(12)
+    U = [segment((0.0, 0.0), (4.0, 0.0))]
+    for _ in range(3 * ROOT_BLOCK):
+        x = rng.uniform((-0.5, -0.3), (4.5, 0.3))
+        U.append(segment(x, x + rng.normal(scale=0.5, size=2)))
+    profiles = [Profile.normal(0.5, 0.01)] + [Profile.beta(2.0, 3.0)] * (len(U) - 1)
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=0.05, profile=profiles)
+    blocks = []
+    root_level = neighborhood._root_level
+
+    def recording(l1, p1, alpha1, X, *args):
+        blocks.append(len(X))
+        return root_level(l1, p1, alpha1, X, *args)
+
+    monkeypatch.setattr(neighborhood, "_root_level", recording)
+    row = RelationEvaluator(U, spec).neighbor_set(0)
+    assert len(blocks) >= 2 and sum(blocks) > ROOT_BLOCK and max(blocks) == ROOT_BLOCK
+    monkeypatch.setattr(neighborhood, "_root_level", root_level)
+    expected = {j for j, l2 in enumerate(U) if relates_prob(U[0], profiles[0], 0.05, l2, profiles[j])}
+    assert row == expected
+    assert 0 < len(expected) < len(U) - ROOT_BLOCK
+
+
+def test_threshold_without_reach_is_completed():
+    # a caller passing one of reach and threshold gets both computed here
+    l1, l2, p = line((0, 0), (1, 0)), line((0, 0.3), (1, 0.35)), Profile.normal(0.5, 0.04)
+    bare = relates_prob(l1, p, 1.0, l2, None)
+    reach, threshold = _witness_threshold(l1, p, 1.0)
+    assert relates_prob(l1, p, 1.0, l2, None, threshold=1.99) == bare
+    assert relates_prob(l1, p, 1.0, l2, None, threshold=threshold) == bare
+    assert relates_prob(l1, p, 1.0, l2, None, reach=reach) == bare
