@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class AxisDomain:
 
     window is the (lo, hi) range of plausible values; profile_template is a
     density over the segment parameter t in [0, 1], defaulting to uniform.
+    Checked when built: axis an integer >= 0 (no bool), window two finite
+    real numbers with lo < hi, profile_template a Profile.
     """
 
     axis: int
@@ -41,11 +44,21 @@ class AxisDomain:
     profile_template: Profile = field(default_factory=lambda: Profile.uniform(0.0, 1.0))
 
     def __post_init__(self):
-        lo, hi = self.window
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigurationError(f"axis window needs lo < hi, got {self.window}")
+        if isinstance(self.axis, bool) or not isinstance(self.axis, Integral):
+            raise ConfigurationError(f"axis must be an integer, got {self.axis!r}")
         if self.axis < 0:
             raise ConfigurationError(f"axis index must be >= 0, got {self.axis}")
+        window = self.window
+        if not (isinstance(window, (tuple, list)) and len(window) == 2 and all(
+                isinstance(v, Real) and not isinstance(v, bool) for v in window)):
+            raise ConfigurationError(f"axis window must be two real numbers (lo, hi), "
+                                     f"got {window!r}")
+        lo, hi = window
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigurationError(f"axis window needs finite lo < hi, got {window}")
+        if not isinstance(self.profile_template, Profile):
+            raise ConfigurationError(f"profile_template must be a Profile, "
+                                     f"got {self.profile_template!r}")
 
 
 @dataclass(frozen=True)

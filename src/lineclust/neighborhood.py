@@ -31,27 +31,29 @@ and counted through the caller's on_undecided.
 
 Before any of this, a pair whose lower bound on the distance between the
 two carriers already reaches alpha1 * sup f1 is rejected, the bound version
-1 applies with alpha1; the exact min_distance then prunes the rest.
+1 applies with alpha1.  Version 1 decides the rest by the exact
+min_distance; versions 2 and 3 never call it, the root level and the
+branch and bound alone decide what the bound leaves open.
 RelationEvaluator computes the bound for a whole relation row in a few
 array expressions, from the centres, half-lengths and carriers stacked once
 per dataset, and hands each pair's value to relates_v1 / relates_prob as
-`gap`, the caller's lower bound; called without it, they go straight to the
-exact min_distance.  A version 1 row uses the centre gap
-|c1 - c2| - h1 - h2 alone.  A row whose line has a profile tightens it to
-the carrier bound: the largest of the centre gap, dist(c2, carrier1) - h2
-and dist(c1, carrier2) - h1, TRACLUS's perpendicular-distance pruning
-(Lee, Han & Whang 2007).  It is finite unless both carriers are lines, and
-it rejects the lifted segments that sweep a whole axis past one another,
-whose centre gaps are all negative.
+`gap`, the caller's lower bound; called without it, they skip it.  A
+version 1 row uses the centre gap |c1 - c2| - h1 - h2 alone.  A row whose
+line has a profile tightens it to the carrier bound: the largest of the
+centre gap, dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1, TRACLUS's
+perpendicular-distance pruning (Lee, Han & Whang 2007).  It is finite
+unless both carriers are lines, and it rejects the lifted segments that
+sweep a whole axis past one another, whose centre gaps are all negative.
 
 The rest of the witness set-up also splits by line.  The threshold
 alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
 l1 alone (_witness_threshold), and l2's witness domain, [0, 1] or unbounded
 intersected with the effective window of f2, on l2 alone
-(_witness_domain).  RelationEvaluator resolves every line's alpha, profile,
-witness domain, reach and threshold once, when it is built, and passes
-them to relates_prob beside `gap`; a direct call without them computes
-them with the same helpers.
+(_witness_domain), cut to a finite window when unbounded
+(_line_candidate_window).  RelationEvaluator resolves every line's alpha,
+profile, witness domain, reach and threshold once, when it is built, and
+passes them to relates_prob beside `gap`; a direct call without them
+computes them with the same helpers.
 
 phi is evaluated on whole levels of cells in one array call
 (_closest_sq_many and Profile.pdf).  Most pairs are decided by the root
@@ -252,43 +254,23 @@ def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
 
 
 def _line_candidate_window(l1: SegmentLike, l2: SegmentLike, threshold: float,
-                           reach: tuple[float, float],
-                           dmin) -> tuple[float, float] | None:
-    """Finite s-interval that must contain any witness on an infinite l2.
-
-    A witness needs dist(g2(s), l1) < threshold and, when l1 is a line, a
-    projection parameter inside the density window.  For a segment l1 the
-    triangle inequality gives dist >= |d2| * |s - s_min| - (d_min + L1), so
-    candidates live in a ball around the closest approach.  For a line l1 the
-    projection parameter is affine in s, which pins the preimage of the
-    window; in the perpendicular case the squared distance is an explicit
-    quadratic in s.
+                           reach: tuple[float, float]) -> tuple[float, float] | None:
+    """Finite s-interval that must contain any witness on an infinite l2, or
+    None when none can.  A witness lies within threshold of its closest point
+    on l1, at a t* in the reach, so within threshold + h of the centre c of
+    the piece of l1 the reach covers, h its half-length: the window is the
+    chord of that ball, around the closest approach s0 of l2 to c.
     """
-    if not l1.is_line:
-        speed = math.sqrt(l2.sq_length)
-        radius = (threshold + dmin.distance + 2.0 * l1.half_length) / speed
-        return (dmin.t2 - radius, dmin.t2 + radius)
-    a = l1.sq_length
-    d1, d2 = l1.direction, l2.direction
-    beta = float(d2 @ d1) / a
-    t0 = float((l2.x - l1.x) @ d1) / a
-    if abs(beta) > 1e-12:
-        s_a = (reach[0] - t0) / beta
-        s_b = (reach[1] - t0) / beta
-        return (min(s_a, s_b), max(s_a, s_b))
-    # perpendicular directions: t*(s) is constant
-    if not reach[0] <= t0 <= reach[1]:
+    c = l1.x + 0.5 * (reach[0] + reach[1]) * l1.direction
+    radius = threshold + 0.5 * (reach[1] - reach[0]) * math.sqrt(l1.sq_length)
+    r = l2.x - c
+    s0 = -float(r @ l2.direction) / l2.sq_length
+    r += s0 * l2.direction
+    half_sq = (radius * radius - float(r @ r)) / l2.sq_length
+    if half_sq <= 0.0:
         return None
-    # dist^2(s) = |r + d2 s|^2 - t0^2 * a with r = l2.x - l1.x
-    r = l2.x - l1.x
-    qa = l2.sq_length
-    qb = 2.0 * float(r @ d2)
-    qc = float(r @ r) - t0 * t0 * a - threshold * threshold
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+    half = math.sqrt(half_sq)
+    return (s0 - half, s0 + half)
 
 
 def _cell_bounds(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray,
@@ -358,15 +340,17 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
 
     gap is a lower bound on the distance between l1 and l2 known to the
     caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
-    the exact solve.  reach and threshold (from _witness_threshold) depend
-    on l1 alone and window (from _witness_domain) on l2 alone; a caller
-    deciding many pairs passes them, and whatever it leaves out is computed
-    here with the same helpers (both reach and threshold when either is
-    missing).  root is this pair's row (s, t, d, hit, keep) of a
-    _root_level batch over window, for a caller that evaluated the root
-    levels of many pairs at once; without it the root level is evaluated
-    here, as a batch of one.  A pair the branch and bound cannot decide
-    returns False and calls on_undecided, when given.
+    any phi is evaluated.  No exact distance solve follows: a point l2, or a
+    window narrower than SEARCH_TOL, is decided by phi at its one parameter
+    and every other pair by the branch and bound.  reach and threshold (from
+    _witness_threshold) depend on l1 alone and window (from _witness_domain)
+    on l2 alone; a caller deciding many pairs passes them, and whatever it
+    leaves out is computed here with the same helpers (both reach and
+    threshold when either is missing).  root is this pair's row (s, t, d,
+    hit, keep) of a _root_level batch over window, for a caller that
+    evaluated the root levels of many pairs at once; without it the root
+    level is evaluated here, as a batch of one.  A pair the branch and bound
+    cannot decide returns False and calls on_undecided, when given.
     """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
@@ -374,14 +358,11 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
         reach, threshold = _witness_threshold(l1, profile1, alpha1)
     if threshold <= 0.0 or gap >= threshold:
         return False
-    dmin = min_distance(l1, l2)
-    if dmin.distance >= threshold:
-        return False
     lo, hi = window if window is not None else _witness_domain(l2, profile2)
     if hi < lo:
         return False
     if math.isinf(lo):  # a line without a density of its own
-        window = _line_candidate_window(l1, l2, threshold, reach, dmin)
+        window = _line_candidate_window(l1, l2, threshold, reach)
         if window is None:
             return False
         lo, hi = window

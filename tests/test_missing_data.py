@@ -52,6 +52,31 @@ class TestLift:
         with pytest.raises(ConfigurationError):
             AxisDomain(axis=0, window=(4.0, -4.0))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(axis=True), "axis must be an integer, got True"),
+        (dict(axis=1.5), "axis must be an integer, got 1.5"),
+        (dict(axis="1"), "axis must be an integer, got '1'"),
+        (dict(axis=-1), "axis index must be >= 0, got -1"),
+        (dict(window=(0, 1, 2)), "axis window must be two real numbers (lo, hi), got (0, 1, 2)"),
+        (dict(window=("a", "b")), "axis window must be two real numbers (lo, hi), got ('a', 'b')"),
+        (dict(window="01"), "axis window must be two real numbers (lo, hi), got '01'"),
+        (dict(window=(0, True)), "axis window must be two real numbers (lo, hi), got (0, True)"),
+        (dict(window=1.0), "axis window must be two real numbers (lo, hi), got 1.0"),
+        (dict(window=(0.0, math.inf)), "axis window needs finite lo < hi, got (0.0, inf)"),
+        (dict(window=(math.nan, 1.0)), "axis window needs finite lo < hi, got (nan, 1.0)"),
+        (dict(window=(1.0, 1.0)), "axis window needs finite lo < hi, got (1.0, 1.0)"),
+        (dict(profile_template="uniform:0,1"), "profile_template must be a Profile, got "
+                                               "'uniform:0,1'"),
+        (dict(profile_template=None), "profile_template must be a Profile, got None"),
+    ])
+    def test_malformed_fields_rejected(self, fields, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            AxisDomain(**{"axis": 0, "window": (0.0, 1.0), **fields})
+
+    def test_integer_and_numpy_fields_accepted(self):
+        dom = AxisDomain(axis=np.int64(1), window=[np.float64(-1.0), 2])
+        assert lift((0.0, None), {1: dom}).segment.y.tolist() == [0.0, 2.0]
+
     def test_lift_geometry_preserves_known_coordinates(self):
         rng = np.random.default_rng(6)
         for _ in range(100):

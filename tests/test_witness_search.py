@@ -1,10 +1,11 @@
 """The witness search of versions 2 and 3 against references that do not
 share its φ evaluation.
 
-`reference_relates_prob` is the earlier scalar search: φ through the
-validating `closest_point` at every grid sample, an early exit on the first
-negative sample, golden refinement of every local minimum, and no
-centre-gap bound.  It only ever reports a witness it evaluated, so it is a
+`reference_relates_prob` is the earlier scalar search: an exact
+`min_distance` prefilter, its own window for an infinite l2 read from that
+solve, φ through the validating `closest_point` at every grid sample, an
+early exit on the first negative sample, golden refinement of every local
+minimum, and no centre-gap bound.  It only ever reports a witness it evaluated, so it is a
 one-way lower bound on what the certified branch and bound finds; on the
 seeded samples below the two still take the same decision on every pair.
 The narrow-profile pairs are ones the reference misses.  The one-way oracle
@@ -59,6 +60,38 @@ def _reference_golden_min(phi, lo, hi, tol):
     return best
 
 
+def _reference_line_window(l1, l2, threshold, reach, dmin):
+    """The reference's own finite s-interval for an infinite l2, read from the
+    exact closest approach dmin.  For a segment l1 the triangle inequality
+    gives dist >= |d2| * |s - s_min| - (d_min + L1), so candidates live in a
+    ball around the closest approach.  For a line l1 the projection
+    parameter is affine in s, which pins the preimage of the reach; in the
+    perpendicular case the squared distance is an explicit quadratic in s."""
+    if not l1.is_line:
+        speed = math.sqrt(l2.sq_length)
+        radius = (threshold + dmin.distance + 2.0 * l1.half_length) / speed
+        return (dmin.t2 - radius, dmin.t2 + radius)
+    a = l1.sq_length
+    d1, d2 = l1.direction, l2.direction
+    beta = float(d2 @ d1) / a
+    t0 = float((l2.x - l1.x) @ d1) / a
+    if abs(beta) > 1e-12:
+        s_a = (reach[0] - t0) / beta
+        s_b = (reach[1] - t0) / beta
+        return (min(s_a, s_b), max(s_a, s_b))
+    if not reach[0] <= t0 <= reach[1]:
+        return None
+    r = l2.x - l1.x
+    qa = l2.sq_length
+    qb = 2.0 * float(r @ d2)
+    qc = float(r @ r) - t0 * t0 * a - threshold * threshold
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+
+
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
                            search_samples=64, search_tol=1e-9):
     """Scalar witness search, one `closest_point` call per φ evaluation."""
@@ -79,7 +112,7 @@ def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
         if window[1] < window[0]:
             return False
     if window is None:
-        window = _line_candidate_window(l1, l2, threshold, reach, dmin)
+        window = _reference_line_window(l1, l2, threshold, reach, dmin)
         if window is None:
             return False
 
@@ -428,3 +461,119 @@ def test_threshold_without_reach_is_completed():
     assert relates_prob(l1, p, 1.0, l2, None, threshold=1.99) == bare
     assert relates_prob(l1, p, 1.0, l2, None, threshold=threshold) == bare
     assert relates_prob(l1, p, 1.0, l2, None, reach=reach) == bare
+
+
+def _to_piece(l1, reach, pts):
+    """Distances from pts to l1 and to the piece of l1 the reach covers, and
+    each point's t* on l1, by plain numpy."""
+    if l1.is_degenerate:
+        dist = np.linalg.norm(pts - l1.x, axis=1)
+        return dist, dist, np.zeros(len(pts))
+    t = (pts - l1.x) @ l1.direction / l1.sq_length
+    t_star = t if l1.is_line else np.clip(t, 0.0, 1.0)
+    dist = np.linalg.norm(pts - (l1.x + np.outer(t_star, l1.direction)), axis=1)
+    t_piece = np.clip(t, *reach)
+    return dist, np.linalg.norm(pts - (l1.x + np.outer(t_piece, l1.direction)), axis=1), t_star
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_line_window_holds_every_witness(dim):
+    """Seeded property of the window of an infinite l2: every densely sampled
+    s whose point is within threshold of l1 at a t* inside the reach lies
+    inside it, and it is None only when no sample lies within threshold of
+    the piece of l1 the reach covers.  The samples span every s whose point
+    is within threshold of that piece: the piece's ends projected onto l2,
+    widened by threshold / |d2|, since the parameter of a point's
+    projection onto l2 moves by at most |step| / |d2|.  Each end of a
+    window lies threshold + h from the piece's centre, so it is no wider
+    than the ball it is cut from."""
+    rng = np.random.default_rng(2000 + dim)
+    outcomes = {True: 0, False: 0}
+    for k in range(180):
+        kind = ("segment", "line", "degenerate")[(k // 6) % 3]
+        l1 = random_carrier(rng, dim, kind)
+        reach = effective_window(random_profile(rng, FAMILIES[k % 6])) if l1.is_line \
+            else (0.0, 1.0)
+        l2 = random_carrier(rng, dim, "line")
+        threshold = rng.uniform(0.05, 3.0)
+        window = _line_candidate_window(l1, l2, threshold, reach)
+
+        ends = [l1.x + r * l1.direction for r in reach]
+        proj = [float((e - l2.x) @ l2.direction) / l2.sq_length for e in ends]
+        pad = 2.0 * threshold / math.sqrt(l2.sq_length)
+        s = np.linspace(min(proj) - pad, max(proj) + pad, 20_001)
+        dist, to_piece, t = _to_piece(l1, reach, l2.x + np.outer(s, l2.direction))
+        witness = (dist < threshold) & (t >= reach[0]) & (t <= reach[1])
+        near = to_piece < threshold
+        outcomes[window is not None] += 1
+        if window is None:
+            assert not near.any(), (k, l1, l2, threshold, reach)
+            continue
+        lo, hi = window
+        inside = (s > lo) & (s < hi)
+        assert inside[witness].all() and inside[near].all(), (k, l1, l2, threshold, reach)
+        centre = l1.x + 0.5 * (reach[0] + reach[1]) * l1.direction
+        radius = threshold + 0.5 * (reach[1] - reach[0]) * math.sqrt(l1.sq_length)
+        for end in window:
+            assert math.isclose(np.linalg.norm(l2.x + end * l2.direction - centre), radius,
+                                rel_tol=1e-9), (k, end)
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_profile_rows_never_call_min_distance(monkeypatch):
+    """relates_prob, and every row of a version 3 evaluator whose line has a
+    profile, decide without the exact distance solve, and take the
+    decisions of the reference, which does call it."""
+    rng = np.random.default_rng(17)
+    U, profiles = [], []
+    for k in range(42):
+        U.append(random_carrier(rng, 3, ("segment", "line", "degenerate")[k % 3]))
+        profiles.append(None if k % 4 == 3 else random_profile(rng, FAMILIES[k % 6]))
+    alpha = 1.5
+    expected = {i: {j for j, l2 in enumerate(U)
+                    if reference_relates_prob(U[i], p, alpha, l2, profiles[j])}
+                for i, p in enumerate(profiles) if p is not None}
+
+    def refuse(l1, l2):
+        raise AssertionError("min_distance was called")
+
+    monkeypatch.setattr(neighborhood, "min_distance", refuse)
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    assert {i: ev.neighbor_set(i) for i in expected} == expected
+    assert ev.undecided_count == 0
+    for i, row in expected.items():
+        assert {j for j, l2 in enumerate(U)
+                if relates_prob(U[i], profiles[i], alpha, l2, profiles[j])} == row
+    related = sum(map(len, expected.values()))
+    assert 200 < related < len(expected) * len(U) - 200, related
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("profile, x0, alpha, related", [
+    (Profile.uniform(0.0, 1.0), 0.5, 0.3, True),
+    (Profile.uniform(0.0, 1.0), 1.2, 1.0, False),
+    (Profile.normal(0.5, 0.04), 0.3, 0.3, True),
+    (Profile.normal(0.5, 0.04), 2.5, 0.3, False),
+    (Profile.beta(2.0, 3.0), 0.4, 0.5, True),
+    (Profile.beta(2.0, 3.0), 1.3, 0.5, False),
+])
+def test_near_perpendicular_lines_are_decided(monkeypatch, eps, profile, x0, alpha, related):
+    """An infinite l2 with direction (eps, 1) crossing the line l1 at x0: it
+    relates where f1 > 0 at the crossing and not where f1 vanishes there.
+    The window around the reach keeps the search on the crossing, so the
+    root grid decides every pair."""
+    evaluated = []
+    many = neighborhood._closest_sq_many
+
+    def counting(P, l):
+        evaluated.append(len(P))
+        return many(P, l)
+
+    monkeypatch.setattr(neighborhood, "_closest_sq_many", counting)
+    l1, l2 = line((0.0, 0.0), (1.0, 0.0)), line((x0, -0.3), (x0 + eps, 0.7))
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[profile, None])
+    ev = RelationEvaluator([l1, l2], spec)
+    assert ev.relates(0, 1) is related
+    assert ev.undecided_count == 0
+    # the row's carrier bound, then at most the root grid
+    assert sum(evaluated[1:]) <= spec.search_samples
