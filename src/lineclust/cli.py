@@ -285,6 +285,8 @@ def cmd_gen(args) -> int:
     count = args.count
     if count is None:
         count = 150 if args.kind == "convex" else 400
+    if count < 1:
+        raise ConfigurationError(f"--count must be a positive integer, got {count}")
     gen = data_io.gen_convex if args.kind == "convex" else data_io.gen_doughnut
     records = gen(count, seed=_seed(args.seed))
     data_io.write_segments_csv(records, args.out)

@@ -6,10 +6,11 @@ all of R for lines.  Distances are Euclidean; squared distances are used
 internally and the root is taken at the API boundary.
 
 The coordinates are numpy arrays, but the scalar solves (`min_distance`,
-`_closest_sq`) run on Python floats: they read the carriers with `tolist()`
-on entry and do their few multiply-adds in plain arithmetic.  Each numpy
-operation on a 2- to 7-element array costs a fixed dispatch overhead far
-larger than its arithmetic, and a relation row makes one such solve per
+`_closest_sq`) run on Python floats: every carrier also keeps its base
+point and direction as tuples of floats, built once at construction, and
+the solves do their few multiply-adds on those in plain arithmetic.  Each
+numpy operation on a 2- to 7-element array costs a fixed dispatch overhead
+far larger than its arithmetic, and a relation row makes one such solve per
 pair.  Work over many points at once, the witness grid of
 `_closest_sq_many`, stays in numpy, where that overhead is paid once per
 array.  `min_distance` is one clamp-project-reclamp solve, exact in at
@@ -20,6 +21,7 @@ the cheaper projection of `_closest_sq` instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Literal, NamedTuple
@@ -46,7 +48,8 @@ class SegmentLike:
     A degenerate segment (x == y) stands for a single point and is legal;
     a line requires two distinct points.  `direction`, `sq_length`, `center`
     and `half_length` are derived once at construction and shared by the
-    distance routines.
+    distance routines, as are `x_floats` and `direction_floats`, x and
+    direction as tuples of Python floats for the scalar solves.
     """
 
     x: np.ndarray
@@ -56,6 +59,8 @@ class SegmentLike:
     sq_length: float = field(init=False, repr=False)
     center: np.ndarray = field(init=False, repr=False)
     half_length: float = field(init=False, repr=False)
+    x_floats: tuple[float, ...] = field(init=False, repr=False)
+    direction_floats: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_point(self.x))
@@ -74,6 +79,8 @@ class SegmentLike:
         object.__setattr__(self, "sq_length", dd)
         object.__setattr__(self, "center", 0.5 * (self.x + self.y))
         object.__setattr__(self, "half_length", 0.5 * math.sqrt(dd))
+        object.__setattr__(self, "x_floats", tuple(self.x.tolist()))
+        object.__setattr__(self, "direction_floats", tuple(d.tolist()))
 
     @property
     def dim(self) -> int:
@@ -133,11 +140,11 @@ def closest_point(P, l: SegmentLike) -> ClosestPointResult:
     return ClosestPointResult(t, l.x + l.direction * t, math.sqrt(sq))
 
 
-def _closest_sq(p: list[float], l: SegmentLike) -> tuple[float, float]:
-    """(t, squared distance) of the closest carrier point to p, a list of
-    floats of l's dimension; nothing is checked and no root is taken."""
-    x = l.x.tolist()
-    u = l.direction.tolist()
+def _closest_sq(p: Sequence[float], l: SegmentLike) -> tuple[float, float]:
+    """(t, squared distance) of the closest carrier point to p, a sequence
+    of floats of l's dimension; nothing is checked and no root is taken."""
+    x = l.x_floats
+    u = l.direction_floats
     t = 0.0  # a degenerate segment's only parameter; u is zero there
     if l.sq_length > 0.0:
         t = _clamp(sum(map(mul, map(sub, p, x), u)) / l.sq_length, l.kind == "segment")
@@ -168,7 +175,8 @@ def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndar
     return t, np.einsum("ij,ij->i", d, d)
 
 
-def _gap_sq(r: list[float], d1: list[float], t1: float, d2: list[float], t2: float) -> float:
+def _gap_sq(r: list[float], d1: Sequence[float], t1: float, d2: Sequence[float],
+            t2: float) -> float:
     """|r + d1*t1 - d2*t2|^2, the squared length of g1(t1) - g2(t2) when
     r = x1 - x2."""
     sq = 0.0
@@ -200,8 +208,8 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     """
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
-    x1 = l1.x.tolist()
-    x2 = l2.x.tolist()
+    x1 = l1.x_floats
+    x2 = l2.x_floats
     if len(x1) != len(x2):
         raise ValueError(f"dimension mismatch: {len(x1)}-d vs {len(x2)}-d")
     a = l1.sq_length
@@ -214,8 +222,8 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
         return MinDistance(math.sqrt(sq), t1, 0.0)
 
     r = list(map(sub, x1, x2))
-    d1 = l1.direction.tolist()
-    d2 = l2.direction.tolist()
+    d1 = l1.direction_floats
+    d2 = l2.direction_floats
     b = sum(map(mul, d1, d2))
     d = sum(map(mul, d1, r))
     e = sum(map(mul, d2, r))

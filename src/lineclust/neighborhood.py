@@ -55,16 +55,17 @@ profile, witness domain, reach and threshold once, when it is built, and
 passes them to relates_prob beside `gap`; a direct call without them
 computes them with the same helpers.
 
-phi is evaluated on whole levels of cells in one array call
-(_closest_sq_many and Profile.pdf).  Most pairs are decided by the root
-level alone, a hit on the grid or every cell pruned, so a profile row
-evaluates the root level of every pair its bound leaves open in one array
-pass per block of ROOT_BLOCK pairs (_root_level) and hands each pair its
-row; relates_prob, still called once per pair, evaluates the root level
-itself as a batch of one when it gets no row, so there is one code path.
-Each pair's row has the same bits in a batch of any size.  Only a point
-l2, or a window narrower than SEARCH_TOL, is decided by one scalar
-evaluation through _closest_sq and density.
+phi has one evaluator, array calls of _closest_sq_many and Profile.pdf
+over many parameters at once.  Most pairs are decided by the root level
+alone, a hit on the grid or every cell pruned, so a profile row evaluates
+the root level of every pair its bound leaves open in one array pass per
+block of ROOT_BLOCK pairs (_root_level) and hands each pair its row.  A
+pair whose witness set is one parameter, a point l2 or a window no wider
+than SEARCH_TOL, is decided by phi there alone, and the row evaluates phi
+for all such pairs in one more array pass (_point_hits) and hands each
+pair its hit flag.  relates_prob, still called once per pair, evaluates
+either itself as a batch of one when it gets no root, so there is one code
+path; each pair's result has the same bits in a batch of any size.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import SegmentLike, _closest_sq, _closest_sq_many, closest_point, min_distance
+from .geometry import SegmentLike, _closest_sq_many, closest_point, min_distance
 from .profiles import (
     Profile,
     density,
@@ -329,11 +330,23 @@ def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float, X: np.ndarray
     return s, t, d, hit, bound < pad
 
 
+def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
+                P: np.ndarray) -> np.ndarray:
+    """phi < 0 at each row of P, an (m, dim) array of points of l2s whose
+    witness set is the one parameter that gives the point, x + lo * d: the
+    (m,) hit flags of those pairs.  Every operation acts on each row alone,
+    so a pair's flag is the same whatever the other pairs are.
+    """
+    t, sq = _closest_sq_many(P, l1)
+    return np.sqrt(sq) - alpha1 * profile1.pdf(t) < 0.0
+
+
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
                  search_samples: int = 64, gap: float = -math.inf,
                  reach: tuple[float, float] | None = None, threshold: float | None = None,
-                 window: tuple[float, float] | None = None, root: Sequence | None = None,
+                 window: tuple[float, float] | None = None,
+                 root: Sequence | bool | None = None,
                  on_undecided: Callable[[], None] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
@@ -341,16 +354,17 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     gap is a lower bound on the distance between l1 and l2 known to the
     caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
     any phi is evaluated.  No exact distance solve follows: a point l2, or a
-    window narrower than SEARCH_TOL, is decided by phi at its one parameter
+    window no wider than SEARCH_TOL, is decided by phi at its one parameter
     and every other pair by the branch and bound.  reach and threshold (from
     _witness_threshold) depend on l1 alone and window (from _witness_domain)
     on l2 alone; a caller deciding many pairs passes them, and whatever it
     leaves out is computed here with the same helpers (both reach and
-    threshold when either is missing).  root is this pair's row (s, t, d,
-    hit, keep) of a _root_level batch over window, for a caller that
-    evaluated the root levels of many pairs at once; without it the root
-    level is evaluated here, as a batch of one.  A pair the branch and bound
-    cannot decide returns False and calls on_undecided, when given.
+    threshold when either is missing).  root is what a caller that
+    evaluated many pairs at once found for this one over window: for a
+    one-parameter pair its hit flag from a _point_hits batch, for any other
+    its row (s, t, d, hit, keep) of a _root_level batch.  Without it that
+    evaluation is made here, as a batch of one.  A pair the branch and
+    bound cannot decide returns False and calls on_undecided, when given.
     """
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
@@ -369,9 +383,9 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
 
     if l2.is_degenerate or hi - lo <= SEARCH_TOL:
         # a point, or a window too narrow to split: phi at its one parameter
-        p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
-        t, sq = _closest_sq(p, l1)
-        return math.sqrt(sq) - alpha1 * density(profile1, t) < 0.0
+        if root is None:
+            root = _point_hits(l1, profile1, alpha1, (l2.x + lo * l2.direction)[None])[0]
+        return bool(root)
 
     # the root partition: search_samples parameters, search_samples - 1 cells
     if root is None:
@@ -421,6 +435,9 @@ def _volume_alpha(spec: NeighbourhoodSpec, i: int, l: SegmentLike,
     """Version 2's alpha for line i (l, with profile p), from the volume V."""
     if p is None:
         raise ConfigurationError(f"version 2 cannot derive alpha for line {i} without a profile")
+    if l.is_degenerate:
+        raise ConfigurationError(f"version 2 cannot derive alpha for line {i}: it is a point, "
+                                 f"a zero-length axis of revolution with no volume")
     if spec.alpha_mode == "exact-volume":
         return exact_volume_scaling_factor(spec.volume, p, l, l.dim)
     return scaling_factor(spec.volume, p, l, l.dim)
@@ -445,15 +462,18 @@ class RelationEvaluator:
     pair's centre gap |c_i - c_j| - h_i - h_j in one array expression (-inf
     where either carrier is a line).  A row whose line has a profile
     tightens it to the carrier bound (_carrier_bound), -inf only where both
-    carriers are lines, and evaluates the root level of the witness search
-    (_root_level) for every pair the bound leaves below the threshold whose
-    l2 is no point and whose window is finite and wider than SEARCH_TOL, in
-    blocks of ROOT_BLOCK pairs.  Each pair's bound, with the resolved
-    parameters and its root row, goes to relates_v1 / relates_prob, called
-    once per pair, as the caller's lower bound.  neighbor_set(i) is that
-    row over the whole dataset and relates(i, j) is that row over line j
-    alone; both count every pair in eval_count, and every pair the witness
-    search leaves undecided (reported as unrelated) in undecided_count.
+    carriers are lines, and evaluates the witness search's first step for
+    every pair the bound leaves below the threshold whose window is finite
+    and non-empty.  A pair whose witness set is one parameter, a point l2 or
+    a window no wider than SEARCH_TOL, gets its hit flag, phi < 0 at that
+    parameter, from one _point_hits pass over the row; any other gets its
+    row of the root level (_root_level), in blocks of ROOT_BLOCK pairs.
+    Each pair's bound, with the resolved parameters and that flag or row as
+    its root, goes to relates_v1 / relates_prob, called once per pair, as
+    the caller's lower bound.  neighbor_set(i) is that row over the whole
+    dataset and relates(i, j) is that row over line j alone; both count
+    every pair in eval_count, and every pair the witness search leaves
+    undecided (reported as unrelated) in undecided_count.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -483,9 +503,14 @@ class RelationEvaluator:
         self.windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
         self.window_lo = np.array([w[0] for w in self.windows], dtype=np.float64)
         self.window_hi = np.array([w[1] for w in self.windows], dtype=np.float64)
-        # the pairs a row batches: l2 no point, its window finite and wider than SEARCH_TOL
+        # the pairs a row batches, each l2 with a finite non-empty window: a
+        # one-parameter witness set (a point, or a window no wider than
+        # SEARCH_TOL) for _point_hits, a wider one for _root_level
         width = self.window_hi - self.window_lo
-        self.searchable = (self.sq_length > 0.0) & np.isfinite(width) & (width > SEARCH_TOL)
+        finite = np.isfinite(width) & (width >= 0.0)
+        narrow = (self.sq_length == 0.0) | (width <= SEARCH_TOL)
+        self.one_parameter = finite & narrow
+        self.searchable = finite & ~narrow
         # (reach, threshold) of each line with a profile, None for a metric line
         self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
                            for l, p, a, w in zip(self.U, self.profiles, self.alphas, self.windows)]
@@ -527,8 +552,13 @@ class RelationEvaluator:
         reach, threshold = self.thresholds[i]
         bound = self._carrier_bound(i, js, gaps)
         samples = self.spec.search_samples
-        batched = np.arange(len(self.U))[js][(bound < threshold) & self.searchable[js]]
+        candidates = np.arange(len(self.U))[js][bound < threshold]
+        single = candidates[self.one_parameter[candidates]]
+        batched = candidates[self.searchable[candidates]]
         roots = {}
+        if len(single):
+            P = self.x[single] + self.window_lo[single][:, None] * self.direction[single]
+            roots.update(zip(single.tolist(), _point_hits(l1, p1, alpha1, P).tolist()))
         for k in range(0, len(batched), ROOT_BLOCK):
             idx = batched[k:k + ROOT_BLOCK]
             s, t, d, hit, keep = _root_level(l1, p1, alpha1, self.x[idx], self.direction[idx],

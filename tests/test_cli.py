@@ -24,6 +24,14 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["convex", "doughnut"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, kind, count):
+        out = tmp_path / "g.csv"
+        assert run_cli("gen", kind, "--count", count, "--out", out) == 2
+        assert f"--count must be a positive integer, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_counts(self, tmp_path):
         out = tmp_path / "c.csv"
         run_cli("gen", "convex", "--out", out)
@@ -317,6 +325,15 @@ class TestCluster:
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
         assert run_cli("gen", "doughnut", "--seed", -1, "--out", tmp_path / "g.csv") == 2
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_v2_point_record_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "deg.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,2,1,2,1\n")
+        code = run_cli("cluster", data, "--version", 2, "--volume", 1,
+                       "--profile", "normal:0.5,0.04", "--c", 1, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "cannot derive alpha for line 1: it is a point" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ("--version", 1, "--alpha", "nan"),

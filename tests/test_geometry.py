@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -37,6 +38,21 @@ class TestDerivedQuantities:
         l = segment((1, 1), (1, 1))
         assert l.sq_length == l.half_length == 0.0
         assert l.is_degenerate
+
+    @pytest.mark.parametrize("make", [segment, line])
+    def test_float_tuples_match_the_arrays_and_are_frozen(self, make):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 7):
+            x = rng.normal(size=dim)
+            l = make(x, x + rng.normal(size=dim))
+            assert l.x_floats == tuple(l.x.tolist())
+            assert l.direction_floats == tuple(l.direction.tolist())
+            assert all(type(v) is float for v in l.x_floats + l.direction_floats)
+            for name in ("x_floats", "direction_floats"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(l, name, (0.0,) * dim)
+        point = segment((1.5, -2.0), (1.5, -2.0))
+        assert point.x_floats == (1.5, -2.0) and point.direction_floats == (0.0, 0.0)
 
     def test_sqrt3(self):
         l = segment((0, 0, 0), (1, 1, 1))

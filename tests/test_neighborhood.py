@@ -331,6 +331,14 @@ class TestDispatch:
         with pytest.raises(ConfigurationError):
             RelationEvaluator([UNIT], spec).relates(0, 0)
 
+    @pytest.mark.parametrize("alpha_mode", ["literal", "exact-volume"])
+    def test_v2_point_is_an_error_naming_the_line(self, alpha_mode):
+        spec = NeighbourhoodSpec(version=2, c=1, volume=1.0, profile=Profile.normal(0.5, 0.04),
+                                 alpha_mode=alpha_mode)
+        U = [UNIT, segment((2.0, 1.0), (2.0, 1.0))]
+        with pytest.raises(ConfigurationError, match="line 1: it is a point"):
+            RelationEvaluator(U, spec)
+
     def test_asymmetry_witness(self):
         l1 = segment((0, 0), (1, 0))
         l2 = segment((0, 2), (1, 2))

@@ -13,6 +13,10 @@ samples l2 densely with plain numpy and demands a relation wherever a
 sample is a witness by more than the sampling error.  The cell bound is
 checked against φ sampled densely over each cell, and a pair with no
 certifiable answer must be reported as undecided within the budget.
+`reference_point_phi` is the scalar φ that once decided a pair whose
+witness set is one parameter (a point l2, or a window no wider than
+SEARCH_TOL): a list of floats, `_closest_sq` and `density`, where the
+library now evaluates that φ through the array evaluator of the root grid.
 """
 
 import math
@@ -20,8 +24,9 @@ import math
 import numpy as np
 import pytest
 
-from lineclust import neighborhood
-from lineclust.geometry import closest_point, line, min_distance, segment
+from lineclust import geometry, neighborhood
+from lineclust.geometry import _closest_sq, closest_point, line, min_distance, segment
+from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
     ROOT_BLOCK,
     SEARCH_TOL,
@@ -30,6 +35,7 @@ from lineclust.neighborhood import (
     RelationEvaluator,
     _cell_bounds,
     _line_candidate_window,
+    _point_hits,
     _root_level,
     _witness_threshold,
     contains_point,
@@ -577,3 +583,134 @@ def test_near_perpendicular_lines_are_decided(monkeypatch, eps, profile, x0, alp
     assert ev.undecided_count == 0
     # the row's carrier bound, then at most the root grid
     assert sum(evaluated[1:]) <= spec.search_samples
+
+
+def reference_point_phi(l1, profile1, alpha1, l2, lo):
+    """(φ, scale) at l2's one parameter lo by the scalar path: the point as a
+    list of floats, its foot on l1 by `_closest_sq` and f₁ there by
+    `density`.  scale is the sum of the two parts φ compares."""
+    p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
+    t, sq = _closest_sq(p, l1)
+    dist, scaled = math.sqrt(sq), alpha1 * density(profile1, t)
+    return dist - scaled, dist + scaled
+
+
+def _one_parameter_pairs(rng, dim, family, kind1):
+    """l1 with a density of the family, and l2s whose witness set is one
+    parameter: points, and segments and lines whose density is a uniform
+    window no wider than SEARCH_TOL.  Each l2 passes its one point at a
+    random offset of up to 1.5 thresholds from a point of l1 at a t in the
+    reach, so both decisions occur.  Returns l1, p1, alpha, l2s, their
+    profiles and their one parameters."""
+    l1 = random_carrier(rng, dim, kind1)
+    p1 = random_profile(rng, family)
+    alpha = rng.uniform(0.05, 3.0)
+    reach, threshold = _witness_threshold(l1, p1, alpha)
+    l2s, profiles, params = [], [], []
+    for k in range(12):
+        u = rng.normal(size=dim)
+        q = l1.x + rng.uniform(*reach) * l1.direction \
+            + u / np.linalg.norm(u) * rng.uniform(0.0, 1.5) * threshold
+        kind2 = ("degenerate", "segment", "line")[k % 3]
+        if kind2 == "degenerate":
+            l2s.append(segment(q, q))
+            profiles.append(None if k % 2 else random_profile(rng, "beta"))
+            params.append(0.0)
+            continue
+        a = rng.uniform(0.0, 1.0 - SEARCH_TOL) if kind2 == "segment" else rng.uniform(-3.0, 3.0)
+        d = rng.normal(size=dim) * rng.uniform(0.2, 4.0)
+        x2 = q - a * d
+        l2s.append(segment(x2, x2 + d) if kind2 == "segment" else line(x2, x2 + d))
+        profiles.append(Profile.uniform(a, a + rng.uniform(1e-12, 0.9) * SEARCH_TOL))
+        params.append(a)
+    return l1, p1, alpha, l2s, profiles, params
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_point_hits_batch_is_bit_identical_to_single_pairs(dim):
+    """_point_hits over m one-parameter pairs gives each pair the flag a
+    batch of one gives it, and that flag is relates_prob's decision."""
+    rng = np.random.default_rng(30 + dim)
+    for k in range(24):
+        l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(
+            rng, dim, FAMILIES[k % 6], ("segment", "line")[k % 2])
+        P = np.array([l.x + lo * l.direction for l, lo in zip(l2s, params)])
+        batch = _point_hits(l1, p1, alpha, P)
+        assert batch.shape == (len(l2s),) and batch.dtype == bool
+        for r, (l2, p2) in enumerate(zip(l2s, profiles)):
+            single = _point_hits(l1, p1, alpha, P[r:r + 1])
+            assert np.array_equal(batch[r:r + 1], single), (k, r)
+            assert relates_prob(l1, p1, alpha, l2, p2) == batch[r], (k, r)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+@pytest.mark.parametrize("kind1", ["segment", "line"])
+def test_one_parameter_decisions_match_the_scalar_phi(dim, kind1):
+    """On seeded point and narrow-window l2s, relates_prob and a version 3
+    row take the scalar φ's decision on every pair it does not leave within
+    1e-12 of its scale, for every family of f₁."""
+    rng = np.random.default_rng(40 + dim + (kind1 == "line"))
+    decided = {True: 0, False: 0}
+    for k in range(36):
+        l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(rng, dim, FAMILIES[k % 6],
+                                                                    kind1)
+        spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[p1] + profiles)
+        ev = RelationEvaluator([l1] + l2s, spec)
+        assert ev.one_parameter[1:].all()
+        row = ev.neighbor_set(0)
+        for j, (l2, p2, lo) in enumerate(zip(l2s, profiles, params), start=1):
+            phi, scale = reference_point_phi(l1, p1, alpha, l2, lo)
+            if abs(phi) <= 1e-12 * scale:
+                continue
+            expected = phi < 0.0
+            assert relates_prob(l1, p1, alpha, l2, p2) == expected, (k, j)
+            assert (j in row) == expected, (k, j)
+            decided[expected] += 1
+    assert min(decided.values()) >= 60, decided
+
+
+def _lifted_dataset(rng, dim=7, count=90):
+    """Records around three centres in R^dim and a few uniform ones, a
+    sixth of them missing one coordinate, lifted with a different template
+    family on each axis."""
+    centres = rng.uniform(0.0, 5.0, size=(3, dim))
+    records = [list(map(float, rng.normal(centres[k % 3], 0.4))) for k in range(count - 10)]
+    records += [list(map(float, rng.uniform(-1.0, 6.0, dim))) for _ in range(10)]
+    for v in rng.choice(count, size=count // 6, replace=False):
+        records[int(v)][int(rng.integers(dim))] = None
+    templates = (Profile.uniform(0.0, 1.0), Profile.normal(0.5, 0.02), Profile.beta(2.0, 3.0),
+                 Profile.ellipsoidal(0.6, 1.0), Profile.gamma(2.0, 6.0),
+                 Profile.exponential(3.0))
+    domains = {axis: AxisDomain(axis=axis, window=(-1.5, 6.5),
+                                profile_template=templates[axis % len(templates)])
+               for axis in range(dim)}
+    return lift_dataset(records, domains)
+
+
+def test_profile_rows_never_call_the_scalar_phi(monkeypatch):
+    """Every profile row of a lifted version 3 evaluator, and each direct
+    relates_prob call of its pairs, decides with the scalar foot
+    `_closest_sq` and the scalar `density` refusing to run, and takes the
+    decisions of the reference, which calls both."""
+    lifted = _lifted_dataset(np.random.default_rng(2026))
+    U, profiles = lifted.segments, lifted.profiles
+    alpha = 1.0
+    rows = [i for i, p in enumerate(profiles) if p is not None]
+    expected = {i: {j for j, l2 in enumerate(U)
+                    if reference_relates_prob(U[i], profiles[i], alpha, l2, profiles[j])}
+                for i in rows}
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+
+    def refuse(*args):
+        raise AssertionError("the scalar phi was called")
+
+    monkeypatch.setattr(geometry, "_closest_sq", refuse)
+    monkeypatch.setattr(neighborhood, "density", refuse)
+    assert {i: ev.neighbor_set(i) for i in rows} == expected
+    assert ev.undecided_count == 0
+    for i in rows:
+        assert {j for j, l2 in enumerate(U)
+                if relates_prob(U[i], profiles[i], alpha, l2, profiles[j])} == expected[i]
+    points = sum(l.is_degenerate for l in U)
+    related_points = sum(U[j].is_degenerate for row in expected.values() for j in row)
+    assert 0 < related_points < len(rows) * points, related_points
