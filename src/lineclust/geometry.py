@@ -10,12 +10,16 @@ The coordinates are numpy arrays, but the scalar solves (`min_distance`,
 point and direction as tuples of floats, built once at construction, and
 the solves do their few multiply-adds on those in plain arithmetic.  Each
 numpy operation on a 2- to 7-element array costs a fixed dispatch overhead
-far larger than its arithmetic, and a relation row makes one such solve per
-pair.  Work over many points at once, the witness grid of
-`_closest_sq_many`, stays in numpy, where that overhead is paid once per
-array.  `min_distance` is one clamp-project-reclamp solve, exact in at
-most two steps for any two non-degenerate carriers; a point operand takes
-the cheaper projection of `_closest_sq` instead.
+far larger than its arithmetic, so one pair is cheapest in Python floats.
+Work over many pairs or points at once stays in numpy, where that overhead
+is paid once per array: the witness grid of `_closest_sq_many`, and
+`_min_distance_many`, the solve of one carrier against a whole relation
+row.  `min_distance` is one clamp-project-reclamp solve, exact in at most
+two steps for any two non-degenerate carriers; a point operand takes the
+cheaper projection of `_closest_sq` instead.  `_min_distance_many` takes
+the same steps in the same order and sums every dot product one
+coordinate at a time from the first, as the scalar solves do, so each of
+its distances has the bits `min_distance` gives for that pair.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import sub
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -140,6 +144,28 @@ def closest_point(P, l: SegmentLike) -> ClosestPointResult:
     return ClosestPointResult(t, l.x + l.direction * t, math.sqrt(sq))
 
 
+def _dot(u, v) -> float:
+    """u . v of two float sequences, summed from the first term up.  sum()
+    compensates its additions from Python 3.12 on; this order is the one
+    `_row_dot` can follow with whole columns."""
+    s = 0.0
+    for ui, vi in zip(u, v):
+        s += ui * vi
+    return s
+
+
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot product of each row of A, an (m, dim) array, with B's row
+    (B is (m, dim) or one (dim,) vector), summed one column at a time from
+    the first, the order of `_dot`.  einsum and BLAS sum in other orders
+    in 7-d, so their last bits can differ from the scalar solves'."""
+    P = A * B
+    s = P[:, 0]
+    for k in range(1, P.shape[1]):
+        s = s + P[:, k]
+    return s
+
+
 def _closest_sq(p: Sequence[float], l: SegmentLike) -> tuple[float, float]:
     """(t, squared distance) of the closest carrier point to p, a sequence
     of floats of l's dimension; nothing is checked and no root is taken."""
@@ -147,7 +173,7 @@ def _closest_sq(p: Sequence[float], l: SegmentLike) -> tuple[float, float]:
     u = l.direction_floats
     t = 0.0  # a degenerate segment's only parameter; u is zero there
     if l.sq_length > 0.0:
-        t = _clamp(sum(map(mul, map(sub, p, x), u)) / l.sq_length, l.kind == "segment")
+        t = _clamp(_dot(map(sub, p, x), u) / l.sq_length, l.kind == "segment")
     sq = 0.0
     for pi, xi, ui in zip(p, x, u):
         q = pi - (xi + ui * t)
@@ -224,9 +250,9 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     r = list(map(sub, x1, x2))
     d1 = l1.direction_floats
     d2 = l2.direction_floats
-    b = sum(map(mul, d1, d2))
-    d = sum(map(mul, d1, r))
-    e = sum(map(mul, d2, r))
+    b = _dot(d1, d2)
+    d = _dot(d1, r)
+    e = _dot(d2, r)
     seg1 = l1.kind == "segment"
     seg2 = l2.kind == "segment"
     den = a * c - b * b  # >= 0, zero iff parallel
@@ -236,3 +262,54 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
         t2 = 0.0 if t2 < 0.0 else 1.0
         t1 = _clamp((b * t2 - d) / a, seg1)
     return MinDistance(math.sqrt(_gap_sq(r, d1, t1, d2, t2)), t1, t2)
+
+
+def _min_distance_many(l1: SegmentLike, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
+                       is_segment: np.ndarray) -> np.ndarray:
+    """Array counterpart of `min_distance`: the (m,) distances from l1 to m
+    carriers l2_k at once.
+
+    X, D are the (m, dim) base points and directions of the l2s, sq their
+    (m,) squared lengths and is_segment their (m,) kinds; none may be l1
+    itself, and nothing is checked.  Each distance has the bits of
+    min_distance(l1, l2_k).distance: the solve takes the same steps in the
+    same order, sums its dot products as `_dot` does, and projects a point
+    operand as `_closest_sq` does.  Where a step does not apply to a pair
+    (a divisor that is zero, a pair that needs no reclamp) its result is
+    left out, never divided, so no pair raises a floating-point warning.
+    """
+    m = len(sq)
+    x1 = l1.x
+    if l1.sq_length == 0.0:  # l1 is a point: its foot on each l2
+        t = np.divide(_row_dot(x1 - X, D), sq, out=np.zeros(m), where=sq > 0.0)
+        t = np.where(is_segment, np.clip(t, 0.0, 1.0), t)
+        q = x1 - (X + D * t[:, None])
+        return np.sqrt(_row_dot(q, q))
+
+    seg1 = l1.kind == "segment"
+    a = l1.sq_length
+    d1 = l1.direction
+    r = x1 - X
+    b = _row_dot(D, d1)
+    d = _row_dot(r, d1)
+    e = _row_dot(r, D)
+    den = a * sq - b * b
+    t1 = np.divide(b * e - sq * d, den, out=np.zeros(m), where=den > 1e-14 * a * sq)
+    if seg1:
+        np.clip(t1, 0.0, 1.0, out=t1)
+    t2 = np.divide(b * t1 + e, sq, out=np.zeros(m), where=sq > 0.0)
+    over = is_segment & ((t2 < 0.0) | (t2 > 1.0))  # the optimum is on l2's violated end
+    if over.any():
+        t2[over] = np.where(t2[over] < 0.0, 0.0, 1.0)
+        t = (b[over] * t2[over] - d[over]) / a
+        t1[over] = np.clip(t, 0.0, 1.0) if seg1 else t
+    q = r + d1 * t1[:, None] - D * t2[:, None]
+    gap_sq = _row_dot(q, q)
+    point = sq == 0.0
+    if point.any():  # a point l2: its foot on l1
+        P = X[point]
+        t = _row_dot(P - x1, d1) / a
+        t = np.clip(t, 0.0, 1.0) if seg1 else t
+        q = P - (x1 + d1 * t[:, None])
+        gap_sq[point] = _row_dot(q, q)
+    return np.sqrt(gap_sq)

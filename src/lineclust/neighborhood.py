@@ -31,9 +31,9 @@ and counted through the caller's on_undecided.
 
 Before any of this, a pair whose lower bound on the distance between the
 two carriers already reaches alpha1 * sup f1 is rejected, the bound version
-1 applies with alpha1.  Version 1 decides the rest by the exact
-min_distance; versions 2 and 3 never call it, the root level and the
-branch and bound alone decide what the bound leaves open.
+1 applies with alpha1.  Version 1 decides the rest by the exact minimum
+distance; versions 2 and 3 never solve it, the root level and the branch
+and bound alone decide what the bound leaves open.
 RelationEvaluator computes the bound for a whole relation row in a few
 array expressions, from the centres, half-lengths and carriers stacked once
 per dataset, and hands each pair's value to relates_v1 / relates_prob as
@@ -44,6 +44,15 @@ centre gap, dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1, TRACLUS's
 perpendicular-distance pruning (Lee, Han & Whang 2007).  It is finite
 unless both carriers are lines, and it rejects the lifted segments that
 sweep a whole axis past one another, whose centre gaps are all negative.
+
+A metric row (version 1, or a density-free line in version 3) solves every
+pair off the diagonal that its centre gap leaves open in one
+_min_distance_many call, whose distances have the bits min_distance gives,
+and hands each pair its decision, distance < alpha1, as `root`.  The
+diagonal keeps min_distance's shortcut for a carrier against itself, and a
+row with no other open pair, every row of a dataset of isolated lines,
+makes no array solve and passes no root, so it costs no more than a row of
+scalar calls.
 
 The rest of the witness set-up also splits by line.  The threshold
 alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
@@ -79,7 +88,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import SegmentLike, _closest_sq_many, closest_point, min_distance
+from .geometry import (
+    SegmentLike,
+    _closest_sq_many,
+    _min_distance_many,
+    closest_point,
+    min_distance,
+)
 from .profiles import (
     Profile,
     density,
@@ -209,14 +224,19 @@ def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
 
 
 def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
-               gap: float = -math.inf) -> bool:
+               gap: float = -math.inf, root: bool | None = None) -> bool:
     """Metric relation: minimum distance strictly below alpha1.
 
     gap is a lower bound on that distance known to the caller; a pair it
     already puts at alpha1 or beyond is rejected without the exact solve.
+    root is what a caller that solved many pairs at once found for this
+    one, min distance < alpha1 from a _min_distance_many row, which has the
+    bits of min_distance; without it the pair is solved here.
     """
     if gap >= alpha1:
         return False
+    if root is not None:
+        return root
     return min_distance(l1, l2).distance < alpha1
 
 
@@ -460,7 +480,12 @@ class RelationEvaluator:
 
     A relation row, line i against a slice of the dataset, computes every
     pair's centre gap |c_i - c_j| - h_i - h_j in one array expression (-inf
-    where either carrier is a line).  A row whose line has a profile
+    where either carrier is a line).  A metric row, whose line has no
+    profile, solves the minimum distance of every pair but i itself that
+    the gap leaves below alpha_i in one _min_distance_many call, and hands
+    each such pair its decision as its root; a row with no such pair
+    passes none, so an isolated row costs what the per-pair loop does.  A
+    row whose line has a profile
     tightens it to the carrier bound (_carrier_bound), -inf only where both
     carriers are lines, and evaluates the witness search's first step for
     every pair the bound leaves below the threshold whose window is finite
@@ -468,12 +493,12 @@ class RelationEvaluator:
     a window no wider than SEARCH_TOL, gets its hit flag, phi < 0 at that
     parameter, from one _point_hits pass over the row; any other gets its
     row of the root level (_root_level), in blocks of ROOT_BLOCK pairs.
-    Each pair's bound, with the resolved parameters and that flag or row as
-    its root, goes to relates_v1 / relates_prob, called once per pair, as
-    the caller's lower bound.  neighbor_set(i) is that row over the whole
-    dataset and relates(i, j) is that row over line j alone; both count
-    every pair in eval_count, and every pair the witness search leaves
-    undecided (reported as unrelated) in undecided_count.
+    Each pair's bound, with the resolved parameters and its decision, flag
+    or row as its root, goes to relates_v1 / relates_prob, called once per
+    pair, as the caller's lower bound.  neighbor_set(i) is that row over
+    the whole dataset and relates(i, j) is that row over line j alone; both
+    count every pair in eval_count, and every pair the witness search
+    leaves undecided (reported as unrelated) in undecided_count.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -492,6 +517,7 @@ class RelationEvaluator:
         self.inv_sq = np.divide(1.0, self.sq_length, out=np.zeros(n), where=self.sq_length > 0.0)
         # parameter domains: [0, 1] for a segment, all of R for a line
         is_line = np.isinf(self.half_len)
+        self.is_segment = ~is_line
         self.domain_lo = np.where(is_line, -math.inf, 0.0)
         self.domain_hi = np.where(is_line, math.inf, 1.0)
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
@@ -548,7 +574,20 @@ class RelationEvaluator:
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
         if p1 is None:
             # version 1, or a declared density-free line: the metric relation
-            return [j for j, g in zip(lines, gaps.tolist()) if relates_v1(l1, U[j], alpha1, g)]
+            open_ = gaps < alpha1
+            if i in lines:  # the diagonal keeps min_distance's shortcut
+                open_[i - lines.start] = False
+            if not np.count_nonzero(open_):
+                return [j for j, g in zip(lines, gaps.tolist()) if relates_v1(l1, U[j], alpha1, g)]
+            at = open_.nonzero()[0]
+            near = at + lines.start
+            hits = _min_distance_many(l1, self.x[near], self.direction[near],
+                                      self.sq_length[near], self.is_segment[near]) < alpha1
+            roots = [None] * len(lines)
+            for k, hit in zip(at.tolist(), hits.tolist()):
+                roots[k] = hit
+            return [j for j, g, root in zip(lines, gaps.tolist(), roots)
+                    if relates_v1(l1, U[j], alpha1, g, root)]
         reach, threshold = self.thresholds[i]
         bound = self._carrier_bound(i, js, gaps)
         samples = self.spec.search_samples

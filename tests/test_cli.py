@@ -308,6 +308,22 @@ class TestCluster:
         assert "--crop applies to GeoJSON input only" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("box", ["2,2,-1,-1", "0,3,1,2", "nan,-1,3,3", "-1,-1,3,nan"])
+    def test_inverted_or_nan_crop_is_usage_error(self, tmp_path, capsys, box):
+        geo = tmp_path / "net.geojson"
+        geo.write_text(json.dumps({
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {},
+                          "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}}],
+        }))
+        code = run_cli("cluster", geo, "--version", 1, "--c", 1, "--alpha", 0.5,
+                       f"--crop={box}", "--out", tmp_path / "r.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--crop box {box!r} selects nothing" in err
+        assert "excluded every segment" not in err and "no segments" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_numeric_crop_is_usage_error(self, tmp_path, capsys):
         geo = tmp_path / "net.geojson"
         geo.write_text(json.dumps({"type": "FeatureCollection", "features": []}))

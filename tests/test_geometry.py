@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from lineclust.geometry import (
     MinDistance,
     _closest_sq_many,
+    _min_distance_many,
     closest_point,
     line,
     min_distance,
@@ -380,6 +381,87 @@ class TestScalarKernel:
             alpha = ref.distance * side
             assert relates_v1(l1, l2, alpha) == (ref.distance < alpha) == (side > 1.0)
         assert decided > 300
+
+
+def _unit_normal(rng, u):
+    """A random unit vector orthogonal to the unit vector u."""
+    w = rng.normal(size=u.size)
+    w -= (w @ u) * u
+    return w / np.linalg.norm(w)
+
+
+def _row_partners(rng, l1, scale):
+    """(family, x, y) carriers for a row against l1: random, parallel and
+    1e-7 to 1e-6 rad off parallel to l1, crossing l1's carrier, an equal
+    copy of l1, and short pieces far beyond both ends of l1's span, where the
+    solve's t2 overshoots l2 and is reclamped."""
+    dim = l1.dim
+    x1 = l1.x
+    d1 = l1.direction if l1.sq_length > 0.0 else rng.normal(size=dim)
+    u = d1 / np.linalg.norm(d1)
+    out = [("equal", x1.copy(), l1.y.copy())]
+    for _ in range(4):
+        x = scale * rng.uniform(-5.0, 5.0, dim)
+        out.append(("random", x, x + scale * rng.normal(size=dim)))
+        x = x1 + scale * rng.normal(size=dim)
+        out.append(("parallel", x, x + rng.uniform(-3.0, 3.0) * d1))
+        angle = rng.uniform(1e-7, 1e-6)
+        v = math.cos(angle) * u + math.sin(angle) * _unit_normal(rng, u)
+        x = x1 + scale * rng.uniform(0.1, 2.0) * _unit_normal(rng, u)
+        out.append(("near-parallel", x, x + scale * rng.uniform(0.5, 3.0) * v))
+        w = _unit_normal(rng, u) + rng.normal(scale=0.3) * u
+        x = x1 + rng.uniform(0.0, 1.0) * d1 - scale * rng.uniform(0.2, 2.0) * w
+        out.append(("crossing", x, x + scale * rng.uniform(2.5, 4.0) * w))
+        # a short piece along l1's direction, offset sideways, beyond one end
+        end = rng.choice([-1.0, 1.0])
+        x = x1 + (0.5 + end * rng.uniform(2.0, 4.0)) * d1 + scale * _unit_normal(rng, u)
+        out.append(("reclamp", x, x + end * 0.1 * d1 + 0.01 * scale * _unit_normal(rng, u)))
+    return out
+
+
+class TestRowKernel:
+    """`_min_distance_many` has the bits of `min_distance`, pair by pair."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("kind1", ["segment", "line", "point"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_bit_identical_to_min_distance(self, dim, kind1, scale):
+        rng = np.random.default_rng([dim, len(kind1), int(scale)])
+        families = set()
+        reclamped = 0
+        for _ in range(6):
+            x1 = scale * rng.uniform(-5.0, 5.0, dim)
+            l1 = _carrier(kind1, x1, x1 + scale * rng.normal(size=dim))
+            row = [(family, _carrier(kind2, x, y))
+                   for family, x, y in _row_partners(rng, l1, scale)
+                   for kind2 in ("segment", "line", "point")
+                   if not (kind2 == "line" and (x == y).all())]
+            L2 = [l2 for _, l2 in row]
+            got = _min_distance_many(l1, np.array([l.x for l in L2]),
+                                     np.array([l.direction for l in L2]),
+                                     np.array([l.sq_length for l in L2]),
+                                     np.array([l.kind == "segment" for l in L2]))
+            solves = [min_distance(l1, l2) for l2 in L2]
+            assert np.array_equal(got, [m.distance for m in solves])
+            families.update(family for family, _ in row)
+            reclamped += sum(family == "reclamp" and not l2.is_line and not l2.is_degenerate
+                             and m.t2 in (0.0, 1.0) for (family, l2), m in zip(row, solves))
+        assert len(families) == 6
+        if kind1 != "point":
+            assert reclamped > 0  # the reclamp branch ran
+
+    def test_empty_row_and_no_warning_on_degenerate_divisors(self):
+        l1 = segment((0.0, 0.0), (1.0, 0.0))
+        empty = _min_distance_many(l1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
+                                   np.zeros(0, dtype=bool))
+        assert empty.shape == (0,)
+        # a point l2 (c = 0) and an exactly parallel one (den = 0): pytest
+        # turns a RuntimeWarning from a division into an error
+        L2 = [segment((0.5, 2.0), (0.5, 2.0)), segment((3.0, 1.0), (4.0, 1.0))]
+        got = _min_distance_many(l1, np.array([l.x for l in L2]),
+                                 np.array([l.direction for l in L2]),
+                                 np.array([l.sq_length for l in L2]), np.array([True, True]))
+        assert got.tolist() == [2.0, math.sqrt(5.0)]
 
 
 def _exact_gap_sq(l1, l2, t1, t2) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from lineclust import neighborhood
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import closest_point, line, min_distance, segment
+from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
@@ -182,6 +183,16 @@ class TestRelatesV1:
             l2 = segment(rng.uniform(-5, 5, dim), rng.uniform(-5, 5, dim))
             alpha = rng.uniform(0.05, 6)
             assert relates_v1(l1, l2, alpha) == (min_distance(l1, l2).distance < alpha)
+            assert relates_v1(l1, l2, alpha, root=None) == relates_v1(l1, l2, alpha)
+
+    def test_root_decides_what_the_gap_leaves_open(self):
+        l1 = segment((0, 0), (1, 0))
+        l2 = segment((0, 2), (1, 2))
+        # a root is the caller's decision for the pair, taken as it is ...
+        assert relates_v1(l1, l2, 3.0, root=False) is False
+        assert relates_v1(l1, l2, 1.0, root=True) is True
+        # ... but a gap at alpha or beyond rejects before it is read
+        assert relates_v1(l1, l2, 3.0, gap=3.0, root=True) is False
 
 
 class TestRelatesProb:
@@ -555,6 +566,93 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="same dimension"):
             RelationEvaluator([UNIT, segment((0, 0, 0), (1, 0, 0))],
                               NeighbourhoodSpec(version=1, c=1, alpha=1.0))
+
+
+class TestMetricRows:
+    """Metric rows (version 1, or a density-free line in version 3) decide
+    every pair off the diagonal that the centre gap leaves open in one
+    _min_distance_many solve."""
+
+    @staticmethod
+    def _mixed(dim, seed):
+        """Segments, lines and points close enough that most pairs are open,
+        each line's alpha the exact distance to its successor, so that the
+        strict test sits on a solve's last bit."""
+        rng = np.random.default_rng([dim, seed])
+        U = []
+        for k in range(24):
+            x = rng.uniform(-2, 2, dim)
+            y = x + rng.normal(size=dim)
+            U.append(line(x, y) if k % 5 == 3 else segment(x, x if k % 5 == 4 else y))
+        alpha = [min_distance(l, U[(i + 1) % len(U)]).distance or 0.5 for i, l in enumerate(U)]
+        return U, NeighbourhoodSpec(version=1, c=1, alpha=alpha)
+
+    @staticmethod
+    def _lifted(seed):
+        """Points in R^3, a quarter of them with one missing entry, lifted to
+        version 3: the complete ones are density-free, so metric rows."""
+        rng = np.random.default_rng(seed)
+        records = []
+        for k in range(40):
+            rec = [float(v) for v in rng.normal(scale=0.8, size=3)]
+            if k % 4 == 1:
+                rec[k % 3] = None
+            records.append(rec)
+        domains = {axis: AxisDomain(axis=axis, window=(-3.0, 3.0)) for axis in range(3)}
+        lifted = lift_dataset(records, domains)
+        spec = NeighbourhoodSpec(version=3, c=1, alpha=0.6, profile=lifted.profiles)
+        return lifted.segments, spec
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+
+        def counted(l1, l2, _real=neighborhood.min_distance):
+            calls.append((l1, l2))
+            return _real(l1, l2)
+        monkeypatch.setattr(neighborhood, "min_distance", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_mixed_rows_match_the_scalar_solve(self, dim, monkeypatch):
+        U, spec = self._mixed(dim, 0)
+        ev = RelationEvaluator(U, spec)
+        calls = self._counting(monkeypatch)
+        rows = [ev.neighbor_set(i) for i in range(len(U))]
+        assert len(calls) == len(U) and all(l1 is l2 for l1, l2 in calls)
+        for i, row in enumerate(rows):
+            assert (i + 1) % len(U) not in row or spec.alpha[i] == 0.5  # strict at alpha
+            assert row == {j for j, l2 in enumerate(U)
+                           if min_distance(U[i], l2).distance < spec.alpha[i]}, f"row {i}"
+            assert row == {j for j in range(len(U)) if ev.relates(i, j)}, f"row {i}"
+        assert sum(map(len, rows)) > 2 * len(U)  # rows with open pairs off the diagonal
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lifted_rows(self, seed, monkeypatch):
+        U, spec = self._lifted(seed)
+        ev = RelationEvaluator(U, spec)
+        metric = [i for i, p in enumerate(spec.profile) if p is None]
+        assert 0 < len(metric) < len(U)
+        calls = self._counting(monkeypatch)
+        rows = [ev.neighbor_set(i) for i in range(len(U))]
+        # profile rows never call it, metric rows only on their diagonal
+        assert len(calls) == len(metric) and all(l1 is l2 for l1, l2 in calls)
+        assert any(len(rows[i]) > 1 for i in metric)
+        for i, row in enumerate(rows):
+            assert row == {j for j in range(len(U)) if ev.relates(i, j)}, f"row {i}"
+            if i in metric:
+                assert row == {j for j, l2 in enumerate(U)
+                               if min_distance(U[i], l2).distance < spec.alpha}, f"row {i}"
+        assert ev.undecided_count == 0
+
+    def test_isolated_rows_keep_the_scalar_loop(self, monkeypatch):
+        # no pair off the diagonal is open: nothing is solved in an array
+        U = [segment((10.0 * k, 0.0), (10.0 * k + 1.0, 0.0)) for k in range(6)]
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.0))
+        monkeypatch.setattr(neighborhood, "_min_distance_many", None)  # a call would raise
+        calls = self._counting(monkeypatch)
+        assert [ev.neighbor_set(i) for i in range(len(U))] == [{i} for i in range(len(U))]
+        assert len(calls) == len(U)
 
 
 def _carrier(kind, x, y):
