@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import ClusterLabels
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 from .geometry import SegmentLike, segment
 
 log = logging.getLogger(__name__)
@@ -182,10 +182,17 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
 
     Non-line geometries are skipped with a warning.  With a crop box
     (minx, miny, maxx, maxy) only segments whose both endpoints fall inside
-    are kept.  Two features that yield one segment id, a position that is
-    not two numbers (a 3-d coordinate, say), and a feature list, feature,
-    geometry or line of the wrong JSON type are parse errors.
+    are kept; a box with minx > maxx, miny > maxy or a NaN selects nothing
+    and is a ConfigurationError.  Two features that yield one segment id, a
+    position that is not two numbers (a 3-d coordinate, say), and a feature
+    list, feature, geometry or line of the wrong JSON type are parse errors.
     """
+    if crop is not None:
+        minx, miny, maxx, maxy = crop
+        # NaN compares false both ways, so a box holding one fails this too
+        if not (minx <= maxx and miny <= maxy):
+            raise ConfigurationError(f"crop box {tuple(crop)!r} selects nothing: it needs "
+                                     f"minx <= maxx and miny <= maxy, and no NaN")
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)

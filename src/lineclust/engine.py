@@ -1,12 +1,12 @@
 """The clustering loop, in two modes.
 
-`literal` is the one-pass draw loop: repeatedly draw a random UNVISITED line,
+`literal` is the one-pass draw loop: repeatedly draw a random unvisited line,
 compute its neighbour set, and either emit that set as a new cluster (marking
-its members VISITED) or mark the drawn line NOISE.  There is no transitive
-growth, so clusters are one-hop stars around the drawn line, a line can end
-up in several clusters (multi-membership is recorded, not deduplicated), and
-NOISE lines can still be absorbed into later clusters through neighbour-set
-membership.
+its members visited) or record the drawn line as noise (marking it visited).
+There is no transitive growth, so clusters are one-hop stars around the drawn
+line, a line can end up in several clusters (multi-membership is recorded,
+not deduplicated), and noise lines can still be absorbed into later clusters
+through neighbour-set membership.
 
 `expand` is the DBSCAN-style variant: a drawn core line seeds a cluster that
 grows through a frontier queue over core members' neighbour sets; non-core
@@ -16,7 +16,8 @@ noise.  Every line gets exactly one terminal label.
 Both modes are deterministic given the dataset order and the seed.  The RNG
 is numpy's PCG64 (np.random.default_rng); each draw picks
 candidates[rng.integers(len(candidates))] where candidates lists the
-UNVISITED indices in ascending order.
+unvisited indices in ascending order.  A line counts as visited once it is
+drawn or taken into a cluster.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .geometry import SegmentLike
 from .neighborhood import NeighbourhoodSpec, RelationEvaluator
 
 NOISE = -1
-
-_UNVISITED, _VISITED, _NOISE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,8 @@ class ClusterLabels:
         return np.array([m[0] if m else NOISE for m in self.memberships], dtype=int)
 
 
-def _draw(rng: np.random.Generator, state: list[int]) -> int:
-    candidates = [i for i, s in enumerate(state) if s == _UNVISITED]
+def _draw(rng: np.random.Generator, visited: list[bool]) -> int:
+    candidates = [i for i, v in enumerate(visited) if not v]
     return candidates[int(rng.integers(len(candidates)))]
 
 
@@ -110,7 +109,7 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     n = len(U)
     ev = RelationEvaluator(U, cfg.spec)
     rng = np.random.default_rng(cfg.rng_seed)
-    state = [_UNVISITED] * n
+    visited = [False] * n
     memberships: list[list[int]] = [[] for _ in range(n)]
     clusters: list[list[int]] = []
     trace: list[dict] = []
@@ -118,7 +117,7 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     unvisited = n
 
     while unvisited > 0:
-        u = _draw(rng, state)
+        u = _draw(rng, visited)
         region = ev.neighbor_set(u)
         peak_transient = max(peak_transient, len(region))
         if len(region) >= cfg.spec.c:
@@ -126,14 +125,14 @@ def run_literal(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
             members = sorted(region | {u})
             clusters.append(members)
             for i in members:
-                if state[i] == _UNVISITED:
+                if not visited[i]:
+                    visited[i] = True
                     unvisited -= 1
-                state[i] = _VISITED
                 memberships[i].append(cid)
             trace.append({"chosen": u, "neighbours": len(region),
                           "decision": "cluster", "cluster": cid})
         else:
-            state[u] = _NOISE
+            visited[u] = True
             unvisited -= 1
             trace.append({"chosen": u, "neighbours": len(region),
                           "decision": "noise", "cluster": None})
@@ -153,7 +152,7 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     n = len(U)
     ev = RelationEvaluator(U, cfg.spec)
     rng = np.random.default_rng(cfg.rng_seed)
-    state = [_UNVISITED] * n
+    visited = [False] * n
     core: list[Optional[bool]] = [None] * n
     memberships: list[list[int]] = [[] for _ in range(n)]
     clusters: list[list[int]] = []
@@ -162,14 +161,13 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
     unvisited = n
 
     while unvisited > 0:
-        u = _draw(rng, state)
-        state[u] = _VISITED
+        u = _draw(rng, visited)
+        visited[u] = True
         unvisited -= 1
         region = ev.neighbor_set(u)
         core[u] = len(region) >= cfg.spec.c
         peak_transient = max(peak_transient, len(region))
-        if not core[u]:
-            state[u] = _NOISE  # tentative: may still join a cluster as border
+        if not core[u]:  # tentative noise: it may still join a cluster as border
             trace.append({"chosen": u, "neighbours": len(region),
                           "decision": "noise", "cluster": None})
             continue
@@ -186,9 +184,9 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
                 memberships[q] = [cid]
                 members.append(q)
             if core[q] is None:
-                if state[q] == _UNVISITED:
+                if not visited[q]:
+                    visited[q] = True
                     unvisited -= 1
-                state[q] = _VISITED
                 region_q = ev.neighbor_set(q)
                 core[q] = len(region_q) >= cfg.spec.c
                 peak_transient = max(peak_transient, len(region_q))

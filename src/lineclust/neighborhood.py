@@ -47,12 +47,12 @@ sweep a whole axis past one another, whose centre gaps are all negative.
 
 A metric row (version 1, or a density-free line in version 3) solves every
 pair off the diagonal that its centre gap leaves open in one
-_min_distance_many call, whose distances have the bits min_distance gives,
-and hands each pair its decision, distance < alpha1, as `root`.  The
-diagonal keeps min_distance's shortcut for a carrier against itself, and a
-row with no other open pair, every row of a dataset of isolated lines,
-makes no array solve and passes no root, so it costs no more than a row of
-scalar calls.
+_min_distance_many call and hands each pair its decision, distance <
+alpha1, as `root`.  That call is the one distance kernel: min_distance
+solves a single pair as a row of one of it, so a pair's distance has the
+same bits in either.  The diagonal keeps min_distance's shortcut for a
+carrier against itself, and a row with no other open pair, every row of a
+dataset of isolated lines, makes no array solve and passes no root.
 
 The rest of the witness set-up also splits by line.  The threshold
 alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
@@ -230,8 +230,9 @@ def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
     gap is a lower bound on that distance known to the caller; a pair it
     already puts at alpha1 or beyond is rejected without the exact solve.
     root is what a caller that solved many pairs at once found for this
-    one, min distance < alpha1 from a _min_distance_many row, which has the
-    bits of min_distance; without it the pair is solved here.
+    one, min distance < alpha1 from a _min_distance_many row; without it
+    the pair is solved here by min_distance, the same kernel on a row of
+    one, so the decision is the same either way.
     """
     if gap >= alpha1:
         return False
@@ -581,8 +582,9 @@ class RelationEvaluator:
                 return [j for j, g in zip(lines, gaps.tolist()) if relates_v1(l1, U[j], alpha1, g)]
             at = open_.nonzero()[0]
             near = at + lines.start
-            hits = _min_distance_many(l1, self.x[near], self.direction[near],
-                                      self.sq_length[near], self.is_segment[near]) < alpha1
+            dist, _, _ = _min_distance_many(l1, self.x[near], self.direction[near],
+                                            self.sq_length[near], self.is_segment[near])
+            hits = dist < alpha1
             roots = [None] * len(lines)
             for k, hit in zip(at.tolist(), hits.tolist()):
                 roots[k] = hit

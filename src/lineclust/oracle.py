@@ -1,9 +1,10 @@
 """Brute-force references for tests and verification.
 
 Everything here is deliberately dumb and independent of the production
-routes: distances by dense grids, integrals by fixed-panel Simpson, point
-clustering by a textbook scan.  Only plain array arithmetic is shared with
-the rest of the package.  Performance is not a goal.
+routes: distances by dense grids, a point's foot on a carrier by one plain
+vector projection, integrals by fixed-panel Simpson, point clustering by a
+textbook scan.  Only plain array arithmetic is shared with the rest of the
+package.  Performance is not a goal.
 """
 
 from __future__ import annotations
@@ -41,6 +42,24 @@ def grid_min_distance(l1: SegmentLike, l2: SegmentLike, step: float = 1e-3) -> f
         if m < best:
             best = m
     return float(np.sqrt(max(best, 0.0)))
+
+
+def reference_foot(p, l: SegmentLike) -> tuple[float, float]:
+    """(t, squared distance) of the point of l closest to the point p.
+
+    The reference foot: one vector projection of p onto l's carrier with
+    numpy's 1-d dot, clamped to [0, 1] for a segment, t = 0 on a degenerate
+    one.  It shares no code with the distance kernels of `geometry`.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if l.sq_length == 0.0:
+        d = p - l.x
+        return 0.0, float(d @ d)
+    t = float((p - l.x) @ l.direction) / l.sq_length
+    if not l.is_line:
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    d = p - (l.x + l.direction * t)
+    return t, float(d @ d)
 
 
 def simpson_integral(fn, lo: float, hi: float, panels: int = 4096) -> float:

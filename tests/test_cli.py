@@ -320,7 +320,8 @@ class TestCluster:
                        f"--crop={box}", "--out", tmp_path / "r.json")
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--crop box {box!r} selects nothing" in err
+        parsed = tuple(float(v) for v in box.split(","))
+        assert f"crop box {parsed!r} selects nothing" in err
         assert "excluded every segment" not in err and "no segments" not in err
         assert not (tmp_path / "r.json").exists()
 

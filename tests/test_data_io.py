@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from lineclust.data_io import (
     write_svg,
 )
 from lineclust.engine import RunConfig, run_expand, run_literal
-from lineclust.errors import ParseError
+from lineclust.errors import ConfigurationError, ParseError
 from lineclust.neighborhood import NeighbourhoodSpec
 
 
@@ -192,6 +193,18 @@ class TestGeoJson:
             nothing = load_geojson(path, crop=(100, 100, 101, 101))
         assert nothing == []
         assert any("excluded every segment" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("box", [(2, 2, -1, -1), (0, 3, 1, 2), (math.nan, -1, 3, 3),
+                                     (-1, -1, 3, math.nan)])
+    def test_inverted_or_nan_crop_box_rejected(self, tmp_path, box):
+        path = self._write(tmp_path, {
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {},
+                          "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}}],
+        })
+        with pytest.raises(ConfigurationError, match="selects nothing") as exc:
+            load_geojson(path, crop=box)
+        assert repr(tuple(box)) in str(exc.value)
 
     def test_duplicate_segment_id_rejected_with_feature_indices(self, tmp_path):
         line = {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from lineclust.geometry import (
     segment,
 )
 from lineclust.neighborhood import relates_v1
-from lineclust.oracle import grid_min_distance
+from lineclust.oracle import grid_min_distance, reference_foot
 
 
 def rand_segment(rng, dim, span=10.0, max_len=None):
@@ -39,21 +38,6 @@ class TestDerivedQuantities:
         l = segment((1, 1), (1, 1))
         assert l.sq_length == l.half_length == 0.0
         assert l.is_degenerate
-
-    @pytest.mark.parametrize("make", [segment, line])
-    def test_float_tuples_match_the_arrays_and_are_frozen(self, make):
-        rng = np.random.default_rng(5)
-        for dim in (1, 2, 7):
-            x = rng.normal(size=dim)
-            l = make(x, x + rng.normal(size=dim))
-            assert l.x_floats == tuple(l.x.tolist())
-            assert l.direction_floats == tuple(l.direction.tolist())
-            assert all(type(v) is float for v in l.x_floats + l.direction_floats)
-            for name in ("x_floats", "direction_floats"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(l, name, (0.0,) * dim)
-        point = segment((1.5, -2.0), (1.5, -2.0))
-        assert point.x_floats == (1.5, -2.0) and point.direction_floats == (0.0, 0.0)
 
     def test_sqrt3(self):
         l = segment((0, 0, 0), (1, 1, 1))
@@ -109,7 +93,8 @@ COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 class TestClosestSqMany:
-    """The array kernel against the validating scalar closest_point."""
+    """The array kernel against the oracle's reference foot, and the
+    validating closest_point, its row of one, against each of its rows."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 7]), kind=st.sampled_from(["segment", "line", "degenerate"]),
@@ -130,29 +115,20 @@ class TestClosestSqMany:
         scale = 1.0 + np.abs(P).max() + np.abs(x).max() + np.abs(y).max()
         speed = math.sqrt(l.sq_length)
         for k in range(m):
-            ref = closest_point(P[k], l)
+            t_ref, sq_ref = reference_foot(P[k], l)
             t_tol = 1e-12 * (1.0 + scale / speed) if speed > 0 else 0.0
-            assert t[k] == pytest.approx(ref.t_star, rel=1e-12, abs=t_tol)
-            assert math.sqrt(sq[k]) == pytest.approx(ref.distance, rel=1e-12, abs=1e-12 * scale)
-
-
-def _reference_closest_sq(p, l):
-    """The numpy `_closest_sq` the scalar kernel replaced."""
-    if l.sq_length == 0.0:
-        d = p - l.x
-        return 0.0, float(d @ d)
-    t = float((p - l.x) @ l.direction) / l.sq_length
-    if l.kind == "segment":
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    d = p - (l.x + l.direction * t)
-    return t, float(d @ d)
+            assert t[k] == pytest.approx(t_ref, rel=1e-12, abs=t_tol)
+            assert math.sqrt(sq[k]) == pytest.approx(math.sqrt(sq_ref), rel=1e-12,
+                                                     abs=1e-12 * scale)
+            cp = closest_point(P[k], l)
+            assert (cp.t_star, cp.distance) == (t[k], math.sqrt(sq[k]))
 
 
 def reference_min_distance(l1, l2):
     """The enumeration `min_distance` no longer runs, on numpy 2- to
     7-element arrays: the interior normal-equation solve when it is
     feasible, else the best of the segment endpoints each projected by
-    `_reference_closest_sq`.  It shares neither method nor arithmetic with
+    `oracle.reference_foot`.  It shares neither method nor arithmetic with
     the clamp-project-reclamp solve, so the comparison is independent."""
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
@@ -162,10 +138,10 @@ def reference_min_distance(l1, l2):
         diff = l1.x - l2.x
         return MinDistance(math.sqrt(float(diff @ diff)), 0.0, 0.0)
     if a == 0.0:
-        t2, sq = _reference_closest_sq(l1.x, l2)
+        t2, sq = reference_foot(l1.x, l2)
         return MinDistance(math.sqrt(sq), 0.0, t2)
     if c == 0.0:
-        t1, sq = _reference_closest_sq(l2.x, l1)
+        t1, sq = reference_foot(l2.x, l1)
         return MinDistance(math.sqrt(sq), t1, 0.0)
     d1 = l1.direction
     d2 = l2.direction
@@ -187,12 +163,12 @@ def reference_min_distance(l1, l2):
     best = None
     if not l1.is_line:
         for t1_edge, p_edge in ((0.0, l1.x), (1.0, l1.y)):
-            t2c, sq = _reference_closest_sq(p_edge, l2)
+            t2c, sq = reference_foot(p_edge, l2)
             if best is None or sq < best[0]:
                 best = (sq, t1_edge, t2c)
     if not l2.is_line:
         for t2_edge, p_edge in ((0.0, l2.x), (1.0, l2.y)):
-            t1c, sq = _reference_closest_sq(p_edge, l1)
+            t1c, sq = reference_foot(p_edge, l1)
             if best is None or sq < best[0]:
                 best = (sq, t1c, t2_edge)
     return MinDistance(math.sqrt(best[0]), best[1], best[2])
@@ -318,7 +294,8 @@ def _carrier(kind, x, y):
 
 
 class TestScalarKernel:
-    """`min_distance` against the numpy enumeration above."""
+    """`min_distance`, a row of one of the distance kernel, against the numpy
+    enumeration above."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 3, 7]),
@@ -420,7 +397,10 @@ def _row_partners(rng, l1, scale):
 
 
 class TestRowKernel:
-    """`_min_distance_many` has the bits of `min_distance`, pair by pair."""
+    """A pair's result does not depend on the row it sits in: every
+    (distance, t1, t2) triple of a `_min_distance_many` row of m has the
+    bits of the pair's row of one, and of `min_distance`, which solves that
+    row of one."""
 
     @pytest.mark.parametrize("dim", [2, 3, 7])
     @pytest.mark.parametrize("kind1", ["segment", "line", "point"])
@@ -437,12 +417,17 @@ class TestRowKernel:
                    for kind2 in ("segment", "line", "point")
                    if not (kind2 == "line" and (x == y).all())]
             L2 = [l2 for _, l2 in row]
-            got = _min_distance_many(l1, np.array([l.x for l in L2]),
-                                     np.array([l.direction for l in L2]),
-                                     np.array([l.sq_length for l in L2]),
-                                     np.array([l.kind == "segment" for l in L2]))
+            X, D = np.array([l.x for l in L2]), np.array([l.direction for l in L2])
+            sq = np.array([l.sq_length for l in L2])
+            is_segment = np.array([l.kind == "segment" for l in L2])
+            got = _min_distance_many(l1, X, D, sq, is_segment)
+            assert all(v.shape == (len(L2),) for v in got)
+            for k, l2 in enumerate(L2):
+                one = _min_distance_many(l1, X[k:k + 1], D[k:k + 1], sq[k:k + 1],
+                                         is_segment[k:k + 1])
+                assert [v[k] for v in got] == [v[0] for v in one], k
             solves = [min_distance(l1, l2) for l2 in L2]
-            assert np.array_equal(got, [m.distance for m in solves])
+            assert np.array_equal(np.transpose(got), solves)
             families.update(family for family, _ in row)
             reclamped += sum(family == "reclamp" and not l2.is_line and not l2.is_degenerate
                              and m.t2 in (0.0, 1.0) for (family, l2), m in zip(row, solves))
@@ -454,14 +439,16 @@ class TestRowKernel:
         l1 = segment((0.0, 0.0), (1.0, 0.0))
         empty = _min_distance_many(l1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
                                    np.zeros(0, dtype=bool))
-        assert empty.shape == (0,)
+        assert len(empty) == 3 and all(v.shape == (0,) for v in empty)
         # a point l2 (c = 0) and an exactly parallel one (den = 0): pytest
         # turns a RuntimeWarning from a division into an error
         L2 = [segment((0.5, 2.0), (0.5, 2.0)), segment((3.0, 1.0), (4.0, 1.0))]
         got = _min_distance_many(l1, np.array([l.x for l in L2]),
                                  np.array([l.direction for l in L2]),
                                  np.array([l.sq_length for l in L2]), np.array([True, True]))
-        assert got.tolist() == [2.0, math.sqrt(5.0)]
+        dist, t1, t2 = got
+        assert dist.tolist() == [2.0, math.sqrt(5.0)]
+        assert t1.tolist() == [0.5, 1.0] and t2.tolist() == [0.0, 0.0]
 
 
 def _exact_gap_sq(l1, l2, t1, t2) -> Fraction:

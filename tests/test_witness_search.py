@@ -3,7 +3,7 @@ share its φ evaluation.
 
 `reference_relates_prob` is the earlier scalar search: an exact
 `min_distance` prefilter, its own window for an infinite l2 read from that
-solve, φ through the validating `closest_point` at every grid sample, an
+solve, φ through the oracle's reference foot at every grid sample, an
 early exit on the first negative sample, golden refinement of every local
 minimum, and no centre-gap bound.  It only ever reports a witness it evaluated, so it is a
 one-way lower bound on what the certified branch and bound finds; on the
@@ -15,8 +15,10 @@ checked against φ sampled densely over each cell, and a pair with no
 certifiable answer must be reported as undecided within the budget.
 `reference_point_phi` is the scalar φ that once decided a pair whose
 witness set is one parameter (a point l2, or a window no wider than
-SEARCH_TOL): a list of floats, `_closest_sq` and `density`, where the
-library now evaluates that φ through the array evaluator of the root grid.
+SEARCH_TOL): the point's foot by the oracle's `reference_foot` and f₁
+there by `density`, where the library evaluates that φ through the array
+evaluator of the root grid.  Neither reference calls the distance kernels
+the library's φ runs on, `closest_point` included.
 """
 
 import math
@@ -24,8 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from lineclust import geometry, neighborhood
-from lineclust.geometry import _closest_sq, closest_point, line, min_distance, segment
+from lineclust import neighborhood
+from lineclust.geometry import line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
     ROOT_BLOCK,
@@ -41,6 +43,7 @@ from lineclust.neighborhood import (
     contains_point,
     relates_prob,
 )
+from lineclust.oracle import reference_foot
 from lineclust.profiles import Profile, density, effective_window, peak_density
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -100,7 +103,7 @@ def _reference_line_window(l1, l2, threshold, reach, dmin):
 
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
                            search_samples=64, search_tol=1e-9):
-    """Scalar witness search, one `closest_point` call per φ evaluation."""
+    """Scalar witness search, one reference foot per φ evaluation."""
     reach = effective_window(profile1) if l1.is_line else (0.0, 1.0)
     if reach[1] < reach[0]:
         return False
@@ -123,8 +126,8 @@ def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
             return False
 
     def phi(s):
-        cp = closest_point(l2.x + l2.direction * s, l1)
-        return cp.distance - alpha1 * density(profile1, cp.t_star)
+        t, sq = reference_foot(l2.x + l2.direction * s, l1)
+        return math.sqrt(sq) - alpha1 * density(profile1, t)
 
     lo, hi = window
     if l2.is_degenerate or hi - lo <= search_tol:
@@ -586,11 +589,11 @@ def test_near_perpendicular_lines_are_decided(monkeypatch, eps, profile, x0, alp
 
 
 def reference_point_phi(l1, profile1, alpha1, l2, lo):
-    """(φ, scale) at l2's one parameter lo by the scalar path: the point as a
-    list of floats, its foot on l1 by `_closest_sq` and f₁ there by
-    `density`.  scale is the sum of the two parts φ compares."""
+    """(φ, scale) at l2's one parameter lo by the scalar path: the point's
+    foot on l1 by `reference_foot` and f₁ there by `density`.  scale
+    is the sum of the two parts φ compares."""
     p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
-    t, sq = _closest_sq(p, l1)
+    t, sq = reference_foot(p, l1)
     dist, scaled = math.sqrt(sq), alpha1 * density(profile1, t)
     return dist - scaled, dist + scaled
 
@@ -689,9 +692,10 @@ def _lifted_dataset(rng, dim=7, count=90):
 
 def test_profile_rows_never_call_the_scalar_phi(monkeypatch):
     """Every profile row of a lifted version 3 evaluator, and each direct
-    relates_prob call of its pairs, decides with the scalar foot
-    `_closest_sq` and the scalar `density` refusing to run, and takes the
-    decisions of the reference, which calls both."""
+    relates_prob call of its pairs, decides with the validating
+    `closest_point` and the scalar `density` refusing to run, and takes the
+    decisions of the reference, which calls the reference foot and
+    `density`."""
     lifted = _lifted_dataset(np.random.default_rng(2026))
     U, profiles = lifted.segments, lifted.profiles
     alpha = 1.0
@@ -704,7 +708,7 @@ def test_profile_rows_never_call_the_scalar_phi(monkeypatch):
     def refuse(*args):
         raise AssertionError("the scalar phi was called")
 
-    monkeypatch.setattr(geometry, "_closest_sq", refuse)
+    monkeypatch.setattr(neighborhood, "closest_point", refuse)
     monkeypatch.setattr(neighborhood, "density", refuse)
     assert {i: ev.neighbor_set(i) for i in rows} == expected
     assert ev.undecided_count == 0
