@@ -17,7 +17,9 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -182,16 +184,24 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
 
     Non-line geometries are skipped with a warning.  With a crop box
     (minx, miny, maxx, maxy) only segments whose both endpoints fall inside
-    are kept; a box with minx > maxx, miny > maxy or a NaN selects nothing
-    and is a ConfigurationError.  Two features that yield one segment id, a
-    position that is not two numbers (a 3-d coordinate, say), and a feature
-    list, feature, geometry or line of the wrong JSON type are parse errors.
+    are kept.  A box that is not four real numbers (a bool is not one) is a
+    ConfigurationError, as is one with minx > maxx, miny > maxy or a NaN,
+    which selects nothing; an infinite bound is legal.  Two features that
+    yield one segment id, a position that is not two numbers (a 3-d
+    coordinate, say), and a feature list, feature, geometry or line of the
+    wrong JSON type are parse errors.
     """
     if crop is not None:
-        minx, miny, maxx, maxy = crop
+        box = tuple(crop) if isinstance(crop, Iterable) else None
+        if box is None or len(box) != 4 or not all(
+                isinstance(v, Real) and not isinstance(v, bool) for v in box):
+            raise ConfigurationError(f"crop box {crop!r} must be four real numbers "
+                                     f"(minx, miny, maxx, maxy); a bool is not a number")
+        crop = box
+        minx, miny, maxx, maxy = box
         # NaN compares false both ways, so a box holding one fails this too
         if not (minx <= maxx and miny <= maxy):
-            raise ConfigurationError(f"crop box {tuple(crop)!r} selects nothing: it needs "
+            raise ConfigurationError(f"crop box {box!r} selects nothing: it needs "
                                      f"minx <= maxx and miny <= maxy, and no NaN")
     try:
         with open(path, encoding="utf-8") as fh:

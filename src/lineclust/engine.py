@@ -11,7 +11,13 @@ through neighbour-set membership.
 `expand` is the DBSCAN-style variant: a drawn core line seeds a cluster that
 grows through a frontier queue over core members' neighbour sets; non-core
 neighbours join as border lines (first claim wins) and unreached lines end as
-noise.  Every line gets exactly one terminal label.
+noise.  Every line gets exactly one terminal label.  The frontier names the
+rows expand will compute next: before a frontier line's neighbour set, the
+engine hands that line and the frontier lines after it whose core status is
+still open to RelationEvaluator.stage, which solves the exact distances of
+their metric rows in one block.  Each of them is popped and its row computed
+before the next draw, so no staged row is wasted.  literal mode stages
+nothing, since its next row is a random draw.
 
 Both modes are deterministic given the dataset order and the seed.  The RNG
 is numpy's PCG64 (np.random.default_rng); each draw picks
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -187,6 +194,8 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
                 if not visited[q]:
                     visited[q] = True
                     unvisited -= 1
+                # q and the next frontier lines to be computed, solved as a block
+                ev.stage(chain((q,), (w for w in frontier if core[w] is None)))
                 region_q = ev.neighbor_set(q)
                 core[q] = len(region_q) >= cfg.spec.c
                 peak_transient = max(peak_transient, len(region_q))

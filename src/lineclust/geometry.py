@@ -5,16 +5,18 @@ map g(t) = x + (y - x) * t.  The parameter domain is [0, 1] for segments and
 all of R for lines.  Distances are Euclidean; squared distances are used
 internally and the root is taken at the API boundary.
 
-Each distance has one kernel, written over arrays of partners: a relation
-row, the witness grid of a whole row and a single pair all run the same
-code, a single pair as a row of one.  `_closest_sq_many` gives the feet of
-m points on one carrier (`closest_point` is its row of one), and
-`_min_distance_many` the minimum distances from one carrier to m others
-(`min_distance` is its row of one).  Every operation of both acts on each
-row alone, so a pair's result has the same bits whatever row it sits in.
-The distance solve is one clamp-project-reclamp step, exact in at most two
-steps for any two non-degenerate carriers; a point operand is projected
-onto the other carrier instead.
+Each distance has one kernel, written over arrays: a relation row, a block
+of many rows, the witness grid of a whole row and a single pair all run the
+same code, a single pair as a row of one.  `_closest_sq_many` gives the
+feet of m points on one carrier (`closest_point` is its row of one), and
+`_min_distance_many` the minimum distances of m pairs of carriers, each
+pair with its own first carrier, so one call solves a row (every pair
+sharing it) or the open pairs of many rows at once (`min_distance` is its
+row of one).  Every operation of both acts on each pair alone, so a pair's
+result has the same bits whatever row or block it sits in.  The distance
+solve is one clamp-project-reclamp step, exact in at most two steps for any
+two non-degenerate carriers; a point operand is projected onto the other
+carrier instead.
 """
 
 from __future__ import annotations
@@ -171,70 +173,86 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
         return MinDistance(0.0, 0.0, 0.0)
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    dist, t1, t2 = _min_distance_many(l1, l2.x[None], l2.direction[None],
-                                      np.array([l2.sq_length]), np.array([l2.kind == "segment"]))
+    dist, t1, t2 = _min_distance_many(*_carriers(l1), *_carriers(l2))
     return MinDistance(float(dist[0]), float(t1[0]), float(t2[0]))
 
 
-def _min_distance_many(l1: SegmentLike, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
-                       is_segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The minimum distances from l1 to m carriers l2_k at once, with the
-    parameters that achieve them: (m,) arrays (distance, t1, t2).
+def _carriers(*lines: SegmentLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The base points, directions, squared lengths and kinds (True for a
+    segment) of lines, stacked as `_min_distance_many` takes one side."""
+    return (np.array([l.x for l in lines]), np.array([l.direction for l in lines]),
+            np.array([l.sq_length for l in lines]), np.array([l.kind == "segment" for l in lines]))
 
-    X, D are the (m, dim) base points and directions of the l2s, sq their
-    (m,) squared lengths and is_segment their (m,) kinds; none may be l1
-    itself, and nothing is checked.  With r = x1 - x2, |g1(t1) - g2(t2)|^2
-    is a convex quadratic in (t1, t2) whose coefficients are the scalars
-    a = d1.d1, b = d1.d2, c = d2.d2, d = d1.r and e = d2.r.  One
-    clamp-project-reclamp solve (Lumelsky 1985; Ericson 2005, 5.1.9) is
-    exact for every segment/line mix, parallel pairs included.  For a fixed
-    t1 the best t2 is (b*t1 + e)/c; minimizing over that free t2 leaves a
-    convex function of t1, so its minimizer (b*e - c*d)/(a*c - b^2), clamped
-    to l1's domain, is optimal whenever its best t2 is feasible (a parallel
-    pair leaves a constant: t1 = 0, taken when den <= 1e-14*a*c).  When that
-    t2 is not, the KKT conditions put the optimum on the end of l2 it
-    overshot, and t1 becomes that endpoint's clamped projection
-    (b*t2 - d)/a.  The distance is the root of the squared length of the
-    point difference r + d1*t1 - d2*t2, not of the expanded quadratic,
-    which cancels.  A point operand is projected onto the other carrier
-    instead: a point l1 has t1 = 0 and t2 its foot on l2, a point l2 has
-    t1 its foot on l1 and t2 = 0.  Where a step does not apply to a pair (a
-    divisor that is zero, a pair that needs no reclamp) its result is left
-    out, never divided, so no pair raises a floating-point warning.
+
+def _feet_sq(P: np.ndarray, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
+             is_segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The foot of each row of P on the matching carrier (X, D, sq,
+    is_segment rows, as `_min_distance_many` takes them): its (m,)
+    parameters, 0 on a point carrier, and (m,) squared distances."""
+    t = np.divide(_row_dot(P - X, D), sq, out=np.zeros(len(sq)), where=sq > 0.0)
+    t = np.where(is_segment, np.clip(t, 0.0, 1.0), t)
+    q = P - (X + D * t[:, None])
+    return t, _row_dot(q, q)
+
+
+def _min_distance_many(X1: np.ndarray, D1: np.ndarray, a: np.ndarray, seg1: np.ndarray,
+                       X2: np.ndarray, D2: np.ndarray, c: np.ndarray, seg2: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum distances of m pairs of carriers (l1_k, l2_k) at once,
+    with the parameters that achieve them: (m,) arrays (distance, t1, t2).
+
+    Each side is given as (m, dim) base points and directions, (m,) squared
+    lengths and (m,) kinds, True for a segment (`_carriers` stacks them);
+    no pair may be one carrier twice, and nothing is checked.  With
+    r = x1 - x2, |g1(t1) - g2(t2)|^2 is a convex quadratic in (t1, t2)
+    whose coefficients are the scalars a = d1.d1, b = d1.d2, c = d2.d2,
+    d = d1.r and e = d2.r.  One clamp-project-reclamp solve (Lumelsky 1985;
+    Ericson 2005, 5.1.9) is exact for every segment/line mix, parallel pairs
+    included.  For a fixed t1 the best t2 is (b*t1 + e)/c; minimizing over
+    that free t2 leaves a convex function of t1, so its minimizer
+    (b*e - c*d)/(a*c - b^2), clamped to l1's domain, is optimal whenever its
+    best t2 is feasible (a parallel pair leaves a constant: t1 = 0, taken
+    when den <= 1e-14*a*c).  When that t2 is not, the KKT conditions put the
+    optimum on the end of l2 it overshot, and t1 becomes that endpoint's
+    clamped projection (b*t2 - d)/a.  The distance is the root of the
+    squared length of the point difference r + d1*t1 - d2*t2, not of the
+    expanded quadratic, which cancels.  A point operand is projected onto
+    the other carrier instead (_feet_sq): a point l1 has t1 = 0 and t2 its
+    foot on l2, a point l2 has t1 its foot on l1 and t2 = 0; a block that
+    mixes point l1s with others solves each kind as a block of its own, so
+    a point l1 costs no more in a block than alone.  Where a step
+    does not apply to a pair (a divisor that is zero, a pair that needs no
+    reclamp) its result is left out, never divided, so no pair raises a
+    floating-point warning.
     """
-    m = len(sq)
-    x1 = l1.x
-    if l1.sq_length == 0.0:  # l1 is a point: its foot on each l2
-        t = np.divide(_row_dot(x1 - X, D), sq, out=np.zeros(m), where=sq > 0.0)
-        t = np.where(is_segment, np.clip(t, 0.0, 1.0), t)
-        q = x1 - (X + D * t[:, None])
-        return np.sqrt(_row_dot(q, q)), np.zeros(m), t
-
-    seg1 = l1.kind == "segment"
-    a = l1.sq_length
-    d1 = l1.direction
-    r = x1 - X
-    b = _row_dot(D, d1)
-    d = _row_dot(r, d1)
-    e = _row_dot(r, D)
-    den = a * sq - b * b  # >= 0, zero iff parallel
-    t1 = np.divide(b * e - sq * d, den, out=np.zeros(m), where=den > 1e-14 * a * sq)
-    if seg1:
-        np.clip(t1, 0.0, 1.0, out=t1)
-    t2 = np.divide(b * t1 + e, sq, out=np.zeros(m), where=sq > 0.0)
-    over = is_segment & ((t2 < 0.0) | (t2 > 1.0))  # the optimum is on l2's violated end
+    point1 = a == 0.0
+    if point1.all():  # point l1s: each one's foot on its l2, at t1 = 0
+        t2, gap_sq = _feet_sq(X1, X2, D2, c, seg2)
+        return np.sqrt(gap_sq), np.zeros(len(a)), t2
+    if point1.any():  # point l1s mixed with others: each kind apart
+        out = np.empty((3, len(a)))
+        for rows in (point1, ~point1):
+            out[:, rows] = _min_distance_many(X1[rows], D1[rows], a[rows], seg1[rows],
+                                              X2[rows], D2[rows], c[rows], seg2[rows])
+        return out[0], out[1], out[2]
+    m = len(a)
+    r = X1 - X2
+    b = _row_dot(D2, D1)
+    d = _row_dot(r, D1)
+    e = _row_dot(r, D2)
+    den = a * c - b * b  # >= 0, zero iff parallel
+    t1 = np.divide(b * e - c * d, den, out=np.zeros(m), where=den > 1e-14 * a * c)
+    t1 = np.where(seg1, np.clip(t1, 0.0, 1.0), t1)
+    t2 = np.divide(b * t1 + e, c, out=np.zeros(m), where=c > 0.0)
+    over = seg2 & ((t2 < 0.0) | (t2 > 1.0))  # the optimum is on l2's violated end
     if over.any():
         t2[over] = np.where(t2[over] < 0.0, 0.0, 1.0)
-        t = (b[over] * t2[over] - d[over]) / a
-        t1[over] = np.clip(t, 0.0, 1.0) if seg1 else t
-    q = r + d1 * t1[:, None] - D * t2[:, None]
+        t = (b[over] * t2[over] - d[over]) / a[over]
+        t1[over] = np.where(seg1[over], np.clip(t, 0.0, 1.0), t)
+    q = r + D1 * t1[:, None] - D2 * t2[:, None]
     gap_sq = _row_dot(q, q)
-    point = sq == 0.0
-    if point.any():  # a point l2: its foot on l1, at t2 = 0
-        P = X[point]
-        t = _row_dot(P - x1, d1) / a
-        t = np.clip(t, 0.0, 1.0) if seg1 else t
-        q = P - (x1 + d1 * t[:, None])
-        gap_sq[point] = _row_dot(q, q)
-        t1[point] = t
+    point2 = c == 0.0
+    if point2.any():  # a point l2: its foot on l1, at t2 = 0
+        t1[point2], gap_sq[point2] = _feet_sq(X2[point2], X1[point2], D1[point2], a[point2],
+                                              seg1[point2])
     return np.sqrt(gap_sq), t1, t2

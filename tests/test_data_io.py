@@ -206,6 +206,24 @@ class TestGeoJson:
             load_geojson(path, crop=box)
         assert repr(tuple(box)) in str(exc.value)
 
+    @pytest.mark.parametrize("box", [(0, 0, 1), (0, 0, 1, 1, 2), (0, 0, "1", 1), True,
+                                     (0, 0, True, 1), (0, None, 1, 1), "0011", 5])
+    def test_crop_box_must_be_four_real_numbers(self, tmp_path, box):
+        path = self._write(tmp_path, {"type": "FeatureCollection", "features": []})
+        with pytest.raises(ConfigurationError, match="must be four real numbers") as exc:
+            load_geojson(path, crop=box)
+        assert repr(box) in str(exc.value)
+
+    def test_infinite_crop_bounds_and_any_real_numbers_are_legal(self, tmp_path):
+        path = self._write(tmp_path, {
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {},
+                          "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}}],
+        })
+        for box in [(-math.inf, -math.inf, math.inf, math.inf), [-1, -1, 2.5, 2.5],
+                    np.array([-1.0, -1.0, 2.0, 2.0]), iter((-1, -1, 2, 2))]:
+            assert len(load_geojson(path, crop=box)) == 1, box
+
     def test_duplicate_segment_id_rejected_with_feature_indices(self, tmp_path):
         line = {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}
         path = self._write(tmp_path, {

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import lineclust
+from lineclust import neighborhood
+from lineclust.data_io import gen_doughnut
 from lineclust.engine import (
     NOISE,
     RunConfig,
@@ -17,7 +19,8 @@ from lineclust.engine import (
 )
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import segment
-from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator
+from lineclust.missing_data import AxisDomain, lift_dataset
+from lineclust.neighborhood import ROW_BLOCK, NeighbourhoodSpec, RelationEvaluator
 from lineclust.oracle import reference_dbscan
 
 
@@ -267,6 +270,79 @@ class TestInstrumentation:
         for threads in (0, 2, 4):
             with pytest.raises(ConfigurationError):
                 RunConfig(spec=V1(1), threads=threads)
+
+
+class TestStaging:
+    """run_expand stages the frontier's next metric rows with
+    RelationEvaluator.stage; run_literal, whose next draw is random, does
+    not.  Staging changes no output byte."""
+
+    @staticmethod
+    def _datasets():
+        rng = np.random.default_rng(17)
+        doughnut = [r.to_segment() for r in gen_doughnut(120, seed=3)]
+        yield doughnut, V1(5, 12.0)
+        records = [[float(v) for v in rng.normal(scale=0.8, size=3)] for _ in range(60)]
+        for k in range(1, 60, 4):
+            records[k][k % 3] = None
+        domains = {axis: AxisDomain(axis=axis, window=(-3.0, 3.0)) for axis in range(3)}
+        lifted = lift_dataset(records, domains)
+        yield lifted.segments, NeighbourhoodSpec(version=3, c=4, alpha=0.6,
+                                                 profile=lifted.profiles)
+
+    @staticmethod
+    def _outputs(labels):
+        return (labels.memberships, labels.core_flags, labels.trace, labels.clusters,
+                labels.eval_count, labels.undecided_count, labels.peak_aux)
+
+    def test_store_is_bounded_and_emptied(self, monkeypatch):
+        # seeds whose early draws leave lines noise that a cluster reaches
+        # later, so the frontier holds lines whose core status is known
+        real = RelationEvaluator.stage
+        for U, spec in self._datasets():
+            for seed in range(8):
+                held, evaluators = [], []
+
+                def watched(ev, rows):
+                    real(ev, rows)
+                    held.append(len(ev._staged))
+                    evaluators.append(ev)
+                monkeypatch.setattr(RelationEvaluator, "stage", watched)
+                run_expand(U, RunConfig(spec=spec, rng_seed=seed))
+                assert 1 < max(held) <= ROW_BLOCK  # blocks of many rows, and never more
+                # every staged row was served
+                assert not evaluators[0]._staged and len(set(map(id, evaluators))) == 1
+
+    def test_staging_changes_no_output(self, monkeypatch):
+        for U, spec in self._datasets():
+            for seed in (0, 3):
+                cfg = RunConfig(spec=spec, rng_seed=seed)
+                staged = self._outputs(run_expand(U, cfg))
+                with monkeypatch.context() as m:
+                    m.setattr(RelationEvaluator, "stage", lambda ev, rows: None)
+                    unstaged = self._outputs(run_expand(U, cfg))
+                assert repr(staged) == repr(unstaged)
+
+    def test_literal_never_stages(self, monkeypatch):
+        def refuse(ev, rows):
+            raise AssertionError("run_literal staged rows")
+        monkeypatch.setattr(RelationEvaluator, "stage", refuse)
+        for U, spec in self._datasets():
+            run_literal(U, RunConfig(spec=spec, mode="literal", rng_seed=3))
+
+    def test_min_distance_only_on_the_diagonal(self, monkeypatch):
+        calls = []
+
+        def counted(l1, l2, _real=neighborhood.min_distance):
+            calls.append(l1 is l2)
+            return _real(l1, l2)
+        monkeypatch.setattr(neighborhood, "min_distance", counted)
+        for U, spec in self._datasets():
+            calls.clear()
+            labels = run_expand(U, RunConfig(spec=spec, rng_seed=3))
+            metric = len(U) if spec.profile is None else sum(p is None for p in spec.profile)
+            assert all(calls) and len(calls) == metric
+            assert labels.eval_count == len(U) ** 2
 
 
 # a version 1 run, a version 2 run with a normal profile and a lifted version 3

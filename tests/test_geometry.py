@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from lineclust.geometry import (
     MinDistance,
+    _carriers,
     _closest_sq_many,
     _min_distance_many,
     closest_point,
@@ -396,11 +397,77 @@ def _row_partners(rng, l1, scale):
     return out
 
 
+def _stepwise(l1, l2) -> tuple[float, float, float]:
+    """`_min_distance_many`'s documented steps for one pair, in Python
+    floats: every dot product summed one coordinate at a time from the
+    first, the den > 1e-14*a*c test, the clamp, the reclamp on the end of l2
+    that t2 overshot, and a point operand's foot.  Each step is one IEEE
+    operation, so the kernel must give these bits."""
+    def dot(u, v):
+        s = u[0] * v[0]
+        for p, q in zip(u[1:], v[1:]):
+            s = s + p * q
+        return s
+
+    def clamp(t, seg):
+        return min(max(t, 0.0), 1.0) if seg else t
+
+    def foot(P, X, D, sq, seg):
+        t = clamp(dot([p - x for p, x in zip(P, X)], D) / sq if sq > 0.0 else 0.0, seg)
+        q = [p - (x + u * t) for p, x, u in zip(P, X, D)]
+        return t, dot(q, q)
+
+    x1, d1, a, seg1 = l1.x.tolist(), l1.direction.tolist(), l1.sq_length, not l1.is_line
+    x2, d2, c, seg2 = l2.x.tolist(), l2.direction.tolist(), l2.sq_length, not l2.is_line
+    if a == 0.0:
+        t2, gap_sq = foot(x1, x2, d2, c, seg2)
+        return math.sqrt(gap_sq), 0.0, t2
+    if c == 0.0:
+        t1, gap_sq = foot(x2, x1, d1, a, seg1)
+        return math.sqrt(gap_sq), t1, 0.0
+    r = [p - q for p, q in zip(x1, x2)]
+    b, d, e = dot(d2, d1), dot(r, d1), dot(r, d2)
+    den = a * c - b * b
+    t1 = clamp((b * e - c * d) / den if den > 1e-14 * a * c else 0.0, seg1)
+    t2 = (b * t1 + e) / c
+    if seg2 and not 0.0 <= t2 <= 1.0:
+        t2 = 0.0 if t2 < 0.0 else 1.0
+        t1 = clamp((b * t2 - d) / a, seg1)
+    q = [p + u * t1 - v * t2 for p, u, v in zip(r, d1, d2)]
+    return math.sqrt(dot(q, q)), t1, t2
+
+
 class TestRowKernel:
-    """A pair's result does not depend on the row it sits in: every
-    (distance, t1, t2) triple of a `_min_distance_many` row of m has the
-    bits of the pair's row of one, and of `min_distance`, which solves that
-    row of one."""
+    """A pair's result does not depend on the block it sits in: every
+    (distance, t1, t2) triple of a `_min_distance_many` block of m pairs has
+    the bits of the pair's block of one, of `min_distance`, which solves
+    that block of one, and of the kernel's steps taken in Python floats.  A relation row is a block whose pairs share l1; a
+    staged block mixes the l1s of many rows."""
+
+    @staticmethod
+    def _assert_each_pair_alone(L1, L2):
+        """The block (L1[k], L2[k]) against each pair solved alone and by
+        min_distance; returns the min_distance results."""
+        X1, D1, a, seg1 = _carriers(*L1)
+        X2, D2, c, seg2 = _carriers(*L2)
+        got = _min_distance_many(X1, D1, a, seg1, X2, D2, c, seg2)
+        assert all(v.shape == (len(L2),) for v in got)
+        for k in range(len(L2)):
+            one = _min_distance_many(X1[k:k + 1], D1[k:k + 1], a[k:k + 1], seg1[k:k + 1],
+                                     X2[k:k + 1], D2[k:k + 1], c[k:k + 1], seg2[k:k + 1])
+            assert [v[k] for v in got] == [v[0] for v in one], k
+            assert [v[k] for v in got] == list(_stepwise(L1[k], L2[k])), k
+        solves = [min_distance(l1, l2) for l1, l2 in zip(L1, L2)]
+        assert np.array_equal(np.transpose(got), solves)
+        return solves
+
+    @staticmethod
+    def _reclamped(families, L1, L2, solves):
+        """Pairs the reclamp branch settled: a short segment beyond l1's span,
+        solved at one of its ends."""
+        return sum(family == "reclamp" and not l1.is_degenerate and not l2.is_line
+                   and not l2.is_degenerate and m.t2 in (0.0, 1.0)
+                   for family, l1, l2, m in zip(families, L1, L2, solves))
 
     @pytest.mark.parametrize("dim", [2, 3, 7])
     @pytest.mark.parametrize("kind1", ["segment", "line", "point"])
@@ -416,39 +483,49 @@ class TestRowKernel:
                    for family, x, y in _row_partners(rng, l1, scale)
                    for kind2 in ("segment", "line", "point")
                    if not (kind2 == "line" and (x == y).all())]
-            L2 = [l2 for _, l2 in row]
-            X, D = np.array([l.x for l in L2]), np.array([l.direction for l in L2])
-            sq = np.array([l.sq_length for l in L2])
-            is_segment = np.array([l.kind == "segment" for l in L2])
-            got = _min_distance_many(l1, X, D, sq, is_segment)
-            assert all(v.shape == (len(L2),) for v in got)
-            for k, l2 in enumerate(L2):
-                one = _min_distance_many(l1, X[k:k + 1], D[k:k + 1], sq[k:k + 1],
-                                         is_segment[k:k + 1])
-                assert [v[k] for v in got] == [v[0] for v in one], k
-            solves = [min_distance(l1, l2) for l2 in L2]
-            assert np.array_equal(np.transpose(got), solves)
+            L1, L2 = [l1] * len(row), [l2 for _, l2 in row]
+            solves = self._assert_each_pair_alone(L1, L2)
             families.update(family for family, _ in row)
-            reclamped += sum(family == "reclamp" and not l2.is_line and not l2.is_degenerate
-                             and m.t2 in (0.0, 1.0) for (family, l2), m in zip(row, solves))
+            reclamped += self._reclamped([family for family, _ in row], L1, L2, solves)
         assert len(families) == 6
         if kind1 != "point":
             assert reclamped > 0  # the reclamp branch ran
 
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_blocks_of_many_l1s(self, dim, scale):
+        # the rows of segment, line and point l1s, shuffled into one block
+        rng = np.random.default_rng([dim, int(scale), 16])
+        pairs = []
+        for k in range(9):
+            x1 = scale * rng.uniform(-5.0, 5.0, dim)
+            l1 = _carrier(("segment", "line", "point")[k % 3], x1,
+                          x1 + scale * rng.normal(size=dim))
+            pairs += [(family, l1, _carrier(kind2, x, y))
+                      for family, x, y in _row_partners(rng, l1, scale)
+                      for kind2 in ("segment", "line", "point")
+                      if not (kind2 == "line" and (x == y).all())]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        families, L1, L2 = (list(v) for v in zip(*pairs))
+        assert len({(l1.kind, l1.is_degenerate) for l1 in L1}) == 3
+        solves = self._assert_each_pair_alone(L1, L2)
+        assert len(set(families)) == 6
+        assert self._reclamped(families, L1, L2, solves) > 0  # the reclamp branch ran
+
     def test_empty_row_and_no_warning_on_degenerate_divisors(self):
         l1 = segment((0.0, 0.0), (1.0, 0.0))
-        empty = _min_distance_many(l1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
-                                   np.zeros(0, dtype=bool))
+        none = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=bool))
+        empty = _min_distance_many(*none, *none)
         assert len(empty) == 3 and all(v.shape == (0,) for v in empty)
-        # a point l2 (c = 0) and an exactly parallel one (den = 0): pytest
+        # a point l2 (c = 0), an exactly parallel one (den = 0), and a point
+        # l1 in a block with others, beyond the end of its segment l2: pytest
         # turns a RuntimeWarning from a division into an error
-        L2 = [segment((0.5, 2.0), (0.5, 2.0)), segment((3.0, 1.0), (4.0, 1.0))]
-        got = _min_distance_many(l1, np.array([l.x for l in L2]),
-                                 np.array([l.direction for l in L2]),
-                                 np.array([l.sq_length for l in L2]), np.array([True, True]))
-        dist, t1, t2 = got
-        assert dist.tolist() == [2.0, math.sqrt(5.0)]
-        assert t1.tolist() == [0.5, 1.0] and t2.tolist() == [0.0, 0.0]
+        L1 = [l1, l1, segment((5.0, 5.0), (5.0, 5.0))]
+        L2 = [segment((0.5, 2.0), (0.5, 2.0)), segment((3.0, 1.0), (4.0, 1.0)),
+              segment((0.0, 0.0), (1.0, 0.0))]
+        dist, t1, t2 = _min_distance_many(*_carriers(*L1), *_carriers(*L2))
+        assert dist.tolist() == [2.0, math.sqrt(5.0), math.sqrt(41.0)]
+        assert t1.tolist() == [0.5, 1.0, 0.0] and t2.tolist() == [0.0, 0.0, 1.0]
 
 
 def _exact_gap_sq(l1, l2, t1, t2) -> Fraction:

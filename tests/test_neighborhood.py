@@ -11,6 +11,7 @@ from lineclust.errors import ConfigurationError
 from lineclust.geometry import closest_point, line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
+    ROW_BLOCK,
     NeighbourhoodSpec,
     RelationEvaluator,
     _witness_domain,
@@ -644,6 +645,41 @@ class TestMetricRows:
                 assert row == {j for j, l2 in enumerate(U)
                                if min_distance(U[i], l2).distance < spec.alpha}, f"row {i}"
         assert ev.undecided_count == 0
+
+    @pytest.mark.parametrize("data", ["mixed-2", "mixed-3", "mixed-7", "lifted-0", "lifted-1"])
+    def test_staged_rows_match_unstaged_rows(self, data, monkeypatch):
+        kind, arg = data.split("-")
+        U, spec = self._mixed(int(arg), 0) if kind == "mixed" else self._lifted(int(arg))
+        metric = [spec.profile is None or spec.profile[i] is None for i in range(len(U))]
+        plain, staged = RelationEvaluator(U, spec), RelationEvaluator(U, spec)
+        calls = self._counting(monkeypatch)
+        order = np.random.default_rng(len(U)).permutation(len(U)).tolist()
+        for k, i in enumerate(order):
+            staged.stage(iter(order[k:]))
+            assert 0 < len(staged._staged) <= ROW_BLOCK or not any(metric[j] for j in order[k:])
+            # profile rows are never staged; a metric row is, until served
+            assert (i in staged._staged) == metric[i]
+            assert staged.relates(i, i) == plain.relates(i, i)  # the unstaged path
+            assert staged.neighbor_set(i) == plain.neighbor_set(i), f"row {i}"
+            assert i not in staged._staged
+        assert not staged._staged
+        assert staged.eval_count == plain.eval_count
+        assert staged.undecided_count == plain.undecided_count == 0
+        # min_distance only on the diagonal: each metric row's neighbor_set
+        # and relates(i, i), in each evaluator
+        assert len(calls) == 4 * sum(metric) and all(l1 is l2 for l1, l2 in calls)
+
+    def test_stage_waits_for_the_block_to_be_served(self):
+        U, spec = self._mixed(2, 1)
+        ev = RelationEvaluator(U, spec)
+        ev.stage(range(len(U)))
+        assert list(ev._staged) == list(range(ROW_BLOCK))
+        ev.stage(range(ROW_BLOCK, len(U)))  # a block is held: nothing new
+        assert list(ev._staged) == list(range(ROW_BLOCK))
+        for i in range(ROW_BLOCK):
+            ev.neighbor_set(i)
+        ev.stage(range(ROW_BLOCK, len(U)))
+        assert list(ev._staged) == list(range(ROW_BLOCK, len(U)))
 
     def test_isolated_rows_keep_the_scalar_loop(self, monkeypatch):
         # no pair off the diagonal is open: nothing is solved in an array
