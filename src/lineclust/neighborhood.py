@@ -69,16 +69,16 @@ passes them to relates_prob beside `gap`; a direct call without them
 computes them with the same helpers.
 
 phi has one evaluator, array calls of _closest_sq_many and Profile.pdf
-over many parameters at once.  Most pairs are decided by the root level
-alone, a hit on the grid or every cell pruned, so a profile row evaluates
-the root level of every pair its bound leaves open in one array pass per
-block of ROOT_BLOCK pairs (_root_level) and hands each pair its row.  A
-pair whose witness set is one parameter, a point l2 or a window no wider
-than SEARCH_TOL, is decided by phi there alone, and the row evaluates phi
-for all such pairs in one more array pass (_point_hits) and hands each
-pair its hit flag.  relates_prob, still called once per pair, evaluates
-either itself as a batch of one when it gets no root, so there is one code
-path; each pair's result has the same bits in a batch of any size.
+over many parameters at once, and a pair one decision path: phi at its one
+parameter when its witness set is one (a point l2, or a window no wider
+than SEARCH_TOL; _point_hits), else its root level (_root_level), a hit on
+the grid or every cell pruned, and only where that leaves a kept cell and
+no hit, the branch and bound below it (_refine).  A profile row takes these
+steps for every pair its bound leaves open, _point_hits in one array pass
+and _root_level in one per block of ROOT_BLOCK pairs, and hands each pair
+its decision as a bool `root`, as a metric row does.  relates_prob, still
+called once per pair, takes them as a batch of one when it gets no root;
+each pair's result has the same bits in a batch of any size.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (
     SegmentLike,
+    _carriers,
     _closest_sq_many,
+    _feet_sq,
     _min_distance_many,
     closest_point,
     min_distance,
@@ -368,67 +370,19 @@ def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
     return np.sqrt(sq) - alpha1 * profile1.pdf(t) < 0.0
 
 
-def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
-                 l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64, gap: float = -math.inf,
-                 reach: tuple[float, float] | None = None, threshold: float | None = None,
-                 window: tuple[float, float] | None = None,
-                 root: Sequence | bool | None = None,
-                 on_undecided: Callable[[], None] | None = None) -> bool:
-    """Witness test: does any point of l2 (within its own declared support)
-    fall strictly inside l1's alpha-scaled density neighbourhood.
-
-    gap is a lower bound on the distance between l1 and l2 known to the
-    caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
-    any phi is evaluated.  No exact distance solve follows: a point l2, or a
-    window no wider than SEARCH_TOL, is decided by phi at its one parameter
-    and every other pair by the branch and bound.  reach and threshold (from
-    _witness_threshold) depend on l1 alone and window (from _witness_domain)
-    on l2 alone; a caller deciding many pairs passes them, and whatever it
-    leaves out is computed here with the same helpers (both reach and
-    threshold when either is missing).  root is what a caller that
-    evaluated many pairs at once found for this one over window: for a
-    one-parameter pair its hit flag from a _point_hits batch, for any other
-    its row (s, t, d, hit, keep) of a _root_level batch.  Without it that
-    evaluation is made here, as a batch of one.  A pair the branch and
-    bound cannot decide returns False and calls on_undecided, when given.
-    """
-    if l1.dim != l2.dim:
-        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    if reach is None or threshold is None:
-        reach, threshold = _witness_threshold(l1, profile1, alpha1)
-    if threshold <= 0.0 or gap >= threshold:
-        return False
-    lo, hi = window if window is not None else _witness_domain(l2, profile2)
-    if hi < lo:
-        return False
-    if math.isinf(lo):  # a line without a density of its own
-        window = _line_candidate_window(l1, l2, threshold, reach)
-        if window is None:
-            return False
-        lo, hi = window
-
-    if l2.is_degenerate or hi - lo <= SEARCH_TOL:
-        # a point, or a window too narrow to split: phi at its one parameter
-        if root is None:
-            root = _point_hits(l1, profile1, alpha1, (l2.x + lo * l2.direction)[None])[0]
-        return bool(root)
-
-    # the root partition: search_samples parameters, search_samples - 1 cells
-    if root is None:
-        root = [r[0] for r in _root_level(l1, profile1, alpha1, l2.x[None], l2.direction[None],
-                                          np.array([l2.sq_length]), np.array([lo]),
-                                          np.array([hi]), search_samples)]
-    s, t, d, hit, keep = root
-    if hit:
-        return True
-    if not keep.any():
-        return False
+def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, l2: SegmentLike,
+            s: np.ndarray, t: np.ndarray, d: np.ndarray, keep: np.ndarray, width: float,
+            on_undecided: Callable[[], None] | None) -> bool:
+    """The branch and bound below one pair's root level, a _root_level row
+    (s, t, d, keep) with no hit and a kept cell, cells width wide.  Each
+    level evaluates phi at the kept cells' midpoints, True on a phi < 0,
+    then bisects them and prunes the halves by _cell_bounds, False when none
+    is left.  Cells no wider than SEARCH_TOL, or a level past WITNESS_BUDGET
+    evaluations, leave the pair undecided: False, after on_undecided()."""
     k = int(np.argmin(d))
     s_min, d_min = float(s[k]), float(d[k])
     a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
     speed = math.sqrt(l2.sq_length)
-    width = (hi - lo) / (search_samples - 1)
     spent = 0
     while True:
         if width <= SEARCH_TOL or spent + int(keep.sum()) > WITNESS_BUDGET:
@@ -455,6 +409,54 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
             return False
 
 
+def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
+                 l2: SegmentLike, profile2: Profile | None = None, *,
+                 search_samples: int = 64, gap: float = -math.inf,
+                 reach: tuple[float, float] | None = None, threshold: float | None = None,
+                 window: tuple[float, float] | None = None, root: bool | None = None,
+                 on_undecided: Callable[[], None] | None = None) -> bool:
+    """Witness test: does any point of l2 (within its own declared support)
+    fall strictly inside l1's alpha-scaled density neighbourhood.
+
+    gap is a lower bound on the distance between l1 and l2 known to the
+    caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
+    any phi is evaluated.  No exact distance solve follows.  reach and
+    threshold (from _witness_threshold) depend on l1 alone and window (from
+    _witness_domain) on l2 alone; a caller deciding many pairs passes them,
+    and whatever it leaves out is computed here with the same helpers (both
+    reach and threshold when either is missing).  root is the decision of a
+    caller that decided many pairs at once, as relates_v1's is; without it
+    the pair is decided here as a batch of one (_point_hits, or _root_level
+    and then _refine).  A pair the branch and bound cannot decide returns
+    False and calls on_undecided, when given.
+    """
+    if l1.dim != l2.dim:
+        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
+    if reach is None or threshold is None:
+        reach, threshold = _witness_threshold(l1, profile1, alpha1)
+    if threshold <= 0.0 or gap >= threshold:
+        return False
+    lo, hi = window if window is not None else _witness_domain(l2, profile2)
+    if hi < lo:
+        return False
+    if root is not None:
+        return root
+    if math.isinf(lo):  # a line without a density of its own
+        window = _line_candidate_window(l1, l2, threshold, reach)
+        if window is None:
+            return False
+        lo, hi = window
+    if l2.is_degenerate or hi - lo <= SEARCH_TOL:
+        return bool(_point_hits(l1, profile1, alpha1, (l2.x + lo * l2.direction)[None])[0])
+    (s,), (t,), (d,), (hit,), (keep,) = _root_level(
+        l1, profile1, alpha1, l2.x[None], l2.direction[None], np.array([l2.sq_length]),
+        np.array([lo]), np.array([hi]), search_samples)
+    if hit or not keep.any():
+        return bool(hit)
+    return _refine(l1, profile1, alpha1, l2, s, t, d, keep, (hi - lo) / (search_samples - 1),
+                   on_undecided)
+
+
 # -- dispatch and neighbour sets ----------------------------------------------
 
 def _volume_alpha(spec: NeighbourhoodSpec, i: int, l: SegmentLike,
@@ -476,8 +478,8 @@ class RelationEvaluator:
 
     Everything that depends on one line alone is resolved when the
     evaluator is built, into lists and arrays indexed like the dataset: the
-    array layout (centres, base points and directions, n x dim, squared
-    lengths, half-lengths, infinite for a line, and parameter domains),
+    array layout (centres, half-lengths, infinite for a line, and carriers
+    as geometry._carriers stacks them, n x dim base points and directions),
     each line's alpha (version 2 derives it from V through _volume_alpha),
     profile and witness domain, stacked as window bounds too, and, for each
     line with a profile, its reach and threshold.  A per-line alpha or
@@ -500,15 +502,15 @@ class RelationEvaluator:
     carriers are lines, and evaluates the witness search's first step for
     every pair the bound leaves below the threshold whose window is finite
     and non-empty.  A pair whose witness set is one parameter, a point l2 or
-    a window no wider than SEARCH_TOL, gets its hit flag, phi < 0 at that
-    parameter, from one _point_hits pass over the row; any other gets its
-    row of the root level (_root_level), in blocks of ROOT_BLOCK pairs.
-    Each pair's bound, with the resolved parameters and its decision, flag
-    or row as its root, goes to relates_v1 / relates_prob, called once per
-    pair, as the caller's lower bound.  neighbor_set(i) is that row over
-    the whole dataset and relates(i, j) is that row over line j alone; both
-    count every pair in eval_count, and every pair the witness search
-    leaves undecided (reported as unrelated) in undecided_count.
+    a window no wider than SEARCH_TOL, is decided in one _point_hits pass;
+    any other by its root level, in blocks of ROOT_BLOCK pairs, and _refine
+    where that leaves a kept cell and no hit.  Each pair's bound, with the
+    resolved parameters and its decision as its root, goes to relates_v1 /
+    relates_prob, called once per pair, as the caller's lower bound.
+    neighbor_set(i) is that row over the whole dataset and relates(i, j)
+    that row over line j alone; both count every pair in eval_count, and
+    every pair the witness search leaves undecided (reported as unrelated)
+    in undecided_count.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -522,15 +524,7 @@ class RelationEvaluator:
         n = len(self.U)
         self.centre = np.array([l.center for l in self.U], dtype=np.float64)
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
-        self.x = np.array([l.x for l in self.U], dtype=np.float64)
-        self.direction = np.array([l.direction for l in self.U], dtype=np.float64)
-        self.sq_length = np.array([l.sq_length for l in self.U], dtype=np.float64)
-        self.inv_sq = np.divide(1.0, self.sq_length, out=np.zeros(n), where=self.sq_length > 0.0)
-        # parameter domains: [0, 1] for a segment, all of R for a line
-        is_line = np.isinf(self.half_len)
-        self.is_segment = ~is_line
-        self.domain_lo = np.where(is_line, -math.inf, 0.0)
-        self.domain_hi = np.where(is_line, math.inf, 1.0)
+        self.x, self.direction, self.sq_length, self.is_segment = _carriers(*self.U)
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
         if spec.version == 2:
             self.alphas = [_volume_alpha(spec, i, l, p)
@@ -566,12 +560,9 @@ class RelationEvaluator:
         _, sq = _closest_sq_many(self.centre[js], l1)
         bound = np.maximum(gaps, np.sqrt(sq) - self.half_len[js])
         if not l1.is_line:
-            D = self.direction[js]
-            r = self.centre[i] - self.x[js]
-            t = np.clip(np.einsum("ij,ij->i", r, D) * self.inv_sq[js],
-                        self.domain_lo[js], self.domain_hi[js])
-            r -= t[:, None] * D
-            np.maximum(bound, np.sqrt(np.einsum("ij,ij->i", r, r)) - self.half_len[i], out=bound)
+            _, sq = _feet_sq(self.centre[i], self.x[js], self.direction[js], self.sq_length[js],
+                             self.is_segment[js])
+            np.maximum(bound, np.sqrt(sq) - self.half_len[i], out=bound)
         return bound
 
     def _centre_gaps(self, i: int, js: slice) -> np.ndarray:
@@ -643,20 +634,24 @@ class RelationEvaluator:
         reach, threshold = self.thresholds[i]
         bound = self._carrier_bound(i, js, gaps)
         samples = self.spec.search_samples
-        candidates = np.arange(len(self.U))[js][bound < threshold]
+        # the pairs relates_prob would not reject before it reads their root
+        candidates = np.arange(len(self.U))[js][(bound < threshold) & (threshold > 0.0)]
         single = candidates[self.one_parameter[candidates]]
         batched = candidates[self.searchable[candidates]]
+        profiles, windows, count = self.profiles, self.windows, self._count_undecided
         roots = {}
         if len(single):
             P = self.x[single] + self.window_lo[single][:, None] * self.direction[single]
             roots.update(zip(single.tolist(), _point_hits(l1, p1, alpha1, P).tolist()))
         for k in range(0, len(batched), ROOT_BLOCK):
             idx = batched[k:k + ROOT_BLOCK]
+            lo, hi = self.window_lo[idx], self.window_hi[idx]
             s, t, d, hit, keep = _root_level(l1, p1, alpha1, self.x[idx], self.direction[idx],
-                                             self.sq_length[idx], self.window_lo[idx],
-                                             self.window_hi[idx], samples)
-            roots.update(zip(idx.tolist(), zip(s, t, d, hit.tolist(), keep)))
-        profiles, windows, count = self.profiles, self.windows, self._count_undecided
+                                             self.sq_length[idx], lo, hi, samples)
+            for r in np.flatnonzero(~hit & keep.any(axis=1)).tolist():
+                hit[r] = _refine(l1, p1, alpha1, U[idx[r]], s[r], t[r], d[r], keep[r],
+                                 (hi[r] - lo[r]) / (samples - 1), count)
+            roots.update(zip(idx.tolist(), hit.tolist()))
         return [j for j, g in zip(lines, bound.tolist())
                 if relates_prob(l1, p1, alpha1, U[j], profiles[j], search_samples=samples, gap=g,
                                 reach=reach, threshold=threshold, window=windows[j],

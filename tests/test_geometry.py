@@ -236,6 +236,16 @@ class TestMinDistance:
         assert d.distance == pytest.approx(2.0)
         assert d.t1 == 0.0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_lines_crossing_at_a_tiny_angle_meet(self):
+        # two lines through the origin about 6e-8 rad apart: sin^2 of the
+        # angle is below the solve's 1e-14 parallel cutoff, so one operand
+        # order takes them as parallel and returns l1's offset at x = 0
+        l1 = line((1.19e-7, 2.0), (0.0, 0.0))
+        l2 = line((0.0, 0.0), (0.0, 1.0))
+        assert min_distance(l1, l2).distance == 0.0
+        assert min_distance(l2, l1).distance == 0.0
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 3, 7]), kind2=st.sampled_from(["line", "segment", "point"]),
            parallel=st.booleans(), data=st.data())

@@ -718,3 +718,50 @@ def test_profile_rows_never_call_the_scalar_phi(monkeypatch):
     points = sum(l.is_degenerate for l in U)
     related_points = sum(U[j].is_degenerate for row in expected.values() for j in row)
     assert 0 < related_points < len(rows) * points, related_points
+
+
+def test_rows_refine_the_pairs_their_root_level_leaves_open(monkeypatch):
+    """A row hands _refine the pairs whose root level neither hits nor
+    prunes every cell, and decides every pair as relates_prob does alone:
+    a density spike on a long segment, which the root grids of the
+    parallel l2s crossing it rarely land on, so the branch and bound finds
+    most of their witnesses."""
+    rng = np.random.default_rng(50)
+    p = Profile.normal(0.5, 1e-7)
+    U = [segment((0.0, 0.0), (100.0, 0.0))]
+    for _ in range(24):
+        y, x0 = rng.uniform(0.05, 0.45), rng.uniform(-49.0, 49.0)
+        U.append(segment((x0, y), (x0 + rng.uniform(2.0, 100.0), y)))
+    profiles = [p] + [Profile.uniform(0.0, 1.0)] * (len(U) - 1)
+    alpha = 0.5 / peak_density(p, 0.0, 1.0)
+    refined = []
+    refine = neighborhood._refine
+
+    def recording(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(neighborhood, "_refine", recording)
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    rows = [ev.neighbor_set(i) for i in range(len(U))]
+    assert len(refined) > 0 and True in refined
+    assert ev.undecided_count == 0
+    monkeypatch.setattr(neighborhood, "_refine", refine)
+    for i, row in enumerate(rows):
+        assert row == {j for j, l2 in enumerate(U)
+                       if relates_prob(U[i], profiles[i], alpha, l2, profiles[j])}, i
+
+
+def test_rows_count_each_undecided_pair_once():
+    """Two segments from one point, where beta(2, 1)'s density vanishes: a
+    row counts as many undecided pairs as relates_prob alone reports
+    through on_undecided, and takes the same decisions."""
+    U = [segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.0), (1.0, 1.0))]
+    p, alpha = Profile.beta(2.0, 1.0), 0.4
+    undecided = []
+    expected = [{j for j, l2 in enumerate(U)
+                 if relates_prob(l1, p, alpha, l2, p, on_undecided=lambda: undecided.append(1))}
+                for l1 in U]
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p))
+    assert [ev.neighbor_set(i) for i in range(len(U))] == expected
+    assert ev.undecided_count == len(undecided)
