@@ -12,9 +12,12 @@ line's map g(t) = x + (y - x) * t.  Six families are supported:
 
 Gamma and beta shapes below 1 are rejected: they make the density unbounded
 at a support endpoint, and every consumer here assumes a continuous bounded
-density.  The ellipsoidal `b` parameter is validated but cancels under
-normalization (the height is fixed at 2/(pi*a) so the density integrates
-to 1); it is accepted for symmetry with the two-parameter families.
+density.  At large shapes the gamma and beta normalisers overflow where
+their power terms underflow, so gamma densities, and beta densities past
+BETA_LOG_NORM_MAX, are exp of the summed logs.  The ellipsoidal `b`
+parameter is validated but cancels under normalization (the height is fixed
+at 2/(pi*a) so the density integrates to 1); it is accepted for symmetry
+with the two-parameter families.
 
 Revolution volumes: rotating a density f around its carrier segment sweeps,
 in R^n, a region whose cross-section at parameter t is an (n-1)-ball of
@@ -26,6 +29,11 @@ with c_m the unit m-ball volume.  This integral and the neighbourhood search
 run over effective_window: a bounded family's support, or else the 1e-6
 quantile window from statistics.NormalDist (normal), -log1p(-q) / rate
 (exponential) or scipy.special.gammaincinv (gamma, imported only then).
+The integral is in closed form for every family (_power_integral): f^m is
+a constant times a density of the same family, or a beta function, so it
+costs a few lgamma, exp or cdf calls (DLMF 5.12 and 8.2; scipy.special's
+gammainc for gamma only).  adaptive_quadrature stays as the tests'
+numerical reference.
 """
 
 from __future__ import annotations
@@ -42,11 +50,16 @@ from .geometry import SegmentLike
 
 FAMILIES = ("uniform", "normal", "ellipsoidal", "gamma", "beta", "exponential")
 
-#: quantile used to truncate unbounded supports (quadrature and search)
+#: quantile used to truncate unbounded supports (volumes and search)
 WINDOW_EPS = 1e-6
-#: adaptive quadrature stops at this relative error estimate or interval count
+#: adaptive quadrature (the tests' reference) stops at this relative error
+#: estimate or interval count
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_INTERVALS = 1 << 16
+#: beta densities whose log normaliser exceeds this are evaluated in log space.
+#: Below it the plain product keeps its bits (beta(2, 1) is 2t exactly), and
+#: its power terms only underflow where the density is below e^-400.
+BETA_LOG_NORM_MAX = 300.0
 
 
 @dataclass(frozen=True)
@@ -123,16 +136,21 @@ class Profile:
             return np.where(inside, (2.0 / (math.pi * a)) * np.sqrt(1.0 - u * u), 0.0)
         if fam == "gamma":
             k, lam = p
-            # t^(k-1) with 0^0 = 1 covers the k = 1 endpoint
-            base = np.power(np.maximum(t, 0.0), k - 1.0)
-            val = (lam ** k / math.gamma(k)) * base * np.exp(-lam * np.maximum(t, 0.0))
-            return np.where(t >= 0, val, 0.0)
+            # in log space: at large shapes rate^k / Gamma(k) and the power
+            # terms overflow or underflow where their product does not
+            tc = np.maximum(t, 0.0)
+            log_f = k * math.log(lam) - math.lgamma(k) + _xlog(k - 1.0, tc) - lam * tc
+            return np.where(t >= 0, np.exp(log_f), 0.0)
         if fam == "beta":
             a1, a2 = p
             inside = (t >= 0) & (t <= 1)
             tc = np.clip(t, 0.0, 1.0)
-            norm = math.exp(math.lgamma(a1 + a2) - math.lgamma(a1) - math.lgamma(a2))
-            return np.where(inside, norm * np.power(tc, a1 - 1.0) * np.power(1.0 - tc, a2 - 1.0), 0.0)
+            log_norm = math.lgamma(a1 + a2) - math.lgamma(a1) - math.lgamma(a2)
+            if log_norm > BETA_LOG_NORM_MAX:
+                val = np.exp(log_norm + _xlog(a1 - 1.0, tc) + _xlog(a2 - 1.0, 1.0 - tc))
+            else:
+                val = math.exp(log_norm) * np.power(tc, a1 - 1.0) * np.power(1.0 - tc, a2 - 1.0)
+            return np.where(inside, val, 0.0)
         lam = p[0]  # exponential
         return np.where(t >= 0, lam * np.exp(-lam * np.maximum(t, 0.0)), 0.0)
 
@@ -167,6 +185,14 @@ class Profile:
                 return 0.5
             return (a1 - 1.0) / (a1 + a2 - 2.0)
         return 0.0  # exponential
+
+
+def _xlog(c: float, x):
+    """c * log(x) for an array x >= 0, with 0 * log(0) = 0 (so 0^0 = 1)."""
+    if c == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):  # log(0) = -inf, and e^-inf = 0
+        return c * np.log(x)
 
 
 def density(p: Profile, t: float) -> float:
@@ -285,6 +311,12 @@ def adaptive_quadrature(fn, lo: float, hi: float) -> float:
     intervals exist.
     Subdivision naturally concentrates at support endpoints where profile
     families lose smoothness.
+
+    Nothing in the package calls it since the volumes took closed forms; it
+    is the numerical reference those forms and the profile normalizations
+    are tested against.  It stays in this module, not in oracle, because
+    benchmark/tracing.py counts its calls by patching
+    profiles.adaptive_quadrature.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("quadrature needs finite integration bounds")
@@ -311,13 +343,51 @@ def adaptive_quadrature(fn, lo: float, hi: float) -> float:
 
 # -- revolution volumes and scaling factors ---------------------------------
 
+def _log_beta(x: float, y: float) -> float:
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
+def _power_integral(p: Profile, m: int, lo: float, hi: float) -> float:
+    """Integral of f(t)^m over [lo, hi], p's effective window, in closed form.
+
+    A bounded family's window is its whole support.  The gamma and beta
+    normalisers are taken in log space (DLMF 5.12); the gamma window's mass
+    is a regularized incomplete gamma difference (DLMF 8.2).
+    """
+    fam, q = p.family, p.params
+    if fam == "uniform":
+        return (q[1] - q[0]) ** (1 - m)
+    if fam == "normal":
+        mu, var = q
+        # f^m is a normal density with variance var / m, times a constant
+        narrow = NormalDist(mu, math.sqrt(var / m))
+        return ((2.0 * math.pi * var) ** (0.5 * (1 - m)) / math.sqrt(m)
+                * (narrow.cdf(hi) - narrow.cdf(lo)))
+    if fam == "exponential":
+        lam = q[0]
+        return lam ** (m - 1) / m * (math.exp(-m * lam * lo) - math.exp(-m * lam * hi))
+    if fam == "gamma":
+        from scipy.special import gammainc  # as in effective_window: only gamma needs scipy
+        k, lam = q
+        a, rate = m * (k - 1.0) + 1.0, m * lam  # f^m is a gamma(a, rate) density, times a constant
+        log_norm = m * (k * math.log(lam) - math.lgamma(k)) + math.lgamma(a) - a * math.log(rate)
+        return math.exp(log_norm) * float(gammainc(a, rate * hi) - gammainc(a, rate * lo))
+    if fam == "beta":
+        a1, a2 = q
+        return math.exp(_log_beta(m * (a1 - 1.0) + 1.0, m * (a2 - 1.0) + 1.0)
+                        - m * _log_beta(a1, a2))
+    a = q[0]  # ellipsoidal: t = a u turns f^m into (2/(pi a))^m (1 - u^2)^(m/2)
+    return (2.0 / (math.pi * a)) ** m * a * math.exp(_log_beta(0.5, 0.5 * m + 1.0))
+
+
 def neighbourhood_volume(p: Profile, l: SegmentLike, n: int,
                          scale: float = 1.0) -> float:
     """Volume swept by rotating the scaled density around the carrier.
 
-    V = c_{n-1} * |y - x| * integral of (scale * f(t))^(n-1) over the
-    effective window.  With scale = 1 this is the base density-neighbourhood
-    volume that the scaling factor normalizes against.
+    V = c_{n-1} * |y - x| * scale^(n-1) * integral of f(t)^(n-1) over the
+    effective window, the integral in closed form (_power_integral).  With
+    scale = 1 this is the base density-neighbourhood volume that the
+    scaling factor normalizes against.
     """
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
@@ -329,13 +399,11 @@ def neighbourhood_volume(p: Profile, l: SegmentLike, n: int,
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("profile window is not finite; volume does not exist")
     arc = math.sqrt(l.sq_length)  # parametrization speed |y - x|
-    power = n - 1
-
-    def integrand(t):
-        return (scale * p.pdf(t)) ** power
-
-    integral = adaptive_quadrature(integrand, lo, hi)
-    vol = unit_ball_volume(n - 1) * arc * integral
+    m = n - 1
+    try:
+        vol = unit_ball_volume(m) * arc * (scale ** m * _power_integral(p, m, lo, hi))
+    except OverflowError:  # a float power or exp out of range
+        vol = math.inf
     if not math.isfinite(vol) or vol <= 0.0:
         raise ValueError(f"neighbourhood volume is not finite/positive: {vol}")
     return vol

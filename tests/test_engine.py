@@ -345,8 +345,9 @@ class TestStaging:
             assert labels.eval_count == len(U) ** 2
 
 
-# a version 1 run, a version 2 run with a normal profile and a lifted version 3
-# run, in a process where any import of scipy fails
+# a version 1 run, version 2 runs with every profile family but gamma (one in
+# exact-volume mode, in 3-d) and a lifted version 3 run, in a process where
+# any import of scipy fails
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
@@ -356,8 +357,15 @@ U = [segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.5), (1.0, 0.5)),
      segment((9.0, 0.0), (10.0, 0.0))]
 specs = [NeighbourhoodSpec(version=1, c=2, alpha=1.0),
          NeighbourhoodSpec(version=2, c=2, volume=1.0, profile=Profile.normal(0.5, 0.04))]
+specs += [NeighbourhoodSpec(version=2, c=2, volume=2.0, profile=p)
+          for p in (Profile.uniform(0.0, 1.0), Profile.beta(2.0, 2.0),
+                    Profile.ellipsoidal(0.6, 1.0), Profile.exponential(2.0))]
 for spec in specs:
     print(run(U, RunConfig(spec=spec)).memberships)
+U3 = [segment((*l.x, 0.0), (*l.y, 0.0)) for l in U]
+spec = NeighbourhoodSpec(version=2, c=2, volume=4.0, profile=Profile.normal(0.5, 0.04),
+                         alpha_mode="exact-volume")
+print(run(U3, RunConfig(spec=spec)).memberships)
 lifted = lift_dataset([[0.0, 0.0], [0.2, None], [9.0, 9.0]],
                       {1: AxisDomain(axis=1, window=(-1.0, 1.0))})
 spec = NeighbourhoodSpec(version=3, c=2, alpha=0.5, profile=lifted.profiles)
@@ -367,12 +375,12 @@ print(run(lifted.segments, RunConfig(spec=spec)).memberships)
 
 class TestPublicApi:
     def test_runs_without_scipy(self):
-        # scipy is imported only for a gamma window; none of these runs needs one
+        # scipy is imported only for a gamma window or volume; none of these runs needs one
         env = dict(os.environ, PYTHONPATH=str(Path(lineclust.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[[1], [1], []]", "[[1], [1], []]", "[[1], [1], []]"]
+        assert proc.stdout.splitlines() == ["[[1], [1], []]"] * 8
 
     def test_every_exported_name_resolves(self):
         for name in lineclust.__all__:

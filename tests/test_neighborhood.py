@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lineclust import neighborhood
+from lineclust.data_io import gen_doughnut
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import closest_point, line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
@@ -20,7 +21,14 @@ from lineclust.neighborhood import (
     relates_prob,
     relates_v1,
 )
-from lineclust.profiles import Profile, density, scaling_factor
+from lineclust.profiles import (
+    Profile,
+    adaptive_quadrature,
+    density,
+    effective_window,
+    scaling_factor,
+    unit_ball_volume,
+)
 from test_geometry import exact_min_sq
 
 UNIT = segment((0.0, 0.0), (1.0, 0.0))
@@ -417,6 +425,45 @@ class TestNeighborSet:
         ev.neighbor_set(0)
         assert len(calls) == len(U)
         assert ev.alphas == pytest.approx([1.0, 1.0], rel=1e-9)
+
+
+def _quadrature_alpha(V, p, l, exact_volume):
+    """Version 2's alpha with the integral of f^m by adaptive quadrature, not
+    the closed form: V / (c_m |d| integral), its m-th root for exact-volume."""
+    m = l.dim - 1
+    lo, hi = effective_window(p)
+    integral = adaptive_quadrature(lambda t: p.pdf(t) ** m, lo, hi)
+    ratio = V / (unit_ball_volume(m) * math.sqrt(l.sq_length) * integral)
+    return ratio ** (1.0 / m) if exact_volume else ratio
+
+
+class TestVolumeAlphaDecisions:
+    """Version 2 with its closed-form alpha decides every pair as version 3
+    does with each line's alpha taken by quadrature."""
+
+    @staticmethod
+    def _check(U, p, V, alpha_mode):
+        spec2 = NeighbourhoodSpec(version=2, c=5, volume=V, profile=p, alpha_mode=alpha_mode)
+        ev2 = RelationEvaluator(U, spec2)
+        alphas = [_quadrature_alpha(V, p, l, alpha_mode == "exact-volume") for l in U]
+        ev3 = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=5, alpha=alphas, profile=p))
+        assert ev2.alphas == pytest.approx(alphas, rel=1e-12)
+        sets = [ev2.neighbor_set(i) for i in range(len(U))]
+        assert sets == [ev3.neighbor_set(i) for i in range(len(U))]
+        assert ev2.undecided_count == ev3.undecided_count == 0
+        sizes = sorted(len(s) for s in sets)
+        assert sizes[0] < 5 < sizes[-1]  # rows on both sides of the core threshold
+
+    @pytest.mark.parametrize("seed", [7, 1, 10, 11])
+    def test_doughnut(self, seed):
+        U = [r.to_segment() for r in gen_doughnut(120, seed=seed)]
+        self._check(U, Profile.normal(0.5, 0.04), 60.0, "literal")
+
+    def test_exact_volume_in_3d(self):
+        rng = np.random.default_rng(19)
+        U = [segment((*r.x, z1), (*r.y, z2))
+             for r, (z1, z2) in zip(gen_doughnut(60, seed=3), rng.uniform(-1.0, 1.0, (60, 2)))]
+        self._check(U, Profile.normal(0.5, 0.04), 900.0, "exact-volume")
 
 
 class TestInfiniteLineTargets:

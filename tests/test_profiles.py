@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lineclust import profiles
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import segment
 from lineclust.oracle import simpson_integral
 from lineclust.profiles import (
+    QUAD_REL_TOL,
     Profile,
     adaptive_quadrature,
     density,
@@ -21,8 +23,11 @@ from lineclust.profiles import (
 )
 
 
-def random_profile(rng) -> Profile:
-    fam = rng.choice(["uniform", "normal", "ellipsoidal", "gamma", "beta", "exponential"])
+FAMILIES = ["uniform", "normal", "ellipsoidal", "gamma", "beta", "exponential"]
+
+
+def random_profile(rng, fam=None) -> Profile:
+    fam = fam or rng.choice(FAMILIES)
     if fam == "uniform":
         a = rng.uniform(-2, 0.5)
         return Profile.uniform(a, a + rng.uniform(0.2, 3))
@@ -47,6 +52,27 @@ class TestDensity:
     def test_normal_mode_value(self):
         p = Profile.normal(0.5, 0.01)
         assert density(p, 0.5) == pytest.approx(1.0 / (0.1 * math.sqrt(2 * math.pi)))
+
+    @pytest.mark.parametrize("p", [Profile.gamma(200, 100), Profile.gamma(100, 0.05),
+                                   Profile.beta(600, 600)])
+    def test_large_shapes_stay_finite(self, p):
+        # a normaliser or a power term overflows or underflows a float here,
+        # though the density they multiply to is moderate
+        peak = density(p, p.mode())
+        assert math.isfinite(peak) and peak > 0.0
+        lo, hi = effective_window(p)
+        assert adaptive_quadrature(p.pdf, lo, hi) == pytest.approx(1.0, abs=1e-5)
+
+    def test_beta_log_space_matches_the_plain_product(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        t = np.linspace(0.0, 1.0, 1001)
+        for _ in range(30):
+            p = Profile.beta(rng.uniform(1, 60), rng.uniform(1, 60))
+            plain = p.pdf(t)
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, "BETA_LOG_NORM_MAX", -math.inf)
+                logged = p.pdf(t)
+            assert logged == pytest.approx(plain, rel=1e-12, abs=1e-300)
 
     def test_gamma_shape_one_is_exponential(self):
         g = Profile.gamma(1.0, 2.0)
@@ -289,6 +315,17 @@ class TestVolumes:
         hi = neighbourhood_volume(Profile.uniform(0, 1), seg, 3, 2.0)
         assert hi > lo
 
+    @pytest.mark.parametrize("p", [Profile.gamma(200, 100), Profile.beta(600, 600)])
+    def test_large_shapes_match_quadrature(self, p):
+        seg = segment((0, 0, 0), (0, 2, 0))
+        lo, hi = effective_window(p)
+        ref = unit_ball_volume(2) * 2.0 * adaptive_quadrature(lambda t: p.pdf(t) ** 2, lo, hi)
+        assert neighbourhood_volume(p, seg, 3) == pytest.approx(ref, rel=QUAD_REL_TOL)
+
+    def test_overflowing_volume_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            neighbourhood_volume(Profile.uniform(0, 1), segment((0, 0, 0), (1, 0, 0)), 3, 1e300)
+
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
             neighbourhood_volume(Profile.uniform(0, 1), segment((1, 1), (1, 1)), 2)
@@ -296,3 +333,33 @@ class TestVolumes:
     def test_n_one_rejected(self):
         with pytest.raises(ValueError):
             neighbourhood_volume(Profile.uniform(0, 1), segment((0, 0), (1, 0)), 1)
+
+
+class TestClosedFormVolumes:
+    """neighbourhood_volume's closed-form integrals of f^m against numerical
+    references over the same effective window, in n = m + 1 dimensions."""
+
+    @staticmethod
+    def _cases(family, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            p = random_profile(rng, family)
+            for m in (1, 2, 6):
+                arc = rng.uniform(0.5, 4)
+                seg = segment(np.zeros(m + 1), np.r_[arc, np.zeros(m)])
+                lo, hi = effective_window(p)
+                yield (p, m, lo, hi, unit_ball_volume(m) * arc,
+                       neighbourhood_volume(p, seg, m + 1))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_against_adaptive_quadrature(self, family):
+        for p, m, lo, hi, factor, vol in self._cases(family, 53):
+            ref = factor * adaptive_quadrature(lambda t: p.pdf(t) ** m, lo, hi)
+            assert vol == pytest.approx(ref, rel=QUAD_REL_TOL), (p, m)
+
+    @pytest.mark.parametrize("family", ["uniform", "normal", "exponential"])
+    def test_against_simpson(self, family):
+        # 16384 panels keep Simpson's own error on e^(-6 rate t) near 4e-12
+        for p, m, lo, hi, factor, vol in self._cases(family, 59):
+            ref = factor * simpson_integral(lambda t: p.pdf(t) ** m, lo, hi, panels=16384)
+            assert vol == pytest.approx(ref, rel=1e-9), (p, m)
