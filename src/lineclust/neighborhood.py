@@ -13,72 +13,70 @@ The witness test minimizes
 
     phi(s) = dist(g2(s), l1) - alpha1 * f1(t*(s))
 
-over l2's parameter domain intersected with the effective window of l2's own
-density (its declared support).  phi can be multimodal: the density may have
-several influential bumps along t*(s) and dist has kinks where the projection
-clamps at a segment end.  The search is a certified branch and bound over
-the cells of a uniform root grid of search_samples parameters (Shubert 1972;
-Hansen & Walster 2004).  Every cell [a, b] gets a lower bound on phi from
-its two ends (_cell_bounds): dist(g2(s), l1) is convex in s, and t*(s) is
-monotone with every density unimodal.  One numpy pass per level prunes the
-cells whose bound is >= 0 (with a relative pad of PRUNE_PAD), evaluates phi
-at the midpoints of the rest and bisects them.  A relation is reported only
-for an actually evaluated phi(s) < 0, so false positives are impossible, and
-a pair is unrelated only when every cell is pruned.  A pair that still has
-a cell when the cells are narrower than SEARCH_TOL, or that would spend more
-than WITNESS_BUDGET evaluations, is undecided: it is reported as unrelated
-and counted through the caller's on_undecided.
+over l2's witness domain, its parameter domain intersected with the
+effective window of l2's own density (_witness_domain).  No witness lies at
+or beyond the threshold alpha1 * sup f1 over l1's reach, the t* range of
+its projection (_witness_threshold), and an unbounded domain, a line
+without a density, is cut to the finite window that threshold leaves
+(_line_candidate_window).  phi can be multimodal: the density may have
+several influential bumps along t*(s) and dist has kinks where the
+projection clamps at a segment end.  The search is a certified branch and
+bound over the cells of a uniform root grid of search_samples parameters
+(Shubert 1972; Hansen & Walster 2004).  Every cell [a, b] gets a lower
+bound on phi from its two ends (_cell_bounds): dist(g2(s), l1) is convex in
+s, and t*(s) is monotone with every density unimodal.  One numpy pass per
+level prunes the cells whose bound is >= 0 (with a relative pad of
+PRUNE_PAD), evaluates phi at the midpoints of the rest and bisects them.  A
+relation is reported only for an actually evaluated phi(s) < 0, so false
+positives are impossible, and a pair is unrelated only when every cell is
+pruned.  A pair that still has a cell when the cells are narrower than
+SEARCH_TOL, or that would spend more than WITNESS_BUDGET evaluations, is
+undecided: it is reported as unrelated and counted through the caller's
+on_undecided.
 
-Before any of this, a pair whose lower bound on the distance between the
-two carriers already reaches alpha1 * sup f1 is rejected, the bound version
-1 applies with alpha1.  Version 1 decides the rest by the exact minimum
-distance; versions 2 and 3 never solve it, the root level and the branch
-and bound alone decide what the bound leaves open.
-RelationEvaluator computes the bound for a whole relation row in a few
-array expressions, from the centres, half-lengths and carriers stacked once
-per dataset, and hands each pair's value to relates_v1 / relates_prob as
-`gap`, the caller's lower bound; called without it, they skip it.  A
-version 1 row uses the centre gap |c1 - c2| - h1 - h2 alone.  A row whose
-line has a profile tightens it to the carrier bound: the largest of the
-centre gap, dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1, TRACLUS's
-perpendicular-distance pruning (Lee, Han & Whang 2007).  It is finite
-unless both carriers are lines, and it rejects the lifted segments that
-sweep a whole axis past one another, whose centre gaps are all negative.
+The witness decision is written once, _witness_hits, for a batch of pairs
+(l1, l2_k) that share l1, the l2s given as rows of the stacked carrier
+layout.  An empty window is no witness.  A pair whose witness set is one
+parameter (a point l2, or a window no wider than SEARCH_TOL) is phi at that
+parameter, every such pair in one _point_hits pass.  Any other pair is its
+root level (_root_level, ROOT_BLOCK pairs per array pass), a hit on the
+grid or every cell pruned, and only where that leaves a kept cell and no
+hit, the branch and bound below it (_refine).  Every operation acts on each
+pair alone, so a pair's decision has the same bits in a batch of any size:
+a relation row is one batch, and relates_prob without a root is a batch of
+one.
+
+A pair whose lower bound on the distance between the two carriers already
+reaches alpha1 * sup f1 is rejected first, the bound version 1 applies
+with alpha1.  Version 1 decides the rest by the exact minimum distance;
+versions 2 and 3 never solve it, the witness decision alone decides what
+the bound leaves open.  RelationEvaluator computes the bound for a whole
+relation row in a few array expressions, from the centres, half-lengths
+and carriers stacked once per dataset.  A version 1 row uses the centre
+gap |c1 - c2| - h1 - h2 alone.  A row whose line has a profile tightens it
+to the carrier bound: the largest of the centre gap, dist(c2, carrier1) -
+h2 and dist(c1, carrier2) - h1, TRACLUS's perpendicular-distance pruning
+(Lee, Han & Whang 2007).  It is finite unless both carriers are lines, and
+it rejects the lifted segments that sweep a whole axis past one another,
+whose centre gaps are all negative.
 
 A metric row (version 1, or a density-free line in version 3) solves every
 pair off the diagonal that its centre gap leaves open in one
-_min_distance_many call and hands each pair its decision, distance <
-alpha1, as `root`.  That call is the one distance kernel, over pairs that
-each carry their own l1: a row is a block of one row, a block of up to
+_min_distance_many call, the one distance kernel, over pairs that each
+carry their own l1: a row is a block of one row, a block of up to
 ROW_BLOCK rows staged ahead of their use (RelationEvaluator.stage) is
 solved in one call, and min_distance solves a single pair as a row of one,
 so a pair's distance has the same bits in each.  The diagonal keeps
-min_distance's shortcut for a carrier against itself, and a row with no
-other open pair, every row of a dataset of isolated lines, makes no array
-solve and passes no root, so it costs what the per-pair loop does
-(acceptance criterion 7 measures those rows).
+min_distance's shortcut for a carrier against itself, through relates_v1
+without a root, and a row with no other open pair, every row of a dataset
+of isolated lines, makes no array solve (acceptance criterion 7 measures
+those rows).
 
-The rest of the witness set-up also splits by line.  The threshold
-alpha1 * sup f1 over l1's reach (the t* range of its projection) depends on
-l1 alone (_witness_threshold), and l2's witness domain, [0, 1] or unbounded
-intersected with the effective window of f2, on l2 alone
-(_witness_domain), cut to a finite window when unbounded
-(_line_candidate_window).  RelationEvaluator resolves every line's alpha,
-profile, witness domain, reach and threshold once, when it is built, and
-passes them to relates_prob beside `gap`; a direct call without them
-computes them with the same helpers.
-
-phi has one evaluator, array calls of _closest_sq_many and Profile.pdf
-over many parameters at once, and a pair one decision path: phi at its one
-parameter when its witness set is one (a point l2, or a window no wider
-than SEARCH_TOL; _point_hits), else its root level (_root_level), a hit on
-the grid or every cell pruned, and only where that leaves a kept cell and
-no hit, the branch and bound below it (_refine).  A profile row takes these
-steps for every pair its bound leaves open, _point_hits in one array pass
-and _root_level in one per block of ROOT_BLOCK pairs, and hands each pair
-its decision as a bool `root`, as a metric row does.  relates_prob, still
-called once per pair, takes them as a batch of one when it gets no root;
-each pair's result has the same bits in a batch of any size.
+Every row thus decides each of its pairs in arrays, one boolean per pair.
+It still calls relates_v1 / relates_prob once per pair with that decision
+as `root`, which they return unchanged, because benchmark/tracing.py counts
+a row's pairs by those calls.  Called without a root, they decide the pair
+themselves, by the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -232,18 +230,14 @@ def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
 
 
 def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
-               gap: float = -math.inf, root: bool | None = None) -> bool:
+               root: bool | None = None) -> bool:
     """Metric relation: minimum distance strictly below alpha1.
 
-    gap is a lower bound on that distance known to the caller; a pair it
-    already puts at alpha1 or beyond is rejected without the exact solve.
-    root is what a caller that solved many pairs at once found for this
-    one, min distance < alpha1 from a _min_distance_many row; without it
-    the pair is solved here by min_distance, the same kernel on a row of
-    one, so the decision is the same either way.
+    root is what a caller that decided many pairs at once found for this
+    one, returned as it is; without it the pair is solved here by
+    min_distance, the rows' distance kernel on a row of one, so the
+    decision is the same either way.
     """
-    if gap >= alpha1:
-        return False
     if root is not None:
         return root
     return min_distance(l1, l2).distance < alpha1
@@ -283,20 +277,22 @@ def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
     return reach, alpha1 * cap if cap > 0.0 else 0.0
 
 
-def _line_candidate_window(l1: SegmentLike, l2: SegmentLike, threshold: float,
-                           reach: tuple[float, float]) -> tuple[float, float] | None:
-    """Finite s-interval that must contain any witness on an infinite l2, or
-    None when none can.  A witness lies within threshold of its closest point
-    on l1, at a t* in the reach, so within threshold + h of the centre c of
-    the piece of l1 the reach covers, h its half-length: the window is the
-    chord of that ball, around the closest approach s0 of l2 to c.
+def _line_candidate_window(l1: SegmentLike, x2: np.ndarray, d2: np.ndarray, sq2: float,
+                           threshold: float, reach: tuple[float, float]
+                           ) -> tuple[float, float] | None:
+    """Finite s-interval that must contain any witness on an infinite l2,
+    the carrier row (x2, d2, sq2), or None when none can.  A witness lies
+    within threshold of its closest point on l1, at a t* in the reach, so
+    within threshold + h of the centre c of the piece of l1 the reach
+    covers, h its half-length: the window is the chord of that ball, around
+    the closest approach s0 of l2 to c.
     """
     c = l1.x + 0.5 * (reach[0] + reach[1]) * l1.direction
     radius = threshold + 0.5 * (reach[1] - reach[0]) * math.sqrt(l1.sq_length)
-    r = l2.x - c
-    s0 = -float(r @ l2.direction) / l2.sq_length
-    r += s0 * l2.direction
-    half_sq = (radius * radius - float(r @ r)) / l2.sq_length
+    r = x2 - c
+    s0 = -float(r @ d2) / sq2
+    r += s0 * d2
+    half_sq = (radius * radius - float(r @ r)) / sq2
     if half_sq <= 0.0:
         return None
     half = math.sqrt(half_sq)
@@ -370,11 +366,12 @@ def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
     return np.sqrt(sq) - alpha1 * profile1.pdf(t) < 0.0
 
 
-def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, l2: SegmentLike,
-            s: np.ndarray, t: np.ndarray, d: np.ndarray, keep: np.ndarray, width: float,
-            on_undecided: Callable[[], None] | None) -> bool:
+def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, x2: np.ndarray,
+            d2: np.ndarray, sq2: float, s: np.ndarray, t: np.ndarray, d: np.ndarray,
+            keep: np.ndarray, width: float, on_undecided: Callable[[], None] | None) -> bool:
     """The branch and bound below one pair's root level, a _root_level row
-    (s, t, d, keep) with no hit and a kept cell, cells width wide.  Each
+    (s, t, d, keep) with no hit and a kept cell, cells width wide, on the
+    l2 carrier row (x2, d2, sq2).  Each
     level evaluates phi at the kept cells' midpoints, True on a phi < 0,
     then bisects them and prunes the halves by _cell_bounds, False when none
     is left.  Cells no wider than SEARCH_TOL, or a level past WITNESS_BUDGET
@@ -382,7 +379,7 @@ def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, l2: SegmentLike,
     k = int(np.argmin(d))
     s_min, d_min = float(s[k]), float(d[k])
     a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
-    speed = math.sqrt(l2.sq_length)
+    speed = math.sqrt(sq2)
     spent = 0
     while True:
         if width <= SEARCH_TOL or spent + int(keep.sum()) > WITNESS_BUDGET:
@@ -392,7 +389,7 @@ def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, l2: SegmentLike,
         a, b, da, db, ta, tb = a[keep], b[keep], da[keep], db[keep], ta[keep], tb[keep]
         m = 0.5 * (a + b)
         spent += len(m)
-        tm, sq = _closest_sq_many(l2.x + m[:, None] * l2.direction, l1)
+        tm, sq = _closest_sq_many(x2 + m[:, None] * d2, l1)
         dm = np.sqrt(sq)
         if (dm - alpha1 * profile1.pdf(tm) < 0.0).any():
             return True
@@ -409,52 +406,73 @@ def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, l2: SegmentLike,
             return False
 
 
+def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
+                  reach: tuple[float, float], threshold: float, X: np.ndarray,
+                  D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  samples: int, on_undecided: Callable[[], None] | None) -> np.ndarray:
+    """The witness decisions of m pairs (l1, l2_k) at once: (m,) bools.
+
+    X, D, sq are the l2s' carrier rows and lo, hi their witness domains;
+    reach and threshold > 0 are l1's (_witness_threshold), and samples is the
+    size of each root grid.  An empty window (hi < lo) is False.  An
+    unbounded one, a line without a density, is cut pair by pair to
+    _line_candidate_window, False when there is none.  A one-parameter
+    witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
+    that parameter, all of them in one _point_hits pass; any other pair is
+    its root level, in blocks of ROOT_BLOCK pairs, and _refine where that
+    leaves a kept cell and no hit.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    live = hi >= lo
+    for k in np.flatnonzero(live & np.isinf(lo)).tolist():
+        window = _line_candidate_window(l1, X[k], D[k], sq[k], threshold, reach)
+        if window is None:
+            live[k] = False
+        else:
+            lo[k], hi[k] = window
+    hits = np.zeros(len(X), dtype=bool)
+    narrow = live & ((sq == 0.0) | (hi - lo <= SEARCH_TOL))
+    single = np.flatnonzero(narrow)
+    if len(single):
+        hits[single] = _point_hits(l1, p1, alpha1, X[single] + lo[single][:, None] * D[single])
+    batched = np.flatnonzero(live & ~narrow)
+    for k in range(0, len(batched), ROOT_BLOCK):
+        idx = batched[k:k + ROOT_BLOCK]
+        s, t, d, hit, keep = _root_level(l1, p1, alpha1, X[idx], D[idx], sq[idx], lo[idx],
+                                         hi[idx], samples)
+        for r in np.flatnonzero(~hit & keep.any(axis=1)).tolist():
+            q = idx[r]
+            hit[r] = _refine(l1, p1, alpha1, X[q], D[q], sq[q], s[r], t[r], d[r], keep[r],
+                             (hi[q] - lo[q]) / (samples - 1), on_undecided)
+        hits[idx] = hit
+    return hits
+
+
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
                  l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64, gap: float = -math.inf,
-                 reach: tuple[float, float] | None = None, threshold: float | None = None,
-                 window: tuple[float, float] | None = None, root: bool | None = None,
+                 search_samples: int = 64, root: bool | None = None,
                  on_undecided: Callable[[], None] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
 
-    gap is a lower bound on the distance between l1 and l2 known to the
-    caller; a pair it puts at alpha1 * sup f1 or beyond is rejected before
-    any phi is evaluated.  No exact distance solve follows.  reach and
-    threshold (from _witness_threshold) depend on l1 alone and window (from
-    _witness_domain) on l2 alone; a caller deciding many pairs passes them,
-    and whatever it leaves out is computed here with the same helpers (both
-    reach and threshold when either is missing).  root is the decision of a
-    caller that decided many pairs at once, as relates_v1's is; without it
-    the pair is decided here as a batch of one (_point_hits, or _root_level
-    and then _refine).  A pair the branch and bound cannot decide returns
-    False and calls on_undecided, when given.
+    root is the decision of a caller that decided many pairs at once, as
+    relates_v1's is, returned as it is.  Without it the pair is decided
+    here as a batch of one: l1's reach and threshold (_witness_threshold),
+    l2's witness domain (_witness_domain), then _witness_hits, which a
+    relation row runs on all its pairs.  A pair the branch and bound cannot
+    decide returns False and calls on_undecided, when given.
     """
-    if l1.dim != l2.dim:
-        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    if reach is None or threshold is None:
-        reach, threshold = _witness_threshold(l1, profile1, alpha1)
-    if threshold <= 0.0 or gap >= threshold:
-        return False
-    lo, hi = window if window is not None else _witness_domain(l2, profile2)
-    if hi < lo:
-        return False
     if root is not None:
         return root
-    if math.isinf(lo):  # a line without a density of its own
-        window = _line_candidate_window(l1, l2, threshold, reach)
-        if window is None:
-            return False
-        lo, hi = window
-    if l2.is_degenerate or hi - lo <= SEARCH_TOL:
-        return bool(_point_hits(l1, profile1, alpha1, (l2.x + lo * l2.direction)[None])[0])
-    (s,), (t,), (d,), (hit,), (keep,) = _root_level(
-        l1, profile1, alpha1, l2.x[None], l2.direction[None], np.array([l2.sq_length]),
-        np.array([lo]), np.array([hi]), search_samples)
-    if hit or not keep.any():
-        return bool(hit)
-    return _refine(l1, profile1, alpha1, l2, s, t, d, keep, (hi - lo) / (search_samples - 1),
-                   on_undecided)
+    if l1.dim != l2.dim:
+        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
+    reach, threshold = _witness_threshold(l1, profile1, alpha1)
+    if threshold <= 0.0:
+        return False
+    lo, hi = _witness_domain(l2, profile2)
+    return bool(_witness_hits(l1, profile1, alpha1, reach, threshold, l2.x[None],
+                              l2.direction[None], np.array([l2.sq_length]), np.array([lo]),
+                              np.array([hi]), search_samples, on_undecided)[0])
 
 
 # -- dispatch and neighbour sets ----------------------------------------------
@@ -480,33 +498,25 @@ class RelationEvaluator:
     evaluator is built, into lists and arrays indexed like the dataset: the
     array layout (centres, half-lengths, infinite for a line, and carriers
     as geometry._carriers stacks them, n x dim base points and directions),
-    each line's alpha (version 2 derives it from V through _volume_alpha),
-    profile and witness domain, stacked as window bounds too, and, for each
-    line with a profile, its reach and threshold.  A per-line alpha or
-    profile sequence of the wrong length, or a version 2 line without a
-    profile, is a ConfigurationError here, not at the first row that needs
-    the entry.
+    each line's alpha (version 2 derives it from V through _volume_alpha)
+    and profile, its witness domain as window bounds, and, for each line
+    with a profile, its reach and threshold.  A per-line alpha or profile
+    sequence of the wrong length, or a version 2 line without a profile, is
+    a ConfigurationError here, not at the first row that needs the entry.
 
-    A relation row, line i against a slice of the dataset, computes every
-    pair's centre gap |c_i - c_j| - h_i - h_j in one array expression (-inf
-    where either carrier is a line).  A metric row, whose line has no
-    profile, solves the minimum distance of every pair but i itself that
-    the gap leaves below alpha_i in one _min_distance_many call, and hands
-    each such pair its decision as its root; a row with no such pair
-    passes none, so an isolated row costs what the per-pair loop does.
+    A relation row, line i against a slice of the dataset, decides every
+    pair in arrays, as one boolean mask.  A metric row, whose line has no
+    profile, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
+    below alpha_i and solves their minimum distances, all but i's own, in
+    one _min_distance_many call; a row with no such pair makes no call.
     stage(rows) does the same for up to ROW_BLOCK metric rows at once, their
-    open pairs in one call, and keeps each row's gaps and decisions until
-    neighbor_set(i) serves it; the expand engine stages the rows its
-    frontier will ask for next.  A row whose line has a profile tightens
-    the gap to the carrier bound (_carrier_bound), -inf only where both
-    carriers are lines, and evaluates the witness search's first step for
-    every pair the bound leaves below the threshold whose window is finite
-    and non-empty.  A pair whose witness set is one parameter, a point l2 or
-    a window no wider than SEARCH_TOL, is decided in one _point_hits pass;
-    any other by its root level, in blocks of ROOT_BLOCK pairs, and _refine
-    where that leaves a kept cell and no hit.  Each pair's bound, with the
-    resolved parameters and its decision as its root, goes to relates_v1 /
-    relates_prob, called once per pair, as the caller's lower bound.
+    open pairs in one call, and keeps each row's mask until neighbor_set(i)
+    serves it; the expand engine stages the rows its frontier will ask for
+    next.  A row whose line has a profile takes the pairs whose carrier
+    bound (_carrier_bound) is below its threshold and decides them in one
+    _witness_hits call.  Each pair's decision then goes to relates_v1 /
+    relates_prob, called once per pair, as its root; the diagonal of a
+    metric row goes without one, so min_distance's shortcut decides it.
     neighbor_set(i) is that row over the whole dataset and relates(i, j)
     that row over line j alone; both count every pair in eval_count, and
     every pair the witness search leaves undecided (reported as unrelated)
@@ -518,7 +528,7 @@ class RelationEvaluator:
         self.spec = spec
         self.eval_count = 0
         self.undecided_count = 0
-        self._staged: dict[int, tuple] = {}  # metric row -> its _metric_rows entry, until served
+        self._staged: dict[int, np.ndarray] = {}  # metric row -> its mask, until served
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
@@ -531,20 +541,12 @@ class RelationEvaluator:
                            for i, (l, p) in enumerate(zip(self.U, self.profiles))]
         else:
             self.alphas = [float(a) for a in _per_line(spec.alpha, n, "alpha")]
-        self.windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
-        self.window_lo = np.array([w[0] for w in self.windows], dtype=np.float64)
-        self.window_hi = np.array([w[1] for w in self.windows], dtype=np.float64)
-        # the pairs a row batches, each l2 with a finite non-empty window: a
-        # one-parameter witness set (a point, or a window no wider than
-        # SEARCH_TOL) for _point_hits, a wider one for _root_level
-        width = self.window_hi - self.window_lo
-        finite = np.isfinite(width) & (width >= 0.0)
-        narrow = (self.sq_length == 0.0) | (width <= SEARCH_TOL)
-        self.one_parameter = finite & narrow
-        self.searchable = finite & ~narrow
+        windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
+        self.window_lo = np.array([w[0] for w in windows], dtype=np.float64)
+        self.window_hi = np.array([w[1] for w in windows], dtype=np.float64)
         # (reach, threshold) of each line with a profile, None for a metric line
         self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
-                           for l, p, a, w in zip(self.U, self.profiles, self.alphas, self.windows)]
+                           for l, p, a, w in zip(self.U, self.profiles, self.alphas, windows)]
 
     def _carrier_bound(self, i: int, js: slice, gaps: np.ndarray) -> np.ndarray:
         """A lower bound on the distance from line i to each line of js:
@@ -574,37 +576,36 @@ class RelationEvaluator:
         gaps -= self.half_len[js]
         return gaps
 
-    def _metric_rows(self, rows: Sequence[int], js: slice) -> list[tuple]:
-        """(gaps, at, hits) for each metric row of rows over the dataset
-        slice js: its centre gaps, the offsets in js of the pairs off the
-        diagonal they leave below its alpha, and those pairs' decisions,
-        min distance < alpha, from one `_min_distance_many` call over the
-        open pairs of every row; None for a row with no open pair, and no
+    def _metric_rows(self, rows: Sequence[int], js: slice) -> list[np.ndarray]:
+        """The decision mask of each metric row of rows over the dataset
+        slice js: False where the centre gap is at or beyond its alpha and
+        on the diagonal, min distance < alpha elsewhere, from one
+        `_min_distance_many` call over the open pairs of every row, and no
         call when no row has one."""
         lines = range(len(self.U))[js]
-        opened = []
+        masks = []
         for i in rows:
-            gaps = self._centre_gaps(i, js)
-            open_ = gaps < self.alphas[i]
+            mask = self._centre_gaps(i, js) < self.alphas[i]
             if i in lines:  # the diagonal keeps min_distance's shortcut
-                open_[i - lines.start] = False
-            opened.append((gaps, open_.nonzero()[0]))
-        counts = [len(at) for _, at in opened]
-        if not any(counts):
-            return [(gaps, at, None) for gaps, at in opened]
-        l1 = np.repeat(rows, counts)
-        l2 = np.concatenate([at for _, at in opened]) + lines.start
-        dist, _, _ = _min_distance_many(
-            self.x[l1], self.direction[l1], self.sq_length[l1], self.is_segment[l1],
-            self.x[l2], self.direction[l2], self.sq_length[l2], self.is_segment[l2])
-        alpha = np.repeat([self.alphas[i] for i in rows], counts)
-        hits = np.split(dist < alpha, np.cumsum(counts)[:-1])
-        return [(gaps, at, hit if len(at) else None) for (gaps, at), hit in zip(opened, hits)]
+                mask[i - lines.start] = False
+            masks.append(mask)
+        at = [mask.nonzero()[0] for mask in masks]
+        counts = [len(a) for a in at]
+        if any(counts):
+            l1 = np.repeat(rows, counts)
+            l2 = np.concatenate(at) + lines.start
+            dist, _, _ = _min_distance_many(
+                self.x[l1], self.direction[l1], self.sq_length[l1], self.is_segment[l1],
+                self.x[l2], self.direction[l2], self.sq_length[l2], self.is_segment[l2])
+            alpha = np.repeat([self.alphas[i] for i in rows], counts)
+            for mask, a, hit in zip(masks, at, np.split(dist < alpha, np.cumsum(counts)[:-1])):
+                mask[a] = hit
+        return masks
 
     def stage(self, rows: Iterable[int]) -> None:
         """Solve the open pairs of the metric rows among the first ROW_BLOCK
-        of rows in one kernel call, and keep each row's gaps and decisions
-        until neighbor_set serves it.  A call while any row is staged does
+        of rows in one kernel call, and keep each row's mask until
+        neighbor_set serves it.  A call while any row is staged does
         nothing, so a block is served whole before the next is solved and
         no more than ROW_BLOCK rows are ever held.  Profile rows are left to
         their own path; staging changes no decision and counts nothing."""
@@ -619,43 +620,25 @@ class RelationEvaluator:
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
+        # each pair's relates_* call returns the row's decision, its root;
+        # the calls remain because benchmark/tracing.py counts them
         if p1 is None:
             # version 1, or a declared density-free line: the metric relation
             staged = self._staged.pop(i, None) if js == slice(None) else None
-            gaps, at, hits = staged or self._metric_rows([i], js)[0]
-            if hits is None:
-                return [j for j, g in zip(lines, gaps.tolist()) if relates_v1(l1, U[j], alpha1, g)]
-            roots = [None] * len(lines)
-            for k, hit in zip(at.tolist(), hits.tolist()):
-                roots[k] = hit
-            return [j for j, g, root in zip(lines, gaps.tolist(), roots)
-                    if relates_v1(l1, U[j], alpha1, g, root)]
-        gaps = self._centre_gaps(i, js)
+            roots = (staged if staged is not None else self._metric_rows([i], js)[0]).tolist()
+            if i in lines:
+                roots[i - lines.start] = None  # decided by min_distance's shortcut
+            return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], alpha1, root)]
         reach, threshold = self.thresholds[i]
-        bound = self._carrier_bound(i, js, gaps)
-        samples = self.spec.search_samples
-        # the pairs relates_prob would not reject before it reads their root
-        candidates = np.arange(len(self.U))[js][(bound < threshold) & (threshold > 0.0)]
-        single = candidates[self.one_parameter[candidates]]
-        batched = candidates[self.searchable[candidates]]
-        profiles, windows, count = self.profiles, self.windows, self._count_undecided
-        roots = {}
-        if len(single):
-            P = self.x[single] + self.window_lo[single][:, None] * self.direction[single]
-            roots.update(zip(single.tolist(), _point_hits(l1, p1, alpha1, P).tolist()))
-        for k in range(0, len(batched), ROOT_BLOCK):
-            idx = batched[k:k + ROOT_BLOCK]
-            lo, hi = self.window_lo[idx], self.window_hi[idx]
-            s, t, d, hit, keep = _root_level(l1, p1, alpha1, self.x[idx], self.direction[idx],
-                                             self.sq_length[idx], lo, hi, samples)
-            for r in np.flatnonzero(~hit & keep.any(axis=1)).tolist():
-                hit[r] = _refine(l1, p1, alpha1, U[idx[r]], s[r], t[r], d[r], keep[r],
-                                 (hi[r] - lo[r]) / (samples - 1), count)
-            roots.update(zip(idx.tolist(), hit.tolist()))
-        return [j for j, g in zip(lines, bound.tolist())
-                if relates_prob(l1, p1, alpha1, U[j], profiles[j], search_samples=samples, gap=g,
-                                reach=reach, threshold=threshold, window=windows[j],
-                                root=roots.get(j), on_undecided=count)]
+        related = (self._carrier_bound(i, js, self._centre_gaps(i, js)) < threshold) \
+            & (threshold > 0.0)
+        idx = np.arange(len(U))[js][related]
+        related[related] = _witness_hits(
+            l1, p1, alpha1, reach, threshold, self.x[idx], self.direction[idx],
+            self.sq_length[idx], self.window_lo[idx], self.window_hi[idx],
+            self.spec.search_samples, self._count_undecided)
+        return [j for j, root in zip(lines, related.tolist())
+                if relates_prob(l1, p1, alpha1, U[j], root=root)]
 
     def _count_undecided(self) -> None:
         self.undecided_count += 1

@@ -137,10 +137,12 @@ class Profile:
         if fam == "gamma":
             k, lam = p
             # in log space: at large shapes rate^k / Gamma(k) and the power
-            # terms overflow or underflow where their product does not
-            tc = np.maximum(t, 0.0)
+            # terms overflow or underflow where their product does not; t is
+            # replaced outside [0, inf), where (k - 1) log t - lam t is inf - inf
+            inside = (t >= 0) & (t < math.inf)
+            tc = np.where(inside, t, 0.0)
             log_f = k * math.log(lam) - math.lgamma(k) + _xlog(k - 1.0, tc) - lam * tc
-            return np.where(t >= 0, np.exp(log_f), 0.0)
+            return np.where(inside, np.exp(log_f), 0.0)
         if fam == "beta":
             a1, a2 = p
             inside = (t >= 0) & (t <= 1)

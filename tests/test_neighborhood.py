@@ -16,6 +16,7 @@ from lineclust.neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
     _witness_domain,
+    _witness_hits,
     _witness_threshold,
     contains_point,
     relates_prob,
@@ -194,14 +195,15 @@ class TestRelatesV1:
             assert relates_v1(l1, l2, alpha) == (min_distance(l1, l2).distance < alpha)
             assert relates_v1(l1, l2, alpha, root=None) == relates_v1(l1, l2, alpha)
 
-    def test_root_decides_what_the_gap_leaves_open(self):
+    def test_root_is_taken_as_it_is(self):
         l1 = segment((0, 0), (1, 0))
         l2 = segment((0, 2), (1, 2))
-        # a root is the caller's decision for the pair, taken as it is ...
+        # a root is the caller's decision for the pair, taken as it is,
+        # even where the pair's own solve would decide otherwise
+        assert relates_v1(l1, l2, 3.0) is True
         assert relates_v1(l1, l2, 3.0, root=False) is False
+        assert relates_v1(l1, l2, 1.0) is False
         assert relates_v1(l1, l2, 1.0, root=True) is True
-        # ... but a gap at alpha or beyond rejects before it is read
-        assert relates_v1(l1, l2, 3.0, gap=3.0, root=True) is False
 
 
 class TestRelatesProb:
@@ -212,6 +214,12 @@ class TestRelatesProb:
         l2 = segment((0, 1), (1, 1))
         assert not relates_prob(UNIT, U01, 0.5, l2, U01)
         assert relates_prob(UNIT, U01, 1.5, l2, U01)
+
+    def test_root_is_taken_as_it_is(self):
+        # as relates_v1's: a row's decision for the pair, returned unchanged
+        l2 = segment((0, 1), (1, 1))
+        assert relates_prob(UNIT, U01, 0.5, l2, U01, root=True) is True
+        assert relates_prob(UNIT, U01, 1.5, l2, U01, root=False) is False
 
     def test_gaussian_mode_reachable_endpoint(self):
         p = Profile.normal(0.5, 0.01)
@@ -808,8 +816,12 @@ class TestWitnessSetUp:
             for j, l2 in enumerate(U):
                 p2 = spec.profile[j]
                 bare = relates_prob(l1, p1, 1.0, l2, p2)
-                assert relates_prob(l1, p1, 1.0, l2, p2, reach=reach, threshold=threshold,
-                                    window=_witness_domain(l2, p2)) == bare, (i, j)
+                # the resolved set-up, handed to the row's witness decision
+                lo, hi = _witness_domain(l2, p2)
+                hit, = _witness_hits(l1, p1, 1.0, reach, threshold, l2.x[None],
+                                     l2.direction[None], np.array([l2.sq_length]),
+                                     np.array([lo]), np.array([hi]), 64, None)
+                assert hit == bare, (i, j)
                 assert ev.relates(i, j) == bare, (i, j)
                 decided[i, j] = bare
         # each kind of target, from a source segment and a source line

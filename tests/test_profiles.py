@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestDensity:
                 assert density(p, lo - 0.5) == 0.0
             if math.isfinite(hi):
                 assert density(p, hi + 0.5) == 0.0
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [Profile.uniform(-1.0, 2.0), Profile.normal(0.5, 0.04),
+                                   Profile.ellipsoidal(1.5, 1.0), Profile.gamma(2.0, 1.0),
+                                   Profile.beta(2.0, 3.0), Profile.exponential(2.0)],
+                             ids=FAMILIES)
+    def test_zero_at_infinity(self, p, t):
+        # gamma with shape > 1 once read (k - 1) log t - lam t = inf - inf there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density(p, t) == 0.0
+            assert p.pdf(np.array([t, 0.5, -t])).tolist()[::2] == [0.0, 0.0]
 
     def test_continuity_on_support(self):
         # finite-difference continuity with a step much smaller than the

@@ -462,14 +462,26 @@ def test_row_wider_than_a_block_matches_single_pairs(monkeypatch):
     assert 0 < len(expected) < len(U) - ROOT_BLOCK
 
 
-def test_threshold_without_reach_is_completed():
-    # a caller passing one of reach and threshold gets both computed here
+def test_bare_call_is_a_batch_of_one(monkeypatch):
+    # relates_prob without a root resolves l1's reach and threshold and
+    # l2's domain with the row's helpers, and hands them to _witness_hits
     l1, l2, p = line((0, 0), (1, 0)), line((0, 0.3), (1, 0.35)), Profile.normal(0.5, 0.04)
-    bare = relates_prob(l1, p, 1.0, l2, None)
     reach, threshold = _witness_threshold(l1, p, 1.0)
-    assert relates_prob(l1, p, 1.0, l2, None, threshold=1.99) == bare
-    assert relates_prob(l1, p, 1.0, l2, None, threshold=threshold) == bare
-    assert relates_prob(l1, p, 1.0, l2, None, reach=reach) == bare
+    calls = []
+    witness_hits = neighborhood._witness_hits
+
+    def recording(*args):
+        calls.append(args)
+        return witness_hits(*args)
+
+    monkeypatch.setattr(neighborhood, "_witness_hits", recording)
+    assert relates_prob(l1, p, 1.0, l2, None)
+    (l1_, p_, alpha, reach_, threshold_, X, D, sq, lo, hi, samples, _), = calls
+    assert (l1_, p_, alpha, reach_, threshold_, samples) == (l1, p, 1.0, reach, threshold, 64)
+    assert np.array_equal(X, l2.x[None]) and np.array_equal(D, l2.direction[None])
+    assert sq.tolist() == [l2.sq_length] and (lo.tolist(), hi.tolist()) == ([-math.inf], [math.inf])
+    assert RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=1.0,
+                                                         profile=[p, None])).relates(0, 1)
 
 
 def _to_piece(l1, reach, pts):
@@ -505,7 +517,7 @@ def test_line_window_holds_every_witness(dim):
             else (0.0, 1.0)
         l2 = random_carrier(rng, dim, "line")
         threshold = rng.uniform(0.05, 3.0)
-        window = _line_candidate_window(l1, l2, threshold, reach)
+        window = _line_candidate_window(l1, l2.x, l2.direction, l2.sq_length, threshold, reach)
 
         ends = [l1.x + r * l1.direction for r in reach]
         proj = [float((e - l2.x) @ l2.direction) / l2.sq_length for e in ends]
@@ -527,6 +539,103 @@ def test_line_window_holds_every_witness(dim):
             assert math.isclose(np.linalg.norm(l2.x + end * l2.direction - centre), radius,
                                 rel_tol=1e-9), (k, end)
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _witnesses(monkeypatch, l1, p1, alpha, l2, p2):
+    """The points of l2 at which relates_prob's own φ evaluations read
+    below 0, recorded from the array evaluator it calls."""
+    closest_sq_many = neighborhood._closest_sq_many
+    found = []
+
+    def recording(P, l):
+        t, sq = closest_sq_many(P, l)
+        found.extend(P[np.sqrt(sq) - alpha * p1.pdf(t) < 0.0])
+        return t, sq
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_closest_sq_many", recording)
+        relates_prob(l1, p1, alpha, l2, p2)
+    return found
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_rows_decide_line_targets_without_a_profile(monkeypatch, dim):
+    """A version 3 row decides its line targets that have no density of
+    their own in its one _witness_hits call, beside point, narrow-window and
+    empty-window targets.  The row, relates(i, j) and relates_prob on each
+    pair alone take one decision, and it is the reference's, except where
+    the reference's one-way search misses a witness on a line target that
+    the reference foot confirms."""
+    rng = np.random.default_rng(60 + dim)
+    alpha = 0.4
+    U, profiles, kinds = [], [], []
+    for k in range(8):
+        U.append(random_carrier(rng, dim, ("segment", "line")[k % 2]))
+        profiles.append(random_profile(rng, FAMILIES[k % 6]))
+        kinds.append("source")
+    for k in range(96):
+        # a target through a point q off one source, square to it at a t in
+        # its reach where f > 0, at up to 1.5 times alpha f(t), at parameter
+        # a of the target; each kind of target meets every source
+        l1, p1 = U[k % 8], profiles[k % 8]
+        (lo, hi), _ = _witness_threshold(l1, p1, alpha)
+        w = effective_window(p1)
+        t = rng.uniform(max(lo, w[0]), min(hi, w[1]))
+        u = rng.normal(size=dim)
+        u -= (u @ l1.direction) / l1.sq_length * l1.direction
+        q = l1.x + t * l1.direction \
+            + u / np.linalg.norm(u) * rng.uniform(0.0, 1.5) * alpha * density(p1, t)
+        kind = ("line", "point", "narrow", "empty")[k // 8 % 4]
+        a, d = rng.uniform(0.0, 1.0 - SEARCH_TOL), rng.normal(size=dim)
+        x2 = q - a * d
+        if kind == "line":
+            U.append(line(x2, x2 + d))
+            profiles.append(None)
+        elif kind == "point":
+            U.append(segment(q, q))
+            profiles.append(None)
+        else:
+            U.append(segment(x2, x2 + d))
+            profiles.append(Profile.uniform(a, a + 0.5 * SEARCH_TOL) if kind == "narrow"
+                            else Profile.uniform(2.0, 3.0))
+        kinds.append(kind)
+    witness_hits = neighborhood._witness_hits
+    unbounded = []
+
+    def recording(l1, p1, alpha1, reach, threshold, X, D, sq, lo, hi, *args):
+        unbounded.append(int(np.isinf(lo).sum()))
+        return witness_hits(l1, p1, alpha1, reach, threshold, X, D, sq, lo, hi, *args)
+
+    monkeypatch.setattr(neighborhood, "_witness_hits", recording)
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    rows = [ev.neighbor_set(i) for i in range(8)]
+    # one call per row, holding the line targets its carrier bound leaves open
+    assert len(unbounded) == 8 and sum(unbounded) >= 8, unbounded
+    decided = {kind: [0, 0] for kind in ("line", "point", "narrow", "empty")}
+    missed = 0
+    for i, row in enumerate(rows):
+        l1, p1 = U[i], profiles[i]
+        _, threshold = _witness_threshold(l1, p1, alpha)
+        for j, l2 in enumerate(U):
+            related = j in row
+            assert ev.relates(i, j) == related, (i, j, kinds[j])
+            assert relates_prob(l1, p1, alpha, l2, profiles[j]) == related, (i, j, kinds[j])
+            expected = reference_relates_prob(l1, p1, alpha, l2, profiles[j])
+            if related and not expected and kinds[j] == "line":
+                # the reference's one-way search missed it: the witness must
+                # hold by the reference foot and density too, and be a thin
+                # one, far down a tail of f1, which its grid can step over
+                t, sq = reference_foot(_witnesses(monkeypatch, l1, p1, alpha, l2, None)[0], l1)
+                assert math.sqrt(sq) < alpha * density(p1, t) < 1e-4 * threshold, (i, j)
+                missed += 1
+            else:
+                assert related == expected, (i, j, kinds[j])
+            if kinds[j] != "source":
+                decided[kinds[j]][related] += 1
+    assert ev.undecided_count == 0
+    assert decided["empty"][1] == 0
+    assert missed < decided["line"][1] // 4
+    assert min(decided["line"] + decided["point"] + decided["narrow"]) >= 10, decided
 
 
 def test_profile_rows_never_call_min_distance(monkeypatch):
@@ -648,19 +757,31 @@ def test_point_hits_batch_is_bit_identical_to_single_pairs(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 7])
 @pytest.mark.parametrize("kind1", ["segment", "line"])
-def test_one_parameter_decisions_match_the_scalar_phi(dim, kind1):
+def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
     """On seeded point and narrow-window l2s, relates_prob and a version 3
     row take the scalar φ's decision on every pair it does not leave within
     1e-12 of its scale, for every family of f₁."""
     rng = np.random.default_rng(40 + dim + (kind1 == "line"))
     decided = {True: 0, False: 0}
+    point_hits = neighborhood._point_hits
+    points = []
+
+    def recording(l1, p1, alpha1, P):
+        points.append(P)
+        return point_hits(l1, p1, alpha1, P)
+
+    monkeypatch.setattr(neighborhood, "_point_hits", recording)
     for k in range(36):
         l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(rng, dim, FAMILIES[k % 6],
                                                                     kind1)
         spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[p1] + profiles)
         ev = RelationEvaluator([l1] + l2s, spec)
-        assert ev.one_parameter[1:].all()
+        points.clear()
         row = ev.neighbor_set(0)
+        # one _point_hits pass holds every l2 the carrier bound leaves open
+        _, threshold = ev.thresholds[0]
+        bound = ev._carrier_bound(0, slice(1, None), ev._centre_gaps(0, slice(1, None)))
+        assert len(points) <= 1 and sum(map(len, points)) == int((bound < threshold).sum())
         for j, (l2, p2, lo) in enumerate(zip(l2s, profiles, params), start=1):
             phi, scale = reference_point_phi(l1, p1, alpha, l2, lo)
             if abs(phi) <= 1e-12 * scale:
