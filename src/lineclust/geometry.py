@@ -5,10 +5,11 @@ map g(t) = x + (y - x) * t.  The parameter domain is [0, 1] for segments and
 all of R for lines.  Distances are Euclidean; squared distances are used
 internally and the root is taken at the API boundary.
 
-Each distance has one kernel, written over arrays: a relation row, a block
-of many rows, the witness grid of a whole row and a single pair all run the
-same code, a single pair as a row of one.  `_closest_sq_many` gives the
-feet of m points on one carrier (`closest_point` is its row of one), and
+Each foot and each distance has one kernel, written over arrays: a relation
+row, a block of many rows, the witness grid of a whole row and a single
+pair all run the same code, a single pair as a row of one.  `_feet_sq`
+gives the feet of m points on their carriers, one carrier per point or one
+carrier for them all (`closest_point` is its row of one), and
 `_min_distance_many` the minimum distances of m pairs of carriers, each
 pair with its own first carrier, so one call solves a row (every pair
 sharing it) or the open pairs of many rows at once (`min_distance` is its
@@ -16,7 +17,7 @@ row of one).  Every operation of both acts on each pair alone, so a pair's
 result has the same bits whatever row or block it sits in.  The distance
 solve is one clamp-project-reclamp step, exact in at most two steps for any
 two non-degenerate carriers; a point operand is projected onto the other
-carrier instead.
+carrier instead, by `_feet_sq`.
 """
 
 from __future__ import annotations
@@ -118,13 +119,13 @@ def closest_point(P, l: SegmentLike) -> ClosestPointResult:
     The minimizer is the perpendicular foot t = ((P - x) . (y - x)) / |y - x|^2,
     clamped to [0, 1] for segments.  A degenerate segment returns t = 0.
     The minimizer exists and is unique (strict convexity of the squared
-    distance along the carrier).  P is checked, then solved by
-    `_closest_sq_many` as a row of one.
+    distance along the carrier).  P is checked, then solved by `_feet_sq`
+    as a row of one.
     """
     p = as_point(P)
     if p.size != l.dim:
         raise ValueError(f"dimension mismatch: point is {p.size}-d, carrier is {l.dim}-d")
-    t, sq = _closest_sq_many(p[None], l)
+    t, sq = _feet_sq(p[None], *_carriers(l))
     t_star = float(t[0])
     return ClosestPointResult(t_star, l.x + l.direction * t_star, math.sqrt(sq[0]))
 
@@ -133,33 +134,13 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The dot product of each row of A, an (m, dim) array, with B's row
     (B is (m, dim) or one (dim,) vector), summed one column at a time from
     the first.  einsum and BLAS sum in other orders in 7-d, so they would
-    move the last bits of the distances `_min_distance_many` has always
-    given, and with them any version 1 decision at alpha."""
+    move the last bits of what its callers, `_feet_sq` and
+    `_min_distance_many`, have always given, and any decision at alpha."""
     P = A * B
     s = P[:, 0]
     for k in range(1, P.shape[1]):
         s = s + P[:, k]
     return s
-
-
-def _closest_sq_many(P: np.ndarray, l: SegmentLike) -> tuple[np.ndarray, np.ndarray]:
-    """The closest points of l to the rows of an (m, dim) array.
-
-    The rows must already be finite points of l's dimension; nothing is
-    checked.  Returns the (m,) parameters and (m,) squared distances.  Each
-    row's result is the same bits whatever m and wherever the row sits:
-    the projection is an einsum, which sums every row in one order, not a
-    BLAS matrix-vector product, whose kernels and threads split the rows
-    into blocks that sum in different orders.
-    """
-    if l.sq_length == 0.0:
-        d = P - l.x
-        return np.zeros(len(P)), np.einsum("ij,ij->i", d, d)
-    t = np.einsum("ij,j->i", P - l.x, l.direction) / l.sq_length
-    if l.kind == "segment":
-        np.clip(t, 0.0, 1.0, out=t)
-    d = P - (l.x + t[:, None] * l.direction)
-    return t, np.einsum("ij,ij->i", d, d)
 
 
 def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
@@ -186,12 +167,18 @@ def _carriers(*lines: SegmentLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 def _feet_sq(P: np.ndarray, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
              is_segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The foot of each row of P on the matching carrier (X, D, sq,
-    is_segment rows, as `_min_distance_many` takes them): its (m,)
-    parameters, 0 on a point carrier, and (m,) squared distances."""
-    t = np.divide(_row_dot(P - X, D), sq, out=np.zeros(len(sq)), where=sq > 0.0)
-    t = np.where(is_segment, np.clip(t, 0.0, 1.0), t)
-    q = P - (X + D * t[:, None])
+    """The feet of the rows of P on their carriers: (m,) parameters, 0 on a
+    point carrier and clamped to [0, 1] on a segment, and (m,) squared
+    distances.  The carriers are stacked as `_min_distance_many` takes one
+    side, one per row, or one carrier's row that every point shares; P is
+    (m, dim), or one (dim,) point that every carrier shares.  Nothing is
+    checked, and `_row_dot`'s column sums give a row the same bits wherever
+    it sits."""
+    # order "A" keeps column-major input column-major, so _row_dot's columns are contiguous
+    num = _row_dot(np.subtract(P, X, order="A"), D)
+    t = np.divide(num, sq, out=np.zeros_like(num), where=sq > 0.0)
+    np.clip(t, 0.0, 1.0, out=t, where=is_segment)
+    q = np.subtract(P, X + np.multiply(D, t[:, None], order="A"), order="A")
     return t, _row_dot(q, q)
 
 

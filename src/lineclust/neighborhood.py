@@ -14,25 +14,27 @@ The witness test minimizes
     phi(s) = dist(g2(s), l1) - alpha1 * f1(t*(s))
 
 over l2's witness domain, its parameter domain intersected with the
-effective window of l2's own density (_witness_domain).  No witness lies at
-or beyond the threshold alpha1 * sup f1 over l1's reach, the t* range of
-its projection (_witness_threshold), and an unbounded domain, a line
-without a density, is cut to the finite window that threshold leaves
+effective window of l2's own density (_witness_domain).  _phi alone
+evaluates it, reading f1 as 0 outside l1's reach, the t* range of its
+projection (_witness_threshold): [0, 1] for a segment, f1's effective
+window for a line.  No witness lies at or beyond the threshold
+alpha1 * sup f1 over the reach, and an unbounded domain, a line without a
+density, is cut to the finite window that threshold leaves
 (_line_candidate_window).  phi can be multimodal: the density may have
 several influential bumps along t*(s) and dist has kinks where the
 projection clamps at a segment end.  The search is a certified branch and
 bound over the cells of a uniform root grid of search_samples parameters
 (Shubert 1972; Hansen & Walster 2004).  Every cell [a, b] gets a lower
 bound on phi from its two ends (_cell_bounds): dist(g2(s), l1) is convex in
-s, and t*(s) is monotone with every density unimodal.  One numpy pass per
-level prunes the cells whose bound is >= 0 (with a relative pad of
-PRUNE_PAD), evaluates phi at the midpoints of the rest and bisects them.  A
-relation is reported only for an actually evaluated phi(s) < 0, so false
-positives are impossible, and a pair is unrelated only when every cell is
-pruned.  A pair that still has a cell when the cells are narrower than
-SEARCH_TOL, or that would spend more than WITNESS_BUDGET evaluations, is
-undecided: it is reported as unrelated and counted through the caller's
-on_undecided.
+s, t*(s) is monotone, every density is unimodal, and f1 is 0 on a cell
+whose t* range misses the reach.  One numpy pass per level prunes the cells
+whose bound is >= 0 (with a relative pad of PRUNE_PAD), evaluates phi at
+the midpoints of the rest and bisects them.  A relation is reported only
+for an actually evaluated phi(s) < 0, so false positives are impossible,
+and a pair is unrelated only when every cell is pruned.  A pair that still
+has a cell when the cells are narrower than SEARCH_TOL, or that would spend
+more than WITNESS_BUDGET evaluations, is undecided: it is reported as
+unrelated and counted through the caller's on_undecided.
 
 The witness decision is written once, _witness_hits, for a batch of pairs
 (l1, l2_k) that share l1, the l2s given as rows of the stacked carrier
@@ -94,7 +96,6 @@ from .errors import ConfigurationError
 from .geometry import (
     SegmentLike,
     _carriers,
-    _closest_sq_many,
     _feet_sq,
     _min_distance_many,
     closest_point,
@@ -224,9 +225,10 @@ def _per_line(values, n: int, field: str) -> list:
 # -- membership and version 1 ------------------------------------------------
 
 def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
-    """Is the point strictly inside the alpha-scaled density neighbourhood."""
+    """Is the point strictly inside the alpha-scaled neighbourhood, f cut to l's reach."""
     cp = closest_point(point, l)
-    return cp.distance < alpha * density(p, cp.t_star)
+    lo, hi = effective_window(p) if l.is_line else (0.0, 1.0)
+    return lo <= cp.t_star <= hi and cp.distance < alpha * density(p, cp.t_star)
 
 
 def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
@@ -269,10 +271,7 @@ def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
     """
     if alpha1 <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha1}")
-    if not l1.is_line:
-        reach = (0.0, 1.0)
-    else:
-        reach = domain1 if domain1 is not None else _witness_domain(l1, p1)
+    reach = (domain1 or _witness_domain(l1, p1)) if l1.is_line else (0.0, 1.0)
     cap = peak_density(p1, *reach)
     return reach, alpha1 * cap if cap > 0.0 else 0.0
 
@@ -299,9 +298,17 @@ def _line_candidate_window(l1: SegmentLike, x2: np.ndarray, d2: np.ndarray, sq2:
     return (s0 - half, s0 + half)
 
 
-def _cell_bounds(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray,
-                 ta: np.ndarray, tb: np.ndarray, s_min: float, speed: float,
-                 alpha1: float, profile1: Profile) -> tuple[np.ndarray, np.ndarray]:
+def _f1(l1: SegmentLike, p1: Profile, reach: tuple[float, float], t: np.ndarray) -> np.ndarray:
+    """f1 at each of the parameters t of l1, read as 0 outside the reach."""
+    f = p1.pdf(t)
+    if l1.is_line:  # a segment's t is clamped into its reach [0, 1]
+        f[(t < reach[0]) | (t > reach[1])] = 0.0
+    return f
+
+
+def _cell_bounds(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, float],
+                 a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray, ta: np.ndarray,
+                 tb: np.ndarray, s_min: float, speed: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on phi over cells [a, b] of l2's parameter, and the
     pad each bound must clear before its cell is pruned: PRUNE_PAD times the
     sum of the two bounded parts, the distance and alpha1 * f1.
@@ -314,68 +321,74 @@ def _cell_bounds(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray,
     The at most two cells that end at s_min take the Lipschitz bound
     (da + db - speed * (b - a)) / 2, and no distance bound is below 0.
     t*(s) is affine and then clamped, so monotone, and every family is
-    unimodal: f1 on a cell is at most f1 at its mode clipped into
-    [min(ta, tb), max(ta, tb)].  Neither bound reads min_distance.
+    unimodal: f1 cut to the reach is on a cell at most f1 at its mode
+    clipped into the reach, then into [min(ta, tb), max(ta, tb)], or 0 where
+    that range misses the reach.  Neither bound reads min_distance.
     """
     at_min = (a == s_min) | (b == s_min)
     lipschitz = np.maximum(0.5 * (da + db - speed * (b - a)), 0.0)
     dist = np.where(at_min, lipschitz, np.minimum(da, db))
-    peak = np.clip(profile1.mode(), np.minimum(ta, tb), np.maximum(ta, tb))
-    scaled = alpha1 * profile1.pdf(peak)
+    peak = np.clip(min(max(profile1.mode(), reach[0]), reach[1]), np.minimum(ta, tb),
+                   np.maximum(ta, tb))
+    scaled = alpha1 * _f1(l1, profile1, reach, peak)
     return dist - scaled, PRUNE_PAD * (dist + scaled)
 
 
-def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float, X: np.ndarray,
-                D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                samples: int) -> tuple[np.ndarray, ...]:
+def _phi(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, float],
+         P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feet t on l1, distances d to l1 and phi = d - alpha1 * f1(t) of
+    the m rows of P, each row's values the same bits whatever the others."""
+    t, sq = _feet_sq(P, l1.x, l1.direction, l1.sq_length, l1.kind == "segment")
+    d = np.sqrt(sq)
+    return t, d, d - alpha1 * _f1(l1, profile1, reach, t)
+
+
+def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
+                reach: tuple[float, float], X: np.ndarray, D: np.ndarray, sq: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, samples: int) -> tuple[np.ndarray, ...]:
     """The root level of the witness search for m pairs (l1, l2_k) at once.
 
     X, D are the (m, dim) base points and directions of the l2s, sq their
     (m,) squared lengths (none zero) and lo, hi their (m,) finite witness
     windows.  Returns (s, t, d, hit, keep): the (m, samples) grid of each
     window, np.linspace's arithmetic lo + k * step with the last point set
-    to hi; the projection parameters on l1 and distances to l1 of the grid
-    points; each pair's (m,) hit flag, some grid phi < 0; and its
-    (m, samples - 1) mask of the cells _cell_bounds does not prune, with
-    s_min the first grid point of least distance and the speed sqrt(sq).
-    Every operation acts on each pair's row alone, so a pair's row has the
-    same bits whatever the other pairs are.
+    to hi; the grid points' feet on l1 and distances to l1, from _phi; each
+    pair's (m,) hit flag, some grid phi < 0; and its (m, samples - 1) mask
+    of the cells _cell_bounds does not prune, with s_min the first grid
+    point of least distance and the speed sqrt(sq).  Every operation acts
+    on each pair's row alone, so a pair's row has the same bits whatever
+    the other pairs are.
     """
     step = (hi - lo) / (samples - 1)
     s = np.arange(samples) * step[:, None] + lo[:, None]
     s[:, -1] = hi
-    P = X[:, None, :] + s[:, :, None] * D[:, None, :]
-    t, sq_d = _closest_sq_many(P.reshape(-1, P.shape[2]), l1)
-    t = t.reshape(s.shape)
-    d = np.sqrt(sq_d).reshape(s.shape)
-    hit = (d - alpha1 * profile1.pdf(t) < 0.0).any(axis=1)
+    # the (m, dim) grid points column-major, for _feet_sq's column sums
+    P = (X.T[:, :, None] + D.T[:, :, None] * s).reshape(X.shape[1], -1).T
+    t, d, phi = (v.reshape(s.shape) for v in _phi(l1, profile1, alpha1, reach, P))
+    hit = (phi < 0.0).any(axis=1)
     s_min = np.take_along_axis(s, np.argmin(d, axis=1)[:, None], axis=1)
-    bound, pad = _cell_bounds(s[:, :-1], s[:, 1:], d[:, :-1], d[:, 1:], t[:, :-1], t[:, 1:],
-                              s_min, np.sqrt(sq)[:, None], alpha1, profile1)
+    bound, pad = _cell_bounds(l1, profile1, alpha1, reach, s[:, :-1], s[:, 1:], d[:, :-1],
+                              d[:, 1:], t[:, :-1], t[:, 1:], s_min, np.sqrt(sq)[:, None])
     return s, t, d, hit, bound < pad
 
 
 def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
-                P: np.ndarray) -> np.ndarray:
-    """phi < 0 at each row of P, an (m, dim) array of points of l2s whose
-    witness set is the one parameter that gives the point, x + lo * d: the
-    (m,) hit flags of those pairs.  Every operation acts on each row alone,
-    so a pair's flag is the same whatever the other pairs are.
-    """
-    t, sq = _closest_sq_many(P, l1)
-    return np.sqrt(sq) - alpha1 * profile1.pdf(t) < 0.0
+                reach: tuple[float, float], P: np.ndarray) -> np.ndarray:
+    """phi < 0 at the rows of P, the points x + lo * d of l2s whose witness
+    set is that one parameter: the (m,) hit flags of those pairs."""
+    return _phi(l1, profile1, alpha1, reach, P)[2] < 0.0
 
 
-def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, x2: np.ndarray,
-            d2: np.ndarray, sq2: float, s: np.ndarray, t: np.ndarray, d: np.ndarray,
+def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, float],
+            x2: np.ndarray, d2: np.ndarray, sq2: float, s: np.ndarray, t: np.ndarray, d: np.ndarray,
             keep: np.ndarray, width: float, on_undecided: Callable[[], None] | None) -> bool:
     """The branch and bound below one pair's root level, a _root_level row
     (s, t, d, keep) with no hit and a kept cell, cells width wide, on the
-    l2 carrier row (x2, d2, sq2).  Each
-    level evaluates phi at the kept cells' midpoints, True on a phi < 0,
-    then bisects them and prunes the halves by _cell_bounds, False when none
-    is left.  Cells no wider than SEARCH_TOL, or a level past WITNESS_BUDGET
-    evaluations, leave the pair undecided: False, after on_undecided()."""
+    l2 carrier row (x2, d2, sq2).  Each level evaluates phi at the kept
+    cells' midpoints, True on a phi < 0, then bisects them and prunes the
+    halves by _cell_bounds, False when none is left.  Cells no wider than
+    SEARCH_TOL, or a level past WITNESS_BUDGET evaluations, leave the pair
+    undecided: False, after on_undecided()."""
     k = int(np.argmin(d))
     s_min, d_min = float(s[k]), float(d[k])
     a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
@@ -389,9 +402,8 @@ def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, x2: np.ndarray,
         a, b, da, db, ta, tb = a[keep], b[keep], da[keep], db[keep], ta[keep], tb[keep]
         m = 0.5 * (a + b)
         spent += len(m)
-        tm, sq = _closest_sq_many(x2 + m[:, None] * d2, l1)
-        dm = np.sqrt(sq)
-        if (dm - alpha1 * profile1.pdf(tm) < 0.0).any():
+        tm, dm, phi = _phi(l1, profile1, alpha1, reach, x2 + m[:, None] * d2)
+        if (phi < 0.0).any():
             return True
         k = int(np.argmin(dm))
         if dm[k] < d_min:
@@ -400,7 +412,7 @@ def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, x2: np.ndarray,
         da, db = np.concatenate((da, dm)), np.concatenate((dm, db))
         ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
         width *= 0.5
-        bound, pad = _cell_bounds(a, b, da, db, ta, tb, s_min, speed, alpha1, profile1)
+        bound, pad = _cell_bounds(l1, profile1, alpha1, reach, a, b, da, db, ta, tb, s_min, speed)
         keep = bound < pad
         if not keep.any():
             return False
@@ -434,16 +446,16 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     narrow = live & ((sq == 0.0) | (hi - lo <= SEARCH_TOL))
     single = np.flatnonzero(narrow)
     if len(single):
-        hits[single] = _point_hits(l1, p1, alpha1, X[single] + lo[single][:, None] * D[single])
+        hits[single] = _point_hits(l1, p1, alpha1, reach, X[single] + lo[single, None] * D[single])
     batched = np.flatnonzero(live & ~narrow)
     for k in range(0, len(batched), ROOT_BLOCK):
         idx = batched[k:k + ROOT_BLOCK]
-        s, t, d, hit, keep = _root_level(l1, p1, alpha1, X[idx], D[idx], sq[idx], lo[idx],
-                                         hi[idx], samples)
+        s, t, d, hit, keep = _root_level(l1, p1, alpha1, reach, X[idx], D[idx], sq[idx],
+                                         lo[idx], hi[idx], samples)
         for r in np.flatnonzero(~hit & keep.any(axis=1)).tolist():
             q = idx[r]
-            hit[r] = _refine(l1, p1, alpha1, X[q], D[q], sq[q], s[r], t[r], d[r], keep[r],
-                             (hi[q] - lo[q]) / (samples - 1), on_undecided)
+            hit[r] = _refine(l1, p1, alpha1, reach, X[q], D[q], sq[q], s[r], t[r], d[r],
+                             keep[r], (hi[q] - lo[q]) / (samples - 1), on_undecided)
         hits[idx] = hit
     return hits
 
@@ -558,10 +570,10 @@ class RelationEvaluator:
         a lower bound.  A point's carrier is the point itself; only when
         both carriers are lines is every term -inf.
         """
-        l1 = self.U[i]
-        _, sq = _closest_sq_many(self.centre[js], l1)
+        _, sq = _feet_sq(np.asfortranarray(self.centre[js]), self.x[i], self.direction[i],
+                         self.sq_length[i], self.is_segment[i])  # column-major: see _feet_sq
         bound = np.maximum(gaps, np.sqrt(sq) - self.half_len[js])
-        if not l1.is_line:
+        if self.is_segment[i]:
             _, sq = _feet_sq(self.centre[i], self.x[js], self.direction[js], self.sq_length[js],
                              self.is_segment[js])
             np.maximum(bound, np.sqrt(sq) - self.half_len[i], out=bound)

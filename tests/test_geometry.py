@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from lineclust.geometry import (
     MinDistance,
     _carriers,
-    _closest_sq_many,
+    _feet_sq,
     _min_distance_many,
     closest_point,
     line,
@@ -93,9 +93,12 @@ class TestClosestPoint:
 COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-class TestClosestSqMany:
-    """The array kernel against the oracle's reference foot, and the
-    validating closest_point, its row of one, against each of its rows."""
+class TestFeetSq:
+    """The foot kernel against the oracle's reference foot.  One carrier
+    broadcast to every row gives each row the bits of that carrier repeated
+    per row and of the row alone, and closest_point, the validating row of
+    one, gives each row's bits too; so does one point broadcast to every
+    carrier."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 7]), kind=st.sampled_from(["segment", "line", "degenerate"]),
@@ -111,17 +114,38 @@ class TestClosestSqMany:
             l = segment(x, y)
         m = data.draw(st.integers(1, 16))
         P = data.draw(hnp.arrays(np.float64, (m, dim), elements=COORD))
-        t, sq = _closest_sq_many(P, l)
+        row = _carriers(l)  # the stacked (1, dim) / (1,) carrier row
+        t, sq = _feet_sq(P, *(v[0] for v in row))  # one carrier, as neighborhood._phi passes it
         assert t.shape == sq.shape == (m,)
+        for got in (_feet_sq(P, *row), _feet_sq(P, *(np.repeat(v, m, axis=0) for v in row))):
+            assert np.array_equal(got[0], t) and np.array_equal(got[1], sq)
         scale = 1.0 + np.abs(P).max() + np.abs(x).max() + np.abs(y).max()
         speed = math.sqrt(l.sq_length)
         for k in range(m):
+            one = _feet_sq(P[k:k + 1], *row)
+            assert (one[0][0], one[1][0]) == (t[k], sq[k])
             t_ref, sq_ref = reference_foot(P[k], l)
             t_tol = 1e-12 * (1.0 + scale / speed) if speed > 0 else 0.0
             assert t[k] == pytest.approx(t_ref, rel=1e-12, abs=t_tol)
             assert math.sqrt(sq[k]) == pytest.approx(math.sqrt(sq_ref), rel=1e-12,
                                                      abs=1e-12 * scale)
             cp = closest_point(P[k], l)
+            assert (cp.t_star, cp.distance) == (t[k], math.sqrt(sq[k]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_one_point_broadcast_to_every_carrier(self, dim):
+        rng = np.random.default_rng(dim)
+        L = [rand_segment(rng, dim) for _ in range(24)]
+        L = [line(l.x, l.y) if k % 3 == 1 else segment(l.x, l.x) if k % 3 == 2 else l
+             for k, l in enumerate(L)]
+        p = rng.uniform(-10.0, 10.0, dim)
+        carriers = _carriers(*L)
+        t, sq = _feet_sq(p, *carriers)
+        assert t.shape == sq.shape == (len(L),)
+        for k, l in enumerate(L):
+            one = _feet_sq(p[None], *(v[k:k + 1] for v in carriers))
+            assert (one[0][0], one[1][0]) == (t[k], sq[k])
+            cp = closest_point(p, l)
             assert (cp.t_star, cp.distance) == (t[k], math.sqrt(sq[k]))
 
 

@@ -3,22 +3,23 @@ share its φ evaluation.
 
 `reference_relates_prob` is the earlier scalar search: an exact
 `min_distance` prefilter, its own window for an infinite l2 read from that
-solve, φ through the oracle's reference foot at every grid sample, an
-early exit on the first negative sample, golden refinement of every local
-minimum, and no centre-gap bound.  It only ever reports a witness it evaluated, so it is a
-one-way lower bound on what the certified branch and bound finds; on the
-seeded samples below the two still take the same decision on every pair.
-The narrow-profile pairs are ones the reference misses.  The one-way oracle
-samples l2 densely with plain numpy and demands a relation wherever a
-sample is a witness by more than the sampling error.  The cell bound is
-checked against φ sampled densely over each cell, and a pair with no
-certifiable answer must be reported as undecided within the budget.
-`reference_point_phi` is the scalar φ that once decided a pair whose
-witness set is one parameter (a point l2, or a window no wider than
-SEARCH_TOL): the point's foot by the oracle's `reference_foot` and f₁
-there by `density`, where the library evaluates that φ through the array
-evaluator of the root grid.  Neither reference calls the distance kernels
-the library's φ runs on, `closest_point` included.
+solve, φ through the oracle's reference foot, with f₁ cut to l₁'s reach,
+at every grid sample, an early exit on the first negative sample, golden
+refinement of every local minimum, and no centre-gap bound.  It only ever
+reports a witness it evaluated, so it is a one-way lower bound on what
+the certified branch and bound finds; on the seeded samples below the two
+still take the same decision on every pair.  The narrow-profile pairs are
+ones the reference misses.  The one-way oracle samples l2 densely with
+plain numpy and demands a relation wherever a sample is a witness by more
+than the sampling error.  The cell bound is checked against φ sampled
+densely over each cell, and a pair with no certifiable answer must be
+reported as undecided within the budget.  `reference_point_phi` is the
+scalar φ that once decided a pair whose witness set is one parameter (a
+point l2, or a window no wider than SEARCH_TOL): the point's foot by the
+oracle's `reference_foot` and f₁ there by `density`, where the library
+evaluates that φ through the array evaluator of the root grid.  Neither
+reference calls the distance kernels the library's φ runs on,
+`closest_point` included.
 """
 
 import math
@@ -101,6 +102,13 @@ def _reference_line_window(l1, l2, threshold, reach, dmin):
     return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
 
 
+def _cut_density(profile, reach, t):
+    """f at t, read as 0 outside the reach: a segment's t* never leaves
+    [0, 1], and a line's neighbourhood is its body over f's effective
+    window."""
+    return density(profile, t) if reach[0] <= t <= reach[1] else 0.0
+
+
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
                            search_samples=64, search_tol=1e-9):
     """Scalar witness search, one reference foot per φ evaluation."""
@@ -127,7 +135,7 @@ def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
 
     def phi(s):
         t, sq = reference_foot(l2.x + l2.direction * s, l1)
-        return math.sqrt(sq) - alpha1 * density(profile1, t)
+        return math.sqrt(sq) - alpha1 * _cut_density(profile1, reach, t)
 
     lo, hi = window
     if l2.is_degenerate or hi - lo <= search_tol:
@@ -339,12 +347,14 @@ def test_cell_bounds_never_exceed_phi():
         centre = rng.uniform(lo, hi)
         s = np.unique(np.concatenate([np.linspace(lo, hi, 6), rng.uniform(lo, hi, 4),
                                       np.clip(centre + rng.uniform(-1e-5, 1e-5, 4), lo, hi)]))
+        reach = effective_window(p1) if l1.is_line else (0.0, 1.0)
         d, t = _phi_parts(l1, l2, s)
-        bound, pad = _cell_bounds(s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:],
-                                  float(s[np.argmin(d)]), math.sqrt(l2.sq_length), alpha, p1)
+        bound, pad = _cell_bounds(l1, p1, alpha, reach, s[:-1], s[1:], d[:-1], d[1:], t[:-1],
+                                  t[1:], float(s[np.argmin(d)]), math.sqrt(l2.sq_length))
         for c in range(len(s) - 1):
             du, tu = _phi_parts(l1, l2, np.linspace(s[c], s[c + 1], 1001))
-            phi_min = float((du - alpha * p1.pdf(tu)).min())
+            inside = (tu >= reach[0]) & (tu <= reach[1])
+            phi_min = float((du - alpha * np.where(inside, p1.pdf(tu), 0.0)).min())
             assert bound[c] <= phi_min + pad[c], (k, c, l1, l2, p1, alpha)
             if s[c + 1] - s[c] <= 2e-5:
                 assert phi_min - bound[c] <= 1e-3 * (1.0 + abs(phi_min)), (k, c)
@@ -381,20 +391,20 @@ def test_undecided_pair_is_counted_within_budget(monkeypatch, case, min_refined,
     assert (d - scaled >= 0.0).all()
     assert (d - scaled <= 1e-15 * (d + scaled)).any()
     evaluated = []
-    many = neighborhood._closest_sq_many
+    phi = neighborhood._phi
 
-    def counting(P, l):
+    def counting(l1, p1, alpha1, reach, P):
         evaluated.append(len(P))
-        return many(P, l)
+        return phi(l1, p1, alpha1, reach, P)
 
-    monkeypatch.setattr(neighborhood, "_closest_sq_many", counting)
+    monkeypatch.setattr(neighborhood, "_phi", counting)
     spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
     ev = RelationEvaluator([l1, l2], spec)
     assert ev.relates(0, 1) is False
     assert ev.undecided_count == 1
-    # the row's carrier bound projects l2's one centre, then the root grid
-    assert evaluated[:2] == [1, spec.search_samples]
-    assert min_refined <= sum(evaluated[2:]) <= max_refined
+    # the root grid, then the branch and bound below it
+    assert evaluated[0] == spec.search_samples
+    assert min_refined <= sum(evaluated[1:]) <= max_refined
 
 
 def _root_pairs(rng, dim, family):
@@ -423,13 +433,14 @@ def test_root_level_batch_is_bit_identical_to_single_pairs(samples):
         dim = (2, 7)[k % 2]
         l1, p1, l2s, windows = _root_pairs(rng, dim, FAMILIES[k % 6])
         alpha = rng.uniform(0.05, 3.0)
+        reach, _ = _witness_threshold(l1, p1, alpha)
         X = np.array([l.x for l in l2s])
         D = np.array([l.direction for l in l2s])
         sq = np.array([l.sq_length for l in l2s])
         lo, hi = (np.array(w) for w in zip(*windows))
-        batch = _root_level(l1, p1, alpha, X, D, sq, lo, hi, samples)
+        batch = _root_level(l1, p1, alpha, reach, X, D, sq, lo, hi, samples)
         for r in range(len(l2s)):
-            single = _root_level(l1, p1, alpha, X[r:r + 1], D[r:r + 1], sq[r:r + 1],
+            single = _root_level(l1, p1, alpha, reach, X[r:r + 1], D[r:r + 1], sq[r:r + 1],
                                  lo[r:r + 1], hi[r:r + 1], samples)
             for name, whole, one in zip(("s", "t", "d", "hit", "keep"), batch, single):
                 assert np.array_equal(whole[r], one[0]), (k, r, name)
@@ -449,9 +460,9 @@ def test_row_wider_than_a_block_matches_single_pairs(monkeypatch):
     blocks = []
     root_level = neighborhood._root_level
 
-    def recording(l1, p1, alpha1, X, *args):
+    def recording(l1, p1, alpha1, reach, X, *args):
         blocks.append(len(X))
-        return root_level(l1, p1, alpha1, X, *args)
+        return root_level(l1, p1, alpha1, reach, X, *args)
 
     monkeypatch.setattr(neighborhood, "_root_level", recording)
     row = RelationEvaluator(U, spec).neighbor_set(0)
@@ -543,17 +554,17 @@ def test_line_window_holds_every_witness(dim):
 
 def _witnesses(monkeypatch, l1, p1, alpha, l2, p2):
     """The points of l2 at which relates_prob's own φ evaluations read
-    below 0, recorded from the array evaluator it calls."""
-    closest_sq_many = neighborhood._closest_sq_many
+    below 0, recorded from the one φ evaluator it calls."""
+    phi = neighborhood._phi
     found = []
 
-    def recording(P, l):
-        t, sq = closest_sq_many(P, l)
-        found.extend(P[np.sqrt(sq) - alpha * p1.pdf(t) < 0.0])
-        return t, sq
+    def recording(l1, p1, alpha1, reach, P):
+        t, d, values = phi(l1, p1, alpha1, reach, P)
+        found.extend(P[values < 0.0])
+        return t, d, values
 
     with monkeypatch.context() as m:
-        m.setattr(neighborhood, "_closest_sq_many", recording)
+        m.setattr(neighborhood, "_phi", recording)
         relates_prob(l1, p1, alpha, l2, p2)
     return found
 
@@ -563,9 +574,10 @@ def test_rows_decide_line_targets_without_a_profile(monkeypatch, dim):
     """A version 3 row decides its line targets that have no density of
     their own in its one _witness_hits call, beside point, narrow-window and
     empty-window targets.  The row, relates(i, j) and relates_prob on each
-    pair alone take one decision, and it is the reference's, except where
-    the reference's one-way search misses a witness on a line target that
-    the reference foot confirms."""
+    pair alone take one decision, and it is the reference's on every pair:
+    f1 read cut to l1's reach leaves no witness far down a tail of f1 for
+    the reference's grid to step over.  Each related line target comes with
+    a witness that the reference foot and density confirm."""
     rng = np.random.default_rng(60 + dim)
     alpha = 0.4
     U, profiles, kinds = [], [], []
@@ -612,30 +624,47 @@ def test_rows_decide_line_targets_without_a_profile(monkeypatch, dim):
     # one call per row, holding the line targets its carrier bound leaves open
     assert len(unbounded) == 8 and sum(unbounded) >= 8, unbounded
     decided = {kind: [0, 0] for kind in ("line", "point", "narrow", "empty")}
-    missed = 0
     for i, row in enumerate(rows):
         l1, p1 = U[i], profiles[i]
-        _, threshold = _witness_threshold(l1, p1, alpha)
+        reach, _ = _witness_threshold(l1, p1, alpha)
         for j, l2 in enumerate(U):
             related = j in row
             assert ev.relates(i, j) == related, (i, j, kinds[j])
             assert relates_prob(l1, p1, alpha, l2, profiles[j]) == related, (i, j, kinds[j])
             expected = reference_relates_prob(l1, p1, alpha, l2, profiles[j])
-            if related and not expected and kinds[j] == "line":
-                # the reference's one-way search missed it: the witness must
-                # hold by the reference foot and density too, and be a thin
-                # one, far down a tail of f1, which its grid can step over
+            assert related == expected, (i, j, kinds[j])
+            if related and kinds[j] == "line":
                 t, sq = reference_foot(_witnesses(monkeypatch, l1, p1, alpha, l2, None)[0], l1)
-                assert math.sqrt(sq) < alpha * density(p1, t) < 1e-4 * threshold, (i, j)
-                missed += 1
-            else:
-                assert related == expected, (i, j, kinds[j])
+                assert math.sqrt(sq) < alpha * _cut_density(p1, reach, t), (i, j)
             if kinds[j] != "source":
                 decided[kinds[j]][related] += 1
     assert ev.undecided_count == 0
     assert decided["empty"][1] == 0
-    assert missed < decided["line"][1] // 4
     assert min(decided["line"] + decided["point"] + decided["narrow"]) >= 10, decided
+
+
+@pytest.mark.parametrize("crossing, related", [
+    (0.3, True), (1.0, True), (1.6, False), (-0.7, False), (3.0, False),
+])
+def test_line_source_reads_its_density_cut_to_the_reach(crossing, related):
+    """A line l1 under normal(0.5, 0.04), whose reach is its effective
+    window, about (-0.45, 1.45), and line targets square to it: a target
+    crossing inside the reach relates, one crossing outside does not,
+    though f1 > 0 there, and no pair is undecided.  Read uncut, f1 would
+    relate every crossing, through a witness within alpha1 * f1 of it:
+    5e-6 at 1.6, 3e-7 at -0.7 and 2e-33 at 3.0."""
+    p, alpha = Profile.normal(0.5, 0.04), 10.0
+    l1 = line((0.0, 0.0), (1.0, 0.0))
+    reach, _ = _witness_threshold(l1, p, alpha)
+    assert (reach[0] < crossing < reach[1]) is related and density(p, crossing) > 0.0
+    l2 = line((crossing, -2.0), (crossing, -1.0))
+    ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha,
+                                                       profile=[p, None]))
+    assert ev.neighbor_set(0) == ({0, 1} if related else {0})
+    assert ev.undecided_count == 0
+    assert relates_prob(l1, p, alpha, l2) is related
+    assert reference_relates_prob(l1, p, alpha, l2) is related
+    assert contains_point(l1, p, alpha, (crossing, 0.0)) is related
 
 
 def test_profile_rows_never_call_min_distance(monkeypatch):
@@ -681,20 +710,20 @@ def test_near_perpendicular_lines_are_decided(monkeypatch, eps, profile, x0, alp
     The window around the reach keeps the search on the crossing, so the
     root grid decides every pair."""
     evaluated = []
-    many = neighborhood._closest_sq_many
+    phi = neighborhood._phi
 
-    def counting(P, l):
+    def counting(l1, p1, alpha1, reach, P):
         evaluated.append(len(P))
-        return many(P, l)
+        return phi(l1, p1, alpha1, reach, P)
 
-    monkeypatch.setattr(neighborhood, "_closest_sq_many", counting)
+    monkeypatch.setattr(neighborhood, "_phi", counting)
     l1, l2 = line((0.0, 0.0), (1.0, 0.0)), line((x0, -0.3), (x0 + eps, 0.7))
     spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[profile, None])
     ev = RelationEvaluator([l1, l2], spec)
     assert ev.relates(0, 1) is related
     assert ev.undecided_count == 0
-    # the row's carrier bound, then at most the root grid
-    assert sum(evaluated[1:]) <= spec.search_samples
+    # at most the root grid
+    assert sum(evaluated) <= spec.search_samples
 
 
 def reference_point_phi(l1, profile1, alpha1, l2, lo):
@@ -703,7 +732,8 @@ def reference_point_phi(l1, profile1, alpha1, l2, lo):
     is the sum of the two parts φ compares."""
     p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
     t, sq = reference_foot(p, l1)
-    dist, scaled = math.sqrt(sq), alpha1 * density(profile1, t)
+    reach = effective_window(profile1) if l1.is_line else (0.0, 1.0)
+    dist, scaled = math.sqrt(sq), alpha1 * _cut_density(profile1, reach, t)
     return dist - scaled, dist + scaled
 
 
@@ -747,10 +777,11 @@ def test_point_hits_batch_is_bit_identical_to_single_pairs(dim):
         l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(
             rng, dim, FAMILIES[k % 6], ("segment", "line")[k % 2])
         P = np.array([l.x + lo * l.direction for l, lo in zip(l2s, params)])
-        batch = _point_hits(l1, p1, alpha, P)
+        reach, _ = _witness_threshold(l1, p1, alpha)
+        batch = _point_hits(l1, p1, alpha, reach, P)
         assert batch.shape == (len(l2s),) and batch.dtype == bool
         for r, (l2, p2) in enumerate(zip(l2s, profiles)):
-            single = _point_hits(l1, p1, alpha, P[r:r + 1])
+            single = _point_hits(l1, p1, alpha, reach, P[r:r + 1])
             assert np.array_equal(batch[r:r + 1], single), (k, r)
             assert relates_prob(l1, p1, alpha, l2, p2) == batch[r], (k, r)
 
@@ -766,9 +797,9 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
     point_hits = neighborhood._point_hits
     points = []
 
-    def recording(l1, p1, alpha1, P):
+    def recording(l1, p1, alpha1, reach, P):
         points.append(P)
-        return point_hits(l1, p1, alpha1, P)
+        return point_hits(l1, p1, alpha1, reach, P)
 
     monkeypatch.setattr(neighborhood, "_point_hits", recording)
     for k in range(36):
