@@ -45,34 +45,46 @@ root level (_root_level, ROOT_BLOCK pairs per array pass), a hit on the
 grid or every cell pruned, and only where that leaves a kept cell and no
 hit, the branch and bound below it (_refine).  Every operation acts on each
 pair alone, so a pair's decision has the same bits in a batch of any size:
-a relation row is one batch, and relates_prob without a root is a batch of
-one.
+a searched row is one batch, and relates_prob without a root, on a
+searched l1, is a batch of one.
+
+Each line is resolved once, when a RelationEvaluator is built, to a metric
+radius or to the witness search.  A line without a density has radius
+alpha1.  A capsule (_is_capsule), a segment whose f1 is uniform(a, b) with
+a <= 0 and b >= 1, has f1 = 1 / (b - a) wherever its t* can fall, so its
+neighbourhood is the capsule of radius alpha1 / (b - a), its threshold,
+and a pair relates exactly when the minimum distance to l2's witness
+piece, the part of l2 its witness domain covers (_witness_pieces), is
+below it: phi's decision, since d - r < 0 exactly when d < r, with no
+search and no undecided pair.  It is the neighbourhood of a lifted record
+under the default uniform(0, 1) template.  Every other line with a
+density, a line carrier or a support strictly inside [0, 1], is searched.
 
 A pair whose lower bound on the distance between the two carriers already
-reaches alpha1 * sup f1 is rejected first, the bound version 1 applies
-with alpha1.  Version 1 decides the rest by the exact minimum distance;
-versions 2 and 3 never solve it, the witness decision alone decides what
-the bound leaves open.  RelationEvaluator computes the bound for a whole
-relation row in a few array expressions, from the centres, half-lengths
-and carriers stacked once per dataset.  A version 1 row uses the centre
-gap |c1 - c2| - h1 - h2 alone.  A row whose line has a profile tightens it
-to the carrier bound: the largest of the centre gap, dist(c2, carrier1) -
-h2 and dist(c1, carrier2) - h1, TRACLUS's perpendicular-distance pruning
-(Lee, Han & Whang 2007).  It is finite unless both carriers are lines, and
-it rejects the lifted segments that sweep a whole axis past one another,
-whose centre gaps are all negative.
+reaches the radius, or the threshold of a searched line, is rejected
+first.  RelationEvaluator computes the bound for a whole relation row in a
+few array expressions, from the centres, half-lengths and carriers stacked
+once per dataset.  A metric row uses the centre gap |c1 - c2| - h1 - h2
+alone.  A searched row tightens it to the carrier bound: the largest of
+the centre gap, dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1,
+TRACLUS's perpendicular-distance pruning (Lee, Han & Whang 2007).  It is
+finite unless both carriers are lines, and it rejects the lifted segments
+that sweep a whole axis past one another, whose centre gaps are all
+negative.  The witness decision alone decides what the bound leaves open
+in a searched row, which never solves the exact minimum distance.
 
-A metric row (version 1, or a density-free line in version 3) solves every
-pair off the diagonal that its centre gap leaves open in one
+A metric row (version 1, a density-free line in version 3, or a capsule)
+solves every pair off the diagonal that its centre gap leaves open in one
 _min_distance_many call, the one distance kernel, over pairs that each
-carry their own l1: a row is a block of one row, a block of up to
-ROW_BLOCK rows staged ahead of their use (RelationEvaluator.stage) is
-solved in one call, and min_distance solves a single pair as a row of one,
-so a pair's distance has the same bits in each.  The diagonal keeps
-min_distance's shortcut for a carrier against itself, through relates_v1
-without a root, and a row with no other open pair, every row of a dataset
-of isolated lines, makes no array solve (acceptance criterion 7 measures
-those rows).
+carry their own l1: to l2's carrier from a density-free line, to l2's
+witness piece from a capsule, the pieces stacked after the carriers.  A
+row is a block of one row, a block of up to ROW_BLOCK rows staged ahead of
+their use (RelationEvaluator.stage) is solved in one call, and
+min_distance solves a single pair as a row of one, so a pair's distance
+has the same bits in each.  The diagonal keeps min_distance's shortcut for
+a carrier against itself, through relates_v1 without a root, and a row
+with no other open pair, every row of a dataset of isolated lines, makes
+no array solve (acceptance criterion 7 measures those rows).
 
 Every row thus decides each of its pairs in arrays, one boolean per pair.
 It still calls relates_v1 / relates_prob once per pair with that decision
@@ -128,11 +140,15 @@ class NeighbourhoodSpec:
     applied to every line, or a per-line sequence indexed like the dataset.
     A None profile entry declares a line density-free (version 3 then falls
     back to the metric relation for that line, and its whole extent acts as
-    the witness set).  Values are checked when the spec is built: a profile
-    must be a Profile (an entry may also be None), an alpha and a volume a
-    finite positive real number, and version, c and search_samples
-    integers; a bool is neither.  A per-line sequence is checked against
-    the dataset's length when a RelationEvaluator is built.
+    the witness set).  A segment whose profile is uniform(a, b) with a <= 0
+    and b >= 1, the default template of a lifted record, is a metric line
+    too: its neighbourhood is a capsule of radius alpha / (b - a), decided
+    by the exact distance to each target's witness piece.  Values are
+    checked when the spec is built: a profile must be a Profile (an entry
+    may also be None), an alpha and a volume a finite positive real number,
+    and version, c and search_samples integers; a bool is neither.  A
+    per-line sequence is checked against the dataset's length when a
+    RelationEvaluator is built.
 
     search_samples is the size of the root grid the witness search
     partitions l2's window with.  The branch and bound below it decides
@@ -274,6 +290,39 @@ def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
     reach = (domain1 or _witness_domain(l1, p1)) if l1.is_line else (0.0, 1.0)
     cap = peak_density(p1, *reach)
     return reach, alpha1 * cap if cap > 0.0 else 0.0
+
+
+def _is_capsule(l1: SegmentLike, p1: Profile) -> bool:
+    """Is l1's neighbourhood a capsule, decided by the distance kernel
+    rather than the witness search.
+
+    A segment whose f1 is uniform(a, b) with a <= 0 and b >= 1 has f1 =
+    1 / (b - a) at every t* its projection can give, [0, 1], so its
+    neighbourhood is the capsule around it whose radius is its threshold
+    (_witness_threshold), the product alpha1 * f1 that phi subtracts.  A
+    pair relates exactly when the minimum distance to l2's witness piece is
+    below that radius, and d - r < 0 exactly when d < r, so the decision
+    is phi's, with no search and none undecided.  A line, or a support
+    strictly inside [0, 1], has flat ends instead.
+    """
+    return (not l1.is_line and p1.family == "uniform"
+            and p1.params[0] <= 0.0 and p1.params[1] >= 1.0)
+
+
+def _witness_pieces(X: np.ndarray, D: np.ndarray, sq: np.ndarray, is_segment: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of the carriers (X, D, sq, is_segment), stacked as
+    geometry._carriers stacks them, that their witness domains [lo, hi]
+    cover: the segments (x + lo * d, (hi - lo) * d), a point where the
+    carrier is one or lo == hi.  An unbounded domain, a line without a
+    density, leaves its line whole.  An empty domain (hi < lo) gives a
+    reversed piece, which holds no witness and is the caller's to drop."""
+    bounded = np.isfinite(lo)
+    start = np.where(bounded, lo, 0.0)
+    width = np.where(bounded, hi - start, 1.0)
+    return (X + start[:, None] * D, width[:, None] * D, width * width * sq,
+            is_segment | bounded)
 
 
 def _line_candidate_window(l1: SegmentLike, x2: np.ndarray, d2: np.ndarray, sq2: float,
@@ -469,19 +518,28 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
 
     root is the decision of a caller that decided many pairs at once, as
     relates_v1's is, returned as it is.  Without it the pair is decided
-    here as a batch of one: l1's reach and threshold (_witness_threshold),
-    l2's witness domain (_witness_domain), then _witness_hits, which a
-    relation row runs on all its pairs.  A pair the branch and bound cannot
-    decide returns False and calls on_undecided, when given.
+    here as a row of one, by the dispatch a relation row takes: where l1's
+    neighbourhood is a capsule (_is_capsule), its threshold against the
+    distance kernel's solve to l2's witness piece (_witness_pieces), none
+    for an empty witness domain; otherwise l1's reach and threshold
+    (_witness_threshold) and l2's witness domain (_witness_domain) go to
+    _witness_hits.  A pair the branch and bound cannot decide returns False
+    and calls on_undecided, when given.
     """
     if root is not None:
         return root
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
     reach, threshold = _witness_threshold(l1, profile1, alpha1)
+    lo, hi = _witness_domain(l2, profile2)
+    if _is_capsule(l1, profile1):
+        if hi < lo:
+            return False
+        dist, _, _ = _min_distance_many(*_carriers(l1), *_witness_pieces(
+            *_carriers(l2), np.array([lo]), np.array([hi])))
+        return bool(dist[0] < threshold)
     if threshold <= 0.0:
         return False
-    lo, hi = _witness_domain(l2, profile2)
     return bool(_witness_hits(l1, profile1, alpha1, reach, threshold, l2.x[None],
                               l2.direction[None], np.array([l2.sq_length]), np.array([lo]),
                               np.array([hi]), search_samples, on_undecided)[0])
@@ -508,25 +566,30 @@ class RelationEvaluator:
 
     Everything that depends on one line alone is resolved when the
     evaluator is built, into lists and arrays indexed like the dataset: the
-    array layout (centres, half-lengths, infinite for a line, and carriers
-    as geometry._carriers stacks them, n x dim base points and directions),
-    each line's alpha (version 2 derives it from V through _volume_alpha)
-    and profile, its witness domain as window bounds, and, for each line
-    with a profile, its reach and threshold.  A per-line alpha or profile
-    sequence of the wrong length, or a version 2 line without a profile, is
-    a ConfigurationError here, not at the first row that needs the entry.
+    array layout (centres, half-lengths, infinite for a line, and the
+    stack, as geometry._carriers stacks carriers: the n carriers, then the
+    n witness pieces, 2n x dim base points and directions), each line's
+    alpha (version 2 derives it from V through _volume_alpha) and profile,
+    its witness domain as window bounds, for each line with a profile its
+    reach and threshold, and its metric radius: alpha for a line without a
+    profile, the threshold of a capsule (_is_capsule), None for a searched
+    line.  A per-line alpha or profile sequence of the wrong length, or a
+    version 2 line without a profile, is a ConfigurationError here, not at
+    the first row that needs the entry.
 
     A relation row, line i against a slice of the dataset, decides every
-    pair in arrays, as one boolean mask.  A metric row, whose line has no
-    profile, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
-    below alpha_i and solves their minimum distances, all but i's own, in
-    one _min_distance_many call; a row with no such pair makes no call.
-    stage(rows) does the same for up to ROW_BLOCK metric rows at once, their
-    open pairs in one call, and keeps each row's mask until neighbor_set(i)
-    serves it; the expand engine stages the rows its frontier will ask for
-    next.  A row whose line has a profile takes the pairs whose carrier
-    bound (_carrier_bound) is below its threshold and decides them in one
-    _witness_hits call.  Each pair's decision then goes to relates_v1 /
+    pair in arrays, as one boolean mask.  A metric row, whose line has a
+    radius, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
+    below it, in a capsule row only targets whose witness domain is not
+    empty, and solves their minimum distances, all but i's own, in one
+    _min_distance_many call, to the targets' carriers from a line without
+    a profile and to their witness pieces from a capsule; a row with no
+    such pair makes no call.  stage(rows) does the same for up to ROW_BLOCK
+    metric rows at once, their open pairs in one call, and keeps each row's
+    mask until neighbor_set(i) serves it; the expand engine stages the rows
+    its frontier will ask for next.  A searched row takes the pairs whose
+    carrier bound (_carrier_bound) is below its threshold and decides them
+    in one _witness_hits call.  Each pair's decision then goes to relates_v1 /
     relates_prob, called once per pair, as its root; the diagonal of a
     metric row goes without one, so min_distance's shortcut decides it.
     neighbor_set(i) is that row over the whole dataset and relates(i, j)
@@ -546,7 +609,6 @@ class RelationEvaluator:
         n = len(self.U)
         self.centre = np.array([l.center for l in self.U], dtype=np.float64)
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
-        self.x, self.direction, self.sq_length, self.is_segment = _carriers(*self.U)
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
         if spec.version == 2:
             self.alphas = [_volume_alpha(spec, i, l, p)
@@ -556,9 +618,19 @@ class RelationEvaluator:
         windows = [_witness_domain(l, p) for l, p in zip(self.U, self.profiles)]
         self.window_lo = np.array([w[0] for w in windows], dtype=np.float64)
         self.window_hi = np.array([w[1] for w in windows], dtype=np.float64)
-        # (reach, threshold) of each line with a profile, None for a metric line
+        self.has_piece = self.window_hi >= self.window_lo
+        # the n carriers, then the n witness pieces, which a capsule row reads
+        carriers = _carriers(*self.U)
+        pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
+        self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
+        self.x, self.direction, self.sq_length, self.is_segment = (a[:n] for a in self.stack)
+        # (reach, threshold) of each line with a profile, None for a density-free line
         self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
                            for l, p, a, w in zip(self.U, self.profiles, self.alphas, windows)]
+        # each line's metric radius: alpha without a density, the threshold
+        # of a capsule, None for a line the witness search decides
+        self.radii = [a if p is None else t[1] if _is_capsule(l, p) else None
+                      for l, p, a, t in zip(self.U, self.profiles, self.alphas, self.thresholds)]
 
     def _carrier_bound(self, i: int, js: slice, gaps: np.ndarray) -> np.ndarray:
         """A lower bound on the distance from line i to each line of js:
@@ -590,27 +662,34 @@ class RelationEvaluator:
 
     def _metric_rows(self, rows: Sequence[int], js: slice) -> list[np.ndarray]:
         """The decision mask of each metric row of rows over the dataset
-        slice js: False where the centre gap is at or beyond its alpha and
-        on the diagonal, min distance < alpha elsewhere, from one
+        slice js: False where the centre gap is at or beyond its radius, on
+        the diagonal and, in a capsule row, where the target's witness
+        domain is empty; min distance < radius elsewhere, from one
         `_min_distance_many` call over the open pairs of every row, and no
-        call when no row has one."""
-        lines = range(len(self.U))[js]
-        masks = []
+        call when no row has one.  A density-free row measures to its
+        targets' carriers, a capsule row to their witness pieces, the rows
+        of the stack offset by n."""
+        n = len(self.U)
+        lines = range(n)[js]
+        masks, starts = [], []
         for i in rows:
-            mask = self._centre_gaps(i, js) < self.alphas[i]
+            mask = self._centre_gaps(i, js) < self.radii[i]
+            capsule = self.profiles[i] is not None
+            if capsule:
+                mask &= self.has_piece[js]
             if i in lines:  # the diagonal keeps min_distance's shortcut
                 mask[i - lines.start] = False
             masks.append(mask)
+            starts.append(lines.start + n if capsule else lines.start)
         at = [mask.nonzero()[0] for mask in masks]
         counts = [len(a) for a in at]
         if any(counts):
             l1 = np.repeat(rows, counts)
-            l2 = np.concatenate(at) + lines.start
-            dist, _, _ = _min_distance_many(
-                self.x[l1], self.direction[l1], self.sq_length[l1], self.is_segment[l1],
-                self.x[l2], self.direction[l2], self.sq_length[l2], self.is_segment[l2])
-            alpha = np.repeat([self.alphas[i] for i in rows], counts)
-            for mask, a, hit in zip(masks, at, np.split(dist < alpha, np.cumsum(counts)[:-1])):
+            l2 = np.concatenate(at) + np.repeat(starts, counts)
+            dist, _, _ = _min_distance_many(*(a[l1] for a in self.stack),
+                                            *(a[l2] for a in self.stack))
+            radius = np.repeat([self.radii[i] for i in rows], counts)
+            for mask, a, hit in zip(masks, at, np.split(dist < radius, np.cumsum(counts)[:-1])):
                 mask[a] = hit
         return masks
 
@@ -619,11 +698,11 @@ class RelationEvaluator:
         of rows in one kernel call, and keep each row's mask until
         neighbor_set serves it.  A call while any row is staged does
         nothing, so a block is served whole before the next is solved and
-        no more than ROW_BLOCK rows are ever held.  Profile rows are left to
-        their own path; staging changes no decision and counts nothing."""
+        no more than ROW_BLOCK rows are ever held.  Searched rows are left
+        to their own path; staging changes no decision and counts nothing."""
         if self._staged:
             return
-        block = [i for i in islice(rows, ROW_BLOCK) if self.profiles[i] is None]
+        block = [i for i in islice(rows, ROW_BLOCK) if self.radii[i] is not None]
         if block:
             self._staged = dict(zip(block, self._metric_rows(block, slice(None))))
 
@@ -632,15 +711,16 @@ class RelationEvaluator:
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
+        radius = self.radii[i]
         # each pair's relates_* call returns the row's decision, its root;
         # the calls remain because benchmark/tracing.py counts them
-        if p1 is None:
-            # version 1, or a declared density-free line: the metric relation
+        if radius is not None:
+            # version 1, a declared density-free line or a capsule: the metric relation
             staged = self._staged.pop(i, None) if js == slice(None) else None
             roots = (staged if staged is not None else self._metric_rows([i], js)[0]).tolist()
             if i in lines:
                 roots[i - lines.start] = None  # decided by min_distance's shortcut
-            return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], alpha1, root)]
+            return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
         reach, threshold = self.thresholds[i]
         related = (self._carrier_bound(i, js, self._centre_gaps(i, js)) < threshold) \
             & (threshold > 0.0)

@@ -338,9 +338,12 @@ class TestStaging:
             return _real(l1, l2)
         monkeypatch.setattr(neighborhood, "min_distance", counted)
         for U, spec in self._datasets():
+            # metric lines, those with a radius: every line of both datasets,
+            # the lifted ones being capsules under the default uniform template
+            metric = sum(r is not None for r in RelationEvaluator(U, spec).radii)
+            assert metric == len(U)
             calls.clear()
             labels = run_expand(U, RunConfig(spec=spec, rng_seed=3))
-            metric = len(U) if spec.profile is None else sum(p is None for p in spec.profile)
             assert all(calls) and len(calls) == metric
             assert labels.eval_count == len(U) ** 2
 

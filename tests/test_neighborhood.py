@@ -508,11 +508,11 @@ class TestRowKernel:
     @staticmethod
     def _dataset(version, dim, seed):
         """Seeded segments, lines and degenerate segments with per-line alpha
-        and profiles, plus, for three anchors, two pairs of partners 1e-9
-        relative below and above the anchor's threshold: collinear ones,
-        where the centre gap is the minimum distance, and ones pointing away
-        perpendicular to the anchor's midpoint, where only the carrier bound
-        is.  Returns (U, spec, [(anchor, below, above), ...])."""
+        and profiles, plus, for three searched anchors (beta(1, 1)), two pairs
+        of partners 1e-9 relative below and above the anchor's threshold:
+        collinear ones, where the centre gap is the minimum distance, and
+        ones pointing away perpendicular to the anchor's midpoint, where only
+        the carrier bound is.  Returns (U, spec, [(anchor, below, above), ...])."""
         rng = np.random.default_rng([version, dim, seed])
         U = []
         for k in range(18):
@@ -530,8 +530,9 @@ class TestRowKernel:
         profiles = [families[k % 4] for k in range(n)]
         if version == 2:
             profiles = [p or U01 for p in profiles]
+        flat = Profile.beta(1.0, 1.0)  # U01's density, but searched: not a capsule
         for a in anchors:
-            profiles[a] = U01  # the threshold is reached at the segment's end
+            profiles[a] = flat  # the threshold is reached at the segment's end
         alpha = None if version == 2 else [float(rng.uniform(0.3, 2.0)) for _ in range(n)]
         spec = NeighbourhoodSpec(version=version, c=1, alpha=alpha,
                                  volume=3.0 if version == 2 else None,
@@ -540,9 +541,9 @@ class TestRowKernel:
         for a in anchors:
             l1 = U[a]
             if version == 2:
-                threshold = scaling_factor(spec.volume, U01, l1, dim)
+                threshold = scaling_factor(spec.volume, flat, l1, dim)
             else:
-                threshold = spec.alpha[a]  # uniform(0, 1) peaks at 1
+                threshold = spec.alpha[a]  # beta(1, 1) peaks at 1
             unit = l1.direction / math.sqrt(l1.sq_length)
             ids = []
             for rel in (1.0 - 1e-9, 1.0 + 1e-9):
@@ -590,7 +591,8 @@ class TestRowKernel:
         # the pairs beside the bound reach both outcomes
         for a, below, above in near:
             assert ev.relates(a, below) and not ev.relates(a, above)
-            if version != 1:  # a profile row: its carrier bound alone rejects `above`
+            if version != 1:  # a searched row: its carrier bound alone rejects `above`
+                assert ev.radii[a] is None
                 bound = ev._carrier_bound(a, slice(None), np.full(len(U), -np.inf))
                 threshold = ev.thresholds[a][1]
                 assert bound[below] < threshold <= bound[above]
@@ -625,7 +627,8 @@ class TestRowKernel:
 
 
 class TestMetricRows:
-    """Metric rows (version 1, or a density-free line in version 3) decide
+    """Metric rows (version 1, a density-free line in version 3, or a
+    capsule, a segment under uniform(a, b) with a <= 0 and b >= 1) decide
     every pair off the diagonal that the centre gap leaves open in one
     _min_distance_many solve."""
 
@@ -646,7 +649,10 @@ class TestMetricRows:
     @staticmethod
     def _lifted(seed):
         """Points in R^3, a quarter of them with one missing entry, lifted to
-        version 3: the complete ones are density-free, so metric rows."""
+        version 3: the complete ones are density-free and the lifted ones
+        on axes 0 and 1 carry the default uniform(0, 1) template, a capsule,
+        so all of them are metric rows; the lifted ones on axis 2 carry a
+        normal template, and the witness search decides their rows."""
         rng = np.random.default_rng(seed)
         records = []
         for k in range(40):
@@ -654,7 +660,9 @@ class TestMetricRows:
             if k % 4 == 1:
                 rec[k % 3] = None
             records.append(rec)
-        domains = {axis: AxisDomain(axis=axis, window=(-3.0, 3.0)) for axis in range(3)}
+        domains = {axis: AxisDomain(axis=axis, window=(-3.0, 3.0)) for axis in range(2)}
+        domains[2] = AxisDomain(axis=2, window=(-3.0, 3.0),
+                                profile_template=Profile.normal(0.5, 0.04))
         lifted = lift_dataset(records, domains)
         spec = NeighbourhoodSpec(version=3, c=1, alpha=0.6, profile=lifted.profiles)
         return lifted.segments, spec
@@ -687,32 +695,43 @@ class TestMetricRows:
     def test_lifted_rows(self, seed, monkeypatch):
         U, spec = self._lifted(seed)
         ev = RelationEvaluator(U, spec)
-        metric = [i for i, p in enumerate(spec.profile) if p is None]
-        assert 0 < len(metric) < len(U)
+        # metric lines, those with a radius: density-free lines and capsules
+        metric = [i for i, r in enumerate(ev.radii) if r is not None]
+        capsules = [i for i in metric if spec.profile[i] is not None]
+        assert 0 < len(capsules) < len(metric) < len(U)
         calls = self._counting(monkeypatch)
         rows = [ev.neighbor_set(i) for i in range(len(U))]
-        # profile rows never call it, metric rows only on their diagonal
+        # searched rows never call it, metric rows only on their diagonal
         assert len(calls) == len(metric) and all(l1 is l2 for l1, l2 in calls)
         assert any(len(rows[i]) > 1 for i in metric)
+        assert any(len(rows[i]) > 1 for i in capsules)
         for i, row in enumerate(rows):
             assert row == {j for j in range(len(U)) if ev.relates(i, j)}, f"row {i}"
             if i in metric:
+                # uniform(0, 1) peaks at 1, and every witness domain here
+                # covers its whole carrier, so a capsule's piece is l2 itself
+                assert ev.radii[i] == spec.alpha
                 assert row == {j for j, l2 in enumerate(U)
                                if min_distance(U[i], l2).distance < spec.alpha}, f"row {i}"
+            if i in capsules:
+                assert row == {j for j, l2 in enumerate(U)
+                               if relates_prob(U[i], spec.profile[i], spec.alpha, l2,
+                                               spec.profile[j])}, f"row {i}"
         assert ev.undecided_count == 0
 
     @pytest.mark.parametrize("data", ["mixed-2", "mixed-3", "mixed-7", "lifted-0", "lifted-1"])
     def test_staged_rows_match_unstaged_rows(self, data, monkeypatch):
         kind, arg = data.split("-")
         U, spec = self._mixed(int(arg), 0) if kind == "mixed" else self._lifted(int(arg))
-        metric = [spec.profile is None or spec.profile[i] is None for i in range(len(U))]
         plain, staged = RelationEvaluator(U, spec), RelationEvaluator(U, spec)
+        metric = [r is not None for r in plain.radii]  # the lines with a radius
+        assert any(metric)
         calls = self._counting(monkeypatch)
         order = np.random.default_rng(len(U)).permutation(len(U)).tolist()
         for k, i in enumerate(order):
             staged.stage(iter(order[k:]))
             assert 0 < len(staged._staged) <= ROW_BLOCK or not any(metric[j] for j in order[k:])
-            # profile rows are never staged; a metric row is, until served
+            # searched rows are never staged; a metric row is, until served
             assert (i in staged._staged) == metric[i]
             assert staged.relates(i, i) == plain.relates(i, i)  # the unstaged path
             assert staged.neighbor_set(i) == plain.neighbor_set(i), f"row {i}"

@@ -43,12 +43,16 @@ def _doughnut_v2(seed):
 
 
 @pytest.mark.parametrize("build, seed, digest", [
+    (_doughnut_v1, 1, "7be74541476e"),
     (_doughnut_v1, 7, "ac30dc95e3bd"),
     (_doughnut_v1, 8, "7859b8776eca"),
     (_isolated, 0, "ddd2ac9f356e"),
     (_lifted7d, 2000, "6394127579be"),
+    (_lifted7d, 2001, "e546f405e62c"),
     (_lifted7d, 2005, "aee50c0bc921"),
+    (_doughnut_v2, 1, "b952d4376a84"),
     (_doughnut_v2, 7, "1f52abacf097"),
+    (_doughnut_v2, 10, "a454ce596546"),
     (_doughnut_v2, 11, "fac83399c791"),
 ], ids=lambda v: v.__name__.lstrip("_") if callable(v) else None)
 def test_neighbour_sets_are_pinned(build, seed, digest):

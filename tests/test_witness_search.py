@@ -44,7 +44,7 @@ from lineclust.neighborhood import (
     contains_point,
     relates_prob,
 )
-from lineclust.oracle import reference_foot
+from lineclust.oracle import grid_min_distance, reference_foot
 from lineclust.profiles import Profile, density, effective_window, peak_density
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,6 +173,16 @@ def random_profile(rng, family):
     if family == "beta":
         return Profile.beta(rng.uniform(1.0, 8.0), rng.uniform(1.0, 8.0))
     return Profile.exponential(rng.uniform(0.5, 12.0))
+
+
+def searched_profile(rng, family):
+    """random_profile's draw, with a uniform support that covers [0, 1]
+    cut to end at 0.9: on a segment such a density is a capsule, which the
+    distance kernel decides, and this one keeps the witness search."""
+    p = random_profile(rng, family)
+    if family == "uniform" and p.params[0] <= 0.0 and p.params[1] >= 1.0:
+        return Profile.uniform(p.params[0], 0.9)
+    return p
 
 
 def random_carrier(rng, dim, kind):
@@ -668,14 +678,15 @@ def test_line_source_reads_its_density_cut_to_the_reach(crossing, related):
 
 
 def test_profile_rows_never_call_min_distance(monkeypatch):
-    """relates_prob, and every row of a version 3 evaluator whose line has a
-    profile, decide without the exact distance solve, and take the
-    decisions of the reference, which does call it."""
+    """relates_prob, and every row of a version 3 evaluator whose line the
+    witness search decides, decide without the exact distance solve, and
+    take the decisions of the reference, which does call it.  No density
+    here is a capsule (searched_profile)."""
     rng = np.random.default_rng(17)
     U, profiles = [], []
     for k in range(42):
         U.append(random_carrier(rng, 3, ("segment", "line", "degenerate")[k % 3]))
-        profiles.append(None if k % 4 == 3 else random_profile(rng, FAMILIES[k % 6]))
+        profiles.append(None if k % 4 == 3 else searched_profile(rng, FAMILIES[k % 6]))
     alpha = 1.5
     expected = {i: {j for j, l2 in enumerate(U)
                     if reference_relates_prob(U[i], p, alpha, l2, profiles[j])}
@@ -686,6 +697,7 @@ def test_profile_rows_never_call_min_distance(monkeypatch):
 
     monkeypatch.setattr(neighborhood, "min_distance", refuse)
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    assert all(ev.radii[i] is None for i in expected)  # every profile row is searched
     assert {i: ev.neighbor_set(i) for i in expected} == expected
     assert ev.undecided_count == 0
     for i, row in expected.items():
@@ -742,10 +754,11 @@ def _one_parameter_pairs(rng, dim, family, kind1):
     parameter: points, and segments and lines whose density is a uniform
     window no wider than SEARCH_TOL.  Each l2 passes its one point at a
     random offset of up to 1.5 thresholds from a point of l1 at a t in the
-    reach, so both decisions occur.  Returns l1, p1, alpha, l2s, their
-    profiles and their one parameters."""
+    reach, so both decisions occur.  p1 is never a capsule
+    (searched_profile), so the witness search decides every pair.  Returns
+    l1, p1, alpha, l2s, their profiles and their one parameters."""
     l1 = random_carrier(rng, dim, kind1)
-    p1 = random_profile(rng, family)
+    p1 = searched_profile(rng, family)
     alpha = rng.uniform(0.05, 3.0)
     reach, threshold = _witness_threshold(l1, p1, alpha)
     l2s, profiles, params = [], [], []
@@ -808,6 +821,7 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
         spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[p1] + profiles)
         ev = RelationEvaluator([l1] + l2s, spec)
         points.clear()
+        assert ev.radii[0] is None  # a searched row
         row = ev.neighbor_set(0)
         # one _point_hits pass holds every l2 the carrier bound leaves open
         _, threshold = ev.thresholds[0]
@@ -917,3 +931,146 @@ def test_rows_count_each_undecided_pair_once():
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p))
     assert [ev.neighbor_set(i) for i in range(len(U))] == expected
     assert ev.undecided_count == len(undecided)
+
+
+# -- capsules: a segment under uniform(a, b) with a <= 0 and b >= 1 -----------
+
+CAPSULE_PROFILES = [Profile.uniform(0.0, 1.0), Profile.uniform(-0.5, 1.5),
+                    Profile.uniform(-0.2, 1.0), Profile.uniform(0.0, 3.0)]
+
+
+def _tangent_pair(rng, dim, p1, alpha, place, factor):
+    """A segment l1 and a segment l2 whose minimum distance to it is its
+    capsule radius alpha / (b - a) times factor, reached at l2's start and at
+    an l1 parameter on the oracle's 1e-3 grid: square to l1's middle, past
+    its end along its direction, or into its round cap at the end."""
+    x = rng.uniform(-2.0, 2.0, dim)
+    l1 = segment(x, x + rng.normal(size=dim) * rng.uniform(0.5, 3.0))
+    radius = alpha * density(p1, 0.5)
+    unit = l1.direction / math.sqrt(l1.sq_length)
+    u = rng.normal(size=dim)
+    u -= (u @ unit) * unit
+    u /= np.linalg.norm(u)
+    if place == "middle":
+        foot, away = l1.x + 0.5 * l1.direction, u
+    elif place == "end":
+        foot, away = l1.y, unit
+    else:  # the cap: any direction at less than 90 degrees from l1's
+        foot, away = l1.y, (unit + u * rng.uniform(0.0, 3.0))
+        away = away / np.linalg.norm(away)
+    start = foot + away * (radius * factor)
+    return l1, segment(start, start + away * rng.uniform(0.5, 2.0)), radius
+
+
+@pytest.mark.parametrize("place", ["middle", "end", "cap"])
+@pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0 + 1e-12])
+def test_capsules_are_decided_at_their_radius(monkeypatch, place, factor):
+    """Uniform segment pairs tangent to the capsule at 1e-12 relative inside
+    and outside its radius: the row, relates(i, j) and relates_prob take
+    the side the pair was placed on, as the reference does, with no witness
+    search and none undecided.  grid_min_distance, whose grid holds the
+    closest pair of parameters, confirms the placement to its rounding, and
+    min_distance puts the pair on its side."""
+    rng = np.random.default_rng([7, len(place), int(factor > 1.0)])
+
+    def refuse(*args):
+        raise AssertionError("a capsule row ran the witness search")
+
+    for k in range(12):
+        dim = (2, 3, 7)[k % 3]
+        p1 = CAPSULE_PROFILES[k % 4]
+        p2 = (None, Profile.uniform(0.0, 1.0), Profile.uniform(-1.0, 2.0))[k % 3]
+        alpha = rng.uniform(0.05, 2.0)
+        l1, l2, radius = _tangent_pair(rng, dim, p1, alpha, place, factor)
+        related = factor < 1.0
+        assert math.isclose(grid_min_distance(l1, l2), radius, rel_tol=1e-9)
+        assert (min_distance(l1, l2).distance < radius) is related
+        assert reference_relates_prob(l1, p1, alpha, l2, p2) is related, k
+        ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha,
+                                                           profile=[p1, p2]))
+        assert ev.radii[0] == radius
+        with monkeypatch.context() as m:
+            m.setattr(neighborhood, "_witness_hits", refuse)
+            assert ev.neighbor_set(0) == ({0, 1} if related else {0}), k
+            assert ev.relates(0, 1) is related
+            assert relates_prob(l1, p1, alpha, l2, p2) is related
+        assert ev.undecided_count == 0
+
+
+@pytest.mark.parametrize("kind, profile, searched", [
+    ("segment", Profile.uniform(0.2, 0.8), True),   # a support strictly inside [0, 1]
+    ("line", Profile.uniform(0.0, 1.0), True),      # a line's neighbourhood has flat ends
+    ("segment", Profile.uniform(-0.5, 1.5), False),  # a capsule of radius alpha / 2
+])
+def test_capsule_scope(monkeypatch, kind, profile, searched):
+    """Only a segment whose uniform support covers [0, 1] is a capsule: its
+    row makes no _witness_hits call and has radius alpha * f1, and the
+    others keep the search.  Every decision is the reference's."""
+    rng = np.random.default_rng(len(kind) + int(searched))
+    alpha = 0.8
+    l1 = line((0.0, 0.0), (1.0, 0.0)) if kind == "line" else segment((0.0, 0.0), (1.0, 0.0))
+    U, profiles = [l1], [profile]
+    for k in range(40):
+        x = rng.uniform((-1.0, -1.0), (2.0, 1.0))
+        U.append(segment(x, x + rng.normal(scale=0.4, size=2)) if k % 4 else segment(x, x))
+        profiles.append(None if k % 2 else Profile.uniform(0.0, 1.0))
+    calls = []
+    witness_hits = neighborhood._witness_hits
+
+    def counting(*args):
+        calls.append(len(args[5]))
+        return witness_hits(*args)
+
+    monkeypatch.setattr(neighborhood, "_witness_hits", counting)
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    row = ev.neighbor_set(0)
+    if searched:
+        assert ev.radii[0] is None and len(calls) == 1 and calls[0] > 0
+    else:
+        assert ev.radii[0] == alpha / 2 and calls == []
+    expected = {j for j, l2 in enumerate(U)
+                if reference_relates_prob(l1, profile, alpha, l2, profiles[j])}
+    assert row == expected
+    assert {j for j in range(len(U)) if ev.relates(0, j)} == expected
+    assert {j for j, l2 in enumerate(U)
+            if relates_prob(l1, profile, alpha, l2, profiles[j])} == expected
+    assert ev.undecided_count == 0
+    assert 1 < len(expected) < len(U) - 5
+
+
+def test_capsule_rows_measure_to_the_witness_piece():
+    """A capsule row measures to each target's witness piece, not to its
+    carrier: every target below but the points crosses l1, so its carrier
+    is within the radius, and relates only where its piece is too.  A
+    narrow window, an empty window, points and lines carrying a profile,
+    inside and outside; the row, relates(i, j), relates_prob and the
+    reference take one decision on each."""
+    alpha = 0.3
+    l1, p1 = segment((0.0, 0.0), (2.0, 0.0)), Profile.uniform(0.0, 1.0)
+    U, profiles, expected = [l1], [p1], [True]
+
+    def target(l2, p2, related):
+        U.append(l2)
+        profiles.append(p2)
+        expected.append(related)
+
+    # crossing l1 at x = 1 at parameter 0.5, the window at parameter a
+    for a, related in ((0.5 - 0.4 * SEARCH_TOL, True), (0.9, False)):
+        target(segment((1.0, -1.0), (1.0, 1.0)), Profile.uniform(a, a + 0.5 * SEARCH_TOL), related)
+    target(segment((1.0, -1.0), (1.0, 1.0)), Profile.uniform(2.0, 3.0), False)  # empty
+    target(segment((1.0, 0.2), (1.0, 0.2)), None, True)  # points, off l1
+    target(segment((1.0, 0.4), (1.0, 0.4)), Profile.beta(2.0, 2.0), False)
+    # lines crossing l1 at x = 1 at parameter 5, windowed about 0.5 or about 5
+    target(line((1.0, -0.5), (1.0, -0.4)), Profile.normal(0.5, 0.01), False)
+    target(line((1.0, -0.5), (1.0, -0.4)), Profile.normal(5.0, 0.01), True)
+    target(line((1.0, -0.5), (1.0, -0.4)), None, True)
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
+    assert ev.radii[0] == alpha
+    row = ev.neighbor_set(0)
+    for j, (l2, p2, related) in enumerate(zip(U, profiles, expected)):
+        assert l2.is_degenerate or min_distance(l1, l2).distance < 1e-12
+        assert (j in row) is related, j
+        assert ev.relates(0, j) is related, j
+        assert relates_prob(l1, p1, alpha, l2, p2) is related, j
+        assert reference_relates_prob(l1, p1, alpha, l2, p2) is related, j
+    assert ev.undecided_count == 0
