@@ -44,9 +44,8 @@ parameter, every such pair in one _point_hits pass.  Any other pair is its
 root level (_root_level, ROOT_BLOCK pairs per array pass), a hit on the
 grid or every cell pruned, and only where that leaves a kept cell and no
 hit, the branch and bound below it (_refine).  Every operation acts on each
-pair alone, so a pair's decision has the same bits in a batch of any size:
-a searched row is one batch, and relates_prob without a root, on a
-searched l1, is a batch of one.
+pair alone, so a pair's decision has the same bits in a batch of any size;
+a searched row is one batch.
 
 Each line is resolved once, when a RelationEvaluator is built, to a metric
 radius or to the witness search.  A line without a density has radius
@@ -89,8 +88,9 @@ no array solve (acceptance criterion 7 measures those rows).
 Every row thus decides each of its pairs in arrays, one boolean per pair.
 It still calls relates_v1 / relates_prob once per pair with that decision
 as `root`, which they return unchanged, because benchmark/tracing.py counts
-a row's pairs by those calls.  Called without a root, they decide the pair
-themselves, by the same kernels on a batch of one.
+a row's pairs by those calls.  Called without a root, relates_v1 solves
+its pair by min_distance, and relates_prob decides its pair as the row of
+the two-line evaluator [l1, l2], with a spec NeighbourhoodSpec validates.
 """
 
 from __future__ import annotations
@@ -185,9 +185,7 @@ class NeighbourhoodSpec:
             raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
                                      f"string {self.profile!r} (parse_profile reads that form)")
         for what, value in _entries(self.alpha, "alpha"):
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-                raise ConfigurationError(f"{what} must be a finite positive number, "
-                                         f"got {value!r}")
+            _check_alpha(what, value)
         for what, value in _entries(self.profile, "profile"):
             if value is not None and not isinstance(value, Profile):
                 raise ConfigurationError(f"{what} must be a Profile or None, got {value!r}")
@@ -227,6 +225,12 @@ def _entries(values, field: str):
     return [] if values is None else [(field, values)]
 
 
+def _check_alpha(what: str, value) -> None:
+    """A ConfigurationError unless value is a finite positive real number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
+
+
 def _per_line(values, n: int, field: str) -> list:
     """values as a list of n per-line entries: a single value repeated, or a
     per-line sequence of exactly n entries."""
@@ -241,7 +245,9 @@ def _per_line(values, n: int, field: str) -> list:
 # -- membership and version 1 ------------------------------------------------
 
 def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
-    """Is the point strictly inside the alpha-scaled neighbourhood, f cut to l's reach."""
+    """Is the point strictly inside the alpha-scaled neighbourhood, f cut to
+    l's reach.  alpha is checked as NeighbourhoodSpec checks it."""
+    _check_alpha("alpha", alpha)
     cp = closest_point(point, l)
     lo, hi = effective_window(p) if l.is_line else (0.0, 1.0)
     return lo <= cp.t_star <= hi and cp.distance < alpha * density(p, cp.t_star)
@@ -517,32 +523,20 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     fall strictly inside l1's alpha-scaled density neighbourhood.
 
     root is the decision of a caller that decided many pairs at once, as
-    relates_v1's is, returned as it is.  Without it the pair is decided
-    here as a row of one, by the dispatch a relation row takes: where l1's
-    neighbourhood is a capsule (_is_capsule), its threshold against the
-    distance kernel's solve to l2's witness piece (_witness_pieces), none
-    for an empty witness domain; otherwise l1's reach and threshold
-    (_witness_threshold) and l2's witness domain (_witness_domain) go to
-    _witness_hits.  A pair the branch and bound cannot decide returns False
-    and calls on_undecided, when given.
+    relates_v1's is, returned as it is.  Without it the pair is row 0 of
+    the two-line version 3 evaluator [l1, l2], its spec validated by
+    NeighbourhoodSpec, so the pair takes a row's dispatch and bounds.  A
+    pair the branch and bound cannot decide returns False and calls
+    on_undecided, when given.
     """
     if root is not None:
         return root
-    if l1.dim != l2.dim:
-        raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    reach, threshold = _witness_threshold(l1, profile1, alpha1)
-    lo, hi = _witness_domain(l2, profile2)
-    if _is_capsule(l1, profile1):
-        if hi < lo:
-            return False
-        dist, _, _ = _min_distance_many(*_carriers(l1), *_witness_pieces(
-            *_carriers(l2), np.array([lo]), np.array([hi])))
-        return bool(dist[0] < threshold)
-    if threshold <= 0.0:
-        return False
-    return bool(_witness_hits(l1, profile1, alpha1, reach, threshold, l2.x[None],
-                              l2.direction[None], np.array([l2.sq_length]), np.array([lo]),
-                              np.array([hi]), search_samples, on_undecided)[0])
+    ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(
+        version=3, c=1, alpha=alpha1, profile=[profile1, profile2], search_samples=search_samples))
+    related = ev.relates(0, 1)
+    if ev.undecided_count and on_undecided is not None:
+        on_undecided()
+    return related
 
 
 # -- dispatch and neighbour sets ----------------------------------------------
@@ -593,7 +587,8 @@ class RelationEvaluator:
     relates_prob, called once per pair, as its root; the diagonal of a
     metric row goes without one, so min_distance's shortcut decides it.
     neighbor_set(i) is that row over the whole dataset and relates(i, j)
-    that row over line j alone; both count every pair in eval_count, and
+    that row over line j alone, i and j indexing the dataset as U[i] does,
+    an IndexError out of range; both count every pair in eval_count, and
     every pair the witness search leaves undecided (reported as unrelated)
     in undecided_count.
     """
@@ -702,12 +697,14 @@ class RelationEvaluator:
         to their own path; staging changes no decision and counts nothing."""
         if self._staged:
             return
-        block = [i for i in islice(rows, ROW_BLOCK) if self.radii[i] is not None]
+        rows = [range(len(self.U))[i] for i in islice(rows, ROW_BLOCK)]  # as _related reads i
+        block = [i for i in rows if self.radii[i] is not None]
         if block:
             self._staged = dict(zip(block, self._metric_rows(block, slice(None))))
 
     def _related(self, i: int, js: slice) -> list[int]:
         """The lines of the dataset slice js that line i relates to."""
+        i = range(len(self.U))[i]  # an IndexError out of range, as U[i]
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]

@@ -168,6 +168,13 @@ class TestContainsPoint:
         assert not contains_point(UNIT, p, 1.0, (0.999, 0.5))
         assert contains_point(UNIT, p, 1.0, (0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_is_checked_as_the_spec_checks_it(self, bad):
+        # unchecked, 0, -1 and NaN would read as an empty neighbourhood and inf as all space
+        with pytest.raises(ConfigurationError, match="alpha must be a finite positive number, "
+                                                     f"got {bad!r}"):
+            contains_point(UNIT, U01, bad, (0.5, 0.5))
+
 
 class TestRelatesV1:
     def test_threshold(self):
@@ -248,6 +255,36 @@ class TestRelatesProb:
         # l2's declared support lies entirely outside its parameter range
         away = Profile.uniform(2.0, 3.0)
         assert not relates_prob(UNIT, U01, 5.0, segment((0, 0.1), (1, 0.1)), away)
+
+    @pytest.mark.parametrize("p1", [U01, Profile.normal(0.5, 0.1)], ids=["capsule", "searched"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_alpha_is_checked_as_the_spec_checks_it(self, p1, bad):
+        # unchecked, a NaN alpha would relate nothing and an infinite one everything
+        with pytest.raises(ConfigurationError, match="alpha must be a finite positive number, "
+                                                     f"got {bad!r}"):
+            relates_prob(UNIT, p1, bad, segment((0, 1), (1, 1)), U01)
+
+    def test_zero_density_ends_are_undecided_once(self):
+        # beta(2, 1) vanishes at the shared point, where the distance does
+        # too: the search cannot prune the cell there, as in the pair's row
+        l1, l2, p = UNIT, segment((0, 0), (1, 1)), Profile.beta(2.0, 1.0)
+        undecided = []
+        assert relates_prob(l1, p, 0.4, l2, p, on_undecided=lambda: undecided.append(1)) is False
+        ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=0.4, profile=p))
+        assert ev.relates(0, 1) is False
+        assert len(undecided) == ev.undecided_count == 1
+
+    @pytest.mark.parametrize("p1", [U01, Profile.uniform(-0.5, 1.5)])
+    def test_capsule_against_an_empty_witness_domain(self, p1):
+        # each target crosses l1, but its density's window misses its
+        # parameter range, so it has no point to relate
+        away = Profile.uniform(2.0, 3.0)
+        targets = [segment((0.5, -1), (0.5, 1)), segment((0.5, 0), (0.5, 0)), UNIT]
+        assert RelationEvaluator([UNIT], NeighbourhoodSpec(version=3, c=1, alpha=1.0,
+                                                           profile=p1)).radii[0] is not None
+        for l2 in targets:
+            assert relates_prob(UNIT, p1, 1.0, l2)
+            assert not relates_prob(UNIT, p1, 1.0, l2, away), l2
 
     def test_v1_equivalence_on_constant_tubes(self):
         # uniform profile of height h covering [0,1]: the witness test equals
@@ -416,6 +453,31 @@ class TestNeighborSet:
         ev.neighbor_set(0)
         ev.neighbor_set(1)
         assert ev.eval_count == 4
+
+    def test_row_index_is_normalised(self, monkeypatch):
+        # row i is read as U[i] reads it, before the staged masks are looked up
+        U = [segment((0, 0), (1, 0)), segment((0, 1), (1, 1)), segment((0, 2), (1, 2))]
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.5))
+        solved = []
+        metric_rows = ev._metric_rows
+        monkeypatch.setattr(ev, "_metric_rows",
+                            lambda rows, js: solved.append(list(rows)) or metric_rows(rows, js))
+        ev.stage([2])
+        assert solved == [[2]]
+        assert ev.neighbor_set(-1) == {1, 2}
+        assert solved == [[2]] and not ev._staged  # the staged row, served
+        assert ev.neighbor_set(2) == {1, 2}
+        ev.stage([-3])  # no longer blocked by a held mask
+        assert set(ev._staged) == {0} and ev.neighbor_set(0) == {0, 1}
+        assert ev.relates(-1, 1) and not ev.relates(-1, 0)
+        assert ev.relates(True, 0) == ev.relates(1, 0) is True
+        count = ev.eval_count
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                ev.neighbor_set(bad)
+            with pytest.raises(IndexError):
+                ev.relates(bad, 0)
+        assert ev.eval_count == count
 
     def test_v2_alpha_memoized(self, monkeypatch):
         # derived once per line when the evaluator is built, never by a row

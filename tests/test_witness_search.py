@@ -484,19 +484,27 @@ def test_row_wider_than_a_block_matches_single_pairs(monkeypatch):
 
 
 def test_bare_call_is_a_batch_of_one(monkeypatch):
-    # relates_prob without a root resolves l1's reach and threshold and
-    # l2's domain with the row's helpers, and hands them to _witness_hits
+    # relates_prob without a root is row 0 of the two-line evaluator
+    # [l1, l2], which hands l1's reach and threshold and l2's domain to
+    # _witness_hits as a batch of one
     l1, l2, p = line((0, 0), (1, 0)), line((0, 0.3), (1, 0.35)), Profile.normal(0.5, 0.04)
     reach, threshold = _witness_threshold(l1, p, 1.0)
-    calls = []
+    calls, built = [], []
     witness_hits = neighborhood._witness_hits
 
     def recording(*args):
         calls.append(args)
         return witness_hits(*args)
 
+    class Recorded(RelationEvaluator):
+        def __init__(self, U, spec):
+            built.append((U, spec))
+            super().__init__(U, spec)
+
     monkeypatch.setattr(neighborhood, "_witness_hits", recording)
+    monkeypatch.setattr(neighborhood, "RelationEvaluator", Recorded)
     assert relates_prob(l1, p, 1.0, l2, None)
+    assert built == [([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=[p, None]))]
     (l1_, p_, alpha, reach_, threshold_, X, D, sq, lo, hi, samples, _), = calls
     assert (l1_, p_, alpha, reach_, threshold_, samples) == (l1, p, 1.0, reach, threshold, 64)
     assert np.array_equal(X, l2.x[None]) and np.array_equal(D, l2.direction[None])
