@@ -27,14 +27,17 @@ bound over the cells of a uniform root grid of search_samples parameters
 (Shubert 1972; Hansen & Walster 2004).  Every cell [a, b] gets a lower
 bound on phi from its two ends (_cell_bounds): dist(g2(s), l1) is convex in
 s, t*(s) is monotone, every density is unimodal, and f1 is 0 on a cell
-whose t* range misses the reach.  One numpy pass per level prunes the cells
-whose bound is >= 0 (with a relative pad of PRUNE_PAD), evaluates phi at
-the midpoints of the rest and bisects them.  A relation is reported only
-for an actually evaluated phi(s) < 0, so false positives are impossible,
-and a pair is unrelated only when every cell is pruned.  A pair that still
-has a cell when the cells are narrower than SEARCH_TOL, or that would spend
-more than WITNESS_BUDGET evaluations, is undecided: it is reported as
-unrelated and counted through the caller's on_undecided.
+whose t* range misses the reach.  One step, _root_level, evaluates phi on
+a grid over each of many windows, flags a phi < 0 and prunes the grid's
+cells whose bound is >= 0 (with a relative pad of PRUNE_PAD).  The root
+level is that step on each pair's witness window, and each level below it
+the same step on every cell kept for a pair with no hit, as a window of
+three points, its two ends and its midpoint, which bisects it.  A relation
+is reported only for an actually evaluated phi(s) < 0, so false positives
+are impossible, and a pair is unrelated only when every cell is pruned.  A
+pair that keeps a cell no wider than SEARCH_TOL, or whose cells below the
+root grid would number more than WITNESS_BUDGET, is undecided: it is
+reported as unrelated and counted through the caller's on_undecided.
 
 The witness decision is written once, _witness_hits, for a batch of pairs
 (l1, l2_k) that share l1, the l2s given as rows of the stacked carrier
@@ -43,9 +46,10 @@ parameter (a point l2, or a window no wider than SEARCH_TOL) is phi at that
 parameter, every such pair in one _point_hits pass.  Any other pair is its
 root level (_root_level, ROOT_BLOCK pairs per array pass), a hit on the
 grid or every cell pruned, and only where that leaves a kept cell and no
-hit, the branch and bound below it (_refine).  Every operation acts on each
-pair alone, so a pair's decision has the same bits in a batch of any size;
-a searched row is one batch.
+hit, the levels below it, the kept cells of a block's pairs in calls of no
+more points than a root block.  Every operation acts on each pair alone,
+so a pair's decision has the same bits in a batch of any size; a searched
+row is one batch.
 
 Each line is resolved once, when a RelationEvaluator is built, to a metric
 radius or to the witness search.  A line without a density has radius
@@ -64,10 +68,10 @@ reaches the radius, or the threshold of a searched line, is rejected
 first.  RelationEvaluator computes the bound for a whole relation row in a
 few array expressions, from the centres, half-lengths and carriers stacked
 once per dataset.  A metric row uses the centre gap |c1 - c2| - h1 - h2
-alone.  A searched row tightens it to the carrier bound: the largest of
-the centre gap, dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1,
-TRACLUS's perpendicular-distance pruning (Lee, Han & Whang 2007).  It is
-finite unless both carriers are lines, and it rejects the lifted segments
+alone.  A searched row takes the carrier bound instead, never below the
+centre gap: the larger of dist(c2, carrier1) - h2 and dist(c1, carrier2) -
+h1, TRACLUS's perpendicular-distance pruning (Lee, Han & Whang 2007).  It
+is finite unless both carriers are lines, and it rejects the lifted segments
 that sweep a whole axis past one another, whose centre gaps are all
 negative.  The witness decision alone decides what the bound leaves open
 in a searched row, which never solves the exact minimum distance.
@@ -126,9 +130,9 @@ PerLineAlpha = Union[float, Sequence[float]]
 PerLineProfile = Union[Profile, Sequence[Optional[Profile]]]
 
 SEARCH_TOL = 1e-9  # cell width in l2's parameter below which a witness search is undecided
-WITNESS_BUDGET = 4096  # phi evaluations one pair may spend below its root grid
+WITNESS_BUDGET = 4096  # cells, one new midpoint each, one pair may keep below its root grid
 PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to prune it
-ROOT_BLOCK = 32  # pairs whose root levels one array pass evaluates, bounding a row's temporaries
+ROOT_BLOCK = 32  # pairs one root pass evaluates; no call below the root holds more points
 ROW_BLOCK = 16  # metric rows whose open pairs one staged kernel call solves
 
 
@@ -401,18 +405,22 @@ def _phi(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, 
 def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
                 reach: tuple[float, float], X: np.ndarray, D: np.ndarray, sq: np.ndarray,
                 lo: np.ndarray, hi: np.ndarray, samples: int) -> tuple[np.ndarray, ...]:
-    """The root level of the witness search for m pairs (l1, l2_k) at once.
+    """One level of the witness search over m windows of l2s at once: the
+    root grids of m pairs (l1, l2_k), or, below the root, three-point
+    windows over the cells kept for them.
 
-    X, D are the (m, dim) base points and directions of the l2s, sq their
-    (m,) squared lengths (none zero) and lo, hi their (m,) finite witness
+    X, D are the (m, dim) base points and directions of the windows' l2s,
+    sq their (m,) squared lengths (none zero) and lo, hi their (m,) finite
     windows.  Returns (s, t, d, hit, keep): the (m, samples) grid of each
     window, np.linspace's arithmetic lo + k * step with the last point set
     to hi; the grid points' feet on l1 and distances to l1, from _phi; each
-    pair's (m,) hit flag, some grid phi < 0; and its (m, samples - 1) mask
-    of the cells _cell_bounds does not prune, with s_min the first grid
-    point of least distance and the speed sqrt(sq).  Every operation acts
-    on each pair's row alone, so a pair's row has the same bits whatever
-    the other pairs are.
+    window's (m,) hit flag, some grid phi < 0; and its (m, samples - 1)
+    mask of the cells _cell_bounds does not prune, with the speed sqrt(sq)
+    and s_min the first grid point of least distance.  That point stands in
+    for the least distance over the window: dist(g2(s), l1) is convex, so
+    it is monotone on every cell that does not end there.  Every operation
+    acts on each window's row alone, so a row has the same bits whatever
+    the other windows are.
     """
     step = (hi - lo) / (samples - 1)
     s = np.arange(samples) * step[:, None] + lo[:, None]
@@ -434,45 +442,6 @@ def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
     return _phi(l1, profile1, alpha1, reach, P)[2] < 0.0
 
 
-def _refine(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, float],
-            x2: np.ndarray, d2: np.ndarray, sq2: float, s: np.ndarray, t: np.ndarray, d: np.ndarray,
-            keep: np.ndarray, width: float, on_undecided: Callable[[], None] | None) -> bool:
-    """The branch and bound below one pair's root level, a _root_level row
-    (s, t, d, keep) with no hit and a kept cell, cells width wide, on the
-    l2 carrier row (x2, d2, sq2).  Each level evaluates phi at the kept
-    cells' midpoints, True on a phi < 0, then bisects them and prunes the
-    halves by _cell_bounds, False when none is left.  Cells no wider than
-    SEARCH_TOL, or a level past WITNESS_BUDGET evaluations, leave the pair
-    undecided: False, after on_undecided()."""
-    k = int(np.argmin(d))
-    s_min, d_min = float(s[k]), float(d[k])
-    a, b, da, db, ta, tb = s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:]
-    speed = math.sqrt(sq2)
-    spent = 0
-    while True:
-        if width <= SEARCH_TOL or spent + int(keep.sum()) > WITNESS_BUDGET:
-            if on_undecided is not None:
-                on_undecided()
-            return False
-        a, b, da, db, ta, tb = a[keep], b[keep], da[keep], db[keep], ta[keep], tb[keep]
-        m = 0.5 * (a + b)
-        spent += len(m)
-        tm, dm, phi = _phi(l1, profile1, alpha1, reach, x2 + m[:, None] * d2)
-        if (phi < 0.0).any():
-            return True
-        k = int(np.argmin(dm))
-        if dm[k] < d_min:
-            s_min, d_min = float(m[k]), float(dm[k])
-        a, b = np.concatenate((a, m)), np.concatenate((m, b))
-        da, db = np.concatenate((da, dm)), np.concatenate((dm, db))
-        ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
-        width *= 0.5
-        bound, pad = _cell_bounds(l1, profile1, alpha1, reach, a, b, da, db, ta, tb, s_min, speed)
-        keep = bound < pad
-        if not keep.any():
-            return False
-
-
 def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
                   reach: tuple[float, float], threshold: float, X: np.ndarray,
                   D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -485,9 +454,14 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     unbounded one, a line without a density, is cut pair by pair to
     _line_candidate_window, False when there is none.  A one-parameter
     witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
-    that parameter, all of them in one _point_hits pass; any other pair is
-    its root level, in blocks of ROOT_BLOCK pairs, and _refine where that
-    leaves a kept cell and no hit.
+    that parameter, all of them in one _point_hits pass.  Any other pair is
+    its root level, in blocks of ROOT_BLOCK pairs; then, level by level,
+    each cell a block keeps for a pair with no hit goes back to _root_level
+    as a window of three points, in calls of at most ROOT_BLOCK * samples
+    points.  A pair is True at its first phi < 0 and False when it keeps no
+    cell.  One that keeps a cell no wider than SEARCH_TOL, or whose cells
+    below the root grid would number more than WITNESS_BUDGET, is
+    undecided: False, after on_undecided().
     """
     lo, hi = lo.copy(), hi.copy()
     live = hi >= lo
@@ -503,21 +477,41 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     if len(single):
         hits[single] = _point_hits(l1, p1, alpha1, reach, X[single] + lo[single, None] * D[single])
     batched = np.flatnonzero(live & ~narrow)
+    cells = ROOT_BLOCK * samples // 3  # three points a cell: no call holds more than a root block
     for k in range(0, len(batched), ROOT_BLOCK):
         idx = batched[k:k + ROOT_BLOCK]
-        s, t, d, hit, keep = _root_level(l1, p1, alpha1, reach, X[idx], D[idx], sq[idx],
-                                         lo[idx], hi[idx], samples)
-        for r in np.flatnonzero(~hit & keep.any(axis=1)).tolist():
-            q = idx[r]
-            hit[r] = _refine(l1, p1, alpha1, reach, X[q], D[q], sq[q], s[r], t[r], d[r],
-                             keep[r], (hi[q] - lo[q]) / (samples - 1), on_undecided)
+        Xb, Db, sqb = X[idx], D[idx], sq[idx]
+        s, _, _, hit, keep = _root_level(l1, p1, alpha1, reach, Xb, Db, sqb, lo[idx], hi[idx],
+                                         samples)
+        r, spent = np.arange(len(idx)), 0  # the block's pair of each window
+        while True:
+            # the kept cells [a, b] of the pairs with no hit
+            i, h = np.nonzero(keep & ~hit[r, None])
+            if not len(i):
+                break
+            r, a, b = r[i], s[i, h], s[i, h + 1]
+            spent += np.bincount(r, minlength=len(idx))
+            over = (spent[r] > WITNESS_BUDGET) | (b - a <= SEARCH_TOL)
+            if over.any():  # the pairs of these cells are undecided
+                stuck = np.zeros(len(idx), dtype=bool)
+                stuck[r[over]] = True
+                if on_undecided is not None:
+                    for _ in range(int(stuck.sum())):
+                        on_undecided()
+                alive = ~stuck[r]
+                r, a, b = r[alive], a[alive], b[alive]
+            s, keep = np.empty((len(r), 3)), np.empty((len(r), 2), dtype=bool)
+            for j in range(0, len(r), cells):
+                q = r[j:j + cells]
+                s[j:j + cells], _, _, found, keep[j:j + cells] = _root_level(
+                    l1, p1, alpha1, reach, Xb[q], Db[q], sqb[q], a[j:j + cells], b[j:j + cells], 3)
+                hit[q[found]] = True
         hits[idx] = hit
     return hits
 
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
-                 l2: SegmentLike, profile2: Profile | None = None, *,
-                 search_samples: int = 64, root: bool | None = None,
+                 l2: SegmentLike, profile2: Profile | None = None, *, root: bool | None = None,
                  on_undecided: Callable[[], None] | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
@@ -531,8 +525,8 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     """
     if root is not None:
         return root
-    ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(
-        version=3, c=1, alpha=alpha1, profile=[profile1, profile2], search_samples=search_samples))
+    ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha1,
+                                                       profile=[profile1, profile2]))
     related = ev.relates(0, 1)
     if ev.undecided_count and on_undecided is not None:
         on_undecided()
@@ -627,19 +621,20 @@ class RelationEvaluator:
         self.radii = [a if p is None else t[1] if _is_capsule(l, p) else None
                       for l, p, a, t in zip(self.U, self.profiles, self.alphas, self.thresholds)]
 
-    def _carrier_bound(self, i: int, js: slice, gaps: np.ndarray) -> np.ndarray:
+    def _carrier_bound(self, i: int, js: slice) -> np.ndarray:
         """A lower bound on the distance from line i to each line of js:
-        max(gap, dist(c_j, carrier_i) - h_j, dist(c_i, carrier_j) - h_i),
-        with gaps the row's centre gaps.
+        max(dist(c_j, carrier_i) - h_j, dist(c_i, carrier_j) - h_i).
 
         Every point of a finite carrier lies within its half-length h of its
         centre c, and the distance to a set is 1-Lipschitz, so each term is
         a lower bound.  A point's carrier is the point itself; only when
-        both carriers are lines is every term -inf.
+        both carriers are lines is every term -inf.  The centre gap
+        |c_i - c_j| - h_i - h_j is never above the first term, since
+        carrier_i lies within h_i of c_i.
         """
         _, sq = _feet_sq(np.asfortranarray(self.centre[js]), self.x[i], self.direction[i],
                          self.sq_length[i], self.is_segment[i])  # column-major: see _feet_sq
-        bound = np.maximum(gaps, np.sqrt(sq) - self.half_len[js])
+        bound = np.sqrt(sq) - self.half_len[js]
         if self.is_segment[i]:
             _, sq = _feet_sq(self.centre[i], self.x[js], self.direction[js], self.sq_length[js],
                              self.is_segment[js])
@@ -719,8 +714,7 @@ class RelationEvaluator:
                 roots[i - lines.start] = None  # decided by min_distance's shortcut
             return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
         reach, threshold = self.thresholds[i]
-        related = (self._carrier_bound(i, js, self._centre_gaps(i, js)) < threshold) \
-            & (threshold > 0.0)
+        related = (self._carrier_bound(i, js) < threshold) & (threshold > 0.0)
         idx = np.arange(len(U))[js][related]
         related[related] = _witness_hits(
             l1, p1, alpha1, reach, threshold, self.x[idx], self.direction[idx],

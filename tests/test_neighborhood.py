@@ -655,7 +655,7 @@ class TestRowKernel:
             assert ev.relates(a, below) and not ev.relates(a, above)
             if version != 1:  # a searched row: its carrier bound alone rejects `above`
                 assert ev.radii[a] is None
-                bound = ev._carrier_bound(a, slice(None), np.full(len(U), -np.inf))
+                bound = ev._carrier_bound(a, slice(None))
                 threshold = ev.thresholds[a][1]
                 assert bound[below] < threshold <= bound[above]
 
@@ -852,11 +852,12 @@ class TestCarrierBound:
             assume(kind != "line" or float((y - x) @ (y - x)) > 0.0)
             U.append(_carrier(kind, x, y))
         ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=U01))
-        n = len(U)
         scale = 1.0 + max(max(np.abs(l.x).max(), np.abs(l.y).max()) for l in U)
         for i, l1 in enumerate(U):
-            # the carrier terms alone: no centre gap
-            bound = ev._carrier_bound(i, slice(None), np.full(n, -np.inf))
+            bound = ev._carrier_bound(i, slice(None))
+            # the centre gap is never above the carrier terms, beyond rounding
+            gap = ev._centre_gaps(i, slice(None))
+            assert (bound >= gap - 1e-12 * (1.0 + np.abs(gap))).all(), (i, bound, gap)
             for j, l2 in enumerate(U):
                 both_lines = l1.is_line and l2.is_line
                 assert (bound[j] == -np.inf) == both_lines, (i, j)

@@ -400,21 +400,46 @@ def test_undecided_pair_is_counted_within_budget(monkeypatch, case, min_refined,
     scaled = alpha * p.pdf(t)
     assert (d - scaled >= 0.0).all()
     assert (d - scaled <= 1e-15 * (d + scaled)).any()
-    evaluated = []
-    phi = neighborhood._phi
+    calls = []
+    root_level = neighborhood._root_level
 
-    def counting(l1, p1, alpha1, reach, P):
-        evaluated.append(len(P))
-        return phi(l1, p1, alpha1, reach, P)
+    def recording(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples):
+        calls.append((len(X), samples))
+        return root_level(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples)
 
-    monkeypatch.setattr(neighborhood, "_phi", counting)
+    monkeypatch.setattr(neighborhood, "_root_level", recording)
     spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
     ev = RelationEvaluator([l1, l2], spec)
     assert ev.relates(0, 1) is False
     assert ev.undecided_count == 1
-    # the root grid, then the branch and bound below it
-    assert evaluated[0] == spec.search_samples
-    assert min_refined <= sum(evaluated[1:]) <= max_refined
+    # the root grid, then the cells below it, each a window of three points
+    assert calls[0] == (1, spec.search_samples)
+    assert all(samples == 3 for _, samples in calls[1:])
+    assert min_refined <= sum(cells for cells, _ in calls[1:]) <= max_refined
+
+
+def test_levels_below_the_root_hold_no_more_points_than_a_root_block(monkeypatch):
+    """A 7-d row of 64 copies of the flat undecided pair keeps every cell
+    until the budget ends each pair: no _root_level call holds more points
+    than a root block, and every pair is counted undecided once."""
+    l1, l2, p, alpha = _undecided_flat()
+    lift = np.eye(2, 7)
+    l1, l2 = (segment(l.x @ lift, l.y @ lift) for l in (l1, l2))
+    points = []
+    root_level = neighborhood._root_level
+
+    def recording(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples):
+        points.append(len(X) * samples)
+        return root_level(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples)
+
+    monkeypatch.setattr(neighborhood, "_root_level", recording)
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
+    ev = RelationEvaluator([l1] + [l2] * 64, spec)
+    assert ev.neighbor_set(0) == {0}
+    assert ev.undecided_count == 64
+    assert max(points) <= ROOT_BLOCK * spec.search_samples
+    # each pair spends at least half its budget, three points a cell
+    assert sum(points) > 64 * WITNESS_BUDGET // 2 * 3
 
 
 def _root_pairs(rng, dim, family):
@@ -833,7 +858,7 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
         row = ev.neighbor_set(0)
         # one _point_hits pass holds every l2 the carrier bound leaves open
         _, threshold = ev.thresholds[0]
-        bound = ev._carrier_bound(0, slice(1, None), ev._centre_gaps(0, slice(1, None)))
+        bound = ev._carrier_bound(0, slice(1, None))
         assert len(points) <= 1 and sum(map(len, points)) == int((bound < threshold).sum())
         for j, (l2, p2, lo) in enumerate(zip(l2s, profiles, params), start=1):
             phi, scale = reference_point_phi(l1, p1, alpha, l2, lo)
@@ -895,11 +920,12 @@ def test_profile_rows_never_call_the_scalar_phi(monkeypatch):
 
 
 def test_rows_refine_the_pairs_their_root_level_leaves_open(monkeypatch):
-    """A row hands _refine the pairs whose root level neither hits nor
-    prunes every cell, and decides every pair as relates_prob does alone:
-    a density spike on a long segment, which the root grids of the
-    parallel l2s crossing it rarely land on, so the branch and bound finds
-    most of their witnesses."""
+    """A row hands back to _root_level, as windows of three points, the
+    kept cells of the pairs whose root level neither hits nor prunes every
+    cell, and decides every pair as relates_prob does alone: a density
+    spike on a long segment, which the root grids of the parallel l2s
+    crossing it rarely land on, so the levels below the root find most of
+    their witnesses."""
     rng = np.random.default_rng(50)
     p = Profile.normal(0.5, 1e-7)
     U = [segment((0.0, 0.0), (100.0, 0.0))]
@@ -908,19 +934,21 @@ def test_rows_refine_the_pairs_their_root_level_leaves_open(monkeypatch):
         U.append(segment((x0, y), (x0 + rng.uniform(2.0, 100.0), y)))
     profiles = [p] + [Profile.uniform(0.0, 1.0)] * (len(U) - 1)
     alpha = 0.5 / peak_density(p, 0.0, 1.0)
-    refined = []
-    refine = neighborhood._refine
+    found = []
+    root_level = neighborhood._root_level
 
-    def recording(*args):
-        refined.append(refine(*args))
-        return refined[-1]
+    def recording(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples):
+        level = root_level(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples)
+        if samples == 3:  # below the root grid, whose samples are the spec's 64
+            found.extend(level[3].tolist())
+        return level
 
-    monkeypatch.setattr(neighborhood, "_refine", recording)
+    monkeypatch.setattr(neighborhood, "_root_level", recording)
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
     rows = [ev.neighbor_set(i) for i in range(len(U))]
-    assert len(refined) > 0 and True in refined
+    assert len(found) > 0 and True in found
     assert ev.undecided_count == 0
-    monkeypatch.setattr(neighborhood, "_refine", refine)
+    monkeypatch.setattr(neighborhood, "_root_level", root_level)
     for i, row in enumerate(rows):
         assert row == {j for j, l2 in enumerate(U)
                        if relates_prob(U[i], profiles[i], alpha, l2, profiles[j])}, i
