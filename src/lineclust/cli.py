@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--mode", choices=["literal", "expand"], default=None,
                            help="clustering mode (default expand)")
     p_cluster.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p_cluster.add_argument("--search-samples", type=int, default=None,
-                           help="witness-search grid size (default 64)")
     p_cluster.add_argument("--crop", default=None,
                            help="GeoJSON crop box minx,miny,maxx,maxy")
     p_cluster.add_argument("--out", default=None, help="results JSON path (default results.json)")
@@ -243,7 +241,6 @@ def cmd_cluster(args, options: dict[str, argparse.Action]) -> int:
         volume=pick("volume"),
         profile=profile,
         alpha_mode=pick("alpha_mode", "literal"),
-        search_samples=pick("search_samples", 64),
     )
     mode = pick("mode")
     if mode is None:

@@ -20,14 +20,14 @@ projection (_witness_threshold): [0, 1] for a segment, f1's effective
 window for a line.  No witness lies at or beyond the threshold
 alpha1 * sup f1 over the reach, and an unbounded domain, a line without a
 density, is cut to the finite window that threshold leaves
-(_line_candidate_window).  phi can be multimodal: the density may have
-several influential bumps along t*(s) and dist has kinks where the
-projection clamps at a segment end.  The search is a certified branch and
-bound over the cells of a uniform root grid of search_samples parameters
-(Shubert 1972; Hansen & Walster 2004).  Every cell [a, b] gets a lower
-bound on phi from its two ends (_cell_bounds): dist(g2(s), l1) is convex in
-s, t*(s) is monotone, every density is unimodal, and f1 is 0 on a cell
-whose t* range misses the reach.  One step, _root_level, evaluates phi on
+(_line_windows).  phi can be multimodal: the density may have several
+influential bumps along t*(s) and dist has kinks where the projection
+clamps at a segment end.  The search is a certified branch and bound over
+the cells of a uniform root grid of ROOT_SAMPLES parameters (Shubert 1972;
+Hansen & Walster 2004).  Every cell [a, b] gets a lower bound on phi from
+its two ends (_cell_bounds): dist(g2(s), l1) is convex in s, t*(s) is
+monotone, every density is unimodal, and f1 is 0 on a cell whose t* range
+misses the reach.  One step, _root_level, evaluates phi on
 a grid over each of many windows, flags a phi < 0 and prunes the grid's
 cells whose bound is >= 0 (with a relative pad of PRUNE_PAD).  The root
 level is that step on each pair's witness window, and each level below it
@@ -37,7 +37,7 @@ is reported only for an actually evaluated phi(s) < 0, so false positives
 are impossible, and a pair is unrelated only when every cell is pruned.  A
 pair that keeps a cell no wider than SEARCH_TOL, or whose cells below the
 root grid would number more than WITNESS_BUDGET, is undecided: it is
-reported as unrelated and counted through the caller's on_undecided.
+reported as unrelated, and _witness_hits returns how many there are.
 
 The witness decision is written once, _witness_hits, for a batch of pairs
 (l1, l2_k) that share l1, the l2s given as rows of the stacked carrier
@@ -100,11 +100,11 @@ the two-line evaluator [l1, l2], with a spec NeighbourhoodSpec validates.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral, Real
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -129,6 +129,7 @@ from .profiles import (
 PerLineAlpha = Union[float, Sequence[float]]
 PerLineProfile = Union[Profile, Sequence[Optional[Profile]]]
 
+ROOT_SAMPLES = 64  # parameters of the uniform root grid the witness search starts from
 SEARCH_TOL = 1e-9  # cell width in l2's parameter below which a witness search is undecided
 WITNESS_BUDGET = 4096  # cells, one new midpoint each, one pair may keep below its root grid
 PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to prune it
@@ -150,14 +151,14 @@ class NeighbourhoodSpec:
     by the exact distance to each target's witness piece.  Values are
     checked when the spec is built: a profile must be a Profile (an entry
     may also be None), an alpha and a volume a finite positive real number,
-    and version, c and search_samples integers; a bool is neither.  A
-    per-line sequence is checked against the dataset's length when a
-    RelationEvaluator is built.
+    and version and c integers; a bool is neither.  A per-line sequence is
+    checked against the dataset's length when a RelationEvaluator is built.
 
-    search_samples is the size of the root grid the witness search
-    partitions l2's window with.  The branch and bound below it decides
-    every pair it can certify whatever the grid, so the grid sets where
-    the search starts, not which witnesses it can miss.
+    search_samples is no field but the constant ROOT_SAMPLES, the size of
+    the root grid the witness search partitions l2's window with, read
+    here by the results echo.  The branch and bound below it decides every
+    pair it can certify whatever the grid, so the grid sets where the
+    search starts, not which witnesses it can miss.
     """
 
     version: int
@@ -166,10 +167,10 @@ class NeighbourhoodSpec:
     volume: float | None = None
     profile: PerLineProfile | None = None
     alpha_mode: str = "literal"  # "literal" or "exact-volume" (version 2)
-    search_samples: int = 64
+    search_samples: ClassVar[int] = ROOT_SAMPLES
 
     def __post_init__(self):
-        for name in ("version", "c", "search_samples"):
+        for name in ("version", "c"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
@@ -177,8 +178,6 @@ class NeighbourhoodSpec:
             raise ConfigurationError(f"version must be 1, 2 or 3, got {self.version}")
         if self.c < 1:
             raise ConfigurationError(f"cardinality c must be >= 1, got {self.c}")
-        if self.search_samples < 2:
-            raise ConfigurationError("search_samples must be >= 2")
         if self.alpha_mode not in ("literal", "exact-volume"):
             raise ConfigurationError(f"unknown alpha_mode {self.alpha_mode!r}")
         # a str or bytes is a Sequence, and would otherwise pass for per-line values
@@ -335,26 +334,22 @@ def _witness_pieces(X: np.ndarray, D: np.ndarray, sq: np.ndarray, is_segment: np
             is_segment | bounded)
 
 
-def _line_candidate_window(l1: SegmentLike, x2: np.ndarray, d2: np.ndarray, sq2: float,
-                           threshold: float, reach: tuple[float, float]
-                           ) -> tuple[float, float] | None:
-    """Finite s-interval that must contain any witness on an infinite l2,
-    the carrier row (x2, d2, sq2), or None when none can.  A witness lies
-    within threshold of its closest point on l1, at a t* in the reach, so
-    within threshold + h of the centre c of the piece of l1 the reach
-    covers, h its half-length: the window is the chord of that ball, around
-    the closest approach s0 of l2 to c.
+def _line_windows(l1: SegmentLike, threshold: float, reach: tuple[float, float],
+                  X: np.ndarray, D: np.ndarray, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite s-intervals (lo, hi) that must contain any witness on m
+    infinite l2s, the carrier rows (X, D, sq), each empty (hi < lo) where
+    none can.  A witness lies within threshold of its closest point on l1,
+    at a t* in the reach, so within threshold + h of the centre c of the
+    piece of l1 the reach covers, h its half-length: each window is the
+    chord of that ball, around the closest approach s0 of its l2 to c, the
+    foot _feet_sq gives.
     """
     c = l1.x + 0.5 * (reach[0] + reach[1]) * l1.direction
     radius = threshold + 0.5 * (reach[1] - reach[0]) * math.sqrt(l1.sq_length)
-    r = x2 - c
-    s0 = -float(r @ d2) / sq2
-    r += s0 * d2
-    half_sq = (radius * radius - float(r @ r)) / sq2
-    if half_sq <= 0.0:
-        return None
-    half = math.sqrt(half_sq)
-    return (s0 - half, s0 + half)
+    s0, dist_sq = _feet_sq(c, X, D, sq, False)
+    half_sq = (radius * radius - dist_sq) / sq
+    half = np.sqrt(half_sq, out=np.full_like(half_sq, -math.inf), where=half_sq > 0.0)
+    return s0 - half, s0 + half
 
 
 def _f1(l1: SegmentLike, p1: Profile, reach: tuple[float, float], t: np.ndarray) -> np.ndarray:
@@ -444,60 +439,58 @@ def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
 
 def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
                   reach: tuple[float, float], threshold: float, X: np.ndarray,
-                  D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  samples: int, on_undecided: Callable[[], None] | None) -> np.ndarray:
-    """The witness decisions of m pairs (l1, l2_k) at once: (m,) bools.
+                  D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                  ) -> tuple[np.ndarray, int]:
+    """The witness decisions of m pairs (l1, l2_k) at once: (m,) bools, and
+    how many of the pairs are undecided.
 
     X, D, sq are the l2s' carrier rows and lo, hi their witness domains;
-    reach and threshold > 0 are l1's (_witness_threshold), and samples is the
-    size of each root grid.  An empty window (hi < lo) is False.  An
-    unbounded one, a line without a density, is cut pair by pair to
-    _line_candidate_window, False when there is none.  A one-parameter
-    witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
-    that parameter, all of them in one _point_hits pass.  Any other pair is
-    its root level, in blocks of ROOT_BLOCK pairs; then, level by level,
-    each cell a block keeps for a pair with no hit goes back to _root_level
-    as a window of three points, in calls of at most ROOT_BLOCK * samples
-    points.  A pair is True at its first phi < 0 and False when it keeps no
-    cell.  One that keeps a cell no wider than SEARCH_TOL, or whose cells
-    below the root grid would number more than WITNESS_BUDGET, is
-    undecided: False, after on_undecided().
+    reach and threshold > 0 are l1's (_witness_threshold).  An empty window
+    (hi < lo) is False.  The unbounded ones, lines without a density, are
+    cut to _line_windows in one call.  A one-parameter witness set, a point
+    l2 or a window no wider than SEARCH_TOL, is phi at that parameter, all
+    of them in one _point_hits pass.  Any other pair is its root level, a
+    grid of ROOT_SAMPLES, in blocks of ROOT_BLOCK pairs; then, level by
+    level, each cell a block keeps for a pair with no hit goes back to
+    _root_level as a window of three points, in calls of at most
+    ROOT_BLOCK * ROOT_SAMPLES points.  A pair is True at its first phi < 0
+    and False when it keeps no cell.  One that keeps a cell no wider than
+    SEARCH_TOL, or whose cells below the root grid would number more than
+    WITNESS_BUDGET, is undecided: False, its cells dropped before they are
+    gathered.
     """
-    lo, hi = lo.copy(), hi.copy()
+    free = np.flatnonzero(np.isinf(lo))
+    if len(free):
+        lo, hi = lo.copy(), hi.copy()
+        lo[free], hi[free] = _line_windows(l1, threshold, reach, X[free], D[free], sq[free])
     live = hi >= lo
-    for k in np.flatnonzero(live & np.isinf(lo)).tolist():
-        window = _line_candidate_window(l1, X[k], D[k], sq[k], threshold, reach)
-        if window is None:
-            live[k] = False
-        else:
-            lo[k], hi[k] = window
     hits = np.zeros(len(X), dtype=bool)
     narrow = live & ((sq == 0.0) | (hi - lo <= SEARCH_TOL))
     single = np.flatnonzero(narrow)
     if len(single):
         hits[single] = _point_hits(l1, p1, alpha1, reach, X[single] + lo[single, None] * D[single])
     batched = np.flatnonzero(live & ~narrow)
-    cells = ROOT_BLOCK * samples // 3  # three points a cell: no call holds more than a root block
+    # three points a cell: no call below the root holds more points than a root block
+    cells = ROOT_BLOCK * ROOT_SAMPLES // 3
+    undecided = 0
     for k in range(0, len(batched), ROOT_BLOCK):
         idx = batched[k:k + ROOT_BLOCK]
         Xb, Db, sqb = X[idx], D[idx], sq[idx]
         s, _, _, hit, keep = _root_level(l1, p1, alpha1, reach, Xb, Db, sqb, lo[idx], hi[idx],
-                                         samples)
-        r, spent = np.arange(len(idx)), 0  # the block's pair of each window
+                                         ROOT_SAMPLES)
+        r = np.arange(len(idx))  # the block's pair of each window
+        spent, stuck = np.zeros(len(idx)), np.zeros(len(idx), dtype=bool)
         while True:
-            # the kept cells [a, b] of the pairs with no hit
-            i, h = np.nonzero(keep & ~hit[r, None])
-            if not len(i):
+            keep &= ~hit[r, None]  # the kept cells of the pairs with no hit
+            if not keep.any():
                 break
+            spent += np.bincount(r, keep.sum(axis=1), len(idx))
+            stuck |= spent > WITNESS_BUDGET  # undecided before their cells are gathered
+            i, h = np.nonzero(keep & ~stuck[r, None])
             r, a, b = r[i], s[i, h], s[i, h + 1]
-            spent += np.bincount(r, minlength=len(idx))
-            over = (spent[r] > WITNESS_BUDGET) | (b - a <= SEARCH_TOL)
-            if over.any():  # the pairs of these cells are undecided
-                stuck = np.zeros(len(idx), dtype=bool)
-                stuck[r[over]] = True
-                if on_undecided is not None:
-                    for _ in range(int(stuck.sum())):
-                        on_undecided()
+            narrow = b - a <= SEARCH_TOL
+            if narrow.any():  # the pairs of these cells are undecided
+                stuck[r[narrow]] = True
                 alive = ~stuck[r]
                 r, a, b = r[alive], a[alive], b[alive]
             s, keep = np.empty((len(r), 3)), np.empty((len(r), 2), dtype=bool)
@@ -507,12 +500,13 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
                     l1, p1, alpha1, reach, Xb[q], Db[q], sqb[q], a[j:j + cells], b[j:j + cells], 3)
                 hit[q[found]] = True
         hits[idx] = hit
-    return hits
+        undecided += int(stuck.sum())
+    return hits, undecided
 
 
 def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
-                 l2: SegmentLike, profile2: Profile | None = None, *, root: bool | None = None,
-                 on_undecided: Callable[[], None] | None = None) -> bool:
+                 l2: SegmentLike, profile2: Profile | None = None, *,
+                 root: bool | None = None) -> bool:
     """Witness test: does any point of l2 (within its own declared support)
     fall strictly inside l1's alpha-scaled density neighbourhood.
 
@@ -520,17 +514,14 @@ def relates_prob(l1: SegmentLike, profile1: Profile, alpha1: float,
     relates_v1's is, returned as it is.  Without it the pair is row 0 of
     the two-line version 3 evaluator [l1, l2], its spec validated by
     NeighbourhoodSpec, so the pair takes a row's dispatch and bounds.  A
-    pair the branch and bound cannot decide returns False and calls
-    on_undecided, when given.
+    pair the branch and bound cannot decide returns False; a caller that
+    needs to know builds that evaluator and reads its undecided_count.
     """
     if root is not None:
         return root
-    ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha1,
-                                                       profile=[profile1, profile2]))
-    related = ev.relates(0, 1)
-    if ev.undecided_count and on_undecided is not None:
-        on_undecided()
-    return related
+    return RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha1,
+                                                         profile=[profile1, profile2])
+                             ).relates(0, 1)
 
 
 # -- dispatch and neighbour sets ----------------------------------------------
@@ -716,15 +707,12 @@ class RelationEvaluator:
         reach, threshold = self.thresholds[i]
         related = (self._carrier_bound(i, js) < threshold) & (threshold > 0.0)
         idx = np.arange(len(U))[js][related]
-        related[related] = _witness_hits(
+        related[related], undecided = _witness_hits(
             l1, p1, alpha1, reach, threshold, self.x[idx], self.direction[idx],
-            self.sq_length[idx], self.window_lo[idx], self.window_hi[idx],
-            self.spec.search_samples, self._count_undecided)
+            self.sq_length[idx], self.window_lo[idx], self.window_hi[idx])
+        self.undecided_count += undecided
         return [j for j, root in zip(lines, related.tolist())
                 if relates_prob(l1, p1, alpha1, U[j], root=root)]
-
-    def _count_undecided(self) -> None:
-        self.undecided_count += 1
 
     def relates(self, i: int, j: int) -> bool:
         """Does line i relate to line j."""

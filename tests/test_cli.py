@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lineclust.cli import main
+from lineclust.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -150,12 +150,28 @@ class TestCluster:
             assert run_cli("cluster", data, "--config", cfg, "--out", out) == 2
             err = capsys.readouterr().err
             assert f"unknown config key(s) {next(iter(extra))}" in err
-            assert "accepted:" in err and "search_samples" in err
+            assert "accepted:" in err and "alpha_mode" in err
             assert not out.exists()
+
+    def test_root_grid_is_no_option(self, tmp_path, capsys):
+        # the witness search's root grid is a constant: neither a flag nor a
+        # config key sets it, and the results echo still reports it
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        flags = ("--version", 1, "--c", 5, "--alpha", 12)
+        out = tmp_path / "never.json"
+        assert run_cli("cluster", data, *flags, "--search-samples", 32, "--out", out) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"search_samples": 32}))
+        assert run_cli("cluster", data, *flags, "--config", cfg, "--out", out) == 2
+        assert "unknown config key(s) search_samples" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("cluster", data, *flags, "--out", tmp_path / "r.json") == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["config"]["search_samples"] == 64
 
     @pytest.mark.parametrize("bad", [
         {"crop": [0, 0, 1, 1]},
-        {"search_samples": "many"},
         {"c": 2.7},
         {"seed": 2.9},
         {"version": True},
@@ -179,14 +195,18 @@ class TestCluster:
 
     def test_every_cluster_option_is_a_config_key(self, tmp_path):
         data = self._gen(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
+        config = {
             "format": "csv", "version": 1, "c": 5, "alpha": 12.0, "mode": "literal",
-            "seed": 2, "search_samples": 32, "alpha_mode": "literal",
+            "seed": 2, "alpha_mode": "literal",
             "out": str(tmp_path / "r.json"), "svg": str(tmp_path / "r.svg"),
             "trace": str(tmp_path / "t.jsonl"), "crop": None, "volume": None,
             "profile": None, "profiles": None,
-        }))
+        }
+        # the config names each cluster option, no more and no fewer
+        options = vars(build_parser().parse_args(["cluster", str(data)]))
+        assert set(config) == set(options) - {"command", "func", "input", "config"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
         assert run_cli("cluster", data, "--config", cfg) == 0
         assert (tmp_path / "r.svg").exists() and (tmp_path / "t.jsonl").exists()
 

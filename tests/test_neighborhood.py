@@ -63,14 +63,18 @@ class TestSpecValidation:
         (dict(version=2.0, c=2, volume=2.0, profile=U01), "version"),
         (dict(version=1, c=2.5, alpha=1.0), "c"),
         (dict(version=1, c=True, alpha=1.0), "c"),
-        (dict(version=3, c=2, alpha=1.0, profile=U01, search_samples=8.5), "search_samples"),
-        (dict(version=3, c=2, alpha=1.0, profile=U01, search_samples=False), "search_samples"),
     ])
     def test_integer_fields_must_be_integers(self, kwargs, what):
-        # True would otherwise run as version 1, and search_samples=8.5 would
-        # fail only at the first witness row
+        # True would otherwise run as version 1
         with pytest.raises(ConfigurationError, match=f"{what} must be an integer"):
             NeighbourhoodSpec(**kwargs)
+
+    def test_root_grid_is_a_constant_not_a_field(self):
+        # the results echo reads search_samples; no spec sets it
+        assert NeighbourhoodSpec.search_samples == neighborhood.ROOT_SAMPLES == 64
+        assert NeighbourhoodSpec(version=3, c=2, alpha=1.0, profile=U01).search_samples == 64
+        with pytest.raises(TypeError):
+            NeighbourhoodSpec(version=3, c=2, alpha=1.0, profile=U01, search_samples=32)
 
     @pytest.mark.parametrize("kwargs, what", [
         (dict(version=1, c=2, alpha="2"), "alpha"),
@@ -266,13 +270,13 @@ class TestRelatesProb:
 
     def test_zero_density_ends_are_undecided_once(self):
         # beta(2, 1) vanishes at the shared point, where the distance does
-        # too: the search cannot prune the cell there, as in the pair's row
+        # too: the search cannot prune the cell there; relates_prob decides
+        # the pair as this evaluator's row
         l1, l2, p = UNIT, segment((0, 0), (1, 1)), Profile.beta(2.0, 1.0)
-        undecided = []
-        assert relates_prob(l1, p, 0.4, l2, p, on_undecided=lambda: undecided.append(1)) is False
+        assert relates_prob(l1, p, 0.4, l2, p) is False
         ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=0.4, profile=p))
         assert ev.relates(0, 1) is False
-        assert len(undecided) == ev.undecided_count == 1
+        assert ev.undecided_count == 1
 
     @pytest.mark.parametrize("p1", [U01, Profile.uniform(-0.5, 1.5)])
     def test_capsule_against_an_empty_witness_domain(self, p1):
@@ -900,10 +904,10 @@ class TestWitnessSetUp:
                 bare = relates_prob(l1, p1, 1.0, l2, p2)
                 # the resolved set-up, handed to the row's witness decision
                 lo, hi = _witness_domain(l2, p2)
-                hit, = _witness_hits(l1, p1, 1.0, reach, threshold, l2.x[None],
-                                     l2.direction[None], np.array([l2.sq_length]),
-                                     np.array([lo]), np.array([hi]), 64, None)
-                assert hit == bare, (i, j)
+                (hit,), undecided = _witness_hits(l1, p1, 1.0, reach, threshold, l2.x[None],
+                                                  l2.direction[None], np.array([l2.sq_length]),
+                                                  np.array([lo]), np.array([hi]))
+                assert hit == bare and undecided == 0, (i, j)
                 assert ev.relates(i, j) == bare, (i, j)
                 decided[i, j] = bare
         # each kind of target, from a source segment and a source line

@@ -12,9 +12,9 @@ The benchmark's datasets send few pairs below the witness search's root
 grid, so a seeded corpus of small version 3 datasets pins that search too:
 every family of f1 (normal variances down to 1e-7, spikes the root grid
 misses), segments, lines and points, density-free lines and root grids of
-64, 17 and 5 samples.  Its digest also takes each evaluator's undecided
-count, and the corpus holds undecided pairs, so the pairs the search cannot
-certify are pinned as well.
+64, 17 and 5 samples, set through the module constant ROOT_SAMPLES.  Its
+digest also takes each evaluator's undecided count, and the corpus holds
+undecided pairs, so the pairs the search cannot certify are pinned as well.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ import pytest
 from test_acceptance import _synthetic_expression_dataset
 from test_witness_search import FAMILIES, random_profile
 
+from lineclust import neighborhood
 from lineclust.data_io import gen_doughnut, gen_isolated
 from lineclust.geometry import line, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
@@ -87,7 +88,7 @@ def _corpus_profile(rng, family):
 def _corpus_dataset(seed):
     """Dataset seed of the corpus: 10 to 40 lines in dimension 2, 3 or 7,
     about 10% points, 20% lines and the rest segments, about 10% of them
-    without a density, and a root grid of 64, 17 or 5 samples."""
+    without a density, and the root grid it runs on, 64, 17 or 5 samples."""
     rng = np.random.default_rng([7, seed])
     dim = (2, 3, 7)[seed % 3]
     U, profiles = [], []
@@ -97,18 +98,20 @@ def _corpus_dataset(seed):
         kind = rng.random()
         U.append(segment(x, x) if kind < 0.1 else line(x, y) if kind < 0.3 else segment(x, y))
         profiles.append(None if rng.random() < 0.1 else _corpus_profile(rng, FAMILIES[k % 6]))
-    return U, NeighbourhoodSpec(version=3, c=1, alpha=float(rng.uniform(0.05, 1.0)),
-                                profile=profiles, search_samples=(64, 17, 5)[seed // 3 % 3])
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=float(rng.uniform(0.05, 1.0)),
+                             profile=profiles)
+    return U, spec, (64, 17, 5)[seed // 3 % 3]
 
 
-def test_witness_search_corpus_is_pinned():
+def test_witness_search_corpus_is_pinned(monkeypatch):
     """The corpus's 60 datasets hold 47,382 pairs.  904 of them leave the
     root grid with a kept cell and no hit, and 619 of those find a witness
     below it."""
     h = hashlib.sha256()
     undecided = 0
     for seed in range(60):
-        U, spec = _corpus_dataset(seed)
+        U, spec, samples = _corpus_dataset(seed)
+        monkeypatch.setattr(neighborhood, "ROOT_SAMPLES", samples)
         ev = RelationEvaluator(U, spec)
         for i in range(len(U)):
             h.update(repr(sorted(ev.neighbor_set(i))).encode())

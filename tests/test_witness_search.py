@@ -23,6 +23,7 @@ reference calls the distance kernels the library's φ runs on,
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from lineclust.neighborhood import (
     NeighbourhoodSpec,
     RelationEvaluator,
     _cell_bounds,
-    _line_candidate_window,
+    _line_windows,
     _point_hits,
     _root_level,
     _witness_threshold,
@@ -418,13 +419,20 @@ def test_undecided_pair_is_counted_within_budget(monkeypatch, case, min_refined,
     assert min_refined <= sum(cells for cells, _ in calls[1:]) <= max_refined
 
 
-def test_levels_below_the_root_hold_no_more_points_than_a_root_block(monkeypatch):
-    """A 7-d row of 64 copies of the flat undecided pair keeps every cell
-    until the budget ends each pair: no _root_level call holds more points
-    than a root block, and every pair is counted undecided once."""
+def _flat_row_7d():
+    """An evaluator whose row 0 is a 7-d row of 64 copies of the flat
+    undecided pair, which keeps every cell until the budget ends it."""
     l1, l2, p, alpha = _undecided_flat()
     lift = np.eye(2, 7)
     l1, l2 = (segment(l.x @ lift, l.y @ lift) for l in (l1, l2))
+    return RelationEvaluator([l1] + [l2] * 64,
+                             NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p))
+
+
+def test_levels_below_the_root_hold_no_more_points_than_a_root_block(monkeypatch):
+    """The 7-d row of 64 flat undecided pairs: no _root_level call holds
+    more points than a root block, and every pair is counted undecided
+    once."""
     points = []
     root_level = neighborhood._root_level
 
@@ -433,13 +441,28 @@ def test_levels_below_the_root_hold_no_more_points_than_a_root_block(monkeypatch
         return root_level(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples)
 
     monkeypatch.setattr(neighborhood, "_root_level", recording)
-    spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
-    ev = RelationEvaluator([l1] + [l2] * 64, spec)
+    ev = _flat_row_7d()
     assert ev.neighbor_set(0) == {0}
     assert ev.undecided_count == 64
-    assert max(points) <= ROOT_BLOCK * spec.search_samples
+    assert max(points) <= ROOT_BLOCK * ev.spec.search_samples
     # each pair spends at least half its budget, three points a cell
     assert sum(points) > 64 * WITNESS_BUDGET // 2 * 3
+
+
+def test_over_budget_pairs_are_dropped_before_their_cells_are_gathered():
+    """The 7-d row of 64 flat undecided pairs: a level drops the pairs its
+    cells would take past WITNESS_BUDGET before it gathers their cells, so
+    the row's traced peak stays below 7 MB (9.6 MB when they are gathered
+    and then dropped), with every pair still counted undecided once."""
+    ev = _flat_row_7d()
+    tracemalloc.start()
+    try:
+        row = ev.neighbor_set(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row == {0} and ev.undecided_count == 64
+    assert peak < 7e6, peak
 
 
 def _root_pairs(rng, dim, family):
@@ -511,15 +534,16 @@ def test_row_wider_than_a_block_matches_single_pairs(monkeypatch):
 def test_bare_call_is_a_batch_of_one(monkeypatch):
     # relates_prob without a root is row 0 of the two-line evaluator
     # [l1, l2], which hands l1's reach and threshold and l2's domain to
-    # _witness_hits as a batch of one
+    # _witness_hits as a batch of one, and gets its decision and a count
+    # of 0 undecided back
     l1, l2, p = line((0, 0), (1, 0)), line((0, 0.3), (1, 0.35)), Profile.normal(0.5, 0.04)
     reach, threshold = _witness_threshold(l1, p, 1.0)
     calls, built = [], []
     witness_hits = neighborhood._witness_hits
 
     def recording(*args):
-        calls.append(args)
-        return witness_hits(*args)
+        calls.append((args, witness_hits(*args)))
+        return calls[-1][1]
 
     class Recorded(RelationEvaluator):
         def __init__(self, U, spec):
@@ -530,8 +554,9 @@ def test_bare_call_is_a_batch_of_one(monkeypatch):
     monkeypatch.setattr(neighborhood, "RelationEvaluator", Recorded)
     assert relates_prob(l1, p, 1.0, l2, None)
     assert built == [([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=[p, None]))]
-    (l1_, p_, alpha, reach_, threshold_, X, D, sq, lo, hi, samples, _), = calls
-    assert (l1_, p_, alpha, reach_, threshold_, samples) == (l1, p, 1.0, reach, threshold, 64)
+    ((l1_, p_, alpha, reach_, threshold_, X, D, sq, lo, hi), (hits, undecided)), = calls
+    assert (l1_, p_, alpha, reach_, threshold_) == (l1, p, 1.0, reach, threshold)
+    assert hits.tolist() == [True] and undecided == 0
     assert np.array_equal(X, l2.x[None]) and np.array_equal(D, l2.direction[None])
     assert sq.tolist() == [l2.sq_length] and (lo.tolist(), hi.tolist()) == ([-math.inf], [math.inf])
     assert RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=1.0,
@@ -555,7 +580,7 @@ def _to_piece(l1, reach, pts):
 def test_line_window_holds_every_witness(dim):
     """Seeded property of the window of an infinite l2: every densely sampled
     s whose point is within threshold of l1 at a t* inside the reach lies
-    inside it, and it is None only when no sample lies within threshold of
+    inside it, and it is empty only when no sample lies within threshold of
     the piece of l1 the reach covers.  The samples span every s whose point
     is within threshold of that piece: the piece's ends projected onto l2,
     widened by threshold / |d2|, since the parameter of a point's
@@ -571,7 +596,8 @@ def test_line_window_holds_every_witness(dim):
             else (0.0, 1.0)
         l2 = random_carrier(rng, dim, "line")
         threshold = rng.uniform(0.05, 3.0)
-        window = _line_candidate_window(l1, l2.x, l2.direction, l2.sq_length, threshold, reach)
+        window = tuple(float(end[0]) for end in _line_windows(
+            l1, threshold, reach, l2.x[None], l2.direction[None], np.array([l2.sq_length])))
 
         ends = [l1.x + r * l1.direction for r in reach]
         proj = [float((e - l2.x) @ l2.direction) / l2.sq_length for e in ends]
@@ -580,11 +606,11 @@ def test_line_window_holds_every_witness(dim):
         dist, to_piece, t = _to_piece(l1, reach, l2.x + np.outer(s, l2.direction))
         witness = (dist < threshold) & (t >= reach[0]) & (t <= reach[1])
         near = to_piece < threshold
-        outcomes[window is not None] += 1
-        if window is None:
+        lo, hi = window
+        outcomes[hi >= lo] += 1
+        if hi < lo:
             assert not near.any(), (k, l1, l2, threshold, reach)
             continue
-        lo, hi = window
         inside = (s > lo) & (s < hi)
         assert inside[witness].all() and inside[near].all(), (k, l1, l2, threshold, reach)
         centre = l1.x + 0.5 * (reach[0] + reach[1]) * l1.direction
@@ -593,6 +619,29 @@ def test_line_window_holds_every_witness(dim):
             assert math.isclose(np.linalg.norm(l2.x + end * l2.direction - centre), radius,
                                 rel_tol=1e-9), (k, end)
     assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_line_windows_batch_is_bit_identical_to_single_lines(dim):
+    """_line_windows over m lines gives each line the bits a batch of one
+    gives it, an empty window included."""
+    rng = np.random.default_rng(300 + dim)
+    empty = 0
+    for k in range(48):
+        l1 = random_carrier(rng, dim, ("segment", "line", "degenerate")[k % 3])
+        reach = effective_window(random_profile(rng, FAMILIES[k % 6])) if l1.is_line \
+            else (0.0, 1.0)
+        threshold = rng.uniform(0.05, 3.0)
+        l2s = [random_carrier(rng, dim, "line") for _ in range(int(rng.integers(2, 12)))]
+        X = np.array([l.x for l in l2s])
+        D = np.array([l.direction for l in l2s])
+        sq = np.array([l.sq_length for l in l2s])
+        lo, hi = _line_windows(l1, threshold, reach, X, D, sq)
+        for r in range(len(l2s)):
+            one = _line_windows(l1, threshold, reach, X[r:r + 1], D[r:r + 1], sq[r:r + 1])
+            assert (lo[r], hi[r]) == (one[0][0], one[1][0]), (k, r)
+        empty += int((hi < lo).sum())
+    assert 0 < empty
 
 
 def _witnesses(monkeypatch, l1, p1, alpha, l2, p2):
@@ -956,17 +1005,22 @@ def test_rows_refine_the_pairs_their_root_level_leaves_open(monkeypatch):
 
 def test_rows_count_each_undecided_pair_once():
     """Two segments from one point, where beta(2, 1)'s density vanishes: a
-    row counts as many undecided pairs as relates_prob alone reports
-    through on_undecided, and takes the same decisions."""
+    row counts as many undecided pairs as the two-line evaluators of its
+    pairs, the rows a bare relates_prob decides, and takes the same
+    decisions."""
     U = [segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.0), (1.0, 1.0))]
     p, alpha = Profile.beta(2.0, 1.0), 0.4
-    undecided = []
-    expected = [{j for j, l2 in enumerate(U)
-                 if relates_prob(l1, p, alpha, l2, p, on_undecided=lambda: undecided.append(1))}
-                for l1 in U]
-    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p))
+    spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=p)
+    expected = [{j for j, l2 in enumerate(U) if relates_prob(l1, p, alpha, l2, p)} for l1 in U]
+    undecided = 0
+    for l1 in U:
+        for l2 in U:
+            pair = RelationEvaluator([l1, l2], spec)
+            pair.relates(0, 1)
+            undecided += pair.undecided_count
+    ev = RelationEvaluator(U, spec)
     assert [ev.neighbor_set(i) for i in range(len(U))] == expected
-    assert ev.undecided_count == len(undecided)
+    assert ev.undecided_count == undecided > 0
 
 
 # -- capsules: a segment under uniform(a, b) with a <= 0 and b >= 1 -----------
