@@ -18,7 +18,7 @@ from .geometry import (
     segment,
 )
 from .missing_data import AxisDomain, LiftResult, lift, lift_dataset
-from .neighborhood import NeighbourhoodSpec, RelationEvaluator, contains_point
+from .neighborhood import NeighbourhoodSpec, RelationEvaluator
 from .profiles import Profile, effective_window, neighbourhood_volume, scaling_factor
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "SegmentLike",
     "UnsupportedRecordError",
     "closest_point",
-    "contains_point",
     "effective_window",
     "lift",
     "lift_dataset",

@@ -45,41 +45,18 @@ class SegmentRecord:
         return segment(self.x, self.y)
 
 
-# -- segments CSV ------------------------------------------------------------
+# -- CSV rows ------------------------------------------------------------------
 
-def _expect_header(cols: list[str], path) -> int:
-    names = [c.strip().lower() for c in cols]
-    if len(names) < 3 or len(names) % 2 == 0 or names[0] != "id":
-        raise ParseError(f"{path}:1: header must be id,x1..xn,y1..yn, got {cols}")
-    n = (len(names) - 1) // 2
-    expected = ["id"] + [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
-    if names != expected:
-        raise ParseError(f"{path}:1: header must be id,x1..xn,y1..yn, got {cols}")
-    return n
+def _csv_rows(path, header_fields, missing: bool):
+    """(id, values) for each data row of the CSV file at path.
 
-
-def _parse_floats(fields: list[str], path, lineno: int) -> list[float]:
-    out = []
-    for raw in fields:
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field {raw!r}") from None
-        if not math.isfinite(v):
-            raise ParseError(f"{path}:{lineno}: non-finite coordinate {raw!r}")
-        out.append(v)
-    return out
-
-
-def _check_unique_id(seen: dict[str, int], rid: str, path, lineno: int) -> None:
-    """Record rid's line; a second occurrence is a parse error."""
-    first = seen.setdefault(rid, lineno)
-    if first != lineno:
-        raise ParseError(f"{path}:{lineno}: duplicate id {rid!r} (first on line {first})")
-
-
-def load_segments_csv(path) -> list[SegmentRecord]:
-    records: list[SegmentRecord] = []
+    header_fields(header, path) checks the header and returns the number of
+    fields a row must have.  An empty file, a wrong field count, a repeated
+    id and a field that is not a finite number are ParseErrors naming
+    path:line; blank rows are skipped.  With missing, an empty field or NA
+    (case-insensitive) is a missing value, None.
+    """
+    what = "value" if missing else "coordinate"
     seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -87,20 +64,49 @@ def load_segments_csv(path) -> list[SegmentRecord]:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}:1: empty file") from None
-        n = _expect_header(header, path)
+        width = header_fields(header, path)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 1 + 2 * n:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {1 + 2 * n} fields, got {len(row)}")
-            _check_unique_id(seen, row[0], path, lineno)
-            vals = _parse_floats(row[1:], path, lineno)
-            records.append(SegmentRecord(
-                id=row[0],
-                x=np.array(vals[:n], dtype=np.float64),
-                y=np.array(vals[n:], dtype=np.float64),
-            ))
+            if len(row) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            first = seen.setdefault(row[0], lineno)
+            if first != lineno:
+                raise ParseError(f"{path}:{lineno}: duplicate id {row[0]!r} "
+                                 f"(first on line {first})")
+            values = []
+            for raw in row[1:]:
+                txt = raw.strip()
+                if missing and (txt == "" or txt.lower() == "na"):
+                    values.append(None)
+                    continue
+                try:
+                    v = float(txt)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric field {raw!r}") from None
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}:{lineno}: non-finite {what} {raw!r}")
+                values.append(v)
+            yield row[0], values
+
+
+# -- segments CSV ------------------------------------------------------------
+
+def _segments_header(cols: list[str], path) -> int:
+    names = [c.strip().lower() for c in cols]
+    n = (len(names) - 1) // 2
+    expected = ["id"] + [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
+    if n < 1 or names != expected:
+        raise ParseError(f"{path}:1: header must be id,x1..xn,y1..yn, got {cols}")
+    return 1 + 2 * n
+
+
+def load_segments_csv(path) -> list[SegmentRecord]:
+    records = []
+    for rid, vals in _csv_rows(path, _segments_header, missing=False):
+        n = len(vals) // 2
+        records.append(SegmentRecord(id=rid, x=np.array(vals[:n], dtype=np.float64),
+                                     y=np.array(vals[n:], dtype=np.float64)))
     return records
 
 
@@ -122,41 +128,17 @@ def write_segments_csv(records: Sequence[SegmentRecord], path) -> None:
 
 # -- points CSV (missing entries allowed) -------------------------------------
 
+def _points_header(cols: list[str], path) -> int:
+    names = [c.strip().lower() for c in cols]
+    n = len(names) - 1
+    if n < 1 or names[0] != "id" or names[1:] != [f"x{i}" for i in range(1, n + 1)]:
+        raise ParseError(f"{path}:1: header must be id,x1..xn, got {cols}")
+    return n + 1
+
+
 def load_points_csv(path) -> list[tuple[str, tuple]]:
     """Rows of (id, values); a missing value is None (empty field or NA)."""
-    rows: list[tuple[str, tuple]] = []
-    seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        names = [c.strip().lower() for c in header]
-        n = len(names) - 1
-        if n < 1 or names[0] != "id" or names[1:] != [f"x{i}" for i in range(1, n + 1)]:
-            raise ParseError(f"{path}:1: header must be id,x1..xn, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise ParseError(f"{path}:{lineno}: expected {n + 1} fields, got {len(row)}")
-            _check_unique_id(seen, row[0], path, lineno)
-            values = []
-            for raw in row[1:]:
-                txt = raw.strip()
-                if txt == "" or txt.lower() == "na":
-                    values.append(None)
-                    continue
-                try:
-                    v = float(txt)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric field {raw!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}:{lineno}: non-finite value {raw!r}")
-                values.append(v)
-            rows.append((row[0], tuple(values)))
-    return rows
+    return [(rid, tuple(values)) for rid, values in _csv_rows(path, _points_header, missing=True)]
 
 
 def write_points_csv(rows: Sequence[tuple[str, tuple]], path) -> None:

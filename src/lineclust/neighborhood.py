@@ -13,26 +13,29 @@ The witness test minimizes
 
     phi(s) = dist(g2(s), l1) - alpha1 * f1(t*(s))
 
-over l2's witness domain, its parameter domain intersected with the
-effective window of l2's own density (_witness_domain).  _phi alone
-evaluates it, reading f1 as 0 outside l1's reach, the t* range of its
-projection (_witness_threshold): [0, 1] for a segment, f1's effective
-window for a line.  No witness lies at or beyond the threshold
-alpha1 * sup f1 over the reach, and an unbounded domain, a line without a
-density, is cut to the finite window that threshold leaves
-(_line_windows).  phi can be multimodal: the density may have several
-influential bumps along t*(s) and dist has kinks where the projection
-clamps at a segment end.  The search is a certified branch and bound over
-the cells of a uniform root grid of ROOT_SAMPLES parameters (Shubert 1972;
-Hansen & Walster 2004).  Every cell [a, b] gets a lower bound on phi from
-its two ends (_cell_bounds): dist(g2(s), l1) is convex in s, t*(s) is
-monotone, every density is unimodal, and f1 is 0 on a cell whose t* range
-misses the reach.  One step, _root_level, evaluates phi on
-a grid over each of many windows, flags a phi < 0 and prunes the grid's
-cells whose bound is >= 0 (with a relative pad of PRUNE_PAD).  The root
-level is that step on each pair's witness window, and each level below it
-the same step on every cell kept for a pair with no hit, as a window of
-three points, its two ends and its midpoint, which bisects it.  A relation
+over l2's witness domain, its parameter domain ([0, 1] for a segment, all
+of R for a line) intersected with the effective window of l2's own density
+(_witness_domain).  _phi alone evaluates it, reading f1 as 0 outside l1's
+reach, which is l1's own witness domain: one rule for every carrier with a
+density, segment or line, so l1's neighbourhood holds no point whose foot
+on l1 lies outside f1's effective window, the window version 2 integrates
+f1's volume over.  No witness
+lies at or beyond the threshold alpha1 * sup f1 over the reach
+(_witness_threshold), and an unbounded domain, a line without a density, is
+cut to the finite window that threshold leaves (_line_windows).  phi can
+be multimodal: the density may have several influential bumps along t*(s)
+and dist has kinks where the projection clamps at a segment end.  The
+search is a certified branch and bound over the cells of a uniform root
+grid of ROOT_SAMPLES parameters (Shubert 1972; Hansen & Walster 2004).
+Every cell [a, b] gets a lower bound on phi from its two ends
+(_cell_bounds): dist(g2(s), l1) is convex in s, t*(s) is monotone, every
+density is unimodal, and f1 is 0 on a cell whose t* range misses the
+reach.  One step, _root_level, evaluates phi on a grid over each of many
+windows, flags a phi < 0 and prunes the grid's cells whose bound is >= 0
+(with a relative pad of PRUNE_PAD).  The root level is that step on each
+pair's witness window, and each level below it the same step on every cell
+kept for a pair with no hit, as a window of three points, its two ends and
+its midpoint, which bisects it.  A relation
 is reported only for an actually evaluated phi(s) < 0, so false positives
 are impossible, and a pair is unrelated only when every cell is pruned.  A
 pair that keeps a cell no wider than SEARCH_TOL, or whose cells below the
@@ -114,7 +117,7 @@ from .geometry import (
     _carriers,
     _feet_sq,
     _min_distance_many,
-    closest_point,
+    closest_point,  # unused, like density: benchmark/tracing.py patches both names
     min_distance,
 )
 from .profiles import (
@@ -145,7 +148,10 @@ class NeighbourhoodSpec:
     applied to every line, or a per-line sequence indexed like the dataset.
     A None profile entry declares a line density-free (version 3 then falls
     back to the metric relation for that line, and its whole extent acts as
-    the witness set).  A segment whose profile is uniform(a, b) with a <= 0
+    the witness set).  A line reads its profile only over its reach, its
+    parameter domain ([0, 1] for a segment, all of R for a line) cut to the
+    profile's effective window, so a segment whose window misses [0, 1]
+    relates to nothing.  A segment whose profile is uniform(a, b) with a <= 0
     and b >= 1, the default template of a lifted record, is a metric line
     too: its neighbourhood is a capsule of radius alpha / (b - a), decided
     by the exact distance to each target's witness piece.  Values are
@@ -188,7 +194,8 @@ class NeighbourhoodSpec:
             raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
                                      f"string {self.profile!r} (parse_profile reads that form)")
         for what, value in _entries(self.alpha, "alpha"):
-            _check_alpha(what, value)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
         for what, value in _entries(self.profile, "profile"):
             if value is not None and not isinstance(value, Profile):
                 raise ConfigurationError(f"{what} must be a Profile or None, got {value!r}")
@@ -228,12 +235,6 @@ def _entries(values, field: str):
     return [] if values is None else [(field, values)]
 
 
-def _check_alpha(what: str, value) -> None:
-    """A ConfigurationError unless value is a finite positive real number."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-        raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
-
-
 def _per_line(values, n: int, field: str) -> list:
     """values as a list of n per-line entries: a single value repeated, or a
     per-line sequence of exactly n entries."""
@@ -245,16 +246,7 @@ def _per_line(values, n: int, field: str) -> list:
     return list(values)
 
 
-# -- membership and version 1 ------------------------------------------------
-
-def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
-    """Is the point strictly inside the alpha-scaled neighbourhood, f cut to
-    l's reach.  alpha is checked as NeighbourhoodSpec checks it."""
-    _check_alpha("alpha", alpha)
-    cp = closest_point(point, l)
-    lo, hi = effective_window(p) if l.is_line else (0.0, 1.0)
-    return lo <= cp.t_star <= hi and cp.distance < alpha * density(p, cp.t_star)
-
+# -- version 1 ----------------------------------------------------------------
 
 def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
                root: bool | None = None) -> bool:
@@ -275,7 +267,8 @@ def relates_v1(l1: SegmentLike, l2: SegmentLike, alpha1: float,
 def _witness_domain(l: SegmentLike, p: Profile | None) -> tuple[float, float]:
     """Parameters of l a witness may take: [0, 1] for a segment, unbounded
     for a line, intersected with the effective window of l's own density p.
-    Empty (hi < lo) when that window misses [0, 1]."""
+    Empty (hi < lo) when that window misses [0, 1].  It is also l's reach as
+    a source, the t* at which its density is read."""
     lo, hi = (-math.inf, math.inf) if l.is_line else (0.0, 1.0)
     if p is not None:
         w = effective_window(p)
@@ -283,30 +276,21 @@ def _witness_domain(l: SegmentLike, p: Profile | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _witness_threshold(l1: SegmentLike, p1: Profile, alpha1: float,
-                       domain1: tuple[float, float] | None = None
-                       ) -> tuple[tuple[float, float], float]:
-    """Line l1's reach and witness threshold, which depend on l1 alone.
-
-    The reach is the range of t*(s) values the projection onto l1 can
-    produce: [0, 1] for a segment, and for a line its witness domain
-    (domain1 when the caller has it), the effective window of f1.  The
-    threshold is alpha1 * sup f1 over the reach, 0.0 where f1 vanishes
-    there; no witness lies at or beyond it.
-    """
-    if alpha1 <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha1}")
-    reach = (domain1 or _witness_domain(l1, p1)) if l1.is_line else (0.0, 1.0)
+def _witness_threshold(p1: Profile, alpha1: float, reach: tuple[float, float]) -> float:
+    """The witness threshold of a line l1 with density p1 and scale alpha1
+    whose reach is its witness domain (_witness_domain), the t* at which f1
+    is read: alpha1 * sup f1 over the reach, 0.0 where f1 vanishes there or
+    the reach is empty.  No witness lies at or beyond it."""
     cap = peak_density(p1, *reach)
-    return reach, alpha1 * cap if cap > 0.0 else 0.0
+    return alpha1 * cap if cap > 0.0 else 0.0
 
 
 def _is_capsule(l1: SegmentLike, p1: Profile) -> bool:
     """Is l1's neighbourhood a capsule, decided by the distance kernel
     rather than the witness search.
 
-    A segment whose f1 is uniform(a, b) with a <= 0 and b >= 1 has f1 =
-    1 / (b - a) at every t* its projection can give, [0, 1], so its
+    A segment whose f1 is uniform(a, b) with a <= 0 and b >= 1 has the reach
+    [0, 1] and f1 = 1 / (b - a) at every t* its projection can give, so its
     neighbourhood is the capsule around it whose radius is its threshold
     (_witness_threshold), the product alpha1 * f1 that phi subtracts.  A
     pair relates exactly when the minimum distance to l2's witness piece is
@@ -352,17 +336,17 @@ def _line_windows(l1: SegmentLike, threshold: float, reach: tuple[float, float],
     return s0 - half, s0 + half
 
 
-def _f1(l1: SegmentLike, p1: Profile, reach: tuple[float, float], t: np.ndarray) -> np.ndarray:
-    """f1 at each of the parameters t of l1, read as 0 outside the reach."""
+def _f1(p1: Profile, reach: tuple[float, float], t: np.ndarray) -> np.ndarray:
+    """f1 at each of the parameters t of l1, read as 0 outside l1's reach,
+    a segment's as a line's."""
     f = p1.pdf(t)
-    if l1.is_line:  # a segment's t is clamped into its reach [0, 1]
-        f[(t < reach[0]) | (t > reach[1])] = 0.0
+    f[(t < reach[0]) | (t > reach[1])] = 0.0
     return f
 
 
-def _cell_bounds(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, float],
-                 a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray, ta: np.ndarray,
-                 tb: np.ndarray, s_min: float, speed: float) -> tuple[np.ndarray, np.ndarray]:
+def _cell_bounds(profile1: Profile, alpha1: float, reach: tuple[float, float], a: np.ndarray,
+                 b: np.ndarray, da: np.ndarray, db: np.ndarray, ta: np.ndarray, tb: np.ndarray,
+                 s_min: float, speed: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on phi over cells [a, b] of l2's parameter, and the
     pad each bound must clear before its cell is pruned: PRUNE_PAD times the
     sum of the two bounded parts, the distance and alpha1 * f1.
@@ -384,7 +368,7 @@ def _cell_bounds(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple
     dist = np.where(at_min, lipschitz, np.minimum(da, db))
     peak = np.clip(min(max(profile1.mode(), reach[0]), reach[1]), np.minimum(ta, tb),
                    np.maximum(ta, tb))
-    scaled = alpha1 * _f1(l1, profile1, reach, peak)
+    scaled = alpha1 * _f1(profile1, reach, peak)
     return dist - scaled, PRUNE_PAD * (dist + scaled)
 
 
@@ -394,7 +378,7 @@ def _phi(l1: SegmentLike, profile1: Profile, alpha1: float, reach: tuple[float, 
     the m rows of P, each row's values the same bits whatever the others."""
     t, sq = _feet_sq(P, l1.x, l1.direction, l1.sq_length, l1.kind == "segment")
     d = np.sqrt(sq)
-    return t, d, d - alpha1 * _f1(l1, profile1, reach, t)
+    return t, d, d - alpha1 * _f1(profile1, reach, t)
 
 
 def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
@@ -425,8 +409,8 @@ def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
     t, d, phi = (v.reshape(s.shape) for v in _phi(l1, profile1, alpha1, reach, P))
     hit = (phi < 0.0).any(axis=1)
     s_min = np.take_along_axis(s, np.argmin(d, axis=1)[:, None], axis=1)
-    bound, pad = _cell_bounds(l1, profile1, alpha1, reach, s[:, :-1], s[:, 1:], d[:, :-1],
-                              d[:, 1:], t[:, :-1], t[:, 1:], s_min, np.sqrt(sq)[:, None])
+    bound, pad = _cell_bounds(profile1, alpha1, reach, s[:, :-1], s[:, 1:], d[:, :-1], d[:, 1:],
+                              t[:, :-1], t[:, 1:], s_min, np.sqrt(sq)[:, None])
     return s, t, d, hit, bound < pad
 
 
@@ -445,19 +429,19 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     how many of the pairs are undecided.
 
     X, D, sq are the l2s' carrier rows and lo, hi their witness domains;
-    reach and threshold > 0 are l1's (_witness_threshold).  An empty window
-    (hi < lo) is False.  The unbounded ones, lines without a density, are
-    cut to _line_windows in one call.  A one-parameter witness set, a point
-    l2 or a window no wider than SEARCH_TOL, is phi at that parameter, all
-    of them in one _point_hits pass.  Any other pair is its root level, a
-    grid of ROOT_SAMPLES, in blocks of ROOT_BLOCK pairs; then, level by
-    level, each cell a block keeps for a pair with no hit goes back to
-    _root_level as a window of three points, in calls of at most
-    ROOT_BLOCK * ROOT_SAMPLES points.  A pair is True at its first phi < 0
-    and False when it keeps no cell.  One that keeps a cell no wider than
-    SEARCH_TOL, or whose cells below the root grid would number more than
-    WITNESS_BUDGET, is undecided: False, its cells dropped before they are
-    gathered.
+    reach and threshold > 0 are l1's (_witness_domain, _witness_threshold).
+    An empty window (hi < lo) is False.  The unbounded ones, lines without
+    a density, are cut to _line_windows in one call.  A one-parameter
+    witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
+    that parameter, all of them in one _point_hits pass.  Any other pair is
+    its root level, a grid of ROOT_SAMPLES, in blocks of ROOT_BLOCK pairs;
+    then, level by level, each cell a block keeps for a pair with no hit
+    goes back to _root_level as a window of three points, in calls of at
+    most ROOT_BLOCK * ROOT_SAMPLES points.  A pair is True at its first
+    phi < 0 and False when it keeps no cell.  One that keeps a cell no wider
+    than SEARCH_TOL, or whose cells below the root grid would number more
+    than WITNESS_BUDGET, is undecided: False, its cells dropped before they
+    are gathered.
     """
     free = np.flatnonzero(np.isinf(lo))
     if len(free):
@@ -549,12 +533,12 @@ class RelationEvaluator:
     stack, as geometry._carriers stacks carriers: the n carriers, then the
     n witness pieces, 2n x dim base points and directions), each line's
     alpha (version 2 derives it from V through _volume_alpha) and profile,
-    its witness domain as window bounds, for each line with a profile its
-    reach and threshold, and its metric radius: alpha for a line without a
-    profile, the threshold of a capsule (_is_capsule), None for a searched
-    line.  A per-line alpha or profile sequence of the wrong length, or a
-    version 2 line without a profile, is a ConfigurationError here, not at
-    the first row that needs the entry.
+    its witness domain as window bounds, which are a profiled line's reach
+    too, its threshold over that reach, and its metric radius: alpha for a
+    line without a profile, the threshold of a capsule (_is_capsule), None
+    for a searched line.  A per-line alpha or profile sequence of the wrong
+    length, or a version 2 line without a profile, is a ConfigurationError
+    here, not at the first row that needs the entry.
 
     A relation row, line i against a slice of the dataset, decides every
     pair in arrays, as one boolean mask.  A metric row, whose line has a
@@ -604,12 +588,13 @@ class RelationEvaluator:
         pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
         self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
         self.x, self.direction, self.sq_length, self.is_segment = (a[:n] for a in self.stack)
-        # (reach, threshold) of each line with a profile, None for a density-free line
-        self.thresholds = [None if p is None else _witness_threshold(l, p, a, w)
-                           for l, p, a, w in zip(self.U, self.profiles, self.alphas, windows)]
+        # each profiled line's threshold over its reach, its window; None
+        # for a density-free line
+        self.thresholds = [None if p is None else _witness_threshold(p, a, w)
+                           for p, a, w in zip(self.profiles, self.alphas, windows)]
         # each line's metric radius: alpha without a density, the threshold
         # of a capsule, None for a line the witness search decides
-        self.radii = [a if p is None else t[1] if _is_capsule(l, p) else None
+        self.radii = [a if p is None else t if _is_capsule(l, p) else None
                       for l, p, a, t in zip(self.U, self.profiles, self.alphas, self.thresholds)]
 
     def _carrier_bound(self, i: int, js: slice) -> np.ndarray:
@@ -704,7 +689,7 @@ class RelationEvaluator:
             if i in lines:
                 roots[i - lines.start] = None  # decided by min_distance's shortcut
             return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
-        reach, threshold = self.thresholds[i]
+        reach, threshold = (self.window_lo[i], self.window_hi[i]), self.thresholds[i]
         related = (self._carrier_bound(i, js) < threshold) & (threshold > 0.0)
         idx = np.arange(len(U))[js][related]
         related[related], undecided = _witness_hits(

@@ -2,16 +2,21 @@
 
 Everything here is deliberately dumb and independent of the production
 routes: distances by dense grids, a point's foot on a carrier by one plain
-vector projection, integrals by fixed-panel Simpson, point clustering by a
-textbook scan.  Only plain array arithmetic is shared with the rest of the
-package.  Performance is not a goal.
+vector projection, membership in a neighbourhood from that foot, integrals
+by fixed-panel Simpson, point clustering by a textbook scan.  Only plain
+array arithmetic, and the densities and effective windows of `profiles`
+that define a neighbourhood, are shared with the rest of the package.
+Performance is not a goal.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import SegmentLike
+from .profiles import Profile, effective_window
 
 
 def grid_min_distance(l1: SegmentLike, l2: SegmentLike, step: float = 1e-3) -> float:
@@ -60,6 +65,18 @@ def reference_foot(p, l: SegmentLike) -> tuple[float, float]:
         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     d = p - (l.x + l.direction * t)
     return t, float(d @ d)
+
+
+def contains_point(l: SegmentLike, p: Profile, alpha: float, point) -> bool:
+    """Is the point strictly inside l's alpha-scaled neighbourhood: nearer
+    to l than alpha * f at its reference foot t, f read as 0 outside l's
+    reach, [0, 1] for a segment and all of R for a line, cut to p's
+    effective window.  The membership reference for the relation rows."""
+    t, sq = reference_foot(point, l)
+    lo, hi = effective_window(p)
+    if not l.is_line:
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+    return lo <= t <= hi and math.sqrt(sq) < alpha * float(p.pdf(t))
 
 
 def simpson_integral(fn, lo: float, hi: float, panels: int = 4096) -> float:

@@ -25,10 +25,13 @@ radius f(t), so
 
     V = c_{n-1} * |y - x| * integral of f(t)^(n-1) dt
 
-with c_m the unit m-ball volume.  This integral and the neighbourhood search
-run over effective_window: a bounded family's support, or else the 1e-6
-quantile window from statistics.NormalDist (normal), -log1p(-q) / rate
-(exponential) or scipy.special.gammaincinv (gamma, imported only then).
+with c_m the unit m-ball volume.  This integral runs over effective_window,
+and every line or segment with the density reads it cut to that window (its
+reach, in neighborhood): a bounded family's support, or else the support
+cut where a tail of mass 1e-6 starts, both tails of the normal
+(statistics.NormalDist) and the upper tail of the [0, inf) families,
+-log1p(-q) / rate (exponential) or scipy.special.gammaincinv (gamma,
+imported only then).
 The integral is in closed form for every family (_power_integral): f^m is
 a constant times a density of the same family, or a beta function, so it
 costs a few lgamma, exp or cdf calls (DLMF 5.12 and 8.2; scipy.special's
@@ -203,9 +206,14 @@ def density(p: Profile, t: float) -> float:
 
 
 def effective_window(p: Profile, eps: float = WINDOW_EPS) -> tuple[float, float]:
-    """Quantile window [Q(eps), Q(1-eps)] of an unbounded family.
+    """The window a density's neighbourhood and volume are read over.
 
-    Bounded supports are returned whole; the window only truncates tails.
+    A bounded support is returned whole.  An unbounded one loses only its
+    infinite tails: the normal's window is [Q(eps), Q(1-eps)], and the
+    [0, inf) families' (gamma, exponential) is [0, Q(1-eps)], so it keeps
+    their end at 0, where an exponential, and a gamma of shape 1, has its
+    mode.  This window is the reach of every line with the density
+    (neighborhood._witness_domain).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
@@ -220,7 +228,7 @@ def effective_window(p: Profile, eps: float = WINDOW_EPS) -> tuple[float, float]
         quantile = lambda q: -math.log1p(-q) / params[0]
     else:
         return p.support()
-    return (quantile(eps), quantile(1.0 - eps))
+    return (quantile(eps) if fam == "normal" else 0.0, quantile(1.0 - eps))
 
 
 def peak_density(p: Profile, lo: float, hi: float) -> float:

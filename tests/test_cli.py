@@ -110,6 +110,19 @@ class TestCluster:
             assert code == 0
             assert ("undecided by the witness search" in caplog.text) == warned
 
+    def test_crossings_in_a_narrow_normal_tail_are_decided(self, tmp_path, caplog):
+        # normal:0.5,0.0004 has the window 0.5 +- 0.095; each segment reads
+        # its density cut to that window, so a crossing far down a tail,
+        # where alpha * f1 is almost 0, is unrelated rather than undecided
+        data, out = tmp_path / "d.csv", tmp_path / "r.json"
+        assert run_cli("gen", "doughnut", "--count", 120, "--out", data) == 0
+        caplog.clear()
+        assert run_cli("cluster", data, "--version", 3, "--c", 5, "--alpha", 3,
+                       "--profile", "normal:0.5,0.0004", "--out", out) == 0
+        assert "undecided" not in caplog.text
+        doc = json.loads(out.read_text())
+        assert (doc["counts"]["k"], doc["counts"]["outliers"]) == (7, 78)
+
     def test_v1_with_profile_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)
         code = run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,

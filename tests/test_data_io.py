@@ -108,6 +108,28 @@ class TestPointsCsv:
             load_points_csv(path)
 
 
+@pytest.mark.parametrize("load, header, row, noun", [
+    (load_segments_csv, "id,x1,x2,y1,y2", ["0", "0", "1", "0"], "coordinate"),
+    (load_points_csv, "id,x1,x2", ["0", "1"], "value"),
+], ids=["segments", "points"])
+def test_csv_loaders_reject_bad_files_with_path_and_line(tmp_path, load, header, row, noun):
+    """Both CSV loaders read rows one way: an empty file, a row with the
+    wrong field count and an infinite field are ParseErrors at path:line,
+    after blank rows."""
+    path = tmp_path / "bad.csv"
+    path.write_text("")
+    with pytest.raises(ParseError, match=r"bad\.csv:1: empty file$"):
+        load(path)
+    width = len(row) + 1
+    path.write_text(f"{header}\n\na,{','.join(row)}\nb,{','.join(row)},9\n")
+    with pytest.raises(ParseError,
+                       match=rf"bad\.csv:4: expected {width} fields, got {width + 1}$"):
+        load(path)
+    path.write_text(f"{header}\na,{','.join(row)}\n\nb,{','.join(row[:-1])}, inf\n")
+    with pytest.raises(ParseError, match=rf"bad\.csv:4: non-finite {noun} ' inf'$"):
+        load(path)
+
+
 class TestGeoJson:
     def _write(self, tmp_path, obj):
         path = tmp_path / "data.geojson"

@@ -18,10 +18,10 @@ from lineclust.neighborhood import (
     _witness_domain,
     _witness_hits,
     _witness_threshold,
-    contains_point,
     relates_prob,
     relates_v1,
 )
+from lineclust.oracle import contains_point
 from lineclust.profiles import (
     Profile,
     adaptive_quadrature,
@@ -157,27 +157,6 @@ class TestSpecValidation:
                 NeighbourhoodSpec(**kwargs)
         with pytest.raises(ConfigurationError, match="alpha at index 1 must be a finite positive"):
             NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad])
-
-
-class TestContainsPoint:
-    def test_inside(self):
-        assert contains_point(UNIT, U01, 1.0, (0.5, 0.5))
-
-    def test_boundary_excluded(self):
-        assert not contains_point(UNIT, U01, 1.0, (0.5, 1.0))
-
-    def test_gaussian_tail(self):
-        p = Profile.normal(0.5, 0.0025)
-        # density at the clamped parameter 1.0 is ~1.5e-22, far below 0.5
-        assert not contains_point(UNIT, p, 1.0, (0.999, 0.5))
-        assert contains_point(UNIT, p, 1.0, (0.5, 0.5))
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_alpha_is_checked_as_the_spec_checks_it(self, bad):
-        # unchecked, 0, -1 and NaN would read as an empty neighbourhood and inf as all space
-        with pytest.raises(ConfigurationError, match="alpha must be a finite positive number, "
-                                                     f"got {bad!r}"):
-            contains_point(UNIT, U01, bad, (0.5, 0.5))
 
 
 class TestRelatesV1:
@@ -660,7 +639,7 @@ class TestRowKernel:
             if version != 1:  # a searched row: its carrier bound alone rejects `above`
                 assert ev.radii[a] is None
                 bound = ev._carrier_bound(a, slice(None))
-                threshold = ev.thresholds[a][1]
+                threshold = ev.thresholds[a]
                 assert bound[below] < threshold <= bound[above]
 
     def test_counts(self):
@@ -898,7 +877,8 @@ class TestWitnessSetUp:
             p1 = spec.profile[i]
             if p1 is None:
                 continue
-            reach, threshold = _witness_threshold(l1, p1, 1.0, _witness_domain(l1, p1))
+            reach = _witness_domain(l1, p1)
+            threshold = _witness_threshold(p1, 1.0, reach)
             for j, l2 in enumerate(U):
                 p2 = spec.profile[j]
                 bare = relates_prob(l1, p1, 1.0, l2, p2)

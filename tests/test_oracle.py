@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lineclust.geometry import line, min_distance, segment
+from lineclust.profiles import Profile
 from lineclust.oracle import (
     adjusted_rand_index,
+    contains_point,
     grid_min_distance,
     reference_dbscan,
     simpson_integral,
@@ -36,6 +38,36 @@ class TestGridMinDistance:
     def test_lines_unsupported(self):
         with pytest.raises(ValueError):
             grid_min_distance(line((0, 0), (1, 0)), segment((0, 1), (1, 1)))
+
+
+UNIT = segment((0.0, 0.0), (1.0, 0.0))
+U01 = Profile.uniform(0.0, 1.0)
+
+
+class TestContainsPoint:
+    def test_inside(self):
+        assert contains_point(UNIT, U01, 1.0, (0.5, 0.5))
+
+    def test_boundary_excluded(self):
+        assert not contains_point(UNIT, U01, 1.0, (0.5, 1.0))
+
+    def test_gaussian_tail(self):
+        p = Profile.normal(0.5, 0.0025)
+        # the foot at t = 0.999 lies outside the window, about (0.26, 0.74)
+        assert not contains_point(UNIT, p, 1.0, (0.999, 0.5))
+        assert contains_point(UNIT, p, 1.0, (0.5, 0.5))
+
+    def test_segment_reads_its_density_cut_to_the_window(self):
+        # f > 0 at both ends, but a segment's reach is [0, 1] cut to the
+        # window, as a line's is the window: the cap at t = 1 is cut away
+        # under normal(0.2, 0.0025), and the cap at t = 0, the mode of
+        # exponential(4), is kept
+        p = Profile.normal(0.2, 0.0025)
+        assert contains_point(UNIT, p, 1e-3, (0.2, 1e-3 * p.pdf(0.2) / 2))
+        assert p.pdf(1.0) > 0.0 and not contains_point(UNIT, p, 1.0, (1.0, 0.0))
+        assert contains_point(UNIT, Profile.exponential(4.0), 1.0, (-3.9, 0.0))
+        assert not contains_point(UNIT, Profile.exponential(4.0), 1.0, (-4.0, 0.0))
+        assert not contains_point(UNIT, Profile.uniform(2.0, 3.0), 10.0, (0.5, 0.0))
 
 
 class TestSimpson:

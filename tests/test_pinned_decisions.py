@@ -13,8 +13,7 @@ grid, so a seeded corpus of small version 3 datasets pins that search too:
 every family of f1 (normal variances down to 1e-7, spikes the root grid
 misses), segments, lines and points, density-free lines and root grids of
 64, 17 and 5 samples, set through the module constant ROOT_SAMPLES.  Its
-digest also takes each evaluator's undecided count, and the corpus holds
-undecided pairs, so the pairs the search cannot certify are pinned as well.
+digest also takes each evaluator's undecided count, which is 0.
 """
 
 import hashlib
@@ -26,10 +25,10 @@ from test_witness_search import FAMILIES, random_profile
 
 from lineclust import neighborhood
 from lineclust.data_io import gen_doughnut, gen_isolated
-from lineclust.geometry import line, segment
+from lineclust.geometry import line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator
-from lineclust.profiles import Profile
+from lineclust.profiles import Profile, density, effective_window
 
 
 def _doughnut_v1(seed):
@@ -104,8 +103,8 @@ def _corpus_dataset(seed):
 
 
 def test_witness_search_corpus_is_pinned(monkeypatch):
-    """The corpus's 60 datasets hold 47,382 pairs.  904 of them leave the
-    root grid with a kept cell and no hit, and 619 of those find a witness
+    """The corpus's 60 datasets hold 47,382 pairs.  896 of them leave the
+    root grid with a kept cell and no hit, and 628 of those find a witness
     below it."""
     h = hashlib.sha256()
     undecided = 0
@@ -117,6 +116,32 @@ def test_witness_search_corpus_is_pinned(monkeypatch):
             h.update(repr(sorted(ev.neighbor_set(i))).encode())
         h.update(repr(ev.undecided_count).encode())
         undecided += ev.undecided_count
-    assert h.hexdigest()[:12] == "881a4361652e"
-    assert undecided > 0  # the corpus reaches pairs the search cannot certify
-    assert undecided == 17
+    assert h.hexdigest()[:12] == "8bc3e3e6b627"
+    assert undecided == 0
+
+
+# (seed, i, j) of the corpus pairs the search left undecided while a segment
+# read f1 uncut over [0, 1]
+CORPUS_CROSSINGS = [
+    (0, 1, 22), (0, 1, 28), (3, 25, 9), (3, 31, 26), (12, 1, 35), (15, 25, 17),
+    (15, 25, 20), (21, 13, 15), (21, 25, 0), (21, 25, 22), (27, 7, 2), (33, 13, 26),
+    (33, 25, 5), (42, 1, 2), (42, 13, 18), (45, 19, 9), (57, 31, 16),
+]
+
+
+@pytest.mark.parametrize("seed, i, j", CORPUS_CROSSINGS)
+def test_crossings_outside_the_reach_are_decided(monkeypatch, seed, i, j):
+    """l2 crosses the segment l1 at a t* outside f1's effective window, where
+    alpha1 * f1 is positive but below 1e-18: f1 read uncut left the cells
+    there unpruned and the pair undecided.  Cut to the window, it is 0
+    there, and the pair is unrelated, with none undecided."""
+    U, spec, samples = _corpus_dataset(seed)
+    monkeypatch.setattr(neighborhood, "ROOT_SAMPLES", samples)
+    crossing = min_distance(U[i], U[j])
+    lo, hi = effective_window(spec.profile[i])
+    assert U[i].kind == "segment" and crossing.distance < 1e-15
+    assert not lo <= crossing.t1 <= hi
+    assert 0.0 < spec.alpha * density(spec.profile[i], crossing.t1) < 1e-18
+    ev = RelationEvaluator(U, spec)
+    assert ev.relates(i, j) is False
+    assert ev.undecided_count == 0

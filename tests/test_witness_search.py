@@ -41,11 +41,11 @@ from lineclust.neighborhood import (
     _line_windows,
     _point_hits,
     _root_level,
+    _witness_domain,
     _witness_threshold,
-    contains_point,
     relates_prob,
 )
-from lineclust.oracle import grid_min_distance, reference_foot
+from lineclust.oracle import contains_point, grid_min_distance, reference_foot
 from lineclust.profiles import Profile, density, effective_window, peak_density
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,17 +103,30 @@ def _reference_line_window(l1, l2, threshold, reach, dmin):
     return ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
 
 
+def _reference_reach(l1, profile1):
+    """l1's reach, the t* at which f1 is read: [0, 1] for a segment and all
+    of R for a line, cut to f1's effective window."""
+    lo, hi = effective_window(profile1)
+    return (lo, hi) if l1.is_line else (max(lo, 0.0), min(hi, 1.0))
+
+
 def _cut_density(profile, reach, t):
-    """f at t, read as 0 outside the reach: a segment's t* never leaves
-    [0, 1], and a line's neighbourhood is its body over f's effective
-    window."""
+    """f at t, read as 0 outside the reach: a line's or a segment's
+    neighbourhood is its body over f's effective window, with a segment's
+    end caps where that window holds its ends."""
     return density(profile, t) if reach[0] <= t <= reach[1] else 0.0
+
+
+def _set_up(l1, p1, alpha):
+    """l1's reach and threshold, as a RelationEvaluator resolves them."""
+    reach = _witness_domain(l1, p1)
+    return reach, _witness_threshold(p1, alpha, reach)
 
 
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
                            search_samples=64, search_tol=1e-9):
     """Scalar witness search, one reference foot per φ evaluation."""
-    reach = effective_window(profile1) if l1.is_line else (0.0, 1.0)
+    reach = _reference_reach(l1, profile1)
     if reach[1] < reach[0]:
         return False
     cap = peak_density(profile1, *reach)
@@ -358,10 +371,10 @@ def test_cell_bounds_never_exceed_phi():
         centre = rng.uniform(lo, hi)
         s = np.unique(np.concatenate([np.linspace(lo, hi, 6), rng.uniform(lo, hi, 4),
                                       np.clip(centre + rng.uniform(-1e-5, 1e-5, 4), lo, hi)]))
-        reach = effective_window(p1) if l1.is_line else (0.0, 1.0)
+        reach = _reference_reach(l1, p1)
         d, t = _phi_parts(l1, l2, s)
-        bound, pad = _cell_bounds(l1, p1, alpha, reach, s[:-1], s[1:], d[:-1], d[1:], t[:-1],
-                                  t[1:], float(s[np.argmin(d)]), math.sqrt(l2.sq_length))
+        bound, pad = _cell_bounds(p1, alpha, reach, s[:-1], s[1:], d[:-1], d[1:], t[:-1], t[1:],
+                                  float(s[np.argmin(d)]), math.sqrt(l2.sq_length))
         for c in range(len(s) - 1):
             du, tu = _phi_parts(l1, l2, np.linspace(s[c], s[c + 1], 1001))
             inside = (tu >= reach[0]) & (tu <= reach[1])
@@ -491,7 +504,7 @@ def test_root_level_batch_is_bit_identical_to_single_pairs(samples):
         dim = (2, 7)[k % 2]
         l1, p1, l2s, windows = _root_pairs(rng, dim, FAMILIES[k % 6])
         alpha = rng.uniform(0.05, 3.0)
-        reach, _ = _witness_threshold(l1, p1, alpha)
+        reach = _witness_domain(l1, p1)
         X = np.array([l.x for l in l2s])
         D = np.array([l.direction for l in l2s])
         sq = np.array([l.sq_length for l in l2s])
@@ -537,7 +550,7 @@ def test_bare_call_is_a_batch_of_one(monkeypatch):
     # _witness_hits as a batch of one, and gets its decision and a count
     # of 0 undecided back
     l1, l2, p = line((0, 0), (1, 0)), line((0, 0.3), (1, 0.35)), Profile.normal(0.5, 0.04)
-    reach, threshold = _witness_threshold(l1, p, 1.0)
+    reach, threshold = _set_up(l1, p, 1.0)
     calls, built = [], []
     witness_hits = neighborhood._witness_hits
 
@@ -682,9 +695,7 @@ def test_rows_decide_line_targets_without_a_profile(monkeypatch, dim):
         # its reach where f > 0, at up to 1.5 times alpha f(t), at parameter
         # a of the target; each kind of target meets every source
         l1, p1 = U[k % 8], profiles[k % 8]
-        (lo, hi), _ = _witness_threshold(l1, p1, alpha)
-        w = effective_window(p1)
-        t = rng.uniform(max(lo, w[0]), min(hi, w[1]))
+        t = rng.uniform(*_witness_domain(l1, p1))
         u = rng.normal(size=dim)
         u -= (u @ l1.direction) / l1.sq_length * l1.direction
         q = l1.x + t * l1.direction \
@@ -718,7 +729,7 @@ def test_rows_decide_line_targets_without_a_profile(monkeypatch, dim):
     decided = {kind: [0, 0] for kind in ("line", "point", "narrow", "empty")}
     for i, row in enumerate(rows):
         l1, p1 = U[i], profiles[i]
-        reach, _ = _witness_threshold(l1, p1, alpha)
+        reach = _witness_domain(l1, p1)
         for j, l2 in enumerate(U):
             related = j in row
             assert ev.relates(i, j) == related, (i, j, kinds[j])
@@ -747,7 +758,7 @@ def test_line_source_reads_its_density_cut_to_the_reach(crossing, related):
     5e-6 at 1.6, 3e-7 at -0.7 and 2e-33 at 3.0."""
     p, alpha = Profile.normal(0.5, 0.04), 10.0
     l1 = line((0.0, 0.0), (1.0, 0.0))
-    reach, _ = _witness_threshold(l1, p, alpha)
+    reach = _witness_domain(l1, p)
     assert (reach[0] < crossing < reach[1]) is related and density(p, crossing) > 0.0
     l2 = line((crossing, -2.0), (crossing, -1.0))
     ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha,
@@ -757,6 +768,39 @@ def test_line_source_reads_its_density_cut_to_the_reach(crossing, related):
     assert relates_prob(l1, p, alpha, l2) is related
     assert reference_relates_prob(l1, p, alpha, l2) is related
     assert contains_point(l1, p, alpha, (crossing, 0.0)) is related
+
+
+@pytest.mark.parametrize("x, related", [(-3.9, True), (-4.1, False)])
+def test_exponential_segment_keeps_its_cap_at_its_start(x, related):
+    """A segment under exponential(4), whose window starts at 0, its mode,
+    and a target square to its carrier x before its start: the target
+    relates through the cap of radius alpha1 * f1(0) = 4 there exactly
+    when it passes within 4 of the start, and no pair is undecided."""
+    p, l1 = Profile.exponential(4.0), segment((0.0, 0.0), (1.0, 0.0))
+    assert effective_window(p)[0] == 0.0
+    for l2 in (segment((x, -1.0), (x, 1.0)), segment((x, 0.0), (x, 0.0))):
+        ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=1.0,
+                                                           profile=[p, None]))
+        assert ev.relates(0, 1) is related, l2
+        assert ev.undecided_count == 0
+        assert reference_relates_prob(l1, p, 1.0, l2) is related
+    assert contains_point(l1, p, 1.0, (x, 0.0)) is related
+
+
+@pytest.mark.parametrize("p", [Profile.uniform(2.0, 3.0), Profile.normal(3.0, 0.01)])
+def test_segment_whose_window_misses_its_parameters_relates_to_nothing(p):
+    """A segment's reach is [0, 1] cut to f1's window.  Where the window
+    misses [0, 1], the reach is empty and the segment relates to nothing,
+    itself and a copy of itself included, though normal(3, 0.01) is about
+    5e-87 at t = 1, and no pair is undecided."""
+    l1 = segment((0.0, 0.0), (1.0, 0.0))
+    U = [l1, l1, segment((0.5, -1.0), (0.5, 1.0)), line((0.0, 0.5), (1.0, 0.5))]
+    ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=10.0,
+                                                profile=[p, None, None, None]))
+    assert ev.thresholds[0] == 0.0
+    assert ev.neighbor_set(0) == set()
+    assert ev.undecided_count == 0
+    assert not relates_prob(l1, p, 10.0, l1)
 
 
 def test_profile_rows_never_call_min_distance(monkeypatch):
@@ -826,7 +870,7 @@ def reference_point_phi(l1, profile1, alpha1, l2, lo):
     is the sum of the two parts φ compares."""
     p = [x + u * lo for x, u in zip(l2.x.tolist(), l2.direction.tolist())]
     t, sq = reference_foot(p, l1)
-    reach = effective_window(profile1) if l1.is_line else (0.0, 1.0)
+    reach = _reference_reach(l1, profile1)
     dist, scaled = math.sqrt(sq), alpha1 * _cut_density(profile1, reach, t)
     return dist - scaled, dist + scaled
 
@@ -842,7 +886,7 @@ def _one_parameter_pairs(rng, dim, family, kind1):
     l1 = random_carrier(rng, dim, kind1)
     p1 = searched_profile(rng, family)
     alpha = rng.uniform(0.05, 3.0)
-    reach, threshold = _witness_threshold(l1, p1, alpha)
+    reach, threshold = _set_up(l1, p1, alpha)
     l2s, profiles, params = [], [], []
     for k in range(12):
         u = rng.normal(size=dim)
@@ -872,7 +916,7 @@ def test_point_hits_batch_is_bit_identical_to_single_pairs(dim):
         l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(
             rng, dim, FAMILIES[k % 6], ("segment", "line")[k % 2])
         P = np.array([l.x + lo * l.direction for l, lo in zip(l2s, params)])
-        reach, _ = _witness_threshold(l1, p1, alpha)
+        reach = _witness_domain(l1, p1)
         batch = _point_hits(l1, p1, alpha, reach, P)
         assert batch.shape == (len(l2s),) and batch.dtype == bool
         for r, (l2, p2) in enumerate(zip(l2s, profiles)):
@@ -906,7 +950,7 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
         assert ev.radii[0] is None  # a searched row
         row = ev.neighbor_set(0)
         # one _point_hits pass holds every l2 the carrier bound leaves open
-        _, threshold = ev.thresholds[0]
+        threshold = ev.thresholds[0]
         bound = ev._carrier_bound(0, slice(1, None))
         assert len(points) <= 1 and sum(map(len, points)) == int((bound < threshold).sum())
         for j, (l2, p2, lo) in enumerate(zip(l2s, profiles, params), start=1):
