@@ -109,12 +109,17 @@ def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
 
     domains maps each axis to its AxisDomain; a domain filed under another
     key than its own axis, or for an axis at or beyond the records'
-    dimension, is a ConfigurationError.
+    dimension, is a ConfigurationError.  ids, one per record, must be
+    distinct: labels_by_source keys on them.
     """
     if ids is None:
         ids = [str(i) for i in range(len(points))]
     if len(ids) != len(points):
         raise ValueError("ids and points must have equal length")
+    first: dict[str, int] = {}
+    for k, sid in enumerate(ids):
+        if first.setdefault(sid, k) != k:
+            raise ValueError(f"id {sid!r} is repeated, at indices {first[sid]} and {k}")
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise UnsupportedRecordError(f"records have inconsistent dimensions: {sorted(dims)}")

@@ -19,10 +19,9 @@ of R for a line) intersected with the effective window of l2's own density
 reach, which is l1's own witness domain: one rule for every carrier with a
 density, segment or line, so l1's neighbourhood holds no point whose foot
 on l1 lies outside f1's effective window, the window version 2 integrates
-f1's volume over.  No witness
-lies at or beyond the threshold alpha1 * sup f1 over the reach
-(_witness_threshold), and an unbounded domain, a line without a density, is
-cut to the finite window that threshold leaves (_line_windows).  phi can
+f1's volume over.  No witness lies at or beyond l1's radius, alpha1 *
+sup f1 over the reach, and an unbounded domain, a line without a density,
+is cut to the finite window that radius leaves (_line_windows).  phi can
 be multimodal: the density may have several influential bumps along t*(s)
 and dist has kinks where the projection clamps at a segment end.  The
 search is a certified branch and bound over the cells of a uniform root
@@ -54,30 +53,30 @@ more points than a root block.  Every operation acts on each pair alone,
 so a pair's decision has the same bits in a batch of any size; a searched
 row is one batch.
 
-Each line is resolved once, when a RelationEvaluator is built, to a metric
-radius or to the witness search.  A line without a density has radius
-alpha1.  A capsule (_is_capsule), a segment whose f1 is uniform(a, b) with
-a <= 0 and b >= 1, has f1 = 1 / (b - a) wherever its t* can fall, so its
-neighbourhood is the capsule of radius alpha1 / (b - a), its threshold,
-and a pair relates exactly when the minimum distance to l2's witness
-piece, the part of l2 its witness domain covers (_witness_pieces), is
-below it: phi's decision, since d - r < 0 exactly when d < r, with no
-search and no undecided pair.  It is the neighbourhood of a lifted record
+Each line is resolved once, when a RelationEvaluator is built, to one
+radius, the distance at or beyond which it relates to nothing: alpha1
+without a density, alpha1 * sup f1 over its reach with one.  A capsule
+(_is_capsule), a segment whose f1 is uniform(a, b) with a <= 0 and b >= 1,
+has f1 = 1 / (b - a) wherever its t* can fall, so its neighbourhood is the
+capsule of its radius, and a pair relates exactly when the minimum
+distance to l2's witness piece, the part of l2 its witness domain covers
+(_witness_pieces), is below it: phi's decision, since d - r < 0 exactly
+when d < r, with no search and no undecided pair.  It is the neighbourhood of a lifted record
 under the default uniform(0, 1) template.  Every other line with a
 density, a line carrier or a support strictly inside [0, 1], is searched.
 
 A pair whose lower bound on the distance between the two carriers already
-reaches the radius, or the threshold of a searched line, is rejected
-first.  RelationEvaluator computes the bound for a whole relation row in a
-few array expressions, from the centres, half-lengths and carriers stacked
-once per dataset.  A metric row uses the centre gap |c1 - c2| - h1 - h2
-alone.  A searched row takes the carrier bound instead, never below the
-centre gap: the larger of dist(c2, carrier1) - h2 and dist(c1, carrier2) -
-h1, TRACLUS's perpendicular-distance pruning (Lee, Han & Whang 2007).  It
-is finite unless both carriers are lines, and it rejects the lifted segments
-that sweep a whole axis past one another, whose centre gaps are all
-negative.  The witness decision alone decides what the bound leaves open
-in a searched row, which never solves the exact minimum distance.
+reaches l1's radius is rejected first.  RelationEvaluator computes the
+bound for a whole relation row in a few array expressions, from the
+centres, half-lengths and carriers stacked once per dataset.  A metric
+row uses the centre gap |c1 - c2| - h1 - h2 alone.  A searched row takes
+the carrier bound instead, never below the centre gap: the larger of
+dist(c2, carrier1) - h2 and dist(c1, carrier2) - h1, TRACLUS's
+perpendicular-distance pruning (Lee, Han & Whang 2007).  It is finite
+unless both carriers are lines, and it rejects the lifted segments that
+sweep a whole axis past one another, whose centre gaps are all negative.
+The witness decision alone decides what the bound leaves open in a
+searched row, which never solves the exact minimum distance.
 
 A metric row (version 1, a density-free line in version 3, or a capsule)
 solves every pair off the diagonal that its centre gap leaves open in one
@@ -139,6 +138,9 @@ PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to p
 ROOT_BLOCK = 32  # pairs one root pass evaluates; no call below the root holds more points
 ROW_BLOCK = 16  # metric rows whose open pairs one staged kernel call solves
 
+# the fields of NeighbourhoodSpec each version reads; it takes none of the others
+_VERSION_FIELDS = {1: ("alpha",), 2: ("volume", "profile"), 3: ("alpha", "profile")}
+
 
 @dataclass(frozen=True)
 class NeighbourhoodSpec:
@@ -160,6 +162,11 @@ class NeighbourhoodSpec:
     and version and c integers; a bool is neither.  A per-line sequence is
     checked against the dataset's length when a RelationEvaluator is built.
 
+    Which of alpha, volume and profile each version reads is one table,
+    _VERSION_FIELDS: a field the version reads must be set, one it does not
+    must be None.  alpha_mode derives alpha from the volume, so a version
+    that reads no volume takes only "literal".
+
     search_samples is no field but the constant ROOT_SAMPLES, the size of
     the root grid the witness search partitions l2's window with, read
     here by the results echo.  The branch and bound below it decides every
@@ -180,12 +187,15 @@ class NeighbourhoodSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.version not in (1, 2, 3):
+        if self.version not in _VERSION_FIELDS:
             raise ConfigurationError(f"version must be 1, 2 or 3, got {self.version}")
+        fields = _VERSION_FIELDS[self.version]
         if self.c < 1:
             raise ConfigurationError(f"cardinality c must be >= 1, got {self.c}")
-        if self.alpha_mode not in ("literal", "exact-volume"):
-            raise ConfigurationError(f"unknown alpha_mode {self.alpha_mode!r}")
+        modes = ("literal", "exact-volume") if "volume" in fields else ("literal",)
+        if self.alpha_mode not in modes:
+            raise ConfigurationError(f"version {self.version} takes alpha_mode "
+                                     f"{' or '.join(map(repr, modes))}, got {self.alpha_mode!r}")
         # a str or bytes is a Sequence, and would otherwise pass for per-line values
         if isinstance(self.alpha, (str, bytes)):
             raise ConfigurationError(f"alpha must be a number or per-line numbers, "
@@ -199,28 +209,15 @@ class NeighbourhoodSpec:
         for what, value in _entries(self.profile, "profile"):
             if value is not None and not isinstance(value, Profile):
                 raise ConfigurationError(f"{what} must be a Profile or None, got {value!r}")
-        if self.version == 1:
-            if self.alpha is None:
-                raise ConfigurationError("version 1 requires alpha")
-            if self.profile is not None:
-                raise ConfigurationError("version 1 takes no profile")
-            if self.volume is not None:
-                raise ConfigurationError("version 1 takes no volume")
-        elif self.version == 2:
-            V = self.volume
-            if isinstance(V, bool) or not isinstance(V, Real) or not 0 < V < math.inf:
-                raise ConfigurationError(f"version 2 requires a finite positive volume V, got {V!r}")
-            if self.profile is None:
-                raise ConfigurationError("version 2 requires a profile")
-            if self.alpha is not None:
-                raise ConfigurationError("version 2 derives alpha from V; do not pass alpha")
-        else:
-            if self.alpha is None:
-                raise ConfigurationError("version 3 requires alpha")
-            if self.profile is None:
-                raise ConfigurationError("version 3 requires a profile")
-            if self.volume is not None:
-                raise ConfigurationError("version 3 takes alpha directly, not a volume")
+        for name in ("alpha", "volume", "profile"):
+            if (getattr(self, name) is None) == (name in fields):
+                need = "requires" if name in fields else "takes no"
+                raise ConfigurationError(f"version {self.version} reads {' and '.join(fields)}: "
+                                         f"it {need} {name}")
+        V = self.volume  # set by version 2 alone
+        if V is not None and (isinstance(V, bool) or not isinstance(V, Real)
+                              or not 0 < V < math.inf):
+            raise ConfigurationError(f"version 2 requires a finite positive volume V, got {V!r}")
 
 
 def _entries(values, field: str):
@@ -276,26 +273,17 @@ def _witness_domain(l: SegmentLike, p: Profile | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _witness_threshold(p1: Profile, alpha1: float, reach: tuple[float, float]) -> float:
-    """The witness threshold of a line l1 with density p1 and scale alpha1
-    whose reach is its witness domain (_witness_domain), the t* at which f1
-    is read: alpha1 * sup f1 over the reach, 0.0 where f1 vanishes there or
-    the reach is empty.  No witness lies at or beyond it."""
-    cap = peak_density(p1, *reach)
-    return alpha1 * cap if cap > 0.0 else 0.0
-
-
 def _is_capsule(l1: SegmentLike, p1: Profile) -> bool:
     """Is l1's neighbourhood a capsule, decided by the distance kernel
     rather than the witness search.
 
     A segment whose f1 is uniform(a, b) with a <= 0 and b >= 1 has the reach
     [0, 1] and f1 = 1 / (b - a) at every t* its projection can give, so its
-    neighbourhood is the capsule around it whose radius is its threshold
-    (_witness_threshold), the product alpha1 * f1 that phi subtracts.  A
-    pair relates exactly when the minimum distance to l2's witness piece is
-    below that radius, and d - r < 0 exactly when d < r, so the decision
-    is phi's, with no search and none undecided.  A line, or a support
+    neighbourhood is the capsule around it of its radius, the product
+    alpha1 * f1 that phi subtracts.  A pair relates exactly when the minimum
+    distance to l2's witness piece is below that radius, and d - r < 0
+    exactly when d < r, so the decision is phi's, with no search and none
+    undecided.  A line, or a support
     strictly inside [0, 1], has flat ends instead.
     """
     return (not l1.is_line and p1.family == "uniform"
@@ -422,14 +410,15 @@ def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
 
 
 def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
-                  reach: tuple[float, float], threshold: float, X: np.ndarray,
+                  reach: tuple[float, float], radius: float, X: np.ndarray,
                   D: np.ndarray, sq: np.ndarray, lo: np.ndarray, hi: np.ndarray
                   ) -> tuple[np.ndarray, int]:
     """The witness decisions of m pairs (l1, l2_k) at once: (m,) bools, and
     how many of the pairs are undecided.
 
     X, D, sq are the l2s' carrier rows and lo, hi their witness domains;
-    reach and threshold > 0 are l1's (_witness_domain, _witness_threshold).
+    reach is l1's witness domain (_witness_domain) and radius > 0 its
+    radius, alpha1 * sup f1 over the reach, beyond which no witness lies.
     An empty window (hi < lo) is False.  The unbounded ones, lines without
     a density, are cut to _line_windows in one call.  A one-parameter
     witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
@@ -446,7 +435,7 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     free = np.flatnonzero(np.isinf(lo))
     if len(free):
         lo, hi = lo.copy(), hi.copy()
-        lo[free], hi[free] = _line_windows(l1, threshold, reach, X[free], D[free], sq[free])
+        lo[free], hi[free] = _line_windows(l1, radius, reach, X[free], D[free], sq[free])
     live = hi >= lo
     hits = np.zeros(len(X), dtype=bool)
     narrow = live & ((sq == 0.0) | (hi - lo <= SEARCH_TOL))
@@ -534,15 +523,16 @@ class RelationEvaluator:
     n witness pieces, 2n x dim base points and directions), each line's
     alpha (version 2 derives it from V through _volume_alpha) and profile,
     its witness domain as window bounds, which are a profiled line's reach
-    too, its threshold over that reach, and its metric radius: alpha for a
-    line without a profile, the threshold of a capsule (_is_capsule), None
-    for a searched line.  A per-line alpha or profile sequence of the wrong
-    length, or a version 2 line without a profile, is a ConfigurationError
-    here, not at the first row that needs the entry.
+    too, its radius, at or beyond which it relates to nothing (alpha
+    without a profile, alpha * sup f1 over the reach with one), and whether
+    the witness search decides its row (searched: a profiled line that is
+    no capsule, _is_capsule).  A per-line alpha or profile sequence of the
+    wrong length, or a version 2 line without a profile, is a
+    ConfigurationError here, not at the first row that needs the entry.
 
     A relation row, line i against a slice of the dataset, decides every
-    pair in arrays, as one boolean mask.  A metric row, whose line has a
-    radius, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
+    pair in arrays, as one boolean mask.  A metric row, whose line is not
+    searched, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
     below it, in a capsule row only targets whose witness domain is not
     empty, and solves their minimum distances, all but i's own, in one
     _min_distance_many call, to the targets' carriers from a line without
@@ -551,7 +541,7 @@ class RelationEvaluator:
     metric rows at once, their open pairs in one call, and keeps each row's
     mask until neighbor_set(i) serves it; the expand engine stages the rows
     its frontier will ask for next.  A searched row takes the pairs whose
-    carrier bound (_carrier_bound) is below its threshold and decides them
+    carrier bound (_carrier_bound) is below its radius and decides them
     in one _witness_hits call.  Each pair's decision then goes to relates_v1 /
     relates_prob, called once per pair, as its root; the diagonal of a
     metric row goes without one, so min_distance's shortcut decides it.
@@ -588,14 +578,12 @@ class RelationEvaluator:
         pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
         self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
         self.x, self.direction, self.sq_length, self.is_segment = (a[:n] for a in self.stack)
-        # each profiled line's threshold over its reach, its window; None
-        # for a density-free line
-        self.thresholds = [None if p is None else _witness_threshold(p, a, w)
-                           for p, a, w in zip(self.profiles, self.alphas, windows)]
-        # each line's metric radius: alpha without a density, the threshold
-        # of a capsule, None for a line the witness search decides
-        self.radii = [a if p is None else t if _is_capsule(l, p) else None
-                      for l, p, a, t in zip(self.U, self.profiles, self.alphas, self.thresholds)]
+        # each line's radius, at or beyond which it relates to nothing: alpha
+        # without a density, alpha * sup f1 over its reach, its window, with one
+        self.radius = [a if p is None else a * peak_density(p, *w)
+                       for p, a, w in zip(self.profiles, self.alphas, windows)]
+        self.searched = [p is not None and not _is_capsule(l, p)
+                         for l, p in zip(self.U, self.profiles)]
 
     def _carrier_bound(self, i: int, js: slice) -> np.ndarray:
         """A lower bound on the distance from line i to each line of js:
@@ -639,7 +627,7 @@ class RelationEvaluator:
         lines = range(n)[js]
         masks, starts = [], []
         for i in rows:
-            mask = self._centre_gaps(i, js) < self.radii[i]
+            mask = self._centre_gaps(i, js) < self.radius[i]
             capsule = self.profiles[i] is not None
             if capsule:
                 mask &= self.has_piece[js]
@@ -654,7 +642,7 @@ class RelationEvaluator:
             l2 = np.concatenate(at) + np.repeat(starts, counts)
             dist, _, _ = _min_distance_many(*(a[l1] for a in self.stack),
                                             *(a[l2] for a in self.stack))
-            radius = np.repeat([self.radii[i] for i in rows], counts)
+            radius = np.repeat([self.radius[i] for i in rows], counts)
             for mask, a, hit in zip(masks, at, np.split(dist < radius, np.cumsum(counts)[:-1])):
                 mask[a] = hit
         return masks
@@ -669,7 +657,7 @@ class RelationEvaluator:
         if self._staged:
             return
         rows = [range(len(self.U))[i] for i in islice(rows, ROW_BLOCK)]  # as _related reads i
-        block = [i for i in rows if self.radii[i] is not None]
+        block = [i for i in rows if not self.searched[i]]
         if block:
             self._staged = dict(zip(block, self._metric_rows(block, slice(None))))
 
@@ -679,21 +667,21 @@ class RelationEvaluator:
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
         U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
-        radius = self.radii[i]
+        radius = self.radius[i]
         # each pair's relates_* call returns the row's decision, its root;
         # the calls remain because benchmark/tracing.py counts them
-        if radius is not None:
+        if not self.searched[i]:
             # version 1, a declared density-free line or a capsule: the metric relation
             staged = self._staged.pop(i, None) if js == slice(None) else None
             roots = (staged if staged is not None else self._metric_rows([i], js)[0]).tolist()
             if i in lines:
                 roots[i - lines.start] = None  # decided by min_distance's shortcut
             return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
-        reach, threshold = (self.window_lo[i], self.window_hi[i]), self.thresholds[i]
-        related = (self._carrier_bound(i, js) < threshold) & (threshold > 0.0)
+        reach = self.window_lo[i], self.window_hi[i]
+        related = (self._carrier_bound(i, js) < radius) & (radius > 0.0)
         idx = np.arange(len(U))[js][related]
         related[related], undecided = _witness_hits(
-            l1, p1, alpha1, reach, threshold, self.x[idx], self.direction[idx],
+            l1, p1, alpha1, reach, radius, self.x[idx], self.direction[idx],
             self.sq_length[idx], self.window_lo[idx], self.window_hi[idx])
         self.undecided_count += undecided
         return [j for j, root in zip(lines, related.tolist())

@@ -427,9 +427,12 @@ def scaling_factor(V: float, p: Profile, l: SegmentLike, n: int) -> float:
 
 
 def exact_volume_scaling_factor(V: float, p: Profile, l: SegmentLike, n: int) -> float:
-    """Scale that makes the *scaled* neighbourhood volume equal V exactly.
+    """Scale that makes the swept volume (neighbourhood_volume) equal V.
 
     The swept volume grows like scale^(n-1), so this is the (n-1)-th root of
-    the plain ratio; for n = 2 the two coincide.
+    the plain ratio; for n = 2 the two coincide.  It is the body of
+    revolution over f's effective window only: the set a segment's relation
+    tests is the body over [0, 1] cut to that window plus its end caps, of
+    volume 3.488 +- 0.002 (Monte Carlo) for V = 3, uniform(0, 1), in 3-d.
     """
     return scaling_factor(V, p, l, n) ** (1.0 / (n - 1))

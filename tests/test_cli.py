@@ -96,6 +96,19 @@ class TestCluster:
             assert doc["counts"]["k"] == 2
             assert doc["counts"]["outliers"] == 0
 
+    @pytest.mark.parametrize("version_args", [("--version", 1, "--alpha", 12),
+                                              ("--version", 3, "--alpha", 12,
+                                               "--profile", "uniform:0,1")])
+    def test_alpha_mode_outside_version_2_is_usage_error(self, tmp_path, capsys, version_args):
+        # only version 2 derives alpha, so only it reads --alpha-mode
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        assert run_cli("cluster", data, *version_args, "--c", 5,
+                       "--alpha-mode", "exact-volume", "--out", out) == 2
+        assert "takes alpha_mode 'literal', got 'exact-volume'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecided_pairs_are_logged(self, tmp_path, caplog):
         # under beta:2,1 and alpha 0.5 * (1 - 1e-15), the scaled density of l1
         # at t is t * (1 - 1e-15), and l2 climbs at 45 degrees from l1's start:

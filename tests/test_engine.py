@@ -338,9 +338,9 @@ class TestStaging:
             return _real(l1, l2)
         monkeypatch.setattr(neighborhood, "min_distance", counted)
         for U, spec in self._datasets():
-            # metric lines, those with a radius: every line of both datasets,
+            # metric lines, those not searched: every line of both datasets,
             # the lifted ones being capsules under the default uniform template
-            metric = sum(r is not None for r in RelationEvaluator(U, spec).radii)
+            metric = RelationEvaluator(U, spec).searched.count(False)
             assert metric == len(U)
             calls.clear()
             labels = run_expand(U, RunConfig(spec=spec, rng_seed=3))

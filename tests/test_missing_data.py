@@ -103,6 +103,11 @@ class TestLiftDataset:
         assert res.segments[0].is_degenerate
         assert res.profiles == [None, Profile.uniform(0, 1), Profile.uniform(0, 1)]
 
+    def test_repeated_ids_rejected(self):
+        # labels_by_source keys on the ids, so a repeat would drop a record's memberships
+        with pytest.raises(ValueError, match="id 'a' is repeated, at indices 0 and 2"):
+            lift_dataset([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)], {}, ids=["a", "b", "a"])
+
     def test_failures_list_record_indices(self):
         pts = [(0.0, 1.0), (None, None), (None, 2.0), (None, None)]
         with pytest.raises(UnsupportedRecordError) as exc:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from lineclust.neighborhood import (
     RelationEvaluator,
     _witness_domain,
     _witness_hits,
-    _witness_threshold,
     relates_prob,
     relates_v1,
 )
@@ -27,6 +27,7 @@ from lineclust.profiles import (
     adaptive_quadrature,
     density,
     effective_window,
+    peak_density,
     scaling_factor,
     unit_ball_volume,
 )
@@ -57,6 +58,34 @@ class TestSpecValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             NeighbourhoodSpec(**kwargs)
+
+    @pytest.mark.parametrize("given", [set(given) for k in range(4) for given
+                                       in combinations(("alpha", "volume", "profile"), k)])
+    @pytest.mark.parametrize("version, reads", [(1, {"alpha"}), (2, {"volume", "profile"}),
+                                                (3, {"alpha", "profile"})])
+    def test_field_rule(self, version, reads, given):
+        # a spec builds exactly when the fields set are those its version reads
+        values = dict(alpha=1.0, volume=2.0, profile=U01)
+        kwargs = dict(version=version, c=2, **{name: values[name] for name in given})
+        if given == reads:
+            NeighbourhoodSpec(**kwargs)
+        else:
+            with pytest.raises(ConfigurationError, match=f"version {version} reads") as err:
+                NeighbourhoodSpec(**kwargs)
+            assert str(err.value).split()[-1] in given ^ reads  # the field named is wrong
+
+    @pytest.mark.parametrize("kwargs", [dict(version=1, c=2, alpha=1.0),
+                                        dict(version=3, c=2, alpha=1.0, profile=U01)])
+    def test_alpha_mode_is_version_2s(self, kwargs):
+        # exact-volume derives alpha from a volume, which only version 2 reads
+        NeighbourhoodSpec(**kwargs, alpha_mode="literal")
+        for mode in ("exact-volume", "volume"):
+            with pytest.raises(ConfigurationError, match=f"version {kwargs['version']} takes "
+                                                         f"alpha_mode 'literal', got '{mode}'"):
+                NeighbourhoodSpec(**kwargs, alpha_mode=mode)
+        with pytest.raises(ConfigurationError, match="version 2 takes alpha_mode 'literal' or "
+                                                     "'exact-volume', got 'volume'"):
+            NeighbourhoodSpec(version=2, c=2, volume=2.0, profile=U01, alpha_mode="volume")
 
     @pytest.mark.parametrize("kwargs, what", [
         (dict(version=True, c=2, alpha=1.0), "version"),
@@ -264,7 +293,7 @@ class TestRelatesProb:
         away = Profile.uniform(2.0, 3.0)
         targets = [segment((0.5, -1), (0.5, 1)), segment((0.5, 0), (0.5, 0)), UNIT]
         assert RelationEvaluator([UNIT], NeighbourhoodSpec(version=3, c=1, alpha=1.0,
-                                                           profile=p1)).radii[0] is not None
+                                                           profile=p1)).searched == [False]
         for l2 in targets:
             assert relates_prob(UNIT, p1, 1.0, l2)
             assert not relates_prob(UNIT, p1, 1.0, l2, away), l2
@@ -637,9 +666,9 @@ class TestRowKernel:
         for a, below, above in near:
             assert ev.relates(a, below) and not ev.relates(a, above)
             if version != 1:  # a searched row: its carrier bound alone rejects `above`
-                assert ev.radii[a] is None
+                assert ev.searched[a]
                 bound = ev._carrier_bound(a, slice(None))
-                threshold = ev.thresholds[a]
+                threshold = ev.radius[a]
                 assert bound[below] < threshold <= bound[above]
 
     def test_counts(self):
@@ -740,8 +769,8 @@ class TestMetricRows:
     def test_lifted_rows(self, seed, monkeypatch):
         U, spec = self._lifted(seed)
         ev = RelationEvaluator(U, spec)
-        # metric lines, those with a radius: density-free lines and capsules
-        metric = [i for i, r in enumerate(ev.radii) if r is not None]
+        # metric lines, those not searched: density-free lines and capsules
+        metric = [i for i, searched in enumerate(ev.searched) if not searched]
         capsules = [i for i in metric if spec.profile[i] is not None]
         assert 0 < len(capsules) < len(metric) < len(U)
         calls = self._counting(monkeypatch)
@@ -755,7 +784,7 @@ class TestMetricRows:
             if i in metric:
                 # uniform(0, 1) peaks at 1, and every witness domain here
                 # covers its whole carrier, so a capsule's piece is l2 itself
-                assert ev.radii[i] == spec.alpha
+                assert ev.radius[i] == spec.alpha
                 assert row == {j for j, l2 in enumerate(U)
                                if min_distance(U[i], l2).distance < spec.alpha}, f"row {i}"
             if i in capsules:
@@ -769,7 +798,7 @@ class TestMetricRows:
         kind, arg = data.split("-")
         U, spec = self._mixed(int(arg), 0) if kind == "mixed" else self._lifted(int(arg))
         plain, staged = RelationEvaluator(U, spec), RelationEvaluator(U, spec)
-        metric = [r is not None for r in plain.radii]  # the lines with a radius
+        metric = [not searched for searched in plain.searched]  # the metric lines
         assert any(metric)
         calls = self._counting(monkeypatch)
         order = np.random.default_rng(len(U)).permutation(len(U)).tolist()
@@ -878,7 +907,7 @@ class TestWitnessSetUp:
             if p1 is None:
                 continue
             reach = _witness_domain(l1, p1)
-            threshold = _witness_threshold(p1, 1.0, reach)
+            threshold = peak_density(p1, *reach)  # alpha * sup f1 over the reach, alpha 1
             for j, l2 in enumerate(U):
                 p2 = spec.profile[j]
                 bare = relates_prob(l1, p1, 1.0, l2, p2)
@@ -909,7 +938,7 @@ class TestWitnessSetUp:
         for _ in range(2):  # a second evaluator resolves everything again
             calls.update(peak_density=0, effective_window=0)
             ev = RelationEvaluator(U, spec)
-            # one threshold and one witness domain per profiled line, when built
+            # one radius and one witness domain per profiled line, when built
             built = {"peak_density": len(profiled), "effective_window": len(profiled)}
             assert calls == built
             for i in range(len(U)):

@@ -42,7 +42,6 @@ from lineclust.neighborhood import (
     _point_hits,
     _root_level,
     _witness_domain,
-    _witness_threshold,
     relates_prob,
 )
 from lineclust.oracle import contains_point, grid_min_distance, reference_foot
@@ -118,9 +117,9 @@ def _cut_density(profile, reach, t):
 
 
 def _set_up(l1, p1, alpha):
-    """l1's reach and threshold, as a RelationEvaluator resolves them."""
+    """l1's reach and radius, its threshold, as a RelationEvaluator resolves them."""
     reach = _witness_domain(l1, p1)
-    return reach, _witness_threshold(p1, alpha, reach)
+    return reach, alpha * peak_density(p1, *reach)
 
 
 def reference_relates_prob(l1, profile1, alpha1, l2, profile2=None, *,
@@ -797,7 +796,7 @@ def test_segment_whose_window_misses_its_parameters_relates_to_nothing(p):
     U = [l1, l1, segment((0.5, -1.0), (0.5, 1.0)), line((0.0, 0.5), (1.0, 0.5))]
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=10.0,
                                                 profile=[p, None, None, None]))
-    assert ev.thresholds[0] == 0.0
+    assert ev.radius[0] == 0.0
     assert ev.neighbor_set(0) == set()
     assert ev.undecided_count == 0
     assert not relates_prob(l1, p, 10.0, l1)
@@ -823,7 +822,7 @@ def test_profile_rows_never_call_min_distance(monkeypatch):
 
     monkeypatch.setattr(neighborhood, "min_distance", refuse)
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
-    assert all(ev.radii[i] is None for i in expected)  # every profile row is searched
+    assert all(ev.searched[i] for i in expected)  # every profile row is searched
     assert {i: ev.neighbor_set(i) for i in expected} == expected
     assert ev.undecided_count == 0
     for i, row in expected.items():
@@ -947,10 +946,10 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
         spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=[p1] + profiles)
         ev = RelationEvaluator([l1] + l2s, spec)
         points.clear()
-        assert ev.radii[0] is None  # a searched row
+        assert ev.searched[0]
         row = ev.neighbor_set(0)
         # one _point_hits pass holds every l2 the carrier bound leaves open
-        threshold = ev.thresholds[0]
+        threshold = ev.radius[0]
         bound = ev._carrier_bound(0, slice(1, None))
         assert len(points) <= 1 and sum(map(len, points)) == int((bound < threshold).sum())
         for j, (l2, p2, lo) in enumerate(zip(l2s, profiles, params), start=1):
@@ -1122,7 +1121,7 @@ def test_capsules_are_decided_at_their_radius(monkeypatch, place, factor):
         assert reference_relates_prob(l1, p1, alpha, l2, p2) is related, k
         ev = RelationEvaluator([l1, l2], NeighbourhoodSpec(version=3, c=1, alpha=alpha,
                                                            profile=[p1, p2]))
-        assert ev.radii[0] == radius
+        assert not ev.searched[0] and ev.radius[0] == radius
         with monkeypatch.context() as m:
             m.setattr(neighborhood, "_witness_hits", refuse)
             assert ev.neighbor_set(0) == ({0, 1} if related else {0}), k
@@ -1159,9 +1158,9 @@ def test_capsule_scope(monkeypatch, kind, profile, searched):
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
     row = ev.neighbor_set(0)
     if searched:
-        assert ev.radii[0] is None and len(calls) == 1 and calls[0] > 0
+        assert ev.searched[0] and len(calls) == 1 and calls[0] > 0
     else:
-        assert ev.radii[0] == alpha / 2 and calls == []
+        assert not ev.searched[0] and ev.radius[0] == alpha / 2 and calls == []
     expected = {j for j, l2 in enumerate(U)
                 if reference_relates_prob(l1, profile, alpha, l2, profiles[j])}
     assert row == expected
@@ -1199,7 +1198,7 @@ def test_capsule_rows_measure_to_the_witness_piece():
     target(line((1.0, -0.5), (1.0, -0.4)), Profile.normal(5.0, 0.01), True)
     target(line((1.0, -0.5), (1.0, -0.4)), None, True)
     ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profiles))
-    assert ev.radii[0] == alpha
+    assert not ev.searched[0] and ev.radius[0] == alpha
     row = ev.neighbor_set(0)
     for j, (l2, p2, related) in enumerate(zip(U, profiles, expected)):
         assert l2.is_degenerate or min_distance(l1, l2).distance < 1e-12
