@@ -16,8 +16,12 @@ sharing it) or the open pairs of many rows at once (`min_distance` is its
 row of one).  Every operation of both acts on each pair alone, so a pair's
 result has the same bits whatever row or block it sits in.  The distance
 solve is one clamp-project-reclamp step, exact in at most two steps for any
-two non-degenerate carriers; a point operand is projected onto the other
-carrier instead, by `_feet_sq`.
+two non-degenerate carriers.  A pair with a point operand is projected onto
+the other carrier instead, by `_feet_sq`: the point l1s of a block are one
+`_feet_sq` pass and its point l2s another, so such a pair never takes the
+general solve.  Every dot product is `_row_dot`'s sum from the first
+column, which the relation rows' centre gaps use too: the centre gap of two
+points has the bits of their distance here.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ def as_point(coords) -> np.ndarray:
     p = np.asarray(coords, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"a point must be a 1-d coordinate vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    # on a short vector the Python loop is cheaper than np.isfinite's array pass
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError("point coordinates must be finite")
     return p
 
@@ -135,7 +140,9 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     (B is (m, dim) or one (dim,) vector), summed one column at a time from
     the first.  einsum and BLAS sum in other orders in 7-d, so they would
     move the last bits of what its callers, `_feet_sq` and
-    `_min_distance_many`, have always given, and any decision at alpha."""
+    `_min_distance_many`, have always given, and any decision at alpha.
+    The relation rows' centre gaps sum here too, so two points' gap is
+    their distance to the bit."""
     P = A * B
     s = P[:, 0]
     for k in range(1, P.shape[1]):
@@ -204,23 +211,29 @@ def _min_distance_many(X1: np.ndarray, D1: np.ndarray, a: np.ndarray, seg1: np.n
     clamped projection (b*t2 - d)/a.  The distance is the root of the
     squared length of the point difference r + d1*t1 - d2*t2, not of the
     expanded quadratic, which cancels.  A point operand is projected onto
-    the other carrier instead (_feet_sq): a point l1 has t1 = 0 and t2 its
-    foot on l2, a point l2 has t1 its foot on l1 and t2 = 0; a block that
-    mixes point l1s with others solves each kind as a block of its own, so
-    a point l1 costs no more in a block than alone.  Where a step
-    does not apply to a pair (a divisor that is zero, a pair that needs no
-    reclamp) its result is left out, never divided, so no pair raises a
-    floating-point warning.
+    the other carrier instead, by one _feet_sq pass: a point l1 has t1 = 0
+    and t2 its foot on l2, and a point l2 (with an l1 that is no point) has
+    t1 its foot on l1 and t2 = 0.  A block that mixes point l1s, point l2s
+    and other pairs solves each kind as a block of its own, so a point pair
+    costs no more in a block than alone and never pays for the general
+    solve.  Where a step does not apply to a pair (a parallel pair's zero
+    divisor, a pair that needs no reclamp) its result is left out, never
+    divided, so no pair raises a floating-point warning.
     """
     point1 = a == 0.0
+    point2 = (c == 0.0) & ~point1
     if point1.all():  # point l1s: each one's foot on its l2, at t1 = 0
         t2, gap_sq = _feet_sq(X1, X2, D2, c, seg2)
         return np.sqrt(gap_sq), np.zeros(len(a)), t2
-    if point1.any():  # point l1s mixed with others: each kind apart
+    if point2.all():  # point l2s: each one's foot on its l1, at t2 = 0
+        t1, gap_sq = _feet_sq(X2, X1, D1, a, seg1)
+        return np.sqrt(gap_sq), t1, np.zeros(len(a))
+    if point1.any() or point2.any():  # points mixed with others: each kind apart
         out = np.empty((3, len(a)))
-        for rows in (point1, ~point1):
-            out[:, rows] = _min_distance_many(X1[rows], D1[rows], a[rows], seg1[rows],
-                                              X2[rows], D2[rows], c[rows], seg2[rows])
+        for rows in (point1, point2, ~(point1 | point2)):
+            if rows.any():
+                out[:, rows] = _min_distance_many(X1[rows], D1[rows], a[rows], seg1[rows],
+                                                  X2[rows], D2[rows], c[rows], seg2[rows])
         return out[0], out[1], out[2]
     m = len(a)
     r = X1 - X2
@@ -230,16 +243,11 @@ def _min_distance_many(X1: np.ndarray, D1: np.ndarray, a: np.ndarray, seg1: np.n
     den = a * c - b * b  # >= 0, zero iff parallel
     t1 = np.divide(b * e - c * d, den, out=np.zeros(m), where=den > 1e-14 * a * c)
     t1 = np.where(seg1, np.clip(t1, 0.0, 1.0), t1)
-    t2 = np.divide(b * t1 + e, c, out=np.zeros(m), where=c > 0.0)
+    t2 = (b * t1 + e) / c
     over = seg2 & ((t2 < 0.0) | (t2 > 1.0))  # the optimum is on l2's violated end
     if over.any():
         t2[over] = np.where(t2[over] < 0.0, 0.0, 1.0)
         t = (b[over] * t2[over] - d[over]) / a[over]
         t1[over] = np.where(seg1[over], np.clip(t, 0.0, 1.0), t)
     q = r + D1 * t1[:, None] - D2 * t2[:, None]
-    gap_sq = _row_dot(q, q)
-    point2 = c == 0.0
-    if point2.any():  # a point l2: its foot on l1, at t2 = 0
-        t1[point2], gap_sq[point2] = _feet_sq(X2[point2], X1[point2], D1[point2], a[point2],
-                                              seg1[point2])
-    return np.sqrt(gap_sq), t1, t2
+    return np.sqrt(_row_dot(q, q)), t1, t2

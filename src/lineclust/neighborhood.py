@@ -82,9 +82,15 @@ A metric row (version 1, a density-free line in version 3, or a capsule)
 solves every pair off the diagonal that its centre gap leaves open in one
 _min_distance_many call, the one distance kernel, over pairs that each
 carry their own l1: to l2's carrier from a density-free line, to l2's
-witness piece from a capsule, the pieces stacked after the carriers.  A
-row is a block of one row, a block of up to ROW_BLOCK rows staged ahead of
-their use (RelationEvaluator.stage) is solved in one call, and
+witness piece from a capsule, the pieces stacked after the carriers.  The
+point rule spares the pairs of two points that call: a point's centre is
+the point, and its half-length and its witness piece's length are 0, so
+the centre gap, summed as the kernel sums (geometry._row_dot), is the
+two points' distance to the bit, and a point row decides its point
+targets by gap < radius.  A lifted dataset's complete records are points,
+so many of its open pairs never reach the kernel.  A row is a block of
+one row, a block of up to ROW_BLOCK rows staged ahead of their use
+(RelationEvaluator.stage) is solved in one call, and
 min_distance solves a single pair as a row of one, so a pair's distance
 has the same bits in each.  The diagonal keeps min_distance's shortcut for
 a carrier against itself, through relates_v1 without a root, and a row
@@ -116,6 +122,7 @@ from .geometry import (
     _carriers,
     _feet_sq,
     _min_distance_many,
+    _row_dot,
     closest_point,  # unused, like density: benchmark/tracing.py patches both names
     min_distance,
 )
@@ -534,13 +541,15 @@ class RelationEvaluator:
     pair in arrays, as one boolean mask.  A metric row, whose line is not
     searched, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
     below it, in a capsule row only targets whose witness domain is not
-    empty, and solves their minimum distances, all but i's own, in one
-    _min_distance_many call, to the targets' carriers from a line without
-    a profile and to their witness pieces from a capsule; a row with no
-    such pair makes no call.  stage(rows) does the same for up to ROW_BLOCK
-    metric rows at once, their open pairs in one call, and keeps each row's
-    mask until neighbor_set(i) serves it; the expand engine stages the rows
-    its frontier will ask for next.  A searched row takes the pairs whose
+    empty.  When i and j are both points (is_point) that gap is their
+    distance, so the pair is decided; the row solves the minimum distances
+    of its other pairs, all but i's own, in one _min_distance_many call,
+    to the targets' carriers from a line without a profile and to their
+    witness pieces from a capsule; a row with no such pair makes no call.
+    stage(rows) does the same for up to ROW_BLOCK metric rows at once,
+    their open pairs in one call, and keeps each row's mask until
+    neighbor_set(i) serves it; the expand engine stages the rows its
+    frontier will ask for next.  A searched row takes the pairs whose
     carrier bound (_carrier_bound) is below its radius and decides them
     in one _witness_hits call.  Each pair's decision then goes to relates_v1 /
     relates_prob, called once per pair, as its root; the diagonal of a
@@ -561,7 +570,8 @@ class RelationEvaluator:
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
-        self.centre = np.array([l.center for l in self.U], dtype=np.float64)
+        # column-major, so _row_dot's columns of the gaps are contiguous
+        self.centre = np.array([l.center for l in self.U], dtype=np.float64, order="F")
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
         if spec.version == 2:
@@ -578,6 +588,7 @@ class RelationEvaluator:
         pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
         self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
         self.x, self.direction, self.sq_length, self.is_segment = (a[:n] for a in self.stack)
+        self.is_point = self.sq_length == 0.0
         # each line's radius, at or beyond which it relates to nothing: alpha
         # without a density, alpha * sup f1 over its reach, its window, with one
         self.radius = [a if p is None else a * peak_density(p, *w)
@@ -596,7 +607,7 @@ class RelationEvaluator:
         |c_i - c_j| - h_i - h_j is never above the first term, since
         carrier_i lies within h_i of c_i.
         """
-        _, sq = _feet_sq(np.asfortranarray(self.centre[js]), self.x[i], self.direction[i],
+        _, sq = _feet_sq(self.centre[js], self.x[i], self.direction[i],
                          self.sq_length[i], self.is_segment[i])  # column-major: see _feet_sq
         bound = np.sqrt(sq) - self.half_len[js]
         if self.is_segment[i]:
@@ -607,9 +618,13 @@ class RelationEvaluator:
 
     def _centre_gaps(self, i: int, js: slice) -> np.ndarray:
         """The centre gaps |c_i - c_j| - h_i - h_j from line i to each line
-        of the dataset slice js, -inf where either carrier is a line."""
+        of the dataset slice js, -inf where either carrier is a line.  The
+        squares are summed by _row_dot, in the distance kernel's column
+        order, so the gap of two points, whose centres are the points and
+        whose half-lengths are 0, has the bits of their distance from
+        _min_distance_many, and decides their pair."""
         gaps = self.centre[js] - self.centre[i]
-        gaps = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+        gaps = np.sqrt(_row_dot(gaps, gaps))
         gaps -= self.half_len[i]
         gaps -= self.half_len[js]
         return gaps
@@ -618,14 +633,15 @@ class RelationEvaluator:
         """The decision mask of each metric row of rows over the dataset
         slice js: False where the centre gap is at or beyond its radius, on
         the diagonal and, in a capsule row, where the target's witness
-        domain is empty; min distance < radius elsewhere, from one
-        `_min_distance_many` call over the open pairs of every row, and no
-        call when no row has one.  A density-free row measures to its
-        targets' carriers, a capsule row to their witness pieces, the rows
-        of the stack offset by n."""
+        domain is empty; the gap's decision where a point row meets a point
+        target, the gap being their distance; min distance < radius
+        elsewhere, from one `_min_distance_many` call over the open pairs of
+        every row, and no call when no row has one.  A density-free row
+        measures to its targets' carriers, a capsule row to their witness
+        pieces, the rows of the stack offset by n."""
         n = len(self.U)
         lines = range(n)[js]
-        masks, starts = [], []
+        masks, starts, at = [], [], []
         for i in rows:
             mask = self._centre_gaps(i, js) < self.radius[i]
             capsule = self.profiles[i] is not None
@@ -635,7 +651,8 @@ class RelationEvaluator:
                 mask[i - lines.start] = False
             masks.append(mask)
             starts.append(lines.start + n if capsule else lines.start)
-        at = [mask.nonzero()[0] for mask in masks]
+            # a point's gap to a point is their distance: those pairs are decided
+            at.append((mask & ~self.is_point[js] if self.is_point[i] else mask).nonzero()[0])
         counts = [len(a) for a in at]
         if any(counts):
             l1 = np.repeat(rows, counts)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lineclust import geometry
 from lineclust.geometry import (
     MinDistance,
     _carriers,
@@ -476,7 +477,8 @@ class TestRowKernel:
     (distance, t1, t2) triple of a `_min_distance_many` block of m pairs has
     the bits of the pair's block of one, of `min_distance`, which solves
     that block of one, and of the kernel's steps taken in Python floats.  A relation row is a block whose pairs share l1; a
-    staged block mixes the l1s of many rows."""
+    staged block mixes the l1s of many rows, and its point l1s and point l2s
+    are each one foot pass."""
 
     @staticmethod
     def _assert_each_pair_alone(L1, L2):
@@ -545,6 +547,36 @@ class TestRowKernel:
         solves = self._assert_each_pair_alone(L1, L2)
         assert len(set(families)) == 6
         assert self._reclamped(families, L1, L2, solves) > 0  # the reclamp branch ran
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_point_pairs_in_a_mixed_block(self, dim, monkeypatch):
+        # point l1s (pairs of two points among them), point l2s and general
+        # pairs, shuffled into one block: each kind is one block of its own
+        rng = np.random.default_rng([dim, 28])
+        kinds = ("segment", "line", "point")
+        pairs = []
+        for k1 in kinds:
+            for k2 in kinds:
+                for _ in range(4):
+                    x1, y1, x2, y2 = rng.normal(scale=3.0, size=(4, dim))
+                    pairs.append((_carrier(k1, x1, y1), _carrier(k2, x2, y2)))
+        L1, L2 = (list(v) for v in zip(*(pairs[k] for k in rng.permutation(len(pairs)))))
+        feet = []
+
+        def spy(P, *rest, _real=geometry._feet_sq):
+            feet.append(len(P))
+            return _real(P, *rest)
+        monkeypatch.setattr(geometry, "_feet_sq", spy)
+        dist, t1, t2 = _min_distance_many(*_carriers(*L1), *_carriers(*L2))
+        # one pass for the 12 point l1s, one for the 8 point l2s after them
+        assert feet == [12, 8]
+        monkeypatch.undo()
+        self._assert_each_pair_alone(L1, L2)
+        for k, (l1, l2) in enumerate(zip(L1, L2)):
+            if l2.is_degenerate:
+                assert t2[k] == 0.0
+                foot = closest_point(l2.x, l1)
+                assert (dist[k], t1[k]) == (foot.distance, foot.t_star)
 
     def test_empty_row_and_no_warning_on_degenerate_divisors(self):
         l1 = segment((0.0, 0.0), (1.0, 0.0))

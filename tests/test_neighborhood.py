@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from lineclust import neighborhood
 from lineclust.data_io import gen_doughnut
 from lineclust.errors import ConfigurationError
-from lineclust.geometry import closest_point, line, min_distance, segment
+from lineclust.geometry import _min_distance_many, closest_point, line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
     ROW_BLOCK,
@@ -43,18 +43,10 @@ class TestSpecValidation:
         NeighbourhoodSpec(version=2, c=2, volume=2.0, profile=U01)
         NeighbourhoodSpec(version=3, c=2, alpha=1.0, profile=U01)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(version=1, c=2),                                  # no alpha
-        dict(version=1, c=2, alpha=1.0, profile=U01),          # profile forbidden
-        dict(version=1, c=2, alpha=1.0, volume=1.0),           # volume forbidden
-        dict(version=2, c=2, profile=U01),                     # no volume
-        dict(version=2, c=2, volume=2.0),                      # no profile
-        dict(version=2, c=2, volume=2.0, profile=U01, alpha=1.0),
-        dict(version=3, c=2, profile=U01),                     # no alpha
-        dict(version=3, c=2, alpha=1.0),                       # no profile
-        dict(version=1, c=0, alpha=1.0),                       # c >= 1
-        dict(version=4, c=2, alpha=1.0),
-    ])
+    # which fields a version takes is test_field_rule's
+    @pytest.mark.parametrize("kwargs", [dict(version=1, c=0, alpha=1.0),
+                                        dict(version=4, c=2, alpha=1.0)],
+                             ids=["c-below-1", "version-4"])
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             NeighbourhoodSpec(**kwargs)
@@ -837,6 +829,81 @@ class TestMetricRows:
         calls = self._counting(monkeypatch)
         assert [ev.neighbor_set(i) for i in range(len(U))] == [{i} for i in range(len(U))]
         assert len(calls) == len(U)
+
+
+class TestPointRows:
+    """A metric row decides the pair of a point and a point target by their
+    centre gap, which is their distance to the bit, and solves only its other
+    open pairs."""
+
+    @staticmethod
+    def _points(dim, seed):
+        """Points with a few segments among them, two duplicate points and an
+        integer 3-4-5 pair.  Each line's alpha is the exact distance to its
+        successor, so the strict test sits on the last bit, and 5 on the
+        3-4-5 pair, which therefore does not relate."""
+        rng = np.random.default_rng([dim, seed, 345])
+        U = []
+        for k in range(20):
+            x = rng.uniform(-2.0, 2.0, dim)
+            U.append(segment(x, x + rng.normal(size=dim)) if k % 5 == 2 else segment(x, x))
+        U += [segment(U[0].x, U[0].x), segment(U[1].x, U[1].x)]  # duplicates
+        base = np.round(U[3].x)
+        step = np.zeros(dim)
+        step[:2] = 3.0, 4.0
+        U += [segment(base, base), segment(base + step, base + step)]
+        alpha = [min_distance(l, U[(i + 1) % len(U)]).distance or 0.5 for i, l in enumerate(U)]
+        alpha[-2:] = 5.0, 5.0
+        return U, alpha
+
+    @pytest.mark.parametrize("rows", ["v1", "v3-density-free", "v3-capsule"])
+    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_the_distance(self, rows, dim, seed, monkeypatch):
+        U, alpha = self._points(dim, seed)
+        if rows == "v1":
+            spec = NeighbourhoodSpec(version=1, c=1, alpha=alpha)
+        else:  # the other lines alternate between the two kinds of metric row
+            kinds = [None, U01] if rows == "v3-density-free" else [U01, None]
+            profile = [kinds[k % 2] for k in range(len(U))]
+            profile[-2:] = [kinds[0]] * 2
+            spec = NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=profile)
+        ev = RelationEvaluator(U, spec)
+        assert not any(ev.searched)
+        kernel_pairs = []
+
+        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
+            kernel_pairs.extend(zip(a.tolist(), c.tolist()))
+            return _real(X1, D1, a, seg1, X2, D2, c, seg2)
+        monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
+        got = [ev.neighbor_set(i) for i in range(len(U))]
+        staged, got_staged = RelationEvaluator(U, spec), []
+        for i in range(len(U)):
+            staged.stage(range(i, len(U)))
+            got_staged.append(staged.neighbor_set(i))
+        assert kernel_pairs and (0.0, 0.0) not in kernel_pairs  # no point pair is solved
+        for i, row in enumerate(got):
+            expected = {j for j, l2 in enumerate(U)
+                        if min_distance(U[i], l2).distance < ev.radius[i]}
+            assert row == got_staged[i] == expected, f"row {i}"
+        n = len(U)
+        assert {0, n - 4} <= got[0] and {1, n - 3} <= got[1]  # duplicates relate
+        assert min_distance(U[-2], U[-1]).distance == 5.0 == ev.radius[-2] == ev.radius[-1]
+        assert n - 1 not in got[-2] and n - 2 not in got[-1]  # strict at alpha
+        # the rows relate points to points beyond the duplicates
+        points = [j for j in range(n) if U[j].is_degenerate]
+        assert sum(len(got[i] & set(points)) for i in points) > 3 * len(points)
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_gap_of_two_points_is_their_distance(self, dim):
+        U, alpha = self._points(dim, 0)
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=alpha))
+        points = [j for j, l in enumerate(U) if l.is_degenerate]
+        for i in points:
+            gaps = ev._centre_gaps(i, slice(None))
+            dist, _, _ = _min_distance_many(*(a[[i] * len(points)] for a in ev.stack),
+                                            *(a[points] for a in ev.stack))
+            assert [float(g).hex() for g in gaps[points]] == [float(d).hex() for d in dist]
 
 
 def _carrier(kind, x, y):
