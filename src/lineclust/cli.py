@@ -343,7 +343,7 @@ def cmd_lift(args, options: dict[str, argparse.Action]) -> int:
             raise ConfigurationError(f"--axis {text!r} declares axis {dom.axis + 1} again, "
                                      f"after {declared[dom.axis]!r}")
         domains[dom.axis], declared[dom.axis] = dom, text
-    rows = data_io.load_points_csv(args.input)
+    rows = data_io.load_points_csv(args.input, axes=domains)
     if rows:
         dim = len(rows[0][1])
         for axis, text in declared.items():

@@ -17,7 +17,7 @@ import csv
 import json
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
@@ -48,7 +48,7 @@ class SegmentRecord:
 # -- CSV rows ------------------------------------------------------------------
 
 def _csv_rows(path, header_fields, missing: bool):
-    """(id, values) for each data row of the CSV file at path.
+    """(line number, id, values) for each data row of the CSV file at path.
 
     header_fields(header, path) checks the header and returns the number of
     fields a row must have.  An empty file, a wrong field count, a repeated
@@ -87,7 +87,7 @@ def _csv_rows(path, header_fields, missing: bool):
                 if not math.isfinite(v):
                     raise ParseError(f"{path}:{lineno}: non-finite {what} {raw!r}")
                 values.append(v)
-            yield row[0], values
+            yield lineno, row[0], values
 
 
 # -- segments CSV ------------------------------------------------------------
@@ -103,7 +103,7 @@ def _segments_header(cols: list[str], path) -> int:
 
 def load_segments_csv(path) -> list[SegmentRecord]:
     records = []
-    for rid, vals in _csv_rows(path, _segments_header, missing=False):
+    for _, rid, vals in _csv_rows(path, _segments_header, missing=False):
         n = len(vals) // 2
         records.append(SegmentRecord(id=rid, x=np.array(vals[:n], dtype=np.float64),
                                      y=np.array(vals[n:], dtype=np.float64)))
@@ -136,9 +136,26 @@ def _points_header(cols: list[str], path) -> int:
     return n + 1
 
 
-def load_points_csv(path) -> list[tuple[str, tuple]]:
-    """Rows of (id, values); a missing value is None (empty field or NA)."""
-    return [(rid, tuple(values)) for rid, values in _csv_rows(path, _points_header, missing=True)]
+def load_points_csv(path, axes: Collection[int] | None = None) -> list[tuple[str, tuple]]:
+    """Rows of (id, values); a missing value is None (empty field or NA).
+
+    With axes, the 0-based axes a lift declares a domain for, a record that
+    lift_dataset could not lift is a ParseError naming path:line and the
+    columns: one missing two or more values, or one on an axis not in axes.
+    """
+    rows = []
+    for lineno, rid, values in _csv_rows(path, _points_header, missing=True):
+        gaps = [] if axes is None else [k for k, v in enumerate(values) if v is None]
+        if gaps:
+            columns = " and ".join(f"x{k + 1}" for k in gaps)
+            if len(gaps) > 1:
+                raise ParseError(f"{path}:{lineno}: record {rid!r} is missing {columns}; "
+                                 f"at most 1 missing value is supported")
+            if gaps[0] not in axes:
+                raise ParseError(f"{path}:{lineno}: record {rid!r} is missing {columns}, "
+                                 f"an axis with no declared domain")
+        rows.append((rid, tuple(values)))
+    return rows
 
 
 def write_points_csv(rows: Sequence[tuple[str, tuple]], path) -> None:

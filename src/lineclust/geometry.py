@@ -20,8 +20,9 @@ two non-degenerate carriers.  A pair with a point operand is projected onto
 the other carrier instead, by `_feet_sq`: the point l1s of a block are one
 `_feet_sq` pass and its point l2s another, so such a pair never takes the
 general solve.  Every dot product is `_row_dot`'s sum from the first
-column, which the relation rows' centre gaps use too: the centre gap of two
-points has the bits of their distance here.
+column, the order in which the relation rows sum their centre spans, one
+coordinate at a time: the span of two points has the bits of their
+distance here.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     the first.  einsum and BLAS sum in other orders in 7-d, so they would
     move the last bits of what its callers, `_feet_sq` and
     `_min_distance_many`, have always given, and any decision at alpha.
-    The relation rows' centre gaps sum here too, so two points' gap is
-    their distance to the bit."""
+    The metric relation rows sum the squares of their centre spans in this
+    order too, one coordinate at a time over a (rows, targets) block, so
+    two points' span is their distance to the bit."""
     P = A * B
     s = P[:, 0]
     for k in range(1, P.shape[1]):

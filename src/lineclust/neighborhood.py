@@ -79,20 +79,27 @@ The witness decision alone decides what the bound leaves open in a
 searched row, which never solves the exact minimum distance.
 
 A metric row (version 1, a density-free line in version 3, or a capsule)
-solves every pair off the diagonal that its centre gap leaves open in one
-_min_distance_many call, the one distance kernel, over pairs that each
-carry their own l1: to l2's carrier from a density-free line, to l2's
-witness piece from a capsule, the pieces stacked after the carriers.  The
-point rule spares the pairs of two points that call: a point's centre is
-the point, and its half-length and its witness piece's length are 0, so
-the centre gap, summed as the kernel sums (geometry._row_dot), is the
-two points' distance to the bit, and a point row decides its point
-targets by gap < radius.  A lifted dataset's complete records are points,
-so many of its open pairs never reach the kernel.  A row is a block of
-one row, a block of up to ROW_BLOCK rows staged ahead of their use
-(RelationEvaluator.stage) is solved in one call, and
-min_distance solves a single pair as a row of one, so a pair's distance
-has the same bits in each.  The diagonal keeps min_distance's shortcut for
+decides every pair off the diagonal between two bounds from the centres c
+and half-lengths h.  It rejects where the gap |c1 - c2| - h1 - h2 reaches
+its radius and relates where the span |c1 - c2| is below it: both centres
+lie on what the row measures, so the minimum distance is at most the span.
+A capsule measures to l2's witness piece, so there the span relates only
+a target whose piece holds its carrier's centre, t = 0.5 in its witness
+domain.  The pairs between the two bounds go to one _min_distance_many
+call, the one distance kernel, over pairs that each carry their own l1:
+to l2's carrier from a density-free line, to l2's witness piece from a
+capsule, the pieces stacked after the carriers.  On dense local data
+most open pairs relate within the span bound and never reach the kernel.
+The span's squares are summed as the kernel sums (geometry._row_dot), so two points' span, which
+is also their gap, is their distance to the bit: no point pair is solved.
+A pair whose distance equals its span may come out of the kernel a last
+bit above the span; a radius strictly between the two relates it, by its
+span, as the gap already decides collinear ties.  Rows are decided as one
+(rows, targets) block: a row is a block of one, a block of up to
+ROW_BLOCK rows staged ahead of their use (RelationEvaluator.stage) is
+decided together and its open pairs solved in one call, and min_distance
+solves a single pair as a row of one, so a pair's distance has the same
+bits in each.  The diagonal keeps min_distance's shortcut for
 a carrier against itself, through relates_v1 without a root, and a row
 with no other open pair, every row of a dataset of isolated lines, makes
 no array solve (acceptance criterion 7 measures those rows).
@@ -122,7 +129,6 @@ from .geometry import (
     _carriers,
     _feet_sq,
     _min_distance_many,
-    _row_dot,
     closest_point,  # unused, like density: benchmark/tracing.py patches both names
     min_distance,
 )
@@ -539,21 +545,23 @@ class RelationEvaluator:
 
     A relation row, line i against a slice of the dataset, decides every
     pair in arrays, as one boolean mask.  A metric row, whose line is not
-    searched, takes the pairs whose centre gap |c_i - c_j| - h_i - h_j is
-    below it, in a capsule row only targets whose witness domain is not
-    empty.  When i and j are both points (is_point) that gap is their
-    distance, so the pair is decided; the row solves the minimum distances
-    of its other pairs, all but i's own, in one _min_distance_many call,
-    to the targets' carriers from a line without a profile and to their
-    witness pieces from a capsule; a row with no such pair makes no call.
-    stage(rows) does the same for up to ROW_BLOCK metric rows at once,
-    their open pairs in one call, and keeps each row's mask until
-    neighbor_set(i) serves it; the expand engine stages the rows its
-    frontier will ask for next.  A searched row takes the pairs whose
-    carrier bound (_carrier_bound) is below its radius and decides them
-    in one _witness_hits call.  Each pair's decision then goes to relates_v1 /
-    relates_prob, called once per pair, as its root; the diagonal of a
-    metric row goes without one, so min_distance's shortcut decides it.
+    searched, decides each pair between two centre bounds (_metric_rows):
+    it rejects where the gap |c_i - c_j| - h_i - h_j reaches its radius,
+    in a capsule row also a target whose witness domain is empty, and
+    relates where the span |c_i - c_j| is below it, in a capsule row only a
+    target whose witness piece holds its centre (holds_centre).  The row
+    solves the minimum distances of the pairs between the two, all but
+    i's own, in one _min_distance_many call, to the targets' carriers from
+    a line without a profile and to their witness pieces from a capsule; a
+    row with no such pair makes no call.  stage(rows) decides up to
+    ROW_BLOCK metric rows as one block the same way, their open pairs in
+    one call, and keeps each row's mask until neighbor_set(i) serves it;
+    the expand engine stages the rows its frontier will ask for next.  A
+    searched row takes the pairs whose carrier bound (_carrier_bound) is
+    below its radius and decides them in one _witness_hits call.  Each
+    pair's decision then goes to relates_v1 / relates_prob, called once per
+    pair, as its root; the diagonal of a metric row goes without one, so
+    min_distance's shortcut decides it.
     neighbor_set(i) is that row over the whole dataset and relates(i, j)
     that row over line j alone, i and j indexing the dataset as U[i] does,
     an IndexError out of range; both count every pair in eval_count, and
@@ -570,7 +578,7 @@ class RelationEvaluator:
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
-        # column-major, so _row_dot's columns of the gaps are contiguous
+        # column-major, so each coordinate of the centres is contiguous
         self.centre = np.array([l.center for l in self.U], dtype=np.float64, order="F")
         self.half_len = np.array([math.inf if l.is_line else l.half_length for l in self.U])
         self.profiles: list[Profile | None] = _per_line(spec.profile, n, "profile")
@@ -583,16 +591,17 @@ class RelationEvaluator:
         self.window_lo = np.array([w[0] for w in windows], dtype=np.float64)
         self.window_hi = np.array([w[1] for w in windows], dtype=np.float64)
         self.has_piece = self.window_hi >= self.window_lo
+        # the witness piece holds its carrier's centre, at t = 0.5
+        self.holds_centre = (self.window_lo <= 0.5) & (0.5 <= self.window_hi)
         # the n carriers, then the n witness pieces, which a capsule row reads
         carriers = _carriers(*self.U)
         pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
         self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
         self.x, self.direction, self.sq_length, self.is_segment = (a[:n] for a in self.stack)
-        self.is_point = self.sq_length == 0.0
         # each line's radius, at or beyond which it relates to nothing: alpha
         # without a density, alpha * sup f1 over its reach, its window, with one
-        self.radius = [a if p is None else a * peak_density(p, *w)
-                       for p, a, w in zip(self.profiles, self.alphas, windows)]
+        self.radius = np.array([a if p is None else a * peak_density(p, *w)
+                                for p, a, w in zip(self.profiles, self.alphas, windows)])
         self.searched = [p is not None and not _is_capsule(l, p)
                          for l, p in zip(self.U, self.profiles)]
 
@@ -616,57 +625,76 @@ class RelationEvaluator:
             np.maximum(bound, np.sqrt(sq) - self.half_len[i], out=bound)
         return bound
 
-    def _centre_gaps(self, i: int, js: slice) -> np.ndarray:
-        """The centre gaps |c_i - c_j| - h_i - h_j from line i to each line
-        of the dataset slice js, -inf where either carrier is a line.  The
-        squares are summed by _row_dot, in the distance kernel's column
-        order, so the gap of two points, whose centres are the points and
-        whose half-lengths are 0, has the bits of their distance from
-        _min_distance_many, and decides their pair."""
-        gaps = self.centre[js] - self.centre[i]
-        gaps = np.sqrt(_row_dot(gaps, gaps))
-        gaps -= self.half_len[i]
-        gaps -= self.half_len[js]
-        return gaps
+    def _metric_rows(self, rows: Sequence[int], js: slice) -> np.ndarray:
+        """The (k, m) decision masks of the k metric rows of rows over the m
+        lines of the dataset slice js, one block decided between two centre
+        bounds.  A pair is False where its gap |c_i - c_j| - h_i - h_j is at
+        or beyond the row's radius, on the diagonal and, in a capsule row,
+        where the target's witness domain is empty.  It is True where the
+        span |c_i - c_j| is below the radius: both centres lie on what the
+        row measures, so the minimum distance is at most the span.  In a
+        capsule row that holds only for a target whose witness piece holds
+        its carrier's centre, t = 0.5 in its witness domain (holds_centre).
+        The pairs between the two bounds take min distance < radius from
+        one `_min_distance_many` call, and none when no pair is left there.
+        A density-free row measures to its targets' carriers, a capsule row
+        to their witness pieces, the rows of the stack offset by n.
 
-    def _metric_rows(self, rows: Sequence[int], js: slice) -> list[np.ndarray]:
-        """The decision mask of each metric row of rows over the dataset
-        slice js: False where the centre gap is at or beyond its radius, on
-        the diagonal and, in a capsule row, where the target's witness
-        domain is empty; the gap's decision where a point row meets a point
-        target, the gap being their distance; min distance < radius
-        elsewhere, from one `_min_distance_many` call over the open pairs of
-        every row, and no call when no row has one.  A density-free row
-        measures to its targets' carriers, a capsule row to their witness
-        pieces, the rows of the stack offset by n."""
+        The span's squares are summed one coordinate at a time over the
+        block, in geometry._row_dot's column order, so every gap keeps its
+        bits and the span of two points, whose centres are the points and
+        whose half-lengths are 0, is their distance from the kernel to the
+        bit: neither bound leaves such a pair open.  The kernel may put a
+        pair whose distance equals its span a last bit above it; a radius
+        between the two relates that pair, by its span.  A row of one is
+        read at its index, so that its centre, half-length and radius are
+        scalars and its arrays 1-d, and a block with no open pair ends
+        before its relate mask: an isolated row costs no more than a gap."""
         n = len(self.U)
         lines = range(n)[js]
-        masks, starts, at = [], [], []
-        for i in rows:
-            mask = self._centre_gaps(i, js) < self.radius[i]
-            capsule = self.profiles[i] is not None
-            if capsule:
-                mask &= self.has_piece[js]
+        # a row of one at its index, a block's rows as a column
+        at = (rows[0],) if len(rows) == 1 else (rows, None)
+        # (dim, ...) views of the centres, each coordinate's targets contiguous
+        ci, cj = self.centre.T[(slice(None), *at)], self.centre.T[:, js]
+        span = np.square(cj[0] - ci[0])
+        gap = np.empty_like(span)  # each coordinate's squares, then the gaps
+        for k in range(1, len(ci)):
+            np.subtract(cj[k], ci[k], out=gap)
+            gap *= gap
+            span += gap
+        np.sqrt(span, out=span)
+        radius = self.radius[at]
+        np.subtract(span, self.half_len[at], out=gap)
+        gap -= self.half_len[js]
+        live = gap < radius
+        mask = live.reshape(len(rows), -1)  # a view: (k, m) for a row of one too
+        capsule = [self.profiles[i] is not None for i in rows]
+        if any(capsule):
+            plain = ~np.array(capsule)[:, None]  # the density-free rows
+            mask &= self.has_piece[js] | plain
+        for q, i in enumerate(rows):
             if i in lines:  # the diagonal keeps min_distance's shortcut
-                mask[i - lines.start] = False
-            masks.append(mask)
-            starts.append(lines.start + n if capsule else lines.start)
-            # a point's gap to a point is their distance: those pairs are decided
-            at.append((mask & ~self.is_point[js] if self.is_point[i] else mask).nonzero()[0])
-        counts = [len(a) for a in at]
-        if any(counts):
-            l1 = np.repeat(rows, counts)
-            l2 = np.concatenate(at) + np.repeat(starts, counts)
+                mask[q, i - lines.start] = False
+        if not np.count_nonzero(live):  # cheaper than live.any() on a row
+            return mask
+        near = (span < radius).reshape(mask.shape)
+        del span, gap  # before the kernel's own temporaries
+        if any(capsule):
+            near &= self.holds_centre[js] | plain
+        q, j = np.nonzero(mask & ~near)
+        mask &= near
+        if len(q):
+            l1 = np.array(rows)[q]
+            l2 = j + (lines.start + n * np.array(capsule)[q])
             dist, _, _ = _min_distance_many(*(a[l1] for a in self.stack),
                                             *(a[l2] for a in self.stack))
-            radius = np.repeat([self.radius[i] for i in rows], counts)
-            for mask, a, hit in zip(masks, at, np.split(dist < radius, np.cumsum(counts)[:-1])):
-                mask[a] = hit
-        return masks
+            mask[q, j] = dist < self.radius[l1]
+        return mask
 
     def stage(self, rows: Iterable[int]) -> None:
-        """Solve the open pairs of the metric rows among the first ROW_BLOCK
-        of rows in one kernel call, and keep each row's mask until
+        """Decide the metric rows among the first ROW_BLOCK of rows as one
+        block between the two centre bounds, the pairs between them in one
+        kernel call (_metric_rows), and keep each row's mask until
         neighbor_set serves it.  A call while any row is staged does
         nothing, so a block is served whole before the next is solved and
         no more than ROW_BLOCK rows are ever held.  Searched rows are left

@@ -453,6 +453,19 @@ class TestLift:
                        "--axis", "2=uniform:0,1", "--out", tmp_path / "s.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("row, message", [
+        ("b,1,NA", "record 'b' is missing x2, an axis with no declared domain"),
+        ("b,NA,NA", "record 'b' is missing x1 and x2; at most 1 missing value is supported"),
+    ])
+    def test_unliftable_record_names_file_line_and_column(self, tmp_path, capsys, row, message):
+        # the blank line is skipped but counted: b is on line 4; axis 1 is
+        # declared, so a record missing x2 names x2, not a 0-based axis 1
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"id,x1,x2\na,0,0\n\n{row}\n")
+        assert run_cli("lift", pts, "--axis", "1=uniform:-1,1", "--out", tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == f"error: {pts}:4: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_uniform_axis_needs_window(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("id,x1,x2\na,1.0,NA\n")

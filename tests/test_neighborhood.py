@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from lineclust import neighborhood
 from lineclust.data_io import gen_doughnut
+from lineclust.engine import RunConfig, run
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import _min_distance_many, closest_point, line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
@@ -833,8 +834,8 @@ class TestMetricRows:
 
 class TestPointRows:
     """A metric row decides the pair of a point and a point target by their
-    centre gap, which is their distance to the bit, and solves only its other
-    open pairs."""
+    centre span, which is their gap and their distance to the bit, and
+    solves only its other open pairs."""
 
     @staticmethod
     def _points(dim, seed):
@@ -895,15 +896,108 @@ class TestPointRows:
         assert sum(len(got[i] & set(points)) for i in points) > 3 * len(points)
 
     @pytest.mark.parametrize("dim", [2, 7])
-    def test_gap_of_two_points_is_their_distance(self, dim):
-        U, alpha = self._points(dim, 0)
-        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=alpha))
-        points = [j for j, l in enumerate(U) if l.is_degenerate]
+    def test_gap_of_two_points_is_their_distance(self, dim, monkeypatch):
+        # two points' gap is their span, and it decides their pair: at a
+        # radius of their kernel distance d it does not relate, at the next
+        # float above d it does, and no call solves it, so the span has d's bits
+        U = [l for l in self._points(dim, 0)[0] if l.is_degenerate]
+        points = range(len(U))
+        stack = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.0)).stack
+        dists = {i: _min_distance_many(*(a[[i] * len(U)] for a in stack),
+                                       *(a[:len(U)] for a in stack))[0].tolist() for i in points}
+        monkeypatch.setattr(neighborhood, "_min_distance_many", None)  # a call would raise
+        decided = 0
         for i in points:
-            gaps = ev._centre_gaps(i, slice(None))
-            dist, _, _ = _min_distance_many(*(a[[i] * len(points)] for a in ev.stack),
-                                            *(a[points] for a in ev.stack))
-            assert [float(g).hex() for g in gaps[points]] == [float(d).hex() for d in dist]
+            for j, d in zip(points, dists[i]):
+                if d == 0.0:  # the diagonal and the duplicates
+                    continue
+                for radius, related in ((d, False), (math.nextafter(d, math.inf), True)):
+                    alpha = [1.0] * len(U)
+                    alpha[i] = radius
+                    ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=alpha))
+                    assert ev.relates(i, j) is related and (j in ev.neighbor_set(i)) is related
+                    decided += 1
+        assert decided > len(U) ** 2
+
+
+class TestCentreBounds:
+    """A metric row decides its pairs between two centre bounds: it rejects
+    where the gap |c_i - c_j| - h_i - h_j reaches the radius, relates where
+    the span |c_i - c_j| is below it (in a capsule row only for a target
+    whose witness piece holds its carrier's centre) and solves only the
+    pairs between the two."""
+
+    # parallel segments side by side, the same reversed, and a point
+    # opposite a midpoint: each pair's minimum distance is its span
+    TIES = [segment((0, 0), (4, 0)), segment((0, 3), (4, 3)), segment((4, 6), (0, 6)),
+            segment((2, 9), (2, 9))]
+
+    @pytest.mark.parametrize("rows", ["v1", "capsule"])
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    def test_ties_in_integer_coordinates(self, rows, staged):
+        U = self.TIES
+        for alpha in (3.0, math.nextafter(3.0, math.inf)):
+            spec = (NeighbourhoodSpec(version=1, c=1, alpha=alpha) if rows == "v1" else
+                    NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=U01))
+            ev = RelationEvaluator(U, spec)
+            assert not any(ev.searched) and (ev.radius == alpha).all()
+            got = []
+            for i in range(len(U)):
+                if staged:
+                    ev.stage([i])
+                got.append(ev.neighbor_set(i))
+            assert got == [{j for j, l2 in enumerate(U) if min_distance(l1, l2).distance < alpha}
+                           for l1 in U]
+            assert got == [{j for j in range(len(U)) if ev.relates(i, j)} for i in range(len(U))]
+            if alpha == 3.0:
+                assert got == [{i} for i in range(len(U))]  # nothing off the diagonal
+            else:
+                assert got == [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3}]
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    def test_capsule_target_whose_piece_misses_its_centre(self, staged, monkeypatch):
+        # the target's carrier centre (0.5, 0.3) is 0.3 from the row's, but
+        # its witness piece, t in [0.8, 1], starts 1.68 away
+        U = [segment((0.0, 0.0), (1.0, 0.0)), segment((0.5, -2.0), (0.5, 2.6))]
+        p2 = Profile.uniform(0.8, 1.0)
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=[U01, p2]))
+        assert ev.searched == [False, True]
+        solved = []
+
+        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
+            dist, t1, t2 = _real(X1, D1, a, seg1, X2, D2, c, seg2)
+            solved.extend(dist.tolist())
+            return dist, t1, t2
+        monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
+        if staged:
+            ev.stage([0])
+        assert ev.neighbor_set(0) == {0}
+        assert not ev.relates(0, 1)
+        assert ev.undecided_count == 0
+        # the pair went to the kernel, which measured the piece
+        assert len(solved) == 2 and solved[0] == solved[1] == pytest.approx(1.68)
+        assert relates_prob(U[0], U01, 1.0, U[1], p2) is False
+
+    @pytest.mark.parametrize("data", ["doughnut-v1", "lifted-0", "lifted-1"])
+    def test_no_pair_below_the_span_reaches_the_kernel(self, data, monkeypatch):
+        # every radius here is alpha: uniform(0, 1) peaks at 1, and every
+        # witness piece is centred on its carrier's centre
+        if data == "doughnut-v1":
+            U = [r.to_segment() for r in gen_doughnut(600, seed=7)]
+            spec, seed = NeighbourhoodSpec(version=1, c=5, alpha=12.0), 3
+        else:
+            (U, spec), seed = TestMetricRows._lifted(int(data[-1])), 0
+        spans = []
+
+        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
+            spans.extend(np.linalg.norm((X1 + 0.5 * D1) - (X2 + 0.5 * D2), axis=1).tolist())
+            return _real(X1, D1, a, seg1, X2, D2, c, seg2)
+        monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
+        labels = run(U, RunConfig(spec=spec, mode="expand", rng_seed=seed))
+        assert spans and min(spans) >= spec.alpha * (1.0 - 1e-12)
+        if data == "doughnut-v1":
+            assert len(spans) == 14108
+            assert labels.k == 2
 
 
 def _carrier(kind, x, y):
@@ -935,7 +1029,8 @@ class TestCarrierBound:
         for i, l1 in enumerate(U):
             bound = ev._carrier_bound(i, slice(None))
             # the centre gap is never above the carrier terms, beyond rounding
-            gap = ev._centre_gaps(i, slice(None))
+            gap = (np.linalg.norm(ev.centre - ev.centre[i], axis=1)
+                   - ev.half_len[i] - ev.half_len)
             assert (bound >= gap - 1e-12 * (1.0 + np.abs(gap))).all(), (i, bound, gap)
             for j, l2 in enumerate(U):
                 both_lines = l1.is_line and l2.is_line
