@@ -172,9 +172,16 @@ def write_points_csv(rows: Sequence[tuple[str, tuple]], path) -> None:
 # -- GeoJSON ------------------------------------------------------------------
 
 def _is_planar_position(pos) -> bool:
-    """Is pos a GeoJSON position of exactly two numbers."""
-    return (isinstance(pos, list) and len(pos) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pos))
+    """Is pos a GeoJSON position of exactly two finite numbers.  json reads
+    NaN and Infinity, overflows 1e400 to inf and reads an integer of any
+    size, so each number must also be a finite float."""
+    if not (isinstance(pos, list) and len(pos) == 2):
+        return False
+    try:
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in pos)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def load_geojson(path, crop: tuple[float, float, float, float] | None = None
@@ -186,9 +193,9 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
     are kept.  A box that is not four real numbers (a bool is not one) is a
     ConfigurationError, as is one with minx > maxx, miny > maxy or a NaN,
     which selects nothing; an infinite bound is legal.  Two features that
-    yield one segment id, a position that is not two numbers (a 3-d
-    coordinate, say), and a feature list, feature, geometry or line of the
-    wrong JSON type are parse errors.
+    yield one segment id, a position that is not two finite numbers (a 3-d
+    coordinate, say, or a NaN, which json reads), and a feature list,
+    feature, geometry or line of the wrong JSON type are parse errors.
     """
     if crop is not None:
         box = tuple(crop) if isinstance(crop, Iterable) else None
@@ -248,7 +255,7 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
             for pos in coords:
                 if not _is_planar_position(pos):
                     raise ParseError(f"{path}: feature {fi} has position {pos!r}; "
-                                     f"positions must be [x, y]")
+                                     f"positions must be [x, y], two finite numbers")
             for si in range(len(coords) - 1):
                 a, b = coords[si], coords[si + 1]
                 if not (inside(a) and inside(b)):
@@ -337,7 +344,12 @@ def gen_doughnut(count: int = 400, seed: int = 0) -> list[SegmentRecord]:
 
 def gen_isolated(count: int, spacing: float = 10.0) -> list[SegmentRecord]:
     """Unit segments spaced far apart along the x-axis; nothing relates to
-    anything under a small threshold, the draw-loop worst case."""
+    anything under a small threshold, the draw-loop worst case.  count must
+    be >= 1 and spacing finite and positive."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be finite and positive, got {spacing!r}")
     return [
         SegmentRecord(id=f"i{i:05d}",
                       x=np.array([spacing * i, 0.0]),

@@ -11,18 +11,19 @@ pair all run the same code, a single pair as a row of one.  `_feet_sq`
 gives the feet of m points on their carriers, one carrier per point or one
 carrier for them all (`closest_point` is its row of one), and
 `_min_distance_many` the minimum distances of m pairs of carriers, each
-pair with its own first carrier, so one call solves a row (every pair
-sharing it) or the open pairs of many rows at once (`min_distance` is its
-row of one).  Every operation of both acts on each pair alone, so a pair's
-result has the same bits whatever row or block it sits in.  The distance
-solve is one clamp-project-reclamp step, exact in at most two steps for any
-two non-degenerate carriers.  A pair with a point operand is projected onto
-the other carrier instead, by `_feet_sq`: the point l1s of a block are one
-`_feet_sq` pass and its point l2s another, so such a pair never takes the
-general solve.  Every dot product is `_row_dot`'s sum from the first
-column, the order in which the relation rows sum their centre spans, one
-coordinate at a time: the span of two points has the bits of their
-distance here.
+pair two indices into one stack of carriers, so one call solves a row
+(every pair sharing its first index) or the open pairs of many rows at
+once (`min_distance` is its row of one, on the stack of its two carriers).
+Every operation of both acts on each pair alone, so a pair's result has
+the same bits whatever row or block it sits in.  The distance solve is one
+clamp-project-reclamp step, exact in at most two steps for any two
+non-degenerate carriers.  A pair with a point operand is projected onto
+the other carrier instead: every such pair of a block, whichever side its
+point is on, is one `_feet_sq` pass, so it never takes the general solve,
+and each kind of pair gathers from the stack only the rows it reads.
+Every dot product is `_row_dot`'s sum from the first column, the order in
+which the relation rows sum their centre spans, one coordinate at a time:
+the span of two points has the bits of their distance here.
 """
 
 from __future__ import annotations
@@ -156,20 +157,21 @@ def min_distance(l1: SegmentLike, l2: SegmentLike) -> MinDistance:
     """Minimum distance between two lines/segments with achieving parameters.
 
     The dimensions are checked, then the pair is solved by
-    `_min_distance_many` as a row of one.  A carrier against itself is
+    `_min_distance_many` as a row of one, on the stack of the two
+    carriers.  A carrier against itself is
     (0, 0, 0), what the solve would give, without the solve.
     """
     if l1 is l2:
         return MinDistance(0.0, 0.0, 0.0)
     if l1.dim != l2.dim:
         raise ValueError(f"dimension mismatch: {l1.dim}-d vs {l2.dim}-d")
-    dist, t1, t2 = _min_distance_many(*_carriers(l1), *_carriers(l2))
+    dist, t1, t2 = _min_distance_many(_carriers(l1, l2), [0], [1])
     return MinDistance(float(dist[0]), float(t1[0]), float(t2[0]))
 
 
 def _carriers(*lines: SegmentLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The base points, directions, squared lengths and kinds (True for a
-    segment) of lines, stacked as `_min_distance_many` takes one side."""
+    segment) of lines, stacked as `_min_distance_many` reads them."""
     return (np.array([l.x for l in lines]), np.array([l.direction for l in lines]),
             np.array([l.sq_length for l in lines]), np.array([l.kind == "segment" for l in lines]))
 
@@ -178,8 +180,8 @@ def _feet_sq(P: np.ndarray, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
              is_segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The feet of the rows of P on their carriers: (m,) parameters, 0 on a
     point carrier and clamped to [0, 1] on a segment, and (m,) squared
-    distances.  The carriers are stacked as `_min_distance_many` takes one
-    side, one per row, or one carrier's row that every point shares; P is
+    distances.  The carriers are stacked as `_carriers` stacks them, one per
+    row, or one carrier's row that every point shares; P is
     (m, dim), or one (dim,) point that every carrier shares.  Nothing is
     checked, and `_row_dot`'s column sums give a row the same bits wherever
     it sits."""
@@ -191,15 +193,16 @@ def _feet_sq(P: np.ndarray, X: np.ndarray, D: np.ndarray, sq: np.ndarray,
     return t, _row_dot(q, q)
 
 
-def _min_distance_many(X1: np.ndarray, D1: np.ndarray, a: np.ndarray, seg1: np.ndarray,
-                       X2: np.ndarray, D2: np.ndarray, c: np.ndarray, seg2: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _min_distance_many(stack: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                       i1, i2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The minimum distances of m pairs of carriers (l1_k, l2_k) at once,
     with the parameters that achieve them: (m,) arrays (distance, t1, t2).
 
-    Each side is given as (m, dim) base points and directions, (m,) squared
-    lengths and (m,) kinds, True for a segment (`_carriers` stacks them);
-    no pair may be one carrier twice, and nothing is checked.  With
+    stack holds the carriers as `_carriers` stacks them: (N, dim) base
+    points and directions, (N,) squared lengths and (N,) kinds, True for a
+    segment.  The pairs are the (m,) index arrays i1 and i2 into it, read
+    by index: each kind of pair gathers only the rows it reads, once.  No
+    pair may be one carrier twice, and nothing is checked.  With
     r = x1 - x2, |g1(t1) - g2(t2)|^2 is a convex quadratic in (t1, t2)
     whose coefficients are the scalars a = d1.d1, b = d1.d2, c = d2.d2,
     d = d1.r and e = d2.r.  One clamp-project-reclamp solve (Lumelsky 1985;
@@ -212,44 +215,49 @@ def _min_distance_many(X1: np.ndarray, D1: np.ndarray, a: np.ndarray, seg1: np.n
     optimum on the end of l2 it overshot, and t1 becomes that endpoint's
     clamped projection (b*t2 - d)/a.  The distance is the root of the
     squared length of the point difference r + d1*t1 - d2*t2, not of the
-    expanded quadratic, which cancels.  A point operand is projected onto
-    the other carrier instead, by one _feet_sq pass: a point l1 has t1 = 0
-    and t2 its foot on l2, and a point l2 (with an l1 that is no point) has
-    t1 its foot on l1 and t2 = 0.  A block that mixes point l1s, point l2s
-    and other pairs solves each kind as a block of its own, so a point pair
+    expanded quadratic, which cancels.  The pairs are split by a == 0 and
+    c == 0: a pair with a point operand is that point projected onto the
+    other carrier, every such pair of the block in one _feet_sq pass.  A
+    point l1 has t1 = 0 and t2 its foot on l2, and a point l2 (with an l1
+    that is no point) has t1 its foot on l1 and t2 = 0, so a point pair
     costs no more in a block than alone and never pays for the general
-    solve.  Where a step does not apply to a pair (a parallel pair's zero
-    divisor, a pair that needs no reclamp) its result is left out, never
-    divided, so no pair raises a floating-point warning.
+    solve, which takes every other pair.  Where a step does not apply to a
+    pair (a parallel pair's zero divisor, a pair that needs no reclamp) its
+    result is left out, never divided, so no pair raises a floating-point
+    warning.
     """
+    X, D, sq, seg = stack
+    i1, i2 = np.asarray(i1, dtype=np.intp), np.asarray(i2, dtype=np.intp)
+    m = len(i1)
+    a, c = sq[i1], sq[i2]
     point1 = a == 0.0
-    point2 = (c == 0.0) & ~point1
-    if point1.all():  # point l1s: each one's foot on its l2, at t1 = 0
-        t2, gap_sq = _feet_sq(X1, X2, D2, c, seg2)
-        return np.sqrt(gap_sq), np.zeros(len(a)), t2
-    if point2.all():  # point l2s: each one's foot on its l1, at t2 = 0
-        t1, gap_sq = _feet_sq(X2, X1, D1, a, seg1)
-        return np.sqrt(gap_sq), t1, np.zeros(len(a))
-    if point1.any() or point2.any():  # points mixed with others: each kind apart
-        out = np.empty((3, len(a)))
-        for rows in (point1, point2, ~(point1 | point2)):
-            if rows.any():
-                out[:, rows] = _min_distance_many(X1[rows], D1[rows], a[rows], seg1[rows],
-                                                  X2[rows], D2[rows], c[rows], seg2[rows])
-        return out[0], out[1], out[2]
-    m = len(a)
-    r = X1 - X2
-    b = _row_dot(D2, D1)
-    d = _row_dot(r, D1)
-    e = _row_dot(r, D2)
-    den = a * c - b * b  # >= 0, zero iff parallel
-    t1 = np.divide(b * e - c * d, den, out=np.zeros(m), where=den > 1e-14 * a * c)
-    t1 = np.where(seg1, np.clip(t1, 0.0, 1.0), t1)
-    t2 = (b * t1 + e) / c
-    over = seg2 & ((t2 < 0.0) | (t2 > 1.0))  # the optimum is on l2's violated end
-    if over.any():
-        t2[over] = np.where(t2[over] < 0.0, 0.0, 1.0)
-        t = (b[over] * t2[over] - d[over]) / a[over]
-        t1[over] = np.where(seg1[over], np.clip(t, 0.0, 1.0), t)
-    q = r + D1 * t1[:, None] - D2 * t2[:, None]
-    return np.sqrt(_row_dot(q, q)), t1, t2
+    point = point1 | (c == 0.0)
+    dist, t1, t2 = np.empty(m), np.zeros(m), np.zeros(m)
+    p = np.flatnonzero(point)
+    if len(p):  # each pair's point onto its other carrier: l1's onto l2, else l2's onto l1
+        first = point1[p]
+        src, dst = np.where(first, i1[p], i2[p]), np.where(first, i2[p], i1[p])
+        t, gap_sq = _feet_sq(X[src], X[dst], D[dst], np.where(first, c[p], a[p]), seg[dst])
+        dist[p] = np.sqrt(gap_sq)
+        t2[p[first]] = t[first]
+        t1[p[~first]] = t[~first]
+    g = np.flatnonzero(~point) if len(p) else slice(None)  # with no point pair, views of all
+    j1, j2, a, c = i1[g], i2[g], a[g], c[g]
+    if len(j1):  # the general solve
+        D1, D2, seg1, seg2 = D[j1], D[j2], seg[j1], seg[j2]
+        r = X[j1] - X[j2]
+        b = _row_dot(D2, D1)
+        d = _row_dot(r, D1)
+        e = _row_dot(r, D2)
+        den = a * c - b * b  # >= 0, zero iff parallel
+        s1 = np.divide(b * e - c * d, den, out=np.zeros(len(j1)), where=den > 1e-14 * a * c)
+        s1 = np.where(seg1, np.clip(s1, 0.0, 1.0), s1)
+        s2 = (b * s1 + e) / c
+        over = seg2 & ((s2 < 0.0) | (s2 > 1.0))  # the optimum is on l2's violated end
+        if over.any():
+            s2[over] = np.where(s2[over] < 0.0, 0.0, 1.0)
+            t = (b[over] * s2[over] - d[over]) / a[over]
+            s1[over] = np.where(seg1[over], np.clip(t, 0.0, 1.0), t)
+        q = r + D1 * s1[:, None] - D2 * s2[:, None]
+        dist[g], t1[g], t2[g] = np.sqrt(_row_dot(q, q)), s1, s2
+    return dist, t1, t2

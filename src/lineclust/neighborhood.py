@@ -86,9 +86,11 @@ lie on what the row measures, so the minimum distance is at most the span.
 A capsule measures to l2's witness piece, so there the span relates only
 a target whose piece holds its carrier's centre, t = 0.5 in its witness
 domain.  The pairs between the two bounds go to one _min_distance_many
-call, the one distance kernel, over pairs that each carry their own l1:
-to l2's carrier from a density-free line, to l2's witness piece from a
-capsule, the pieces stacked after the carriers.  On dense local data
+call, the one distance kernel, as index pairs into the dataset's stack of
+carriers, each pair with its own l1: to l2's carrier from a density-free
+line, to l2's witness piece from a capsule, the pieces stacked after the
+carriers.  The kernel gathers each pair's rows itself, once; the row
+gathers nothing.  On dense local data
 most open pairs relate within the span bound and never reach the kernel.
 The span's squares are summed as the kernel sums (geometry._row_dot), so two points' span, which
 is also their gap, is their distance to the bit: no point pair is solved.
@@ -551,9 +553,10 @@ class RelationEvaluator:
     relates where the span |c_i - c_j| is below it, in a capsule row only a
     target whose witness piece holds its centre (holds_centre).  The row
     solves the minimum distances of the pairs between the two, all but
-    i's own, in one _min_distance_many call, to the targets' carriers from
-    a line without a profile and to their witness pieces from a capsule; a
-    row with no such pair makes no call.  stage(rows) decides up to
+    i's own, in one _min_distance_many call, which reads them by index
+    from the stack: to the targets' carriers from a line without a
+    profile and to their witness pieces from a capsule; a row with no such
+    pair makes no call.  stage(rows) decides up to
     ROW_BLOCK metric rows as one block the same way, their open pairs in
     one call, and keeps each row's mask until neighbor_set(i) serves it;
     the expand engine stages the rows its frontier will ask for next.  A
@@ -637,8 +640,11 @@ class RelationEvaluator:
         its carrier's centre, t = 0.5 in its witness domain (holds_centre).
         The pairs between the two bounds take min distance < radius from
         one `_min_distance_many` call, and none when no pair is left there.
-        A density-free row measures to its targets' carriers, a capsule row
-        to their witness pieces, the rows of the stack offset by n.
+        The call gets the stack and each pair's two indices into it, the
+        row's line and the target's, and the kernel gathers what it reads:
+        nothing is gathered here.  A density-free row measures to its
+        targets' carriers, a capsule row to their witness pieces, the
+        target's index offset by n.
 
         The span's squares are summed one coordinate at a time over the
         block, in geometry._row_dot's column order, so every gap keeps its
@@ -685,9 +691,8 @@ class RelationEvaluator:
         mask &= near
         if len(q):
             l1 = np.array(rows)[q]
-            l2 = j + (lines.start + n * np.array(capsule)[q])
-            dist, _, _ = _min_distance_many(*(a[l1] for a in self.stack),
-                                            *(a[l2] for a in self.stack))
+            dist, _, _ = _min_distance_many(self.stack, l1,
+                                            j + (lines.start + n * np.array(capsule)[q]))
             mask[q, j] = dist < self.radius[l1]
         return mask
 

@@ -325,6 +325,19 @@ class TestCluster:
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["counts"]["k"] == 1
 
+    @pytest.mark.parametrize("crop", [[], ["--crop=-5,-5,5,5"]], ids=["whole", "cropped"])
+    def test_geojson_nan_position_names_file_and_feature(self, tmp_path, capsys, crop):
+        geo = tmp_path / "nan.geojson"
+        geo.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature",'
+                       ' "properties": {}, "geometry": {"type": "LineString",'
+                       ' "coordinates": [[0, 0], [NaN, 1], [2, 2]]}}]}')
+        code = run_cli("cluster", geo, "--version", 1, "--c", 1, "--alpha", 1, *crop,
+                       "--out", tmp_path / "r.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{geo}: feature 0 has position [nan, 1]" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_geojson_crop_flag(self, tmp_path):
         geo = tmp_path / "net.geojson"
         geo.write_text(json.dumps({

@@ -279,6 +279,25 @@ class TestGeoJson:
                 load_geojson(path)
             assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"])
+    @pytest.mark.parametrize("crop", [None, (-10, -10, 10, 10)], ids=["whole", "cropped"])
+    def test_non_finite_positions_are_parse_errors(self, tmp_path, token, crop):
+        # json reads NaN and Infinity, overflows 1e400 to inf and reads an
+        # integer beyond the float range; within the crop box or not, such a
+        # position names the file and feature
+        path = tmp_path / "data.geojson"
+        path.write_text(
+            '{"type": "FeatureCollection", "features": ['
+            '{"type": "Feature", "properties": {},'
+            ' "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 1]]}},'
+            '{"type": "Feature", "properties": {},'
+            ' "geometry": {"type": "LineString",'
+            f' "coordinates": [[0, 0], [{token}, 1], [2, 2]]}}}}]}}')
+        with pytest.raises(ParseError, match="feature 1 has position") as exc:
+            load_geojson(path, crop=crop)
+        assert str(path) in str(exc.value) and "finite" in str(exc.value)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.geojson"
         path.write_text("{not json")
@@ -335,6 +354,16 @@ class TestGenerators:
         recs = gen_doughnut(400, seed=2)
         kinds = {r.id[0] for r in recs}
         assert kinds == {"d", "s", "b"}
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_isolated_count_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            gen_isolated(count)
+
+    @pytest.mark.parametrize("spacing", [0.0, -10.0, math.inf, math.nan])
+    def test_isolated_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            gen_isolated(10, spacing=spacing)
 
     def test_isolated_pairwise_far(self):
         recs = gen_isolated(10, spacing=10.0)

@@ -18,8 +18,9 @@ from lineclust.geometry import (
     min_distance,
     segment,
 )
-from lineclust.neighborhood import relates_v1
+from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator, relates_v1
 from lineclust.oracle import grid_min_distance, reference_foot
+from lineclust.profiles import Profile
 
 
 def rand_segment(rng, dim, span=10.0, max_len=None):
@@ -432,12 +433,13 @@ def _row_partners(rng, l1, scale):
     return out
 
 
-def _stepwise(l1, l2) -> tuple[float, float, float]:
-    """`_min_distance_many`'s documented steps for one pair, in Python
-    floats: every dot product summed one coordinate at a time from the
-    first, the den > 1e-14*a*c test, the clamp, the reclamp on the end of l2
-    that t2 overshot, and a point operand's foot.  Each step is one IEEE
-    operation, so the kernel must give these bits."""
+def _stepwise(stack, k1, k2) -> tuple[float, float, float]:
+    """`_min_distance_many`'s documented steps for the pair of rows k1, k2
+    of a carrier stack, in Python floats: every dot product summed one
+    coordinate at a time from the first, the den > 1e-14*a*c test, the
+    clamp, the reclamp on the end of l2 that t2 overshot, and a point
+    operand's foot.  Each step is one IEEE operation, so the kernel must
+    give these bits."""
     def dot(u, v):
         s = u[0] * v[0]
         for p, q in zip(u[1:], v[1:]):
@@ -452,8 +454,9 @@ def _stepwise(l1, l2) -> tuple[float, float, float]:
         q = [p - (x + u * t) for p, x, u in zip(P, X, D)]
         return t, dot(q, q)
 
-    x1, d1, a, seg1 = l1.x.tolist(), l1.direction.tolist(), l1.sq_length, not l1.is_line
-    x2, d2, c, seg2 = l2.x.tolist(), l2.direction.tolist(), l2.sq_length, not l2.is_line
+    X, D, sq, seg = stack
+    x1, d1, a, seg1 = X[k1].tolist(), D[k1].tolist(), float(sq[k1]), bool(seg[k1])
+    x2, d2, c, seg2 = X[k2].tolist(), D[k2].tolist(), float(sq[k2]), bool(seg[k2])
     if a == 0.0:
         t2, gap_sq = foot(x1, x2, d2, c, seg2)
         return math.sqrt(gap_sq), 0.0, t2
@@ -474,26 +477,33 @@ def _stepwise(l1, l2) -> tuple[float, float, float]:
 
 class TestRowKernel:
     """A pair's result does not depend on the block it sits in: every
-    (distance, t1, t2) triple of a `_min_distance_many` block of m pairs has
-    the bits of the pair's block of one, of `min_distance`, which solves
-    that block of one, and of the kernel's steps taken in Python floats.  A relation row is a block whose pairs share l1; a
-    staged block mixes the l1s of many rows, and its point l1s and point l2s
-    are each one foot pass."""
+    (distance, t1, t2) triple of a `_min_distance_many` block of m pairs,
+    index pairs into one carrier stack, has the bits of the pair's block of
+    one, of the kernel's steps taken in Python floats and, where the stack
+    holds the pair's own carriers, of `min_distance`, which solves that
+    block of one on the stack of its two carriers.  A relation row is a
+    block whose pairs share l1's index; a staged block mixes the l1s of many
+    rows, and all its point pairs are one foot pass."""
 
     @staticmethod
-    def _assert_each_pair_alone(L1, L2):
-        """The block (L1[k], L2[k]) against each pair solved alone and by
-        min_distance; returns the min_distance results."""
-        X1, D1, a, seg1 = _carriers(*L1)
-        X2, D2, c, seg2 = _carriers(*L2)
-        got = _min_distance_many(X1, D1, a, seg1, X2, D2, c, seg2)
-        assert all(v.shape == (len(L2),) for v in got)
-        for k in range(len(L2)):
-            one = _min_distance_many(X1[k:k + 1], D1[k:k + 1], a[k:k + 1], seg1[k:k + 1],
-                                     X2[k:k + 1], D2[k:k + 1], c[k:k + 1], seg2[k:k + 1])
+    def _assert_each_pair_alone(stack, i1, i2):
+        """The block (i1[k], i2[k]) against each pair solved alone and by
+        the kernel's steps; returns the block's (distance, t1, t2)."""
+        got = _min_distance_many(stack, i1, i2)
+        assert all(v.shape == (len(i2),) for v in got)
+        for k, (k1, k2) in enumerate(zip(i1, i2)):
+            one = _min_distance_many(stack, [k1], [k2])
             assert [v[k] for v in got] == [v[0] for v in one], k
-            assert [v[k] for v in got] == list(_stepwise(L1[k], L2[k])), k
-        solves = [min_distance(l1, l2) for l1, l2 in zip(L1, L2)]
+            assert [v[k] for v in got] == list(_stepwise(stack, k1, k2)), k
+        return got
+
+    @classmethod
+    def _assert_lines_alone(cls, lines, i1, i2):
+        """The block of index pairs into the stack of lines, each pair also
+        against min_distance on its two lines; returns the min_distance
+        results."""
+        got = cls._assert_each_pair_alone(_carriers(*lines), i1, i2)
+        solves = [min_distance(lines[k1], lines[k2]) for k1, k2 in zip(i1, i2)]
         assert np.array_equal(np.transpose(got), solves)
         return solves
 
@@ -519,10 +529,12 @@ class TestRowKernel:
                    for family, x, y in _row_partners(rng, l1, scale)
                    for kind2 in ("segment", "line", "point")
                    if not (kind2 == "line" and (x == y).all())]
-            L1, L2 = [l1] * len(row), [l2 for _, l2 in row]
-            solves = self._assert_each_pair_alone(L1, L2)
+            # a row: l1 at index 0 of the stack, its targets after it
+            L2 = [l2 for _, l2 in row]
+            solves = self._assert_lines_alone([l1, *L2], [0] * len(L2), range(1, len(L2) + 1))
             families.update(family for family, _ in row)
-            reclamped += self._reclamped([family for family, _ in row], L1, L2, solves)
+            reclamped += self._reclamped([family for family, _ in row], [l1] * len(L2), L2,
+                                         solves)
         assert len(families) == 6
         if kind1 != "point":
             assert reclamped > 0  # the reclamp branch ran
@@ -532,26 +544,29 @@ class TestRowKernel:
     def test_blocks_of_many_l1s(self, dim, scale):
         # the rows of segment, line and point l1s, shuffled into one block
         rng = np.random.default_rng([dim, int(scale), 16])
-        pairs = []
+        sources, pairs = [], []
         for k in range(9):
             x1 = scale * rng.uniform(-5.0, 5.0, dim)
-            l1 = _carrier(("segment", "line", "point")[k % 3], x1,
-                          x1 + scale * rng.normal(size=dim))
-            pairs += [(family, l1, _carrier(kind2, x, y))
-                      for family, x, y in _row_partners(rng, l1, scale)
+            sources.append(_carrier(("segment", "line", "point")[k % 3], x1,
+                                    x1 + scale * rng.normal(size=dim)))
+            pairs += [(family, k, _carrier(kind2, x, y))
+                      for family, x, y in _row_partners(rng, sources[k], scale)
                       for kind2 in ("segment", "line", "point")
                       if not (kind2 == "line" and (x == y).all())]
         pairs = [pairs[k] for k in rng.permutation(len(pairs))]
-        families, L1, L2 = (list(v) for v in zip(*pairs))
+        families, i1, L2 = (list(v) for v in zip(*pairs))
+        L1 = [sources[k] for k in i1]
         assert len({(l1.kind, l1.is_degenerate) for l1 in L1}) == 3
-        solves = self._assert_each_pair_alone(L1, L2)
+        # the stack holds each l1 once, then the targets
+        solves = self._assert_lines_alone(sources + L2, i1,
+                                          range(len(sources), len(sources) + len(L2)))
         assert len(set(families)) == 6
         assert self._reclamped(families, L1, L2, solves) > 0  # the reclamp branch ran
 
     @pytest.mark.parametrize("dim", [2, 7])
     def test_point_pairs_in_a_mixed_block(self, dim, monkeypatch):
         # point l1s (pairs of two points among them), point l2s and general
-        # pairs, shuffled into one block: each kind is one block of its own
+        # pairs, shuffled into one block: every point pair is one foot pass
         rng = np.random.default_rng([dim, 28])
         kinds = ("segment", "line", "point")
         pairs = []
@@ -561,35 +576,77 @@ class TestRowKernel:
                     x1, y1, x2, y2 = rng.normal(scale=3.0, size=(4, dim))
                     pairs.append((_carrier(k1, x1, y1), _carrier(k2, x2, y2)))
         L1, L2 = (list(v) for v in zip(*(pairs[k] for k in rng.permutation(len(pairs)))))
+        m = len(L1)
+        stack, i1, i2 = _carriers(*L1, *L2), range(m), range(m, 2 * m)
         feet = []
 
         def spy(P, *rest, _real=geometry._feet_sq):
             feet.append(len(P))
             return _real(P, *rest)
         monkeypatch.setattr(geometry, "_feet_sq", spy)
-        dist, t1, t2 = _min_distance_many(*_carriers(*L1), *_carriers(*L2))
-        # one pass for the 12 point l1s, one for the 8 point l2s after them
-        assert feet == [12, 8]
+        dist, t1, t2 = _min_distance_many(stack, i1, i2)
+        # one pass for the 12 point l1s and the 8 point l2s
+        assert feet == [20]
         monkeypatch.undo()
-        self._assert_each_pair_alone(L1, L2)
+        self._assert_lines_alone(L1 + L2, i1, i2)
         for k, (l1, l2) in enumerate(zip(L1, L2)):
             if l2.is_degenerate:
                 assert t2[k] == 0.0
                 foot = closest_point(l2.x, l1)
                 assert (dist[k], t1[k]) == (foot.distance, foot.t_star)
 
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_pairs_of_two_points(self, dim):
+        # both operands points: the foot pass at t1 = t2 = 0, alone and in
+        # a block with a point against a segment and a general pair
+        base = np.arange(dim, dtype=float)
+        step = np.zeros(dim)
+        step[:2] = 3.0, 4.0
+        lines = [segment(base, base), segment(base + step, base + step),
+                 segment(base - step, base + 2.0 * step), segment(base + 7.0, base - 1.0)]
+        dist, t1, t2 = self._assert_each_pair_alone(_carriers(*lines), [0, 1, 0, 2], [1, 0, 2, 3])
+        assert (dist[:2] == 5.0).all() and (t1[:2] == 0.0).all() and (t2[:2] == 0.0).all()
+        assert dist[2] == pytest.approx(0.0, abs=1e-12) and t1[2] == 0.0
+        assert t2[2] == pytest.approx(1.0 / 3.0)
+        assert min_distance(lines[0], lines[1]) == (5.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_indices_into_witness_pieces(self, dim):
+        # a relation evaluator's stack holds its n carriers, then their n
+        # witness pieces: pairs from the carriers to the pieces, offset n
+        rng = np.random.default_rng([dim, 1985])
+        U = []
+        for k in range(12):
+            x = rng.uniform(-3.0, 3.0, dim)
+            U.append(segment(x, x) if k % 4 == 3 else segment(x, x + rng.normal(size=dim)))
+        windows = [Profile.uniform(0.0, 1.0), Profile.uniform(0.2, 0.7),
+                   Profile.normal(0.5, 0.04), Profile.uniform(0.6, 0.6001)]
+        profiles = [windows[k % 4] for k in range(len(U))]
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=3, c=1, alpha=1.0, profile=profiles))
+        n = len(U)
+        i1, i2 = np.nonzero(~np.eye(n, dtype=bool))
+        dist, t1, t2 = self._assert_each_pair_alone(ev.stack, i1, i2 + n)
+        X, D = ev.stack[:2]
+        for k, (k1, k2) in enumerate(zip(i1, i2)):
+            # the piece as a segment of its own: the same pair to rounding
+            piece = segment(X[n + k2], X[n + k2] + D[n + k2])
+            assert dist[k] == pytest.approx(min_distance(U[k1], piece).distance,
+                                            rel=1e-9, abs=1e-12)
+            assert 0.0 <= t1[k] <= 1.0 and 0.0 <= t2[k] <= 1.0
+        # a piece is a part of its carrier: never nearer than the whole one
+        whole = _min_distance_many(ev.stack, i1, i2)[0]
+        assert (dist >= whole * (1.0 - 1e-12)).all() and (dist > whole + 1e-6).any()
+
     def test_empty_row_and_no_warning_on_degenerate_divisors(self):
         l1 = segment((0.0, 0.0), (1.0, 0.0))
-        none = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=bool))
-        empty = _min_distance_many(*none, *none)
+        empty = _min_distance_many(_carriers(l1), [], [])
         assert len(empty) == 3 and all(v.shape == (0,) for v in empty)
         # a point l2 (c = 0), an exactly parallel one (den = 0), and a point
         # l1 in a block with others, beyond the end of its segment l2: pytest
         # turns a RuntimeWarning from a division into an error
-        L1 = [l1, l1, segment((5.0, 5.0), (5.0, 5.0))]
-        L2 = [segment((0.5, 2.0), (0.5, 2.0)), segment((3.0, 1.0), (4.0, 1.0)),
-              segment((0.0, 0.0), (1.0, 0.0))]
-        dist, t1, t2 = _min_distance_many(*_carriers(*L1), *_carriers(*L2))
+        stack = _carriers(l1, segment((5.0, 5.0), (5.0, 5.0)), segment((0.5, 2.0), (0.5, 2.0)),
+                          segment((3.0, 1.0), (4.0, 1.0)))
+        dist, t1, t2 = _min_distance_many(stack, [0, 0, 1], [2, 3, 0])
         assert dist.tolist() == [2.0, math.sqrt(5.0), math.sqrt(41.0)]
         assert t1.tolist() == [0.5, 1.0, 0.0] and t2.tolist() == [0.0, 0.0, 1.0]
 

@@ -873,9 +873,10 @@ class TestPointRows:
         assert not any(ev.searched)
         kernel_pairs = []
 
-        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
-            kernel_pairs.extend(zip(a.tolist(), c.tolist()))
-            return _real(X1, D1, a, seg1, X2, D2, c, seg2)
+        def recorded(stack, i1, i2, _real=neighborhood._min_distance_many):
+            sq = stack[2]
+            kernel_pairs.extend(zip(sq[i1].tolist(), sq[i2].tolist()))
+            return _real(stack, i1, i2)
         monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
         got = [ev.neighbor_set(i) for i in range(len(U))]
         staged, got_staged = RelationEvaluator(U, spec), []
@@ -903,8 +904,7 @@ class TestPointRows:
         U = [l for l in self._points(dim, 0)[0] if l.is_degenerate]
         points = range(len(U))
         stack = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.0)).stack
-        dists = {i: _min_distance_many(*(a[[i] * len(U)] for a in stack),
-                                       *(a[:len(U)] for a in stack))[0].tolist() for i in points}
+        dists = {i: _min_distance_many(stack, [i] * len(U), points)[0].tolist() for i in points}
         monkeypatch.setattr(neighborhood, "_min_distance_many", None)  # a call would raise
         decided = 0
         for i in points:
@@ -964,8 +964,8 @@ class TestCentreBounds:
         assert ev.searched == [False, True]
         solved = []
 
-        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
-            dist, t1, t2 = _real(X1, D1, a, seg1, X2, D2, c, seg2)
+        def recorded(stack, i1, i2, _real=neighborhood._min_distance_many):
+            dist, t1, t2 = _real(stack, i1, i2)
             solved.extend(dist.tolist())
             return dist, t1, t2
         monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
@@ -989,9 +989,11 @@ class TestCentreBounds:
             (U, spec), seed = TestMetricRows._lifted(int(data[-1])), 0
         spans = []
 
-        def recorded(X1, D1, a, seg1, X2, D2, c, seg2, _real=neighborhood._min_distance_many):
-            spans.extend(np.linalg.norm((X1 + 0.5 * D1) - (X2 + 0.5 * D2), axis=1).tolist())
-            return _real(X1, D1, a, seg1, X2, D2, c, seg2)
+        def recorded(stack, i1, i2, _real=neighborhood._min_distance_many):
+            X, D = stack[:2]
+            spans.extend(np.linalg.norm((X[i1] + 0.5 * D[i1]) - (X[i2] + 0.5 * D[i2]),
+                                        axis=1).tolist())
+            return _real(stack, i1, i2)
         monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
         labels = run(U, RunConfig(spec=spec, mode="expand", rng_seed=seed))
         assert spans and min(spans) >= spec.alpha * (1.0 - 1e-12)
