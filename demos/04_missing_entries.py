@@ -3,9 +3,13 @@
 
 A record missing its k-th coordinate is lifted to the axis-aligned segment
 sweeping the declared window for that axis; complete records become
-degenerate segments.  Version 3 then clusters everything together: lifted
-records use the witness test against their density, complete records fall
-back to the plain metric relation.
+degenerate segments.  Version 3 then clusters everything together.  Under
+the default uniform(0, 1) template a lifted record's neighbourhood is the
+capsule of radius alpha around its segment, so its row is decided by the
+exact distance to each target, as a complete record's row is by the plain
+metric relation.  A template that is not uniform over all of [0, 1], such
+as a normal, sends a lifted record's row to the witness test against its
+density instead.
 
 Run:  python demos/04_missing_entries.py
 """

@@ -97,14 +97,21 @@ is also their gap, is their distance to the bit: no point pair is solved.
 A pair whose distance equals its span may come out of the kernel a last
 bit above the span; a radius strictly between the two relates it, by its
 span, as the gap already decides collinear ties.  Rows are decided as one
-(rows, targets) block: a row is a block of one, a block of up to
-ROW_BLOCK rows staged ahead of their use (RelationEvaluator.stage) is
-decided together and its open pairs solved in one call, and min_distance
-solves a single pair as a row of one, so a pair's distance has the same
-bits in each.  The diagonal keeps min_distance's shortcut for
+(rows, targets) block: a row is a block of one, a block of the
+PAIR_BUDGET // n metric rows RelationEvaluator.build_graph decides at a
+time is decided together and its open pairs solved in one call, and
+min_distance solves a single pair as a row of one, so a pair's distance
+has the same bits in each.  The diagonal keeps min_distance's shortcut for
 a carrier against itself, through relates_v1 without a root, and a row
 with no other open pair, every row of a dataset of isolated lines, makes
 no array solve (acceptance criterion 7 measures those rows).
+
+The expand engine asks for every row exactly once, so it has the evaluator
+decide the whole relation before its first draw (build_graph): the related
+lines of each row, its diagonal aside in a metric row, as CSR arrays, an
+offset per row and an int32 index per related pair, O(n + related pairs)
+in memory, from which each neighbour set is served.  The literal engine
+computes only the rows it draws, each when it draws it.
 
 Every row thus decides each of its pairs in arrays, one boolean per pair.
 It still calls relates_v1 / relates_prob once per pair with that decision
@@ -117,9 +124,8 @@ the two-line evaluator [l1, l2], with a spec NeighbourhoodSpec validates.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral, Real
 from typing import ClassVar, Optional, Union
 
@@ -151,7 +157,7 @@ SEARCH_TOL = 1e-9  # cell width in l2's parameter below which a witness search i
 WITNESS_BUDGET = 4096  # cells, one new midpoint each, one pair may keep below its root grid
 PRUNE_PAD = 1e-12  # relative margin a cell's lower bound on phi must clear to prune it
 ROOT_BLOCK = 32  # pairs one root pass evaluates; no call below the root holds more points
-ROW_BLOCK = 16  # metric rows whose open pairs one staged kernel call solves
+PAIR_BUDGET = 2**14  # most pairs in one block of metric rows RelationEvaluator.build_graph decides
 
 # the fields of NeighbourhoodSpec each version reads; it takes none of the others
 _VERSION_FIELDS = {1: ("alpha",), 2: ("volume", "profile"), 3: ("alpha", "profile")}
@@ -219,8 +225,7 @@ class NeighbourhoodSpec:
             raise ConfigurationError(f"profile must be a Profile or per-line profiles, got the "
                                      f"string {self.profile!r} (parse_profile reads that form)")
         for what, value in _entries(self.alpha, "alpha"):
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-                raise ConfigurationError(f"{what} must be a finite positive number, got {value!r}")
+            _positive_float(value, f"{what} must be a finite positive number")
         for what, value in _entries(self.profile, "profile"):
             if value is not None and not isinstance(value, Profile):
                 raise ConfigurationError(f"{what} must be a Profile or None, got {value!r}")
@@ -229,10 +234,23 @@ class NeighbourhoodSpec:
                 need = "requires" if name in fields else "takes no"
                 raise ConfigurationError(f"version {self.version} reads {' and '.join(fields)}: "
                                          f"it {need} {name}")
-        V = self.volume  # set by version 2 alone
-        if V is not None and (isinstance(V, bool) or not isinstance(V, Real)
-                              or not 0 < V < math.inf):
-            raise ConfigurationError(f"version 2 requires a finite positive volume V, got {V!r}")
+        if self.volume is not None:  # set by version 2 alone
+            _positive_float(self.volume, "version 2 requires a finite positive volume V")
+
+
+def _positive_float(value, message: str) -> None:
+    """A ConfigurationError, message followed by the value, unless value is a
+    real number, no bool, whose float is finite and positive.  The float is
+    what a RelationEvaluator reads, so an integer beyond the float range,
+    whose float() raises OverflowError, is rejected here too."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{message}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{message}, got a number beyond the float range") from None
+    if not 0.0 < number < math.inf:
+        raise ConfigurationError(f"{message}, got {value!r}")
 
 
 def _entries(values, field: str):
@@ -556,20 +574,22 @@ class RelationEvaluator:
     i's own, in one _min_distance_many call, which reads them by index
     from the stack: to the targets' carriers from a line without a
     profile and to their witness pieces from a capsule; a row with no such
-    pair makes no call.  stage(rows) decides up to
-    ROW_BLOCK metric rows as one block the same way, their open pairs in
-    one call, and keeps each row's mask until neighbor_set(i) serves it;
-    the expand engine stages the rows its frontier will ask for next.  A
-    searched row takes the pairs whose carrier bound (_carrier_bound) is
-    below its radius and decides them in one _witness_hits call.  Each
-    pair's decision then goes to relates_v1 / relates_prob, called once per
-    pair, as its root; the diagonal of a metric row goes without one, so
-    min_distance's shortcut decides it.
+    pair makes no call.  A searched row takes the pairs whose carrier
+    bound (_carrier_bound) is below its radius and decides them in one
+    _witness_hits call (_searched_row).  Each pair's decision then goes to
+    relates_v1 / relates_prob, called once per pair, as its root; the
+    diagonal of a metric row goes without one, so min_distance's shortcut
+    decides it.
     neighbor_set(i) is that row over the whole dataset and relates(i, j)
     that row over line j alone, i and j indexing the dataset as U[i] does,
     an IndexError out of range; both count every pair in eval_count, and
     every pair the witness search leaves undecided (reported as unrelated)
-    in undecided_count.
+    in undecided_count.  build_graph() decides every row once, the metric
+    rows in blocks of PAIR_BUDGET // n, into the CSR arrays indptr and
+    indices, and neighbor_set(i) then serves row i from them, counting its
+    pairs as before; its undecided pairs were counted by the build.  The
+    expand engine builds, since it asks for every row exactly once; the
+    literal engine and relates(i, j) decide rows on demand.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -577,7 +597,8 @@ class RelationEvaluator:
         self.spec = spec
         self.eval_count = 0
         self.undecided_count = 0
-        self._staged: dict[int, np.ndarray] = {}  # metric row -> its mask, until served
+        # the relation graph's offsets and indices: empty until build_graph decides it
+        self.indptr, self.indices = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
@@ -696,46 +717,76 @@ class RelationEvaluator:
             mask[q, j] = dist < self.radius[l1]
         return mask
 
-    def stage(self, rows: Iterable[int]) -> None:
-        """Decide the metric rows among the first ROW_BLOCK of rows as one
-        block between the two centre bounds, the pairs between them in one
-        kernel call (_metric_rows), and keep each row's mask until
-        neighbor_set serves it.  A call while any row is staged does
-        nothing, so a block is served whole before the next is solved and
-        no more than ROW_BLOCK rows are ever held.  Searched rows are left
-        to their own path; staging changes no decision and counts nothing."""
-        if self._staged:
-            return
-        rows = [range(len(self.U))[i] for i in islice(rows, ROW_BLOCK)]  # as _related reads i
-        block = [i for i in rows if not self.searched[i]]
-        if block:
-            self._staged = dict(zip(block, self._metric_rows(block, slice(None))))
+    def _searched_row(self, i: int, js: slice) -> np.ndarray:
+        """The (m,) decision mask of the searched row i over the m lines of
+        the dataset slice js: the pairs whose carrier bound is below its
+        radius, decided in one _witness_hits call, whose undecided pairs
+        are added to undecided_count."""
+        radius = self.radius[i]
+        related = (self._carrier_bound(i, js) < radius) & (radius > 0.0)
+        idx = np.arange(len(self.U))[js][related]
+        related[related], undecided = _witness_hits(
+            self.U[i], self.profiles[i], self.alphas[i], (self.window_lo[i], self.window_hi[i]),
+            radius, self.x[idx], self.direction[idx], self.sq_length[idx], self.window_lo[idx],
+            self.window_hi[idx])
+        self.undecided_count += undecided
+        return related
+
+    def build_graph(self) -> None:
+        """Decide every row over the whole dataset once, into the CSR arrays
+        indptr and indices: row i's related lines are the int32
+        indices[indptr[i]:indptr[i + 1]], ascending, and neighbor_set(i)
+        serves them from there.
+
+        The metric rows go through _metric_rows in ascending blocks of
+        PAIR_BUDGET // n rows, at least one, so no block holds more than
+        PAIR_BUDGET pairs unless a single row does; a metric row's diagonal
+        is left out, for min_distance's shortcut to decide when the row is
+        served.  Each searched row is its own _searched_row, whose undecided
+        pairs count here, once.  Nothing counts in eval_count until a row is
+        served."""
+        n = len(self.U)
+        per_row: list = [None] * n  # each row's int32 columns, ascending
+        metric = [i for i in range(n) if not self.searched[i]]
+        step = max(1, PAIR_BUDGET // max(n, 1))
+        for k in range(0, len(metric), step):
+            block = metric[k:k + step]
+            mask = self._metric_rows(block, slice(None))
+            cols = np.nonzero(mask)[1].astype(np.int32)
+            for i, row in zip(block, np.split(cols, np.cumsum(mask.sum(axis=1))[:-1])):
+                per_row[i] = row
+        for i in range(n):
+            if self.searched[i]:
+                per_row[i] = np.flatnonzero(self._searched_row(i, slice(None))).astype(np.int32)
+        self.indptr = np.cumsum([0] + [len(row) for row in per_row])
+        self.indices = np.concatenate(per_row or [np.zeros(0, dtype=np.int32)])
 
     def _related(self, i: int, js: slice) -> list[int]:
-        """The lines of the dataset slice js that line i relates to."""
+        """The lines of the dataset slice js that line i relates to, read
+        from the graph when it is built and js is the whole dataset."""
         i = range(len(self.U))[i]  # an IndexError out of range, as U[i]
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
-        U, l1, p1, alpha1 = self.U, self.U[i], self.profiles[i], self.alphas[i]
-        radius = self.radius[i]
+        if len(self.indptr) and js == slice(None):  # served from the graph
+            roots = np.zeros(len(lines), dtype=bool)
+            roots[self.indices[self.indptr[i]:self.indptr[i + 1]]] = True
+        elif self.searched[i]:
+            roots = self._searched_row(i, js)
+        else:
+            roots = self._metric_rows([i], js)[0]
+        roots = roots.tolist()
+        U, l1 = self.U, self.U[i]
         # each pair's relates_* call returns the row's decision, its root;
         # the calls remain because benchmark/tracing.py counts them
-        if not self.searched[i]:
-            # version 1, a declared density-free line or a capsule: the metric relation
-            staged = self._staged.pop(i, None) if js == slice(None) else None
-            roots = (staged if staged is not None else self._metric_rows([i], js)[0]).tolist()
-            if i in lines:
-                roots[i - lines.start] = None  # decided by min_distance's shortcut
-            return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
-        reach = self.window_lo[i], self.window_hi[i]
-        related = (self._carrier_bound(i, js) < radius) & (radius > 0.0)
-        idx = np.arange(len(U))[js][related]
-        related[related], undecided = _witness_hits(
-            l1, p1, alpha1, reach, radius, self.x[idx], self.direction[idx],
-            self.sq_length[idx], self.window_lo[idx], self.window_hi[idx])
-        self.undecided_count += undecided
-        return [j for j, root in zip(lines, related.tolist())
-                if relates_prob(l1, p1, alpha1, U[j], root=root)]
+        if self.searched[i]:
+            p1, alpha1 = self.profiles[i], self.alphas[i]
+            return [j for j, root in zip(lines, roots)
+                    if relates_prob(l1, p1, alpha1, U[j], root=root)]
+        # version 1, a declared density-free line or a capsule: the metric relation
+        if i in lines:
+            roots[i - lines.start] = None  # decided by min_distance's shortcut
+        radius = self.radius[i]
+        return [j for j, root in zip(lines, roots) if relates_v1(l1, U[j], radius, root)]
 
     def relates(self, i: int, j: int) -> bool:
         """Does line i relate to line j."""

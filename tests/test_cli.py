@@ -219,6 +219,18 @@ class TestCluster:
         assert f"{cfg}: config key {key!r} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_alpha_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # json reads a 401-digit alpha as an exact integer; its float overflows
+        data = self._gen(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"version": 1, "c": 5, "alpha": 1' + "0" * 400 + "}")
+        out = tmp_path / "never.json"
+        assert run_cli("cluster", data, "--config", cfg, "--out", out) == 2
+        assert ("alpha must be a finite positive number, got a number beyond the float range"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_every_cluster_option_is_a_config_key(self, tmp_path):
         data = self._gen(tmp_path)
         config = {

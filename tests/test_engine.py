@@ -20,7 +20,7 @@ from lineclust.engine import (
 from lineclust.errors import ConfigurationError
 from lineclust.geometry import segment
 from lineclust.missing_data import AxisDomain, lift_dataset
-from lineclust.neighborhood import ROW_BLOCK, NeighbourhoodSpec, RelationEvaluator
+from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator
 from lineclust.oracle import reference_dbscan
 
 
@@ -273,9 +273,11 @@ class TestInstrumentation:
 
 
 class TestStaging:
-    """run_expand stages the frontier's next metric rows with
-    RelationEvaluator.stage; run_literal, whose next draw is random, does
-    not.  Staging changes no output byte."""
+    """run_expand stages the whole relation: before its first draw it has
+    RelationEvaluator.build_graph decide every row, the metric rows in
+    blocks of at most PAIR_BUDGET pairs, and serves each neighbour set from
+    that graph.  run_literal, which computes only the rows it draws, stages
+    nothing.  Staging changes no output byte; peak_aux counts the graph."""
 
     @staticmethod
     def _datasets():
@@ -293,40 +295,68 @@ class TestStaging:
     @staticmethod
     def _outputs(labels):
         return (labels.memberships, labels.core_flags, labels.trace, labels.clusters,
-                labels.eval_count, labels.undecided_count, labels.peak_aux)
+                labels.eval_count, labels.undecided_count)
+
+    @staticmethod
+    def _unstaged(m):
+        """Within the monkeypatch context m, run_expand decides rows on demand."""
+        m.setattr(RelationEvaluator, "build_graph", lambda ev: None)
 
     def test_store_is_bounded_and_emptied(self, monkeypatch):
-        # seeds whose early draws leave lines noise that a cluster reaches
-        # later, so the frontier holds lines whose core status is known
-        real = RelationEvaluator.stage
-        for U, spec in self._datasets():
-            for seed in range(8):
-                held, evaluators = [], []
+        # each block keeps to the pair budget, a single row where one row
+        # alone is over it, and every row of the graph is served once
+        real_build, real_rows = RelationEvaluator.build_graph, RelationEvaluator._metric_rows
+        real_served = RelationEvaluator.neighbor_set
+        events, evaluators = [], []
 
-                def watched(ev, rows):
-                    real(ev, rows)
-                    held.append(len(ev._staged))
-                    evaluators.append(ev)
-                monkeypatch.setattr(RelationEvaluator, "stage", watched)
-                run_expand(U, RunConfig(spec=spec, rng_seed=seed))
-                assert 1 < max(held) <= ROW_BLOCK  # blocks of many rows, and never more
-                # every staged row was served
-                assert not evaluators[0]._staged and len(set(map(id, evaluators))) == 1
+        def build(ev):
+            events.append("build")
+            evaluators.append(ev)
+            real_build(ev)
+        monkeypatch.setattr(RelationEvaluator, "build_graph", build)
+        monkeypatch.setattr(RelationEvaluator, "_metric_rows",
+                            lambda ev, rows, js: events.append(len(rows)) or real_rows(ev, rows, js))
+        monkeypatch.setattr(RelationEvaluator, "neighbor_set",
+                            lambda ev, i: events.append(("row", i)) or real_served(ev, i))
+        for budget in (neighborhood.PAIR_BUDGET, 1000, 50):
+            monkeypatch.setattr(neighborhood, "PAIR_BUDGET", budget)
+            for U, spec in self._datasets():
+                n = len(U)
+                for seed in range(4):
+                    events.clear()
+                    evaluators.clear()
+                    run_expand(U, RunConfig(spec=spec, rng_seed=seed))
+                    (ev,) = evaluators  # built once, before the first row is served
+                    first = next(k for k, e in enumerate(events) if isinstance(e, tuple))
+                    assert events[0] == "build"
+                    blocks, served = events[1:first], events[first:]
+                    assert all(isinstance(e, tuple) for e in served)  # nothing decided late
+                    assert sum(blocks) == ev.searched.count(False)
+                    assert all(k == max(1, budget // n) for k in blocks[:-1])
+                    assert all(k * n <= budget or k == 1 for k in blocks)
+                    assert (max(blocks) > 1) == (budget >= 2 * n)  # blocks of many rows
+                    assert sorted(i for _, i in served) == list(range(n))
+                    assert len(ev.indptr) == n + 1 and ev.indices.dtype == np.int32
 
     def test_staging_changes_no_output(self, monkeypatch):
         for U, spec in self._datasets():
+            graph = RelationEvaluator(U, spec)
+            graph.build_graph()
             for seed in (0, 3):
                 cfg = RunConfig(spec=spec, rng_seed=seed)
-                staged = self._outputs(run_expand(U, cfg))
+                staged = run_expand(U, cfg)
                 with monkeypatch.context() as m:
-                    m.setattr(RelationEvaluator, "stage", lambda ev, rows: None)
-                    unstaged = self._outputs(run_expand(U, cfg))
-                assert repr(staged) == repr(unstaged)
+                    self._unstaged(m)
+                    unstaged = run_expand(U, cfg)
+                assert repr(self._outputs(staged)) == repr(self._outputs(unstaged))
+                # the gauge adds the graph's offsets and entries
+                assert staged.peak_aux == (unstaged.peak_aux + len(graph.indptr)
+                                           + len(graph.indices))
 
     def test_literal_never_stages(self, monkeypatch):
-        def refuse(ev, rows):
-            raise AssertionError("run_literal staged rows")
-        monkeypatch.setattr(RelationEvaluator, "stage", refuse)
+        def refuse(ev):
+            raise AssertionError("run_literal built the relation graph")
+        monkeypatch.setattr(RelationEvaluator, "build_graph", refuse)
         for U, spec in self._datasets():
             run_literal(U, RunConfig(spec=spec, mode="literal", rng_seed=3))
 
@@ -337,15 +367,20 @@ class TestStaging:
             calls.append(l1 is l2)
             return _real(l1, l2)
         monkeypatch.setattr(neighborhood, "min_distance", counted)
-        for U, spec in self._datasets():
-            # metric lines, those not searched: every line of both datasets,
-            # the lifted ones being capsules under the default uniform template
-            metric = RelationEvaluator(U, spec).searched.count(False)
-            assert metric == len(U)
-            calls.clear()
-            labels = run_expand(U, RunConfig(spec=spec, rng_seed=3))
-            assert all(calls) and len(calls) == metric
-            assert labels.eval_count == len(U) ** 2
+        for staged in (True, False):
+            with monkeypatch.context() as m:
+                if not staged:
+                    self._unstaged(m)
+                for U, spec in self._datasets():
+                    # metric lines, those not searched: every line of both
+                    # datasets, the lifted ones being capsules under the
+                    # default uniform template
+                    metric = RelationEvaluator(U, spec).searched.count(False)
+                    assert metric == len(U)
+                    calls.clear()
+                    labels = run_expand(U, RunConfig(spec=spec, rng_seed=3))
+                    assert all(calls) and len(calls) == metric
+                    assert labels.eval_count == len(U) ** 2
 
 
 # a version 1 run, version 2 runs with every profile family but gamma (one in

@@ -14,7 +14,6 @@ from lineclust.errors import ConfigurationError
 from lineclust.geometry import _min_distance_many, closest_point, line, min_distance, segment
 from lineclust.missing_data import AxisDomain, lift_dataset
 from lineclust.neighborhood import (
-    ROW_BLOCK,
     NeighbourhoodSpec,
     RelationEvaluator,
     _witness_domain,
@@ -179,6 +178,21 @@ class TestSpecValidation:
                 NeighbourhoodSpec(**kwargs)
         with pytest.raises(ConfigurationError, match="alpha at index 1 must be a finite positive"):
             NeighbourhoodSpec(version=1, c=2, alpha=[1.0, bad])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(version=1, c=2, alpha=10**400), "alpha must be a finite positive number"),
+        (dict(version=3, c=2, alpha=[1.0, 2, 10**400], profile=U01),
+         "alpha at index 2 must be a finite positive number"),
+        (dict(version=2, c=2, volume=10**400, profile=U01),
+         "version 2 requires a finite positive volume V"),
+    ], ids=["alpha", "per-line-alpha", "volume"])
+    def test_integer_beyond_the_float_range(self, kwargs, message):
+        # 10**400 is a finite Real, but float() of it raises OverflowError
+        with pytest.raises(ConfigurationError,
+                           match=f"{message}, got a number beyond the float range"):
+            NeighbourhoodSpec(**kwargs)
+        largest = dict(kwargs, **{k: 10**308 for k in ("alpha", "volume") if k in kwargs})
+        NeighbourhoodSpec(**largest)  # an integer within the float range is accepted
 
 
 class TestRelatesV1:
@@ -460,29 +474,32 @@ class TestNeighborSet:
         assert ev.eval_count == 4
 
     def test_row_index_is_normalised(self, monkeypatch):
-        # row i is read as U[i] reads it, before the staged masks are looked up
+        # row i is read as U[i] reads it, before the graph is looked up
         U = [segment((0, 0), (1, 0)), segment((0, 1), (1, 1)), segment((0, 2), (1, 2))]
-        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.5))
-        solved = []
-        metric_rows = ev._metric_rows
-        monkeypatch.setattr(ev, "_metric_rows",
-                            lambda rows, js: solved.append(list(rows)) or metric_rows(rows, js))
-        ev.stage([2])
-        assert solved == [[2]]
-        assert ev.neighbor_set(-1) == {1, 2}
-        assert solved == [[2]] and not ev._staged  # the staged row, served
-        assert ev.neighbor_set(2) == {1, 2}
-        ev.stage([-3])  # no longer blocked by a held mask
-        assert set(ev._staged) == {0} and ev.neighbor_set(0) == {0, 1}
-        assert ev.relates(-1, 1) and not ev.relates(-1, 0)
-        assert ev.relates(True, 0) == ev.relates(1, 0) is True
-        count = ev.eval_count
-        for bad in (3, -4):
-            with pytest.raises(IndexError):
-                ev.neighbor_set(bad)
-            with pytest.raises(IndexError):
-                ev.relates(bad, 0)
-        assert ev.eval_count == count
+        for staged in (False, True):
+            ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=1.5))
+            solved = []
+            metric_rows = ev._metric_rows
+            monkeypatch.setattr(ev, "_metric_rows",
+                                lambda rows, js: solved.append(list(rows)) or metric_rows(rows, js))
+            if staged:
+                ev.build_graph()
+                assert solved == [[0, 1, 2]]
+                solved.clear()
+            assert ev.neighbor_set(-1) == {1, 2}
+            assert solved == ([] if staged else [[2]])  # a staged row is served, not solved
+            assert ev.neighbor_set(2) == {1, 2}
+            assert ev.neighbor_set(-3) == ev.neighbor_set(0) == {0, 1}
+            assert ev.relates(-1, 1) and not ev.relates(-1, 0)
+            assert ev.relates(True, 0) == ev.relates(1, 0) is True
+            assert ev.neighbor_set(True) == ev.neighbor_set(1) == {0, 1, 2}
+            count = ev.eval_count
+            for bad in (3, -4):
+                with pytest.raises(IndexError):
+                    ev.neighbor_set(bad)
+                with pytest.raises(IndexError):
+                    ev.relates(bad, 0)
+            assert ev.eval_count == count
 
     def test_v2_alpha_memoized(self, monkeypatch):
         # derived once per line when the evaluator is built, never by a row
@@ -788,39 +805,63 @@ class TestMetricRows:
 
     @pytest.mark.parametrize("data", ["mixed-2", "mixed-3", "mixed-7", "lifted-0", "lifted-1"])
     def test_staged_rows_match_unstaged_rows(self, data, monkeypatch):
+        # staged: served from the graph build_graph decides before any row
+        # is asked for; unstaged: each row decided when it is asked for
         kind, arg = data.split("-")
         U, spec = self._mixed(int(arg), 0) if kind == "mixed" else self._lifted(int(arg))
         plain, staged = RelationEvaluator(U, spec), RelationEvaluator(U, spec)
         metric = [not searched for searched in plain.searched]  # the metric lines
-        assert any(metric)
+        assert any(metric) and (kind == "mixed" or not all(metric))
+        blocks = []
+        metric_rows = staged._metric_rows
+        monkeypatch.setattr(staged, "_metric_rows",
+                            lambda rows, js: blocks.append((list(rows), js))
+                            or metric_rows(rows, js))
+        staged.build_graph()
+        # searched rows are never in a block; every metric row is, once, in order
+        assert sum((rows for rows, _ in blocks), []) == [i for i in range(len(U)) if metric[i]]
+        built = len(blocks)
+        assert staged.eval_count == 0
         calls = self._counting(monkeypatch)
         order = np.random.default_rng(len(U)).permutation(len(U)).tolist()
-        for k, i in enumerate(order):
-            staged.stage(iter(order[k:]))
-            assert 0 < len(staged._staged) <= ROW_BLOCK or not any(metric[j] for j in order[k:])
-            # searched rows are never staged; a metric row is, until served
-            assert (i in staged._staged) == metric[i]
+        for i in order:
             assert staged.relates(i, i) == plain.relates(i, i)  # the unstaged path
-            assert staged.neighbor_set(i) == plain.neighbor_set(i), f"row {i}"
-            assert i not in staged._staged
-        assert not staged._staged
+            row = plain.neighbor_set(i)
+            assert staged.neighbor_set(i) == row, f"row {i}"
+            # the graph's row: ascending, and a metric row's diagonal left out
+            stored = staged.indices[staged.indptr[i]:staged.indptr[i + 1]]
+            assert stored.tolist() == sorted(row - {i} if metric[i] else row), f"row {i}"
+        # served rows are not decided again: only relates(i, i) solves a row
+        assert all(js == slice(i, i + 1) for (i,), js in blocks[built:])
         assert staged.eval_count == plain.eval_count
         assert staged.undecided_count == plain.undecided_count == 0
         # min_distance only on the diagonal: each metric row's neighbor_set
         # and relates(i, i), in each evaluator
         assert len(calls) == 4 * sum(metric) and all(l1 is l2 for l1, l2 in calls)
 
-    def test_stage_waits_for_the_block_to_be_served(self):
-        U, spec = self._mixed(2, 1)
-        ev = RelationEvaluator(U, spec)
-        ev.stage(range(len(U)))
-        assert list(ev._staged) == list(range(ROW_BLOCK))
-        ev.stage(range(ROW_BLOCK, len(U)))  # a block is held: nothing new
-        assert list(ev._staged) == list(range(ROW_BLOCK))
-        for i in range(ROW_BLOCK):
-            ev.neighbor_set(i)
-        ev.stage(range(ROW_BLOCK, len(U)))
-        assert list(ev._staged) == list(range(ROW_BLOCK, len(U)))
+    @pytest.mark.parametrize("data", ["mixed-2", "lifted-1"])
+    def test_blocks_keep_to_the_pair_budget(self, data, monkeypatch):
+        # the metric rows go to _metric_rows in ascending blocks of
+        # PAIR_BUDGET // n rows, a single row where one row alone is over
+        # the budget, and the graph is the same whatever the budget
+        kind, arg = data.split("-")
+        U, spec = self._mixed(int(arg), 1) if kind == "mixed" else self._lifted(int(arg))
+        n = len(U)
+        graphs = []
+        for budget in (neighborhood.PAIR_BUDGET, 5 * n + 3, n, n - 1):
+            monkeypatch.setattr(neighborhood, "PAIR_BUDGET", budget)
+            ev = RelationEvaluator(U, spec)
+            blocks = []
+            metric_rows = ev._metric_rows
+            monkeypatch.setattr(ev, "_metric_rows",
+                                lambda rows, js: blocks.append(list(rows)) or metric_rows(rows, js))
+            ev.build_graph()
+            metric = [i for i in range(n) if not ev.searched[i]]
+            step = max(1, budget // n)
+            assert blocks == [metric[k:k + step] for k in range(0, len(metric), step)]
+            assert all(len(b) * n <= budget for b in blocks) or step == 1
+            graphs.append((ev.indptr.tolist(), ev.indices.tolist(), ev.undecided_count))
+        assert len(blocks) == len(metric) and all(g == graphs[0] for g in graphs)
 
     def test_isolated_rows_keep_the_scalar_loop(self, monkeypatch):
         # no pair off the diagonal is open: nothing is solved in an array
@@ -879,10 +920,9 @@ class TestPointRows:
             return _real(stack, i1, i2)
         monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
         got = [ev.neighbor_set(i) for i in range(len(U))]
-        staged, got_staged = RelationEvaluator(U, spec), []
-        for i in range(len(U)):
-            staged.stage(range(i, len(U)))
-            got_staged.append(staged.neighbor_set(i))
+        staged = RelationEvaluator(U, spec)
+        staged.build_graph()
+        got_staged = [staged.neighbor_set(i) for i in range(len(U))]
         assert kernel_pairs and (0.0, 0.0) not in kernel_pairs  # no point pair is solved
         for i, row in enumerate(got):
             expected = {j for j, l2 in enumerate(U)
@@ -941,11 +981,9 @@ class TestCentreBounds:
                     NeighbourhoodSpec(version=3, c=1, alpha=alpha, profile=U01))
             ev = RelationEvaluator(U, spec)
             assert not any(ev.searched) and (ev.radius == alpha).all()
-            got = []
-            for i in range(len(U)):
-                if staged:
-                    ev.stage([i])
-                got.append(ev.neighbor_set(i))
+            if staged:
+                ev.build_graph()
+            got = [ev.neighbor_set(i) for i in range(len(U))]
             assert got == [{j for j, l2 in enumerate(U) if min_distance(l1, l2).distance < alpha}
                            for l1 in U]
             assert got == [{j for j in range(len(U)) if ev.relates(i, j)} for i in range(len(U))]
@@ -969,8 +1007,8 @@ class TestCentreBounds:
             solved.extend(dist.tolist())
             return dist, t1, t2
         monkeypatch.setattr(neighborhood, "_min_distance_many", recorded)
-        if staged:
-            ev.stage([0])
+        if staged:  # the build solves the pair; neighbor_set reads it
+            ev.build_graph()
         assert ev.neighbor_set(0) == {0}
         assert not ev.relates(0, 1)
         assert ev.undecided_count == 0
@@ -1109,3 +1147,90 @@ class TestWitnessSetUp:
                 ev.neighbor_set(i)
             ev.relates(profiled[0], profiled[-1])
             assert calls == built
+
+
+class TestMetamorphic:
+    """Two relations that must hold exactly, whatever order or block a row's
+    pairs are decided in (Chen et al., Metamorphic Testing, ACM CSUR 2018).
+    Scaling every coordinate and alpha by 2^k scales every foot parameter by
+    1 and every distance and radius by 2^k, all exactly, so no decision
+    changes.  Permuting the dataset, with its per-line parameters, permutes
+    the neighbour sets.  Each holds for a staged evaluator, served from its
+    graph, and an unstaged one, which decides each row when asked."""
+
+    @staticmethod
+    def _lifted7d(template):
+        """Records in R^7 around three planted means plus uniform noise, one
+        in seven missing one coordinate, lifted over (-2.5, 7.5)."""
+        rng = np.random.default_rng(2000)
+        means = np.array([[0.0] * 7, [5.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 5.0, 5.0, 5.0, 0.0, 0.0]])
+        data = np.vstack([rng.normal(means[k % 3], 0.3, size=7) for k in range(84)]
+                         + [rng.uniform(-2.0, 7.0, size=(12, 7))])
+        records = [list(map(float, row)) for row in data]
+        for k in range(3, len(records), 7):
+            records[k][int(rng.integers(7))] = None
+        domains = {axis: AxisDomain(axis=axis, window=(-2.5, 7.5), profile_template=template)
+                   for axis in range(7)}
+        lifted = lift_dataset(records, domains)
+        return lifted.segments, NeighbourhoodSpec(version=3, c=5, alpha=1.0,
+                                                  profile=lifted.profiles)
+
+    @classmethod
+    def _dataset(cls, name):
+        if name.startswith("doughnut"):
+            U = [r.to_segment() for r in gen_doughnut(90, seed=7)]
+            if name == "doughnut-v1":
+                return U, NeighbourhoodSpec(version=1, c=5, alpha=12.0)
+            profile = (Profile.normal(0.5, 0.04) if name == "doughnut-v3-normal"
+                       else Profile.exponential(3.0))
+            return U, NeighbourhoodSpec(version=3, c=5, alpha=3.0, profile=profile)
+        if name.startswith("mixed"):
+            U, spec = TestMetricRows._mixed(3, 2)
+            if name == "mixed-v1":
+                return U, spec
+            return U, NeighbourhoodSpec(version=3, c=1, alpha=spec.alpha,
+                                        profile=Profile.beta(2.0, 5.0))
+        return cls._lifted7d(U01 if name == "lifted7d-capsule" else Profile.normal(0.5, 0.01))
+
+    @staticmethod
+    def _rows(U, spec, staged):
+        ev = RelationEvaluator(U, spec)
+        if staged:
+            ev.build_graph()
+        return [ev.neighbor_set(i) for i in range(len(U))], ev.undecided_count
+
+    DATA = ["doughnut-v1", "doughnut-v3-normal", "doughnut-v3-exponential", "mixed-v1",
+            "mixed-v3-beta", "lifted7d-capsule", "lifted7d-normal"]
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    @pytest.mark.parametrize("data", DATA)
+    def test_scaling_by_a_power_of_two(self, data, staged):
+        U, spec = self._dataset(data)
+        rows, undecided = self._rows(U, spec, staged=False)
+        assert sum(map(len, rows)) > len(U)  # pairs off the diagonal relate
+        for k in (-3, 5):
+            s = 2.0 ** k
+            scaled = [(line if l.is_line else segment)(l.x * s, l.y * s) for l in U]
+            alpha = ([a * s for a in spec.alpha] if isinstance(spec.alpha, list)
+                     else spec.alpha * s)
+            got = self._rows(scaled, NeighbourhoodSpec(version=spec.version, c=spec.c,
+                                                       alpha=alpha, profile=spec.profile),
+                             staged)
+            assert got == (rows, undecided), f"scaled by 2^{k}"
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    @pytest.mark.parametrize("data", DATA)
+    def test_permuting_the_dataset(self, data, staged):
+        U, spec = self._dataset(data)
+        rows, undecided = self._rows(U, spec, staged=False)
+        order = np.random.default_rng(len(U)).permutation(len(U)).tolist()
+        place = {i: k for k, i in enumerate(order)}  # where each line goes
+
+        def permuted(values):
+            return [values[i] for i in order] if isinstance(values, list) else values
+        spec_p = NeighbourhoodSpec(version=spec.version, c=spec.c, alpha=permuted(spec.alpha),
+                                   profile=permuted(spec.profile))
+        got, got_undecided = self._rows([U[i] for i in order], spec_p, staged)
+        assert got == [{place[j] for j in rows[i]} for i in order]
+        assert got_undecided == undecided
