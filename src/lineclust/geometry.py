@@ -67,21 +67,30 @@ class SegmentLike:
     half_length: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_point(self.x))
-        object.__setattr__(self, "y", as_point(self.y))
-        if self.x.size != self.y.size:
-            raise ValueError(
-                f"endpoint dimensions differ: {self.x.size} vs {self.y.size}"
-            )
+        x, y = as_point(self.x), as_point(self.y)
+        if x.size != y.size:
+            raise ValueError(f"endpoint dimensions differ: {x.size} vs {y.size}")
         if self.kind not in ("line", "segment"):
             raise ValueError(f"kind must be 'line' or 'segment', got {self.kind!r}")
-        d = self.y - self.x
+        self._derive(x, y, self.kind, *_direction_centre(x, y))
+
+    def _derive(self, x: np.ndarray, y: np.ndarray, kind: Kind, d: np.ndarray,
+                c: np.ndarray) -> None:
+        """Set every field from the checked endpoints x, y, the kind, and
+        their direction d and centre c from `_direction_centre`.  The
+        squared length is d @ d on the row alone: a sum over a block's rows
+        may take another order and move its last bit.  The fields are set
+        in declaration order, never through __dict__, so every instance
+        keeps the attribute layout that makes reading them fast."""
         dd = float(d @ d)
-        if self.kind == "line" and dd == 0.0:
+        if kind == "line" and dd == 0.0:
             raise ValueError("a line needs two distinct points")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "sq_length", dd)
-        object.__setattr__(self, "center", 0.5 * (self.x + self.y))
+        object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_length", 0.5 * math.sqrt(dd))
 
     @property
@@ -97,8 +106,33 @@ class SegmentLike:
         return self.sq_length == 0.0
 
 
+def _direction_centre(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y - x and 0.5 * (x + y), for one endpoint pair or for (m, dim) stacks
+    of them: each is elementwise, so a row has the same bits either way."""
+    return y - x, 0.5 * (x + y)
+
+
 def segment(x, y) -> SegmentLike:
     return SegmentLike(x, y, "segment")
+
+
+def segments(X, Y) -> list[SegmentLike]:
+    """segment(X[k], Y[k]) for each row k of two (m, dim) endpoint arrays,
+    with the same fields to the bit.  The endpoints are checked, and the
+    directions and centres derived, as whole arrays; each segment then
+    takes its rows as views and derives the rest as `SegmentLike` does."""
+    X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or X.shape != Y.shape or X.shape[1] < 1:
+        raise ValueError(f"endpoints must be two (m, dim) arrays of one shape with dim >= 1, "
+                         f"got shapes {X.shape} and {Y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("point coordinates must be finite")
+    out = []
+    for x, y, d, c in zip(X, Y, *_direction_centre(X, Y)):
+        s = object.__new__(SegmentLike)
+        s._derive(x, y, "segment", d, c)
+        out.append(s)
+    return out
 
 
 def line(x, y) -> SegmentLike:

@@ -9,6 +9,17 @@ knowledge weight plausible completions, e.g. a normal template concentrates
 the neighbourhood around the likely value.
 
 Records with two or more missing values are rejected, not dropped.
+
+A dataset is lifted in bulk, as arrays (lift is the same path run on one
+record).  Missing entries are marked from the raw values, None or a float
+NaN, before anything is converted, so a string that float() reads as NaN
+stays an error.  Every record is checked at once: at most one missing
+entry, a declared domain for its axis, and finite values otherwise.  The
+known values fill two (n, dim) endpoint arrays, each missing entry takes
+its window's lo in the first and hi in the second, and
+geometry.segments builds every segment from them, with the bits
+geometry.segment gives one record.  A record that fails is reported by
+its index, never dropped.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedRecordError
-from .geometry import SegmentLike, segment
+from .geometry import SegmentLike, segments
 from .profiles import Profile
 
 
@@ -54,7 +65,12 @@ class AxisDomain:
             raise ConfigurationError(f"axis window must be two real numbers (lo, hi), "
                                      f"got {window!r}")
         lo, hi = window
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        try:  # what the lift reads; an integer beyond the float range has no float
+            finite = math.isfinite(lo) and math.isfinite(hi)
+        except OverflowError:
+            raise ConfigurationError("axis window needs finite lo < hi, "
+                                     "got a number beyond the float range") from None
+        if not (finite and lo < hi):
             raise ConfigurationError(f"axis window needs finite lo < hi, got {window}")
         if not isinstance(self.profile_template, Profile):
             raise ConfigurationError(f"profile_template must be a Profile, "
@@ -69,25 +85,74 @@ class LiftedPoint:
     source_id: str
 
 
+def _lift_records(records: Sequence[Sequence], domains: Mapping[int, AxisDomain],
+                  ids: Sequence[str]) -> tuple[list[SegmentLike], list[int | None], list]:
+    """Lift records of one dimension as arrays: (segments, each record's
+    missing axis or None, failures), in record order.  A failure is
+    (index, error), and the segments are empty when any record fails.  A
+    record fails on the first of: two or more missing entries
+    (UnsupportedRecordError), a missing axis with no domain
+    (ConfigurationError), a value float() cannot read or that is not finite
+    (ValueError).  A value of a type float() refuses raises its TypeError."""
+    n = len(records)
+    dim = len(records[0]) if n else 0
+    if not dim:
+        return [], [None] * n, [(idx, ValueError(
+            "a point must be a 1-d coordinate vector, got shape (0,)")) for idx in range(n)]
+    failures: dict[int, Exception] = {}
+    flat = [v for rec in records for v in rec]
+    missing = np.fromiter(map(_is_missing, flat), dtype=bool, count=n * dim).reshape(n, dim)
+    count = np.count_nonzero(missing, axis=1)
+    axis = missing.argmax(axis=1)  # the missing axis of a record missing one
+    doms = [domains.get(k) for k in range(dim)]
+    undeclared = (count == 1) & np.array([d is None for d in doms])[axis]
+    for idx in np.flatnonzero(count > 1).tolist():
+        failures[idx] = UnsupportedRecordError(f"record {ids[idx]!r} has {count[idx]} missing "
+                                               f"values; at most 1 is supported")
+    for idx in np.flatnonzero(undeclared).tolist():
+        failures[idx] = ConfigurationError(f"record {ids[idx]!r} is missing axis {axis[idx]} "
+                                           f"but no domain is declared for it")
+    # the values float() reads: each known entry of a record not yet failed
+    skip = (missing | ((count > 1) | undeclared)[:, None]).ravel().tolist()
+    known = [0.0 if s else v for v, s in zip(flat, skip)]
+    try:
+        X = np.fromiter(map(float, known), dtype=np.float64, count=n * dim).reshape(n, dim)
+    except (ValueError, OverflowError):  # again record by record, to name each that fails
+        X = np.zeros((n, dim))
+        for idx in range(n):
+            try:
+                X[idx] = [float(v) for v in known[idx * dim:(idx + 1) * dim]]
+            except ValueError as exc:
+                failures[idx] = exc
+            except OverflowError:
+                failures[idx] = ValueError("point coordinates must be finite, "
+                                           "got a number beyond the float range")
+    for idx in np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist():
+        failures[idx] = ValueError("point coordinates must be finite")
+    lifted = np.flatnonzero(count == 1)
+    k = axis[lifted]
+    axes: list[int | None] = [None] * n
+    for idx, a in zip(lifted.tolist(), k.tolist()):
+        axes[idx] = a
+    if failures:
+        return [], axes, sorted(failures.items())
+    # each axis's window, (nan, nan) where none is declared and no record reads it
+    windows = np.array([(math.nan, math.nan) if d is None else d.window for d in doms],
+                       dtype=np.float64)
+    lo, hi = X, X.copy()
+    lo[lifted, k], hi[lifted, k] = windows[k, 0], windows[k, 1]
+    return segments(lo, hi), axes, []
+
+
 def lift(point: Sequence, domains: Mapping[int, AxisDomain],
          source_id: str = "0") -> LiftedPoint:
-    """Lift one record; see the module docstring for the geometry."""
-    values = list(point)
-    missing = [k for k, v in enumerate(values) if _is_missing(v)]
-    if len(missing) > 1:
-        raise UnsupportedRecordError(
-            f"record {source_id!r} has {len(missing)} missing values; at most 1 is supported")
-    if not missing:
-        coords = np.asarray([float(v) for v in values], dtype=np.float64)
-        return LiftedPoint(None, segment(coords, coords), None, source_id)
-    k = missing[0]
-    dom = domains.get(k)
-    if dom is None:
-        raise ConfigurationError(
-            f"record {source_id!r} is missing axis {k} but no domain is declared for it")
-    lo = [float(v) if i != k else dom.window[0] for i, v in enumerate(values)]
-    hi = [float(v) if i != k else dom.window[1] for i, v in enumerate(values)]
-    return LiftedPoint(k, segment(lo, hi), dom.profile_template, source_id)
+    """Lift one record, the dataset path run on it alone; see the module
+    docstring for the geometry.  A record that cannot be lifted raises its
+    UnsupportedRecordError, ConfigurationError or ValueError."""
+    segs, (k,), failures = _lift_records([list(point)], domains, [source_id])
+    if failures:
+        raise failures[0][1]
+    return LiftedPoint(k, segs[0], None if k is None else domains[k].profile_template, source_id)
 
 
 @dataclass
@@ -106,6 +171,14 @@ class LiftResult:
 def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
                  ids: Sequence[str] | None = None) -> LiftResult:
     """Lift every record, collecting per-record failures into one error.
+
+    The records are lifted in bulk, as one (n, dim) float64 array: missing
+    entries are marked from the raw values, every record is checked at
+    once, the windows are written into a lo and a hi endpoint array, and
+    geometry.segments builds each segment from their rows, with the bits
+    lift gives the record alone.  Each record that fails is one "record k:
+    <message>", k its index, and all of them are joined with "; " into one
+    UnsupportedRecordError.
 
     domains maps each axis to its AxisDomain; a domain filed under another
     key than its own axis, or for an axis at or beyond the records'
@@ -129,17 +202,11 @@ def lift_dataset(points: Sequence[Sequence], domains: Mapping[int, AxisDomain],
         if dims and dom.axis >= min(dims):
             raise ConfigurationError(f"domain for axis {dom.axis} (0-based) is at or beyond "
                                      f"the records' dimension {min(dims)}")
-    lifted: list[LiftedPoint] = []
-    failures: list[str] = []
-    for idx, (rec, sid) in enumerate(zip(points, ids)):
-        try:
-            lifted.append(lift(rec, domains, source_id=sid))
-        except (UnsupportedRecordError, ConfigurationError, ValueError) as exc:
-            failures.append(f"record {idx}: {exc}")
+    segs, axes, failures = _lift_records(points, domains, ids)
     if failures:
-        raise UnsupportedRecordError("; ".join(failures))
+        raise UnsupportedRecordError("; ".join(f"record {idx}: {exc}" for idx, exc in failures))
     return LiftResult(
-        segments=[lp.segment for lp in lifted],
-        profiles=[lp.profile for lp in lifted],
+        segments=segs,
+        profiles=[None if k is None else domains[k].profile_template for k in axes],
         source_ids=list(ids),
     )

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from lineclust.geometry import (
     line,
     min_distance,
     segment,
+    segments,
 )
 from lineclust.neighborhood import NeighbourhoodSpec, RelationEvaluator, relates_v1
 from lineclust.oracle import grid_min_distance, reference_foot
@@ -46,6 +48,33 @@ class TestDerivedQuantities:
         l = segment((0, 0, 0), (1, 1, 1))
         assert 2.0 * l.half_length == pytest.approx(math.sqrt(3))
         assert np.allclose(l.center, (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_segments_have_the_bits_of_segment(self, dim):
+        # derived as arrays for all rows, each row must match segment() on
+        # its own, the squared length included (a row sum in another order
+        # than d @ d can move its last bit)
+        rng = np.random.default_rng(dim)
+        X = rng.normal(scale=5.0, size=(300, dim))
+        Y = X + rng.normal(size=(300, dim)) * rng.uniform(0.0, 3.0, size=(300, 1))
+        Y[::7] = X[::7]  # points too
+        for got, x, y in zip(segments(X, Y), X, Y):
+            want = segment(x.copy(), y.copy())
+            assert got.kind == want.kind == "segment"
+            for name in ("x", "y", "direction", "sq_length", "center", "half_length"):
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), name
+
+    @pytest.mark.parametrize("X, Y, message", [
+        (np.zeros((2, 0)), np.zeros((2, 0)), "endpoints must be two (m, dim) arrays"),
+        (np.zeros((2, 2)), np.zeros((2, 3)), "endpoints must be two (m, dim) arrays"),
+        (np.zeros(2), np.zeros(2), "endpoints must be two (m, dim) arrays"),
+        (np.array([[0.0, math.nan]]), np.zeros((1, 2)), "point coordinates must be finite"),
+        (np.zeros((1, 2)), np.array([[math.inf, 0.0]]), "point coordinates must be finite"),
+    ])
+    def test_segments_rejects(self, X, Y, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            segments(X, Y)
 
 
 class TestClosestPoint:

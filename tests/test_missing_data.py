@@ -68,6 +68,8 @@ class TestLift:
         (dict(profile_template="uniform:0,1"), "profile_template must be a Profile, got "
                                                "'uniform:0,1'"),
         (dict(profile_template=None), "profile_template must be a Profile, got None"),
+        (dict(window=(0, 10**400)), "axis window needs finite lo < hi, got a number beyond "
+                                    "the float range"),
     ])
     def test_malformed_fields_rejected(self, fields, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -114,6 +116,12 @@ class TestLiftDataset:
             lift_dataset(pts, {0: AxisDomain(axis=0, window=(-1, 1))})
         msg = str(exc.value)
         assert "record 1" in msg and "record 3" in msg
+
+    def test_integer_beyond_float_range_is_a_record_failure(self):
+        with pytest.raises(UnsupportedRecordError, match=re.escape(
+                "record 1: point coordinates must be finite, got a number beyond the float "
+                "range")):
+            lift_dataset([(0.0, 1.0), (10**400, 2.0)], {})
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(UnsupportedRecordError):
@@ -162,3 +170,61 @@ class TestLiftDataset:
         labels = run_expand(res.segments, RunConfig(spec=spec, mode="expand", rng_seed=1))
         assert labels.memberships[0] == labels.memberships[1] == labels.memberships[2]
         assert labels.memberships[3] == []
+
+
+class TestBulkLift:
+    """lift_dataset lifts a dataset as arrays; each segment must have the
+    bits of segment(lo, hi) built from that record alone."""
+
+    FIELDS = ("x", "y", "direction", "sq_length", "center", "half_length")
+
+    @staticmethod
+    def _dataset(rng, dim: int, n: int):
+        records = [list(map(float, rng.normal(scale=3.0, size=dim))) for _ in range(n)]
+        for k in rng.choice(n, size=n // 3, replace=False).tolist():
+            records[k][int(rng.integers(dim))] = None if rng.integers(2) else math.nan
+        templates = [Profile.uniform(0.0, 1.0), Profile.normal(0.5, 0.1), Profile.beta(2, 3)]
+        domains = {axis: AxisDomain(axis=axis, window=tuple(sorted(rng.uniform(-9, 9, 2))),
+                                    profile_template=templates[axis % 3])
+                   for axis in range(dim)}
+        return records, domains
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (3, 2), (7, 3), (7, 4)])
+    def test_segments_match_per_record_segments(self, dim, seed):
+        records, domains = self._dataset(np.random.default_rng(seed), dim, 120)
+        result = lift_dataset(records, domains)
+        for rec, got, profile in zip(records, result.segments, result.profiles):
+            k = next((a for a, v in enumerate(rec) if v is None or math.isnan(v)), None)
+            lo = [domains[k].window[0] if a == k else v for a, v in enumerate(rec)]
+            hi = [domains[k].window[1] if a == k else v for a, v in enumerate(rec)]
+            want = segment(lo, hi)
+            assert got.kind == "segment"
+            for name in self.FIELDS:
+                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert profile == (None if k is None else domains[k].profile_template)
+            lp = lift(rec, domains)
+            assert lp.missing_axis == k and lp.profile == profile
+            assert all(np.asarray(getattr(lp.segment, name)).tobytes()
+                       == np.asarray(getattr(want, name)).tobytes() for name in self.FIELDS)
+
+    def test_failures_keep_their_messages(self):
+        # marked missing from the raw values: the string "nan" and an
+        # infinity are values that are not finite, not missing entries
+        records = [(0.0, 1.0, 2.0), ("nan", 1.0, 2.0), (math.inf, 1.0, None),
+                   ("abc", 1.0, None), (None, None, 1.0), (None, 1.0, 2.0), ("-inf", 0.0, 0.0)]
+        domains = {2: AxisDomain(axis=2, window=(-1.0, 1.0))}
+        with pytest.raises(UnsupportedRecordError) as exc:
+            lift_dataset(records, domains)
+        assert str(exc.value) == (
+            "record 1: point coordinates must be finite; "
+            "record 2: point coordinates must be finite; "
+            "record 3: could not convert string to float: 'abc'; "
+            "record 4: record '4' has 2 missing values; at most 1 is supported; "
+            "record 5: record '5' is missing axis 0 but no domain is declared for it; "
+            "record 6: point coordinates must be finite")
+        for rec, error in [(records[1], ValueError), (records[3], ValueError),
+                           (records[4], UnsupportedRecordError),
+                           (records[5], ConfigurationError)]:
+            with pytest.raises(error):
+                lift(rec, domains)
