@@ -70,9 +70,9 @@ class ClusterLabels:
     means noise.  trace holds one record per draw; seed_order, the drawn
     lines in draw order, is derived from it.  peak_aux is the peak auxiliary
     container occupancy (labels plus the largest transient neighbour set /
-    frontier, and in expand mode the relation graph's n + 1 offsets and its
-    entries, one per related pair off a metric row's diagonal), used to check
-    that no structure beyond O(n + related pairs) is ever held: about 65k
+    frontier, and in expand mode the relation graph's n slots, one per row,
+    and its entries, one per related pair off a metric row's diagonal), used
+    to check that no structure beyond O(n + related pairs) is ever held: about 65k
     entries on 600 doughnut segments at alpha 12, none on isolated lines.
     undecided_count is the number of pairs the witness search could not
     decide within its tolerance or budget; each was taken as unrelated.
@@ -213,7 +213,7 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
         mode="expand", rng_seed=cfg.rng_seed, memberships=memberships,
         clusters=clusters, clusters_may_overlap=False,
         eval_count=ev.eval_count, trace=trace,
-        peak_aux=n + peak_transient + len(ev.indptr) + len(ev.indices),
+        peak_aux=n + peak_transient + len(ev.graph) + sum(map(len, ev.graph)),
         undecided_count=ev.undecided_count, core_flags=core,
     )
 

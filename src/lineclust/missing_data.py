@@ -92,8 +92,8 @@ def _lift_records(records: Sequence[Sequence], domains: Mapping[int, AxisDomain]
     (index, error), and the segments are empty when any record fails.  A
     record fails on the first of: two or more missing entries
     (UnsupportedRecordError), a missing axis with no domain
-    (ConfigurationError), a value float() cannot read or that is not finite
-    (ValueError).  A value of a type float() refuses raises its TypeError."""
+    (ConfigurationError), a value float() cannot read, by its content or
+    by its type, or that is not finite (ValueError)."""
     n = len(records)
     dim = len(records[0]) if n else 0
     if not dim:
@@ -117,18 +117,23 @@ def _lift_records(records: Sequence[Sequence], domains: Mapping[int, AxisDomain]
     known = [0.0 if s else v for v, s in zip(flat, skip)]
     try:
         X = np.fromiter(map(float, known), dtype=np.float64, count=n * dim).reshape(n, dim)
-    except (ValueError, OverflowError):  # again record by record, to name each that fails
+    except (TypeError, ValueError, OverflowError):  # again value by value, to name each record
         X = np.zeros((n, dim))
-        for idx in range(n):
+        for k, v in enumerate(known):
+            if k // dim in failures:  # a record fails on its first value float() cannot read
+                continue
             try:
-                X[idx] = [float(v) for v in known[idx * dim:(idx + 1) * dim]]
+                X.flat[k] = float(v)
             except ValueError as exc:
-                failures[idx] = exc
+                failures[k // dim] = exc
+            except TypeError:
+                failures[k // dim] = ValueError(f"point coordinates must be numbers or numeric "
+                                                f"strings, got a {type(v).__name__}")
             except OverflowError:
-                failures[idx] = ValueError("point coordinates must be finite, "
-                                           "got a number beyond the float range")
+                failures[k // dim] = ValueError("point coordinates must be finite, "
+                                                "got a number beyond the float range")
     for idx in np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist():
-        failures[idx] = ValueError("point coordinates must be finite")
+        failures.setdefault(idx, ValueError("point coordinates must be finite"))
     lifted = np.flatnonzero(count == 1)
     k = axis[lifted]
     axes: list[int | None] = [None] * n

@@ -45,13 +45,11 @@ The witness decision is written once, _witness_hits, for a batch of pairs
 (l1, l2_k) that share l1, the l2s given as rows of the stacked carrier
 layout.  An empty window is no witness.  A pair whose witness set is one
 parameter (a point l2, or a window no wider than SEARCH_TOL) is phi at that
-parameter, every such pair in one _point_hits pass.  Any other pair is its
-root level (_root_level, ROOT_BLOCK pairs per array pass), a hit on the
-grid or every cell pruned, and only where that leaves a kept cell and no
-hit, the levels below it, the kept cells of a block's pairs in calls of no
-more points than a root block.  Every operation acts on each pair alone,
-so a pair's decision has the same bits in a batch of any size; a searched
-row is one batch.
+parameter, every such pair in one _phi call.  The others go through the
+levels in blocks of ROOT_BLOCK pairs, one loop from the root level down,
+no call holding more points than a block's root level.  Every operation
+acts on each pair alone, so a pair's decision has the same bits in a batch
+of any size; a searched row is one batch.
 
 Each line is resolved once, when a RelationEvaluator is built, to one
 radius, the distance at or beyond which it relates to nothing: alpha1
@@ -107,11 +105,11 @@ with no other open pair, every row of a dataset of isolated lines, makes
 no array solve (acceptance criterion 7 measures those rows).
 
 The expand engine asks for every row exactly once, so it has the evaluator
-decide the whole relation before its first draw (build_graph): the related
-lines of each row, its diagonal aside in a metric row, as CSR arrays, an
-offset per row and an int32 index per related pair, O(n + related pairs)
-in memory, from which each neighbour set is served.  The literal engine
-computes only the rows it draws, each when it draws it.
+decide the whole relation before its first draw (build_graph): each row's
+related lines, its diagonal aside in a metric row, as an ascending int32
+array, O(n + related pairs) in memory, from which each neighbour set is
+served.  The literal engine computes only the rows it draws, each when it
+draws it.
 
 Every row thus decides each of its pairs in arrays, one boolean per pair.
 It still calls relates_v1 / relates_prob once per pair with that decision
@@ -411,16 +409,15 @@ def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
 
     X, D are the (m, dim) base points and directions of the windows' l2s,
     sq their (m,) squared lengths (none zero) and lo, hi their (m,) finite
-    windows.  Returns (s, t, d, hit, keep): the (m, samples) grid of each
+    windows.  Returns (s, hit, keep): the (m, samples) grid of each
     window, np.linspace's arithmetic lo + k * step with the last point set
-    to hi; the grid points' feet on l1 and distances to l1, from _phi; each
-    window's (m,) hit flag, some grid phi < 0; and its (m, samples - 1)
-    mask of the cells _cell_bounds does not prune, with the speed sqrt(sq)
-    and s_min the first grid point of least distance.  That point stands in
-    for the least distance over the window: dist(g2(s), l1) is convex, so
-    it is monotone on every cell that does not end there.  Every operation
-    acts on each window's row alone, so a row has the same bits whatever
-    the other windows are.
+    to hi; each window's (m,) hit flag, some grid phi < 0; and its
+    (m, samples - 1) mask of the cells _cell_bounds does not prune, with the
+    speed sqrt(sq) and s_min the first grid point of least distance.  That
+    point stands in for the least distance over the window: dist(g2(s), l1)
+    is convex, so it is monotone on every cell that does not end there.
+    Every operation acts on each window's row alone, so a row has the same
+    bits whatever the other windows are.
     """
     step = (hi - lo) / (samples - 1)
     s = np.arange(samples) * step[:, None] + lo[:, None]
@@ -432,14 +429,7 @@ def _root_level(l1: SegmentLike, profile1: Profile, alpha1: float,
     s_min = np.take_along_axis(s, np.argmin(d, axis=1)[:, None], axis=1)
     bound, pad = _cell_bounds(profile1, alpha1, reach, s[:, :-1], s[:, 1:], d[:, :-1], d[:, 1:],
                               t[:, :-1], t[:, 1:], s_min, np.sqrt(sq)[:, None])
-    return s, t, d, hit, bound < pad
-
-
-def _point_hits(l1: SegmentLike, profile1: Profile, alpha1: float,
-                reach: tuple[float, float], P: np.ndarray) -> np.ndarray:
-    """phi < 0 at the rows of P, the points x + lo * d of l2s whose witness
-    set is that one parameter: the (m,) hit flags of those pairs."""
-    return _phi(l1, profile1, alpha1, reach, P)[2] < 0.0
+    return s, hit, bound < pad
 
 
 def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
@@ -455,15 +445,16 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     An empty window (hi < lo) is False.  The unbounded ones, lines without
     a density, are cut to _line_windows in one call.  A one-parameter
     witness set, a point l2 or a window no wider than SEARCH_TOL, is phi at
-    that parameter, all of them in one _point_hits pass.  Any other pair is
-    its root level, a grid of ROOT_SAMPLES, in blocks of ROOT_BLOCK pairs;
-    then, level by level, each cell a block keeps for a pair with no hit
-    goes back to _root_level as a window of three points, in calls of at
-    most ROOT_BLOCK * ROOT_SAMPLES points.  A pair is True at its first
-    phi < 0 and False when it keeps no cell.  One that keeps a cell no wider
-    than SEARCH_TOL, or whose cells below the root grid would number more
-    than WITNESS_BUDGET, is undecided: False, its cells dropped before they
-    are gathered.
+    that parameter, all of them in one _phi call.  The other pairs go in
+    blocks of ROOT_BLOCK through one loop of levels: the first is the
+    pairs' windows at ROOT_SAMPLES points, each later one the cells the
+    level above kept for a pair with no hit, three points each.  A level
+    calls _root_level in chunks of ROOT_BLOCK * ROOT_SAMPLES // samples
+    windows, so no call holds more points than a root block.  A pair is
+    True at its first phi < 0 and False when it keeps no cell.  One that
+    keeps a cell no wider than SEARCH_TOL, or whose cells below the root
+    grid would number more than WITNESS_BUDGET, is undecided: False, its
+    cells dropped before they are gathered.
     """
     free = np.flatnonzero(np.isinf(lo))
     if len(free):
@@ -474,37 +465,37 @@ def _witness_hits(l1: SegmentLike, p1: Profile, alpha1: float,
     narrow = live & ((sq == 0.0) | (hi - lo <= SEARCH_TOL))
     single = np.flatnonzero(narrow)
     if len(single):
-        hits[single] = _point_hits(l1, p1, alpha1, reach, X[single] + lo[single, None] * D[single])
+        P = X[single] + lo[single, None] * D[single]
+        hits[single] = _phi(l1, p1, alpha1, reach, P)[2] < 0.0
     batched = np.flatnonzero(live & ~narrow)
-    # three points a cell: no call below the root holds more points than a root block
-    cells = ROOT_BLOCK * ROOT_SAMPLES // 3
     undecided = 0
     for k in range(0, len(batched), ROOT_BLOCK):
         idx = batched[k:k + ROOT_BLOCK]
-        Xb, Db, sqb = X[idx], D[idx], sq[idx]
-        s, _, _, hit, keep = _root_level(l1, p1, alpha1, reach, Xb, Db, sqb, lo[idx], hi[idx],
-                                         ROOT_SAMPLES)
-        r = np.arange(len(idx))  # the block's pair of each window
-        spent, stuck = np.zeros(len(idx)), np.zeros(len(idx), dtype=bool)
-        while True:
+        hit, spent, stuck = (np.zeros(len(idx), dtype=bool), np.zeros(len(idx)),
+                             np.zeros(len(idx), dtype=bool))
+        # the block's pair of each window, the windows, and their grid size
+        r, a, b, samples = np.arange(len(idx)), lo[idx], hi[idx], ROOT_SAMPLES
+        while len(r):
+            chunk = ROOT_BLOCK * ROOT_SAMPLES // samples
+            s, keep = np.empty((len(r), samples)), np.empty((len(r), samples - 1), dtype=bool)
+            for j in range(0, len(r), chunk):
+                q, w = r[j:j + chunk], idx[r[j:j + chunk]]  # the windows' pairs, in block and row
+                s[j:j + chunk], found, keep[j:j + chunk] = _root_level(
+                    l1, p1, alpha1, reach, X[w], D[w], sq[w], a[j:j + chunk], b[j:j + chunk],
+                    samples)
+                hit[q[found]] = True
             keep &= ~hit[r, None]  # the kept cells of the pairs with no hit
             if not keep.any():
                 break
             spent += np.bincount(r, keep.sum(axis=1), len(idx))
             stuck |= spent > WITNESS_BUDGET  # undecided before their cells are gathered
             i, h = np.nonzero(keep & ~stuck[r, None])
-            r, a, b = r[i], s[i, h], s[i, h + 1]
+            r, a, b, samples = r[i], s[i, h], s[i, h + 1], 3
             narrow = b - a <= SEARCH_TOL
             if narrow.any():  # the pairs of these cells are undecided
                 stuck[r[narrow]] = True
                 alive = ~stuck[r]
                 r, a, b = r[alive], a[alive], b[alive]
-            s, keep = np.empty((len(r), 3)), np.empty((len(r), 2), dtype=bool)
-            for j in range(0, len(r), cells):
-                q = r[j:j + cells]
-                s[j:j + cells], _, _, found, keep[j:j + cells] = _root_level(
-                    l1, p1, alpha1, reach, Xb[q], Db[q], sqb[q], a[j:j + cells], b[j:j + cells], 3)
-                hit[q[found]] = True
         hits[idx] = hit
         undecided += int(stuck.sum())
     return hits, undecided
@@ -585,13 +576,12 @@ class RelationEvaluator:
     an IndexError out of range; both count every pair in eval_count, and
     every pair the witness search leaves undecided (reported as unrelated)
     in undecided_count.  build_graph() decides every row once, the metric
-    rows in blocks of PAIR_BUDGET // n, into the CSR arrays indptr and
-    indices, each block's counts and columns written in one pass with no
-    array per row.  neighbor_set(i) then serves row i from them, its roots
-    a list set True at the columns of its CSR slice, counting its pairs as
-    before; its undecided pairs were counted by the build.  The
-    expand engine builds, since it asks for every row exactly once; the
-    literal engine and relates(i, j) decide rows on demand.
+    rows in blocks of PAIR_BUDGET // n, into graph, each row's related
+    lines.  neighbor_set(i) then serves row i from graph[i], its roots a
+    list set True at those lines, counting its pairs as a row decided on
+    demand does; its undecided pairs were counted by the build.  The expand
+    engine builds, since it asks for every row exactly once; the literal
+    engine and relates(i, j) decide rows on demand.
     """
 
     def __init__(self, U: Sequence[SegmentLike], spec: NeighbourhoodSpec):
@@ -599,8 +589,8 @@ class RelationEvaluator:
         self.spec = spec
         self.eval_count = 0
         self.undecided_count = 0
-        # the relation graph's offsets and indices: empty until build_graph decides it
-        self.indptr, self.indices = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
+        # each row's related lines: empty until build_graph decides them
+        self.graph: list[np.ndarray] = []
         if len({l.dim for l in self.U}) > 1:
             raise ValueError("all lines of a dataset must have the same dimension")
         n = len(self.U)
@@ -735,54 +725,33 @@ class RelationEvaluator:
         return related
 
     def build_graph(self) -> None:
-        """Decide every row over the whole dataset once, into the CSR arrays
-        indptr and indices: row i's related lines are the int32
-        indices[indptr[i]:indptr[i + 1]], ascending, and neighbor_set(i)
-        serves them from there.
+        """Decide every row over the whole dataset once, into graph: graph[i]
+        holds row i's related lines as an ascending int32 array, and
+        neighbor_set(i) serves them from there.
 
         The metric rows go through _metric_rows in ascending blocks of
         PAIR_BUDGET // n rows, at least one, so no block holds more than
         PAIR_BUDGET pairs unless a single row does; a metric row's diagonal
         is left out, for min_distance's shortcut to decide when the row is
-        served.  Each searched row is its own _searched_row, whose undecided
-        pairs count here, once.  Each decided block is written in one pass,
-        with no array per row: its columns, row by row (a metric block's
-        from the flat nonzero of its (rows, n) mask), into one int32 buffer
-        grown by doubling, and each row's count and offset there into two
-        lists.  Where the rows were decided in their own order, every
-        metric row or every searched one, the buffer is indices as it
-        stands; otherwise one gather puts each row at its CSR offset.
-        Nothing counts in eval_count until a row is served."""
+        served.  A block's columns are one int32 array, from the flat
+        nonzero of its (rows, n) mask, and each of its rows keeps a view of
+        its own stretch of them.  Each searched row is its own
+        _searched_row, whose undecided pairs count here, once.  Nothing
+        counts in eval_count until a row is served."""
         n = len(self.U)
+        graph = [None] * n  # each row's related lines, every row set below
         metric = [i for i in range(n) if not self.searched[i]]
         step = max(1, PAIR_BUDGET // max(n, 1))
-        blocks = [metric[k:k + step] for k in range(0, len(metric), step)]
-        blocks += [[i] for i in range(n) if self.searched[i]]
-        counts, start = [0] * n, [0] * n  # each row's related lines, and their offset in found
-        found, size = np.empty(n, dtype=np.int32), 0
-        for rows in blocks:
-            if self.searched[rows[0]]:
-                cols = np.flatnonzero(self._searched_row(rows[0], slice(None)))
-                row_counts = [len(cols)]
-            else:
-                mask = self._metric_rows(rows, slice(None))
-                cols = np.flatnonzero(mask) % n  # np.nonzero(mask)[1], in a quarter of the time
-                row_counts = np.count_nonzero(mask, axis=1).tolist()
-            end = size + len(cols)
-            if end > len(found):
-                found = np.resize(found, max(2 * len(found), end))
-            found[size:end] = cols
-            for i, count in zip(rows, row_counts):
-                counts[i], start[i] = count, size
-                size += count
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        offset = np.array(start, dtype=np.int64) - indptr[:-1]
-        if not offset.any():  # decided in row order: found is indices
-            self.indices = found[:size]
-        else:
-            self.indices = found[np.repeat(offset, counts) + np.arange(size)]
-        self.indptr = indptr
+        for rows in (metric[k:k + step] for k in range(0, len(metric), step)):
+            mask = self._metric_rows(rows, slice(None))
+            # np.nonzero(mask)[1], in a quarter of the time
+            cols = (np.flatnonzero(mask) % n).astype(np.int32)
+            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            for i, start, end in zip(rows, [0] + ends, ends):
+                graph[i] = cols[start:end]
+        for i in np.flatnonzero(self.searched).tolist():
+            graph[i] = np.flatnonzero(self._searched_row(i, slice(None))).astype(np.int32)
+        self.graph = graph
 
     def _related(self, i: int, js: slice) -> list[int]:
         """The lines of the dataset slice js that line i relates to, read
@@ -790,9 +759,9 @@ class RelationEvaluator:
         i = range(len(self.U))[i]  # an IndexError out of range, as U[i]
         lines = range(len(self.U))[js]
         self.eval_count += len(lines)
-        if len(self.indptr) and js == slice(None):  # served from the graph
+        if self.graph and js == slice(None):  # served from the graph
             roots = [False] * len(lines)
-            for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist():
+            for j in self.graph[i].tolist():
                 roots[j] = True
         else:
             roots = (self._searched_row(i, js) if self.searched[i]

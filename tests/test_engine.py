@@ -272,12 +272,12 @@ class TestInstrumentation:
                 RunConfig(spec=V1(1), threads=threads)
 
 
-class TestStaging:
-    """run_expand stages the whole relation: before its first draw it has
-    RelationEvaluator.build_graph decide every row, the metric rows in
-    blocks of at most PAIR_BUDGET pairs, and serves each neighbour set from
-    that graph.  run_literal, which computes only the rows it draws, stages
-    nothing.  Staging changes no output byte; peak_aux counts the graph."""
+class TestRelationGraph:
+    """Before its first draw run_expand has RelationEvaluator.build_graph
+    decide every row, the metric rows in blocks of at most PAIR_BUDGET
+    pairs, and serves each neighbour set from that graph.  run_literal,
+    which computes only the rows it draws, builds none.  The graph changes
+    no output byte; peak_aux counts its slots and entries."""
 
     @staticmethod
     def _datasets():
@@ -298,11 +298,11 @@ class TestStaging:
                 labels.eval_count, labels.undecided_count)
 
     @staticmethod
-    def _unstaged(m):
+    def _on_demand(m):
         """Within the monkeypatch context m, run_expand decides rows on demand."""
         m.setattr(RelationEvaluator, "build_graph", lambda ev: None)
 
-    def test_store_is_bounded_and_emptied(self, monkeypatch):
+    def test_blocks_are_bounded_and_every_row_served(self, monkeypatch):
         # each block keeps to the pair budget, a single row where one row
         # alone is over it, and every row of the graph is served once
         real_build, real_rows = RelationEvaluator.build_graph, RelationEvaluator._metric_rows
@@ -336,24 +336,25 @@ class TestStaging:
                     assert all(k * n <= budget or k == 1 for k in blocks)
                     assert (max(blocks) > 1) == (budget >= 2 * n)  # blocks of many rows
                     assert sorted(i for _, i in served) == list(range(n))
-                    assert len(ev.indptr) == n + 1 and ev.indices.dtype == np.int32
+                    assert len(ev.graph) == n
+                    assert all(row.dtype == np.int32 for row in ev.graph)
 
-    def test_staging_changes_no_output(self, monkeypatch):
+    def test_graph_changes_no_output(self, monkeypatch):
         for U, spec in self._datasets():
             graph = RelationEvaluator(U, spec)
             graph.build_graph()
             for seed in (0, 3):
                 cfg = RunConfig(spec=spec, rng_seed=seed)
-                staged = run_expand(U, cfg)
+                built = run_expand(U, cfg)
                 with monkeypatch.context() as m:
-                    self._unstaged(m)
-                    unstaged = run_expand(U, cfg)
-                assert repr(self._outputs(staged)) == repr(self._outputs(unstaged))
-                # the gauge adds the graph's offsets and entries
-                assert staged.peak_aux == (unstaged.peak_aux + len(graph.indptr)
-                                           + len(graph.indices))
+                    self._on_demand(m)
+                    on_demand = run_expand(U, cfg)
+                assert repr(self._outputs(built)) == repr(self._outputs(on_demand))
+                # the gauge adds the graph's n slots and its entries
+                assert built.peak_aux == (on_demand.peak_aux + len(U)
+                                          + sum(len(row) for row in graph.graph))
 
-    def test_literal_never_stages(self, monkeypatch):
+    def test_literal_never_builds(self, monkeypatch):
         def refuse(ev):
             raise AssertionError("run_literal built the relation graph")
         monkeypatch.setattr(RelationEvaluator, "build_graph", refuse)
@@ -367,10 +368,10 @@ class TestStaging:
             calls.append(l1 is l2)
             return _real(l1, l2)
         monkeypatch.setattr(neighborhood, "min_distance", counted)
-        for staged in (True, False):
+        for built in (True, False):
             with monkeypatch.context() as m:
-                if not staged:
-                    self._unstaged(m)
+                if not built:
+                    self._on_demand(m)
                 for U, spec in self._datasets():
                     # metric lines, those not searched: every line of both
                     # datasets, the lifted ones being capsules under the

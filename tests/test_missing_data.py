@@ -117,6 +117,16 @@ class TestLiftDataset:
         msg = str(exc.value)
         assert "record 1" in msg and "record 3" in msg
 
+    @pytest.mark.parametrize("value, kind", [([1], "list"), ({"x": 1.0}, "dict")])
+    def test_value_of_a_refused_type_is_a_record_failure(self, value, kind):
+        with pytest.raises(UnsupportedRecordError, match=re.escape(
+                f"record 1: point coordinates must be numbers or numeric strings, "
+                f"got a {kind}")) as exc:
+            lift_dataset([(0.0, 1.0), (value, 2.0), (None, None)], {})
+        assert "record 2: record '2' has 2 missing values" in str(exc.value)
+        with pytest.raises(ValueError, match=f"got a {kind}"):
+            lift((value, 2.0), {})
+
     def test_integer_beyond_float_range_is_a_record_failure(self):
         with pytest.raises(UnsupportedRecordError, match=re.escape(
                 "record 1: point coordinates must be finite, got a number beyond the float "

@@ -828,8 +828,9 @@ class TestMetricRows:
             assert staged.relates(i, i) == plain.relates(i, i)  # the unstaged path
             row = plain.neighbor_set(i)
             assert staged.neighbor_set(i) == row, f"row {i}"
-            # the graph's row: ascending, and a metric row's diagonal left out
-            stored = staged.indices[staged.indptr[i]:staged.indptr[i + 1]]
+            # the graph's row: ascending int32, and a metric row's diagonal left out
+            stored = staged.graph[i]
+            assert stored.dtype == np.int32 and stored.ndim == 1, f"row {i}"
             assert stored.tolist() == sorted(row - {i} if metric[i] else row), f"row {i}"
         # served rows are not decided again: only relates(i, i) solves a row
         assert all(js == slice(i, i + 1) for (i,), js in blocks[built:])
@@ -860,7 +861,11 @@ class TestMetricRows:
             step = max(1, budget // n)
             assert blocks == [metric[k:k + step] for k in range(0, len(metric), step)]
             assert all(len(b) * n <= budget for b in blocks) or step == 1
-            graphs.append((ev.indptr.tolist(), ev.indices.tolist(), ev.undecided_count))
+            assert len(ev.graph) == n
+            for row in ev.graph:  # each row ascending int32
+                assert row.dtype == np.int32 and row.ndim == 1
+                assert np.all(np.diff(row) > 0)
+            graphs.append(([row.tolist() for row in ev.graph], ev.undecided_count))
         assert len(blocks) == len(metric) and all(g == graphs[0] for g in graphs)
 
     def test_isolated_rows_keep_the_scalar_loop(self, monkeypatch):

@@ -39,7 +39,7 @@ from lineclust.neighborhood import (
     RelationEvaluator,
     _cell_bounds,
     _line_windows,
-    _point_hits,
+    _phi,
     _root_level,
     _witness_domain,
     relates_prob,
@@ -512,7 +512,7 @@ def test_root_level_batch_is_bit_identical_to_single_pairs(samples):
         for r in range(len(l2s)):
             single = _root_level(l1, p1, alpha, reach, X[r:r + 1], D[r:r + 1], sq[r:r + 1],
                                  lo[r:r + 1], hi[r:r + 1], samples)
-            for name, whole, one in zip(("s", "t", "d", "hit", "keep"), batch, single):
+            for name, whole, one in zip(("s", "hit", "keep"), batch, single):
                 assert np.array_equal(whole[r], one[0]), (k, r, name)
             assert np.array_equal(batch[0][r], np.linspace(lo[r], hi[r], samples)), (k, r)
 
@@ -908,20 +908,23 @@ def _one_parameter_pairs(rng, dim, family, kind1):
 
 @pytest.mark.parametrize("dim", [2, 3, 7])
 def test_point_hits_batch_is_bit_identical_to_single_pairs(dim):
-    """_point_hits over m one-parameter pairs gives each pair the flag a
-    batch of one gives it, and that flag is relates_prob's decision."""
+    """_phi at the points of m one-parameter pairs gives each pair the feet,
+    distances and phi a batch of one gives it, and its hit flag, phi < 0,
+    is relates_prob's decision."""
     rng = np.random.default_rng(30 + dim)
     for k in range(24):
         l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(
             rng, dim, FAMILIES[k % 6], ("segment", "line")[k % 2])
         P = np.array([l.x + lo * l.direction for l, lo in zip(l2s, params)])
         reach = _witness_domain(l1, p1)
-        batch = _point_hits(l1, p1, alpha, reach, P)
-        assert batch.shape == (len(l2s),) and batch.dtype == bool
+        batch = _phi(l1, p1, alpha, reach, P)
+        hits = batch[2] < 0.0
+        assert hits.shape == (len(l2s),)
         for r, (l2, p2) in enumerate(zip(l2s, profiles)):
-            single = _point_hits(l1, p1, alpha, reach, P[r:r + 1])
-            assert np.array_equal(batch[r:r + 1], single), (k, r)
-            assert relates_prob(l1, p1, alpha, l2, p2) == batch[r], (k, r)
+            single = _phi(l1, p1, alpha, reach, P[r:r + 1])
+            for name, whole, one in zip(("t", "d", "phi"), batch, single):
+                assert np.array_equal(whole[r:r + 1], one), (k, r, name)
+            assert relates_prob(l1, p1, alpha, l2, p2) == hits[r], (k, r)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7])
@@ -932,14 +935,23 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
     1e-12 of its scale, for every family of f₁."""
     rng = np.random.default_rng(40 + dim + (kind1 == "line"))
     decided = {True: 0, False: 0}
-    point_hits = neighborhood._point_hits
-    points = []
+    real_phi, root_level = neighborhood._phi, neighborhood._root_level
+    points, searching = [], []
 
     def recording(l1, p1, alpha1, reach, P):
-        points.append(P)
-        return point_hits(l1, p1, alpha1, reach, P)
+        if not searching:  # the one-parameter pass, not a level of the search
+            points.append(P)
+        return real_phi(l1, p1, alpha1, reach, P)
 
-    monkeypatch.setattr(neighborhood, "_point_hits", recording)
+    def level(*args):
+        searching.append(True)
+        try:
+            return root_level(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(neighborhood, "_phi", recording)
+    monkeypatch.setattr(neighborhood, "_root_level", level)
     for k in range(36):
         l1, p1, alpha, l2s, profiles, params = _one_parameter_pairs(rng, dim, FAMILIES[k % 6],
                                                                     kind1)
@@ -948,7 +960,7 @@ def test_one_parameter_decisions_match_the_scalar_phi(monkeypatch, dim, kind1):
         points.clear()
         assert ev.searched[0]
         row = ev.neighbor_set(0)
-        # one _point_hits pass holds every l2 the carrier bound leaves open
+        # one _phi pass holds every l2 the carrier bound leaves open
         threshold = ev.radius[0]
         bound = ev._carrier_bound(0, slice(1, None))
         assert len(points) <= 1 and sum(map(len, points)) == int((bound < threshold).sum())
@@ -1032,7 +1044,7 @@ def test_rows_refine_the_pairs_their_root_level_leaves_open(monkeypatch):
     def recording(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples):
         level = root_level(l1, p1, alpha1, reach, X, D, sq, lo, hi, samples)
         if samples == 3:  # below the root grid, whose samples are the spec's 64
-            found.extend(level[3].tolist())
+            found.extend(level[1].tolist())
         return level
 
     monkeypatch.setattr(neighborhood, "_root_level", recording)
