@@ -9,6 +9,12 @@ File formats:
   polyline split into consecutive-vertex segments
 * results JSON (cluster membership by record id plus summary counts)
 * SVG rendering of 2-d datasets, one colour per cluster, noise in grey
+
+A CSV file is checked row by row, in file order, before any record is
+returned; a bad one is a ParseError naming path:line of its first bad line,
+whatever faults follow it.  The segment loaders build every segment of a
+file with one `geometry.segments` call, and each `SegmentRecord` they
+return carries its segment.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import logging
 import math
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Sequence
 
@@ -26,23 +32,41 @@ import numpy as np
 
 from .engine import ClusterLabels
 from .errors import ConfigurationError, ParseError
-from .geometry import SegmentLike, segment
+from .geometry import SegmentLike, segment, segments
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class SegmentRecord:
+    """One input segment: its id and endpoints.  A loader sets `seg`, the
+    segment it built for the whole file at once, and `to_segment` returns
+    it; `seg` is no constructor argument, so it always matches x and y.  A
+    record built one at a time (or by `dataclasses.replace`) has none, and
+    `to_segment` checks and derives its segment then."""
+
     id: str
     x: np.ndarray
     y: np.ndarray
+    seg: SegmentLike | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.x)
 
     def to_segment(self) -> SegmentLike:
-        return segment(self.x, self.y)
+        return self.seg if self.seg is not None else segment(self.x, self.y)
+
+
+def _records(ids: Sequence[str], X: np.ndarray, Y: np.ndarray) -> list[SegmentRecord]:
+    """A record per row of the (m, dim) endpoint arrays X, Y, each carrying
+    its segment, all built by one `segments` call."""
+    records = []
+    for rid, s in zip(ids, segments(X, Y)):
+        rec = SegmentRecord(rid, s.x, s.y)
+        object.__setattr__(rec, "seg", s)
+        records.append(rec)
+    return records
 
 
 # -- CSV rows ------------------------------------------------------------------
@@ -102,12 +126,22 @@ def _segments_header(cols: list[str], path) -> int:
 
 
 def load_segments_csv(path) -> list[SegmentRecord]:
-    records = []
-    for _, rid, vals in _csv_rows(path, _segments_header, missing=False):
-        n = len(vals) // 2
-        records.append(SegmentRecord(id=rid, x=np.array(vals[:n], dtype=np.float64),
-                                     y=np.array(vals[n:], dtype=np.float64)))
-    return records
+    """The records of a segments CSV, each carrying its segment.
+
+    Every row is checked, in file order, before any record is built, so a
+    bad file is a ParseError naming its first bad line.  The segments are
+    then built by one `geometry.segments` call, with the fields
+    `segment(rec.x, rec.y)` would give, to the bit.
+    """
+    ids, vals = [], []
+    for _, rid, values in _csv_rows(path, _segments_header, missing=False):
+        ids.append(rid)
+        vals.append(values)
+    if not ids:
+        return []
+    V = np.array(vals, dtype=np.float64)
+    n = V.shape[1] // 2
+    return _records(ids, V[:, :n], V[:, n:])
 
 
 def write_segments_csv(records: Sequence[SegmentRecord], path) -> None:
@@ -196,6 +230,8 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
     yield one segment id, a position that is not two finite numbers (a 3-d
     coordinate, say, or a NaN, which json reads), and a feature list,
     feature, geometry or line of the wrong JSON type are parse errors.
+    The segments are built by one `geometry.segments` call, each carried by
+    its record.
     """
     if crop is not None:
         box = tuple(crop) if isinstance(crop, Iterable) else None
@@ -223,7 +259,9 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
         minx, miny, maxx, maxy = crop
         return minx <= pt[0] <= maxx and miny <= pt[1] <= maxy
 
-    records: list[SegmentRecord] = []
+    ids: list[str] = []
+    starts: list[list] = []
+    ends: list[list] = []
     seen: dict[str, int] = {}  # segment id -> index of the feature that made it
     features = obj.get("features", [])
     if not isinstance(features, list):
@@ -264,14 +302,14 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
                 if seen.setdefault(sid, fi) != fi:
                     raise ParseError(f"{path}: features {seen[sid]} and {fi} both give "
                                      f"segment id {sid!r}")
-                records.append(SegmentRecord(
-                    id=sid,
-                    x=np.array(a[:2], dtype=np.float64),
-                    y=np.array(b[:2], dtype=np.float64),
-                ))
-    if crop is not None and not records:
-        log.warning("%s: crop box %s excluded every segment", path, crop)
-    return records
+                ids.append(sid)
+                starts.append(a)
+                ends.append(b)
+    if not ids:
+        if crop is not None:
+            log.warning("%s: crop box %s excluded every segment", path, crop)
+        return []
+    return _records(ids, np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64))
 
 
 # -- synthetic generators -----------------------------------------------------

@@ -201,10 +201,9 @@ def run_expand(U: Sequence[SegmentLike], cfg: RunConfig) -> ClusterLabels:
                 core[q] = len(region_q) >= cfg.spec.c
                 peak_transient = max(peak_transient, len(region_q))
                 if core[q]:
-                    for w in sorted(region_q):
-                        if w not in seen:
-                            seen.add(w)
-                            frontier.append(w)
+                    new = region_q - seen
+                    frontier.extend(sorted(new))
+                    seen |= new
         clusters.append(sorted(members))
         trace.append({"chosen": u, "neighbours": len(region),
                       "decision": "cluster", "cluster": cid})

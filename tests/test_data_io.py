@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from lineclust.data_io import (
 )
 from lineclust.engine import RunConfig, run_expand, run_literal
 from lineclust.errors import ConfigurationError, ParseError
+from lineclust.geometry import segment
 from lineclust.neighborhood import NeighbourhoodSpec
 
 
@@ -73,11 +77,55 @@ class TestSegmentsCsv:
             assert (a.y == b.y).all()
 
 
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_loaded_segments_equal_singly_built_ones_to_the_bit(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+
+        def coords(m):
+            return rng.choice([-1.0, 1.0], (m, dim)) * rng.uniform(1, 10, (m, dim)) \
+                * 10.0 ** rng.integers(-300, 301, (m, dim))
+
+        X, Y = coords(40), coords(40)
+        Y[5] = X[5]  # a degenerate row: a point
+        path = tmp_path / "mixed.csv"
+        write_segments_csv([SegmentRecord(f"r{k}", x, y) for k, (x, y) in enumerate(zip(X, Y))],
+                           path)
+        # a span past ~1e154 squares to inf, with numpy's overflow warning
+        with np.errstate(over="ignore"):
+            recs = load_segments_csv(path)
+            singly = [segment(rec.x, rec.y) for rec in recs]
+        assert recs[5].to_segment().is_degenerate
+        assert any(math.isinf(s.sq_length) for s in singly)
+        for k, (rec, s) in enumerate(zip(recs, singly)):
+            assert (rec.x.tobytes(), rec.y.tobytes()) == (X[k].tobytes(), Y[k].tobytes())
+            assert rec.to_segment() is rec.to_segment()  # carried, not derived again
+            _assert_same_segment(rec.to_segment(), s)
+        # a record made from a loaded one derives its own segment, not the carried one
+        moved = dataclasses.replace(recs[0], y=recs[1].y)
+        with np.errstate(over="ignore"):
+            _assert_same_segment(moved.to_segment(), segment(X[0], Y[1]))
+
+    def test_hand_built_record_is_checked(self):
+        rec = SegmentRecord("h", x=np.array([0.0, math.nan]), y=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            rec.to_segment()
+
     def test_duplicate_id_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,1,1,1\na,0,2,1,2\n")
         with pytest.raises(ParseError, match=r"dup\.csv:4: duplicate id 'a'"):
             load_segments_csv(path)
+
+
+def _assert_same_segment(a, b):
+    """Every field of two segments holds the same bits."""
+    for name in ("x", "y", "direction", "center"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+    for name in ("sq_length", "half_length"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert type(u) is type(v) and np.float64(u).tobytes() == np.float64(v).tobytes(), name
+    assert a.kind == b.kind == "segment"
 
 
 class TestPointsCsv:
@@ -115,7 +163,8 @@ class TestPointsCsv:
 def test_csv_loaders_reject_bad_files_with_path_and_line(tmp_path, load, header, row, noun):
     """Both CSV loaders read rows one way: an empty file, a row with the
     wrong field count and an infinite field are ParseErrors at path:line,
-    after blank rows."""
+    after blank rows.  Of two bad lines of different kinds, in either
+    order, the first in the file is the one named."""
     path = tmp_path / "bad.csv"
     path.write_text("")
     with pytest.raises(ParseError, match=r"bad\.csv:1: empty file$"):
@@ -128,6 +177,39 @@ def test_csv_loaders_reject_bad_files_with_path_and_line(tmp_path, load, header,
     path.write_text(f"{header}\na,{','.join(row)}\n\nb,{','.join(row[:-1])}, inf\n")
     with pytest.raises(ParseError, match=rf"bad\.csv:4: non-finite {noun} ' inf'$"):
         load(path)
+    # (id, fields, message) of a bad line; "a" is the good line 2's id
+    faults = {
+        "non-numeric": ("b", ["zero"] + row[1:], "non-numeric field 'zero'"),
+        "non-finite": ("b", row[:-1] + [" inf"], f"non-finite {noun} ' inf'"),
+        "short": ("b", row[:-1], f"expected {width} fields, got {width - 1}"),
+        "duplicate": ("a", row, "duplicate id 'a' (first on line 2)"),
+    }
+    for first, second in itertools.permutations(faults, 2):
+        if {first, second} == {"non-numeric", "non-finite"}:
+            continue  # one kind
+        (id3, fields3, message), (id4, fields4, _) = faults[first], faults[second]
+        id4 = "c" if id4 == "b" else id4
+        path.write_text(f"{header}\na,{','.join(row)}\n{id3},{','.join(fields3)}\n"
+                        f"{id4},{','.join(fields4)}\n")
+        with pytest.raises(ParseError, match=rf"bad\.csv:3: {re.escape(message)}$"):
+            load(path)
+    # a field over the csv module's size limit stops the reader on line 4
+    path.write_text(f"{header}\na,{','.join(row)}\nb,zero,{','.join(row[1:])}\n"
+                    f"c,{'9' * 200_000}\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:3: non-numeric field 'zero'$"):
+        load(path)
+    # so do bytes that are not UTF-8, past the first block the file reads
+    good = "".join(f"c{k},{','.join(row)}\n" for k in range(2000))
+    path.write_bytes(f"{header}\na,{','.join(row)}\nb,zero,{','.join(row[1:])}\n{good}"
+                     .encode() + b"d,\xff\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:3: non-numeric field 'zero'$"):
+        load(path)
+    if load is load_points_csv:
+        # a record lift cannot take is named before the reader stops on line 4
+        path.write_text(f"{header}\na,{','.join(row)}\nb,,NA\nc,{'9' * 200_000}\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:3: record 'b' is missing x1 and x2; "
+                                             r"at most 1 missing value is supported$"):
+            load(path, axes=[0])
 
 
 class TestGeoJson:
@@ -151,6 +233,8 @@ class TestGeoJson:
         assert recs[0].id == "f0-s0"
         assert np.allclose(recs[1].x, (1, 0))
         assert np.allclose(recs[1].y, (1, 1))
+        for rec in recs:
+            _assert_same_segment(rec.to_segment(), segment(rec.x, rec.y))
 
     def test_multilinestring(self, tmp_path):
         path = self._write(tmp_path, {
