@@ -20,6 +20,7 @@ return carries its segment.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -32,7 +33,7 @@ import numpy as np
 
 from .engine import ClusterLabels
 from .errors import ConfigurationError, ParseError
-from .geometry import SegmentLike, segment, segments
+from .geometry import SegmentLike, _segment_failures, segment, segments
 
 log = logging.getLogger(__name__)
 
@@ -58,11 +59,20 @@ class SegmentRecord:
         return self.seg if self.seg is not None else segment(self.x, self.y)
 
 
-def _records(ids: Sequence[str], X: np.ndarray, Y: np.ndarray) -> list[SegmentRecord]:
+def _records(ids: Sequence[str], X: np.ndarray, Y: np.ndarray,
+             where: Sequence[str]) -> list[SegmentRecord]:
     """A record per row of the (m, dim) endpoint arrays X, Y, each carrying
-    its segment, all built by one `segments` call."""
+    its segment, all built by one `segments` call.  A row whose segment
+    cannot be built, one whose direction, centre or squared length
+    overflows, is a ParseError that opens with where[k], the place of the
+    first such row k in its file."""
+    try:
+        built = segments(X, Y)
+    except ValueError:
+        k, exc = _segment_failures(X, Y)[0]
+        raise ParseError(f"{where[k]}: {exc}") from None
     records = []
-    for rid, s in zip(ids, segments(X, Y)):
+    for rid, s in zip(ids, built):
         rec = SegmentRecord(rid, s.x, s.y)
         object.__setattr__(rec, "seg", s)
         records.append(rec)
@@ -71,47 +81,76 @@ def _records(ids: Sequence[str], X: np.ndarray, Y: np.ndarray) -> list[SegmentRe
 
 # -- CSV rows ------------------------------------------------------------------
 
+def _csv_lines(path):
+    """(line number, row) for each row of the CSV file at path, the line
+    number of the row's first line.  The file is read as UTF-8 up to its
+    first line that holds a byte that is not, which ends the rows as a
+    ParseError naming that line, once every row before it is read.  A row
+    the csv module refuses, such as a field over its size limit, is a
+    ParseError naming the line the reader stopped on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1  # the line that holds the byte
+        lineno = data.count(b"\n", 0, start) + 1
+        text = data[:start].decode("utf-8")
+        bad = ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}, "
+                         f"byte {data[exc.start]:#04x}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    lineno = 1
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if bad is not None:
+        raise bad
+
+
 def _csv_rows(path, header_fields, missing: bool):
     """(line number, id, values) for each data row of the CSV file at path.
 
     header_fields(header, path) checks the header and returns the number of
     fields a row must have.  An empty file, a wrong field count, a repeated
     id and a field that is not a finite number are ParseErrors naming
-    path:line; blank rows are skipped.  With missing, an empty field or NA
-    (case-insensitive) is a missing value, None.
+    path:line, as are the faults _csv_lines names; blank rows are skipped.
+    With missing, an empty field or NA (case-insensitive) is a missing
+    value, None.
     """
     what = "value" if missing else "coordinate"
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        width = header_fields(header, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    lines = _csv_lines(path)
+    try:
+        _, header = next(lines)
+    except StopIteration:
+        raise ParseError(f"{path}:1: empty file") from None
+    width = header_fields(header, path)
+    for lineno, row in lines:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        first = seen.setdefault(row[0], lineno)
+        if first != lineno:
+            raise ParseError(f"{path}:{lineno}: duplicate id {row[0]!r} "
+                             f"(first on line {first})")
+        values = []
+        for raw in row[1:]:
+            txt = raw.strip()
+            if missing and (txt == "" or txt.lower() == "na"):
+                values.append(None)
                 continue
-            if len(row) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            first = seen.setdefault(row[0], lineno)
-            if first != lineno:
-                raise ParseError(f"{path}:{lineno}: duplicate id {row[0]!r} "
-                                 f"(first on line {first})")
-            values = []
-            for raw in row[1:]:
-                txt = raw.strip()
-                if missing and (txt == "" or txt.lower() == "na"):
-                    values.append(None)
-                    continue
-                try:
-                    v = float(txt)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric field {raw!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}:{lineno}: non-finite {what} {raw!r}")
-                values.append(v)
-            yield lineno, row[0], values
+            try:
+                v = float(txt)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric field {raw!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{lineno}: non-finite {what} {raw!r}")
+            values.append(v)
+        yield lineno, row[0], values
 
 
 # -- segments CSV ------------------------------------------------------------
@@ -131,17 +170,19 @@ def load_segments_csv(path) -> list[SegmentRecord]:
     Every row is checked, in file order, before any record is built, so a
     bad file is a ParseError naming its first bad line.  The segments are
     then built by one `geometry.segments` call, with the fields
-    `segment(rec.x, rec.y)` would give, to the bit.
+    `segment(rec.x, rec.y)` would give, to the bit; a row whose direction,
+    centre or squared length overflows is a ParseError naming its line.
     """
-    ids, vals = [], []
-    for _, rid, values in _csv_rows(path, _segments_header, missing=False):
+    ids, vals, where = [], [], []
+    for lineno, rid, values in _csv_rows(path, _segments_header, missing=False):
         ids.append(rid)
         vals.append(values)
+        where.append(f"{path}:{lineno}")
     if not ids:
         return []
     V = np.array(vals, dtype=np.float64)
     n = V.shape[1] // 2
-    return _records(ids, V[:, :n], V[:, n:])
+    return _records(ids, V[:, :n], V[:, n:], where)
 
 
 def write_segments_csv(records: Sequence[SegmentRecord], path) -> None:
@@ -229,9 +270,10 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
     which selects nothing; an infinite bound is legal.  Two features that
     yield one segment id, a position that is not two finite numbers (a 3-d
     coordinate, say, or a NaN, which json reads), and a feature list,
-    feature, geometry or line of the wrong JSON type are parse errors.
-    The segments are built by one `geometry.segments` call, each carried by
-    its record.
+    feature, geometry or line of the wrong JSON type are parse errors, as
+    is a segment whose direction, centre or squared length overflows,
+    named by its feature and id.  The segments are built by one
+    `geometry.segments` call, each carried by its record.
     """
     if crop is not None:
         box = tuple(crop) if isinstance(crop, Iterable) else None
@@ -260,6 +302,7 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
         return minx <= pt[0] <= maxx and miny <= pt[1] <= maxy
 
     ids: list[str] = []
+    where: list[str] = []  # each segment's feature and id, for a ParseError
     starts: list[list] = []
     ends: list[list] = []
     seen: dict[str, int] = {}  # segment id -> index of the feature that made it
@@ -303,13 +346,15 @@ def load_geojson(path, crop: tuple[float, float, float, float] | None = None
                     raise ParseError(f"{path}: features {seen[sid]} and {fi} both give "
                                      f"segment id {sid!r}")
                 ids.append(sid)
+                where.append(f"{path}: feature {fi}, segment {sid!r}")
                 starts.append(a)
                 ends.append(b)
     if not ids:
         if crop is not None:
             log.warning("%s: crop box %s excluded every segment", path, crop)
         return []
-    return _records(ids, np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64))
+    return _records(ids, np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64),
+                    where)
 
 
 # -- synthetic generators -----------------------------------------------------

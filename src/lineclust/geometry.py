@@ -72,17 +72,24 @@ class SegmentLike:
             raise ValueError(f"endpoint dimensions differ: {x.size} vs {y.size}")
         if self.kind not in ("line", "segment"):
             raise ValueError(f"kind must be 'line' or 'segment', got {self.kind!r}")
-        self._derive(x, y, self.kind, *_direction_centre(x, y))
+        with np.errstate(over="ignore"):  # an overflow is _derive's to reject
+            self._derive(x, y, self.kind, *_direction_centre(x, y))
 
     def _derive(self, x: np.ndarray, y: np.ndarray, kind: Kind, d: np.ndarray,
                 c: np.ndarray) -> None:
         """Set every field from the checked endpoints x, y, the kind, and
         their direction d and centre c from `_direction_centre`.  The
         squared length is d @ d on the row alone: a sum over a block's rows
-        may take another order and move its last bit.  The fields are set
-        in declaration order, never through __dict__, so every instance
-        keeps the attribute layout that makes reading them fast."""
+        may take another order and move its last bit.  Finite endpoints
+        whose direction, centre or squared length overflows are rejected:
+        the distance kernels would read NaN from them.  A finite squared
+        length implies a finite direction.  The fields are set in
+        declaration order, never through __dict__, so every instance keeps
+        the attribute layout that makes reading them fast."""
         dd = float(d @ d)
+        if not (math.isfinite(dd) and all(map(math.isfinite, c.tolist()))):
+            raise ValueError("endpoints out of range: the direction, centre "
+                             "or squared length overflows the float range")
         if kind == "line" and dd == 0.0:
             raise ValueError("a line needs two distinct points")
         object.__setattr__(self, "x", x)
@@ -128,11 +135,25 @@ def segments(X, Y) -> list[SegmentLike]:
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("point coordinates must be finite")
     out = []
-    for x, y, d, c in zip(X, Y, *_direction_centre(X, Y)):
-        s = object.__new__(SegmentLike)
-        s._derive(x, y, "segment", d, c)
-        out.append(s)
+    with np.errstate(over="ignore"):  # an overflow is _derive's to reject
+        for x, y, d, c in zip(X, Y, *_direction_centre(X, Y)):
+            s = object.__new__(SegmentLike)
+            s._derive(x, y, "segment", d, c)
+            out.append(s)
     return out
+
+
+def _segment_failures(X, Y) -> list[tuple[int, ValueError]]:
+    """(k, error) for each row k of the (m, dim) endpoint arrays X, Y whose
+    segment cannot be built, in row order: what a loader reads, with its
+    own context for row k, after `segments` raised."""
+    failures = []
+    for k, (x, y) in enumerate(zip(X, Y)):
+        try:
+            segment(x, y)
+        except ValueError as exc:
+            failures.append((k, exc))
+    return failures
 
 
 def line(x, y) -> SegmentLike:

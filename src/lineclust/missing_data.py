@@ -18,8 +18,9 @@ entry, a declared domain for its axis, and finite values otherwise.  The
 known values fill two (n, dim) endpoint arrays, each missing entry takes
 its window's lo in the first and hi in the second, and
 geometry.segments builds every segment from them, with the bits
-geometry.segment gives one record.  A record that fails is reported by
-its index, never dropped.
+geometry.segment gives one record.  A record that fails, its segment's
+direction, centre or squared length overflowing included (a window too
+wide, say), is reported by its index, never dropped.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedRecordError
-from .geometry import SegmentLike, segments
+from .geometry import SegmentLike, _segment_failures, segments
 from .profiles import Profile
 
 
@@ -93,7 +94,9 @@ def _lift_records(records: Sequence[Sequence], domains: Mapping[int, AxisDomain]
     record fails on the first of: two or more missing entries
     (UnsupportedRecordError), a missing axis with no domain
     (ConfigurationError), a value float() cannot read, by its content or
-    by its type, or that is not finite (ValueError)."""
+    by its type, or that is not finite (ValueError).  A record that passes
+    them all fails when its segment cannot be built, its direction, centre
+    or squared length overflowing (ValueError)."""
     n = len(records)
     dim = len(records[0]) if n else 0
     if not dim:
@@ -139,14 +142,21 @@ def _lift_records(records: Sequence[Sequence], domains: Mapping[int, AxisDomain]
     axes: list[int | None] = [None] * n
     for idx, a in zip(lifted.tolist(), k.tolist()):
         axes[idx] = a
-    if failures:
-        return [], axes, sorted(failures.items())
-    # each axis's window, (nan, nan) where none is declared and no record reads it
+    # each axis's window, (nan, nan) where none is declared and only a failed record reads it
     windows = np.array([(math.nan, math.nan) if d is None else d.window for d in doms],
                        dtype=np.float64)
     lo, hi = X, X.copy()
     lo[lifted, k], hi[lifted, k] = windows[k, 0], windows[k, 1]
-    return segments(lo, hi), axes, []
+    failed = list(failures)
+    lo[failed] = hi[failed] = 0.0  # a failed record's row stands in as a point
+    try:
+        segs = segments(lo, hi)
+    except ValueError:  # a segment that overflows, from a window too wide, say
+        for idx, exc in _segment_failures(lo, hi):
+            failures[idx] = exc
+    if failures:
+        return [], axes, sorted(failures.items())
+    return segs, axes, []
 
 
 def lift(point: Sequence, domains: Mapping[int, AxisDomain],

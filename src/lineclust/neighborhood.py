@@ -53,15 +53,21 @@ of any size; a searched row is one batch.
 
 Each line is resolved once, when a RelationEvaluator is built, to one
 radius, the distance at or beyond which it relates to nothing: alpha1
-without a density, alpha1 * sup f1 over its reach with one.  A capsule
-(_is_capsule), a segment whose f1 is uniform(a, b) with a <= 0 and b >= 1,
-has f1 = 1 / (b - a) wherever its t* can fall, so its neighbourhood is the
-capsule of its radius, and a pair relates exactly when the minimum
-distance to l2's witness piece, the part of l2 its witness domain covers
-(_witness_pieces), is below it: phi's decision, since d - r < 0 exactly
-when d < r, with no search and no undecided pair.  It is the neighbourhood of a lifted record
-under the default uniform(0, 1) template.  Every other line with a
-density, a line carrier or a support strictly inside [0, 1], is searched.
+without a density, alpha1 * sup f1 over its reach with one.  A metric
+line relates to l2 exactly when the minimum distance between the two
+witness pieces, the parts of the carriers their witness domains cover
+(_witness_pieces), is below its radius.  That is one rule for version 1,
+where every piece is its carrier, for a density-free line in version 3,
+whose piece is its carrier while l2's is cut to l2's own declared
+support, and for a capsule (_is_capsule), a segment whose f1 is
+uniform(a, b) with a <= 0 and b >= 1.  A capsule has f1 = 1 / (b - a)
+wherever its t* can fall, so its neighbourhood is the capsule of its
+radius, and phi's decision is the distance's, since d - r < 0 exactly when
+d < r, with no search and no undecided pair.  It is the neighbourhood of a
+lifted record under the default uniform(0, 1) template, and a
+density-free segment or point decides as it would under that template.
+Every other line with a density, a line carrier or a support strictly
+inside [0, 1], is searched.
 
 A pair whose lower bound on the distance between the two carriers already
 reaches l1's radius is rejected first.  RelationEvaluator computes the
@@ -78,18 +84,20 @@ searched row, which never solves the exact minimum distance.
 
 A metric row (version 1, a density-free line in version 3, or a capsule)
 decides every pair off the diagonal between two bounds from the centres c
-and half-lengths h.  It rejects where the gap |c1 - c2| - h1 - h2 reaches
-its radius and relates where the span |c1 - c2| is below it: both centres
-lie on what the row measures, so the minimum distance is at most the span.
-A capsule measures to l2's witness piece, so there the span relates only
-a target whose piece holds its carrier's centre, t = 0.5 in its witness
-domain.  The pairs between the two bounds go to one _min_distance_many
-call, the one distance kernel, as index pairs into the dataset's stack of
-carriers, each pair with its own l1: to l2's carrier from a density-free
-line, to l2's witness piece from a capsule, the pieces stacked after the
-carriers.  The kernel gathers each pair's rows itself, once; the row
-gathers nothing.  On dense local data
-most open pairs relate within the span bound and never reach the kernel.
+and half-lengths h.  It rejects where the gap |c1 - c2| - (h1 + h2)
+reaches its radius, or where l2's witness domain is empty, and relates
+where the span |c1 - c2| is below it and l2's piece holds its carrier's
+centre, t = 0.5 in its witness domain: both centres then lie on the
+pieces, so the minimum distance is at most the span.  The pairs between
+the two bounds go to one _min_distance_many call, the one distance
+kernel, as index pairs into the dataset's stack of witness pieces, each
+unordered pair in one order, the lower index first.  A metric row's own
+piece has its carrier's values (x + 0 * d and 1 * d), and both bounds are
+commutative, so the two rows of a pair read one distance: a relation of
+one radius is symmetric by construction, ties included.  The kernel
+gathers each pair's rows itself, once; the row gathers nothing.  On dense
+local data most open pairs relate within the span bound and never reach
+the kernel.
 The span's squares are summed as the kernel sums (geometry._row_dot), so two points' span, which
 is also their gap, is their distance to the bit: no point pair is solved.
 A pair whose distance equals its span may come out of the kernel a last
@@ -167,9 +175,10 @@ class NeighbourhoodSpec:
 
     c is the cardinality threshold.  alpha and profile may be a single value
     applied to every line, or a per-line sequence indexed like the dataset.
-    A None profile entry declares a line density-free (version 3 then falls
-    back to the metric relation for that line, and its whole extent acts as
-    the witness set).  A line reads its profile only over its reach, its
+    A None profile entry declares a line density-free: version 3 decides
+    its row by the metric relation, the distance from the line to each
+    target's witness piece, and its whole extent is its own witness piece.
+    A line reads its profile only over its reach, its
     parameter domain ([0, 1] for a segment, all of R for a line) cut to the
     profile's effective window, so a segment whose window misses [0, 1]
     relates to nothing.  A segment whose profile is uniform(a, b) with a <= 0
@@ -556,16 +565,15 @@ class RelationEvaluator:
 
     A relation row, line i against a slice of the dataset, decides every
     pair in arrays, as one boolean mask.  A metric row, whose line is not
-    searched, decides each pair between two centre bounds (_metric_rows):
-    it rejects where the gap |c_i - c_j| - h_i - h_j reaches its radius,
-    in a capsule row also a target whose witness domain is empty, and
-    relates where the span |c_i - c_j| is below it, in a capsule row only a
-    target whose witness piece holds its centre (holds_centre).  The row
-    solves the minimum distances of the pairs between the two, all but
-    i's own, in one _min_distance_many call, which reads them by index
-    from the stack: to the targets' carriers from a line without a
-    profile and to their witness pieces from a capsule; a row with no such
-    pair makes no call.  A searched row takes the pairs whose carrier
+    searched, decides each pair by one rule, the distance between the two
+    lines' witness pieces, between two centre bounds (_metric_rows): it
+    rejects where the gap |c_i - c_j| - (h_i + h_j) reaches its radius or
+    the target's witness domain is empty, and relates where the span
+    |c_i - c_j| is below it and the target's witness piece holds its
+    centre (holds_centre).  The row solves the minimum distances of the
+    pairs between the two, all but i's own, in one _min_distance_many call,
+    which reads the two pieces by index from the stack, the lower index
+    first; a row with no such pair makes no call.  A searched row takes the pairs whose carrier
     bound (_carrier_bound) is below its radius and decides them in one
     _witness_hits call (_searched_row).  Each pair's decision then goes to
     relates_v1 / relates_prob, called once per pair, as its root; the
@@ -609,7 +617,7 @@ class RelationEvaluator:
         self.has_piece = self.window_hi >= self.window_lo
         # the witness piece holds its carrier's centre, at t = 0.5
         self.holds_centre = (self.window_lo <= 0.5) & (0.5 <= self.window_hi)
-        # the n carriers, then the n witness pieces, which a capsule row reads
+        # the n carriers, then the n witness pieces, which every metric row reads
         carriers = _carriers(*self.U)
         pieces = _witness_pieces(*carriers, self.window_lo, self.window_hi) if n else carriers
         self.stack = tuple(np.concatenate(pair) for pair in zip(carriers, pieces))
@@ -644,20 +652,20 @@ class RelationEvaluator:
     def _metric_rows(self, rows: Sequence[int], js: slice) -> np.ndarray:
         """The (k, m) decision masks of the k metric rows of rows over the m
         lines of the dataset slice js, one block decided between two centre
-        bounds.  A pair is False where its gap |c_i - c_j| - h_i - h_j is at
-        or beyond the row's radius, on the diagonal and, in a capsule row,
-        where the target's witness domain is empty.  It is True where the
-        span |c_i - c_j| is below the radius: both centres lie on what the
-        row measures, so the minimum distance is at most the span.  In a
-        capsule row that holds only for a target whose witness piece holds
-        its carrier's centre, t = 0.5 in its witness domain (holds_centre).
-        The pairs between the two bounds take min distance < radius from
-        one `_min_distance_many` call, and none when no pair is left there.
-        The call gets the stack and each pair's two indices into it, the
-        row's line and the target's, and the kernel gathers what it reads:
-        nothing is gathered here.  A density-free row measures to its
-        targets' carriers, a capsule row to their witness pieces, the
-        target's index offset by n.
+        bounds.  Every metric row measures from its witness piece, which is
+        its carrier, to the target's.  A pair is False where its gap
+        |c_i - c_j| - (h_i + h_j) is at or beyond the row's radius, where the
+        target's witness domain is empty, and on the diagonal.  It is True
+        where the span |c_i - c_j| is below the radius and the target's
+        witness piece holds its carrier's centre, t = 0.5 in its witness
+        domain (holds_centre): both centres lie on the pieces, so the
+        minimum distance is at most the span.  The pairs between the two
+        bounds take min distance < radius from one `_min_distance_many`
+        call, and none when no pair is left there.  The call gets the stack
+        and each pair's two piece indices into it, offset by n, the lower
+        line index first, and the kernel gathers what it reads: nothing is
+        gathered here.  Gap, span and distance are thus the same from
+        either row of a pair, so two rows of one radius agree on it.
 
         The span's squares are summed one coordinate at a time over the
         block, in geometry._row_dot's column order, so every gap keeps its
@@ -683,29 +691,26 @@ class RelationEvaluator:
             span += gap
         np.sqrt(span, out=span)
         radius = self.radius[at]
-        np.subtract(span, self.half_len[at], out=gap)
-        gap -= self.half_len[js]
+        np.add(self.half_len[at], self.half_len[js], out=gap)  # h_i + h_j, in either order
+        np.subtract(span, gap, out=gap)
         live = gap < radius
         mask = live.reshape(len(rows), -1)  # a view: (k, m) for a row of one too
-        capsule = [self.profiles[i] is not None for i in rows]
-        if any(capsule):
-            plain = ~np.array(capsule)[:, None]  # the density-free rows
-            mask &= self.has_piece[js] | plain
         for q, i in enumerate(rows):
             if i in lines:  # the diagonal keeps min_distance's shortcut
                 mask[q, i - lines.start] = False
         if not np.count_nonzero(live):  # cheaper than live.any() on a row
             return mask
+        mask &= self.has_piece[js]
         near = (span < radius).reshape(mask.shape)
         del span, gap  # before the kernel's own temporaries
-        if any(capsule):
-            near &= self.holds_centre[js] | plain
+        near &= self.holds_centre[js]
         q, j = np.nonzero(mask & ~near)
         mask &= near
         if len(q):
-            l1 = np.array(rows)[q]
-            dist, _, _ = _min_distance_many(self.stack, l1,
-                                            j + (lines.start + n * np.array(capsule)[q]))
+            l1, l2 = np.array(rows)[q], j + lines.start
+            # each unordered pair in one order, the lower index first, between witness pieces
+            dist, _, _ = _min_distance_many(self.stack, np.minimum(l1, l2) + n,
+                                            np.maximum(l1, l2) + n)
             mask[q, j] = dist < self.radius[l1]
         return mask
 

@@ -136,6 +136,17 @@ class TestCluster:
         doc = json.loads(out.read_text())
         assert (doc["counts"]["k"], doc["counts"]["outliers"]) == (7, 78)
 
+    def test_overflowing_segment_is_a_parse_error(self, tmp_path, capsys):
+        # its squared length is inf: the kernel read NaN from it and the
+        # run clustered anyway, with RuntimeWarnings
+        data = tmp_path / "far.csv"
+        data.write_text("id,x1,x2,y1,y2\na,0,0,1,0\nb,0,0,1e200,0\nc,0,0,1,1\n")
+        code = run_cli("cluster", data, "--version", 1, "--c", 2, "--alpha", 1,
+                       "--out", tmp_path / "r.json")
+        assert code == 1
+        assert f"{data}:3: endpoints out of range" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_v1_with_profile_is_usage_error(self, tmp_path):
         data = self._gen(tmp_path)
         code = run_cli("cluster", data, "--version", 1, "--c", 5, "--alpha", 12,

@@ -82,28 +82,37 @@ class TestSegmentsCsv:
         rng = np.random.default_rng(dim)
 
         def coords(m):
+            # up to 1e151, so that no squared length of 7 coordinates overflows
             return rng.choice([-1.0, 1.0], (m, dim)) * rng.uniform(1, 10, (m, dim)) \
-                * 10.0 ** rng.integers(-300, 301, (m, dim))
+                * 10.0 ** rng.integers(-300, 151, (m, dim))
 
         X, Y = coords(40), coords(40)
         Y[5] = X[5]  # a degenerate row: a point
         path = tmp_path / "mixed.csv"
         write_segments_csv([SegmentRecord(f"r{k}", x, y) for k, (x, y) in enumerate(zip(X, Y))],
                            path)
-        # a span past ~1e154 squares to inf, with numpy's overflow warning
-        with np.errstate(over="ignore"):
-            recs = load_segments_csv(path)
-            singly = [segment(rec.x, rec.y) for rec in recs]
+        recs = load_segments_csv(path)
+        singly = [segment(rec.x, rec.y) for rec in recs]
         assert recs[5].to_segment().is_degenerate
-        assert any(math.isinf(s.sq_length) for s in singly)
+        assert max(s.sq_length for s in singly) > 1e290
         for k, (rec, s) in enumerate(zip(recs, singly)):
             assert (rec.x.tobytes(), rec.y.tobytes()) == (X[k].tobytes(), Y[k].tobytes())
             assert rec.to_segment() is rec.to_segment()  # carried, not derived again
             _assert_same_segment(rec.to_segment(), s)
         # a record made from a loaded one derives its own segment, not the carried one
         moved = dataclasses.replace(recs[0], y=recs[1].y)
-        with np.errstate(over="ignore"):
-            _assert_same_segment(moved.to_segment(), segment(X[0], Y[1]))
+        _assert_same_segment(moved.to_segment(), segment(X[0], Y[1]))
+
+    @pytest.mark.parametrize("row", ["0,0,1e200,0", "1e308,0,1e308,0"],
+                             ids=["length", "centre"])
+    def test_overflowing_segment_names_its_line(self, tmp_path, row):
+        # finite coordinates whose squared length or centre overflows would
+        # give the relation NaN or infinite bounds; the loader names the line
+        path = tmp_path / "far.csv"
+        path.write_text(f"id,x1,x2,y1,y2\na,0,0,1,0\nb,{row}\nc,0,0,1,1\n")
+        with pytest.raises(ParseError, match=r"far\.csv:3: endpoints out of range: the "
+                                             r"direction, centre or squared length overflows"):
+            load_segments_csv(path)
 
     def test_hand_built_record_is_checked(self):
         rec = SegmentRecord("h", x=np.array([0.0, math.nan]), y=np.array([1.0, 0.0]))
@@ -210,6 +219,29 @@ def test_csv_loaders_reject_bad_files_with_path_and_line(tmp_path, load, header,
         with pytest.raises(ParseError, match=r"bad\.csv:3: record 'b' is missing x1 and x2; "
                                              r"at most 1 missing value is supported$"):
             load(path, axes=[0])
+
+
+@pytest.mark.parametrize("load, header, row", [
+    (load_segments_csv, "id,x1,x2,y1,y2", "0,0,1,0"),
+    (load_points_csv, "id,x1,x2", "0,1"),
+], ids=["segments", "points"])
+def test_csv_reader_faults_name_their_line(tmp_path, load, header, row):
+    """A fault the csv module or the UTF-8 decoder meets is a ParseError at
+    the path:line that holds it, not a csv.Error or a codec message."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\na,{row}\n\nb,{'9' * 200_000}\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:4: field larger than field limit"):
+        load(path)
+    # a byte that is not UTF-8, within the first block the file reads and past it
+    for good in (0, 2000):
+        lines = "".join(f"c{k},{row}\n" for k in range(good))
+        path.write_bytes(f"{header}\na,{row}\n{lines}".encode() + b"d,\xff\n")
+        with pytest.raises(ParseError, match=rf"bad\.csv:{good + 3}: not UTF-8 text: "
+                                             r"invalid start byte, byte 0xff$"):
+            load(path)
+    path.write_bytes(header.encode() + b"\xe9\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:1: not UTF-8 text"):
+        load(path)
 
 
 class TestGeoJson:
@@ -381,6 +413,21 @@ class TestGeoJson:
         with pytest.raises(ParseError, match="feature 1 has position") as exc:
             load_geojson(path, crop=crop)
         assert str(path) in str(exc.value) and "finite" in str(exc.value)
+
+    def test_overflowing_segment_names_its_feature(self, tmp_path):
+        path = self._write(tmp_path, {
+            "type": "FeatureCollection",
+            "features": [
+                {"type": "Feature", "id": "near", "properties": {},
+                 "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 0]]}},
+                {"type": "Feature", "id": "far", "properties": {},
+                 "geometry": {"type": "LineString",
+                              "coordinates": [[0, 0], [1, 0], [1e200, 0]]}},
+            ],
+        })
+        with pytest.raises(ParseError, match=r"data\.geojson: feature 1, segment 'far-s1': "
+                                             r"endpoints out of range"):
+            load_geojson(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.geojson"

@@ -137,6 +137,21 @@ class TestLiftDataset:
         with pytest.raises(UnsupportedRecordError):
             lift_dataset([(1.0, 2.0), (1.0, 2.0, 3.0)], {})
 
+    def test_overflowing_segment_is_a_record_failure(self):
+        # a window whose width overflows gives a segment of infinite length;
+        # it fails its record, named with the others that fail
+        domains = {1: AxisDomain(axis=1, window=(-1e308, 1e308))}
+        with pytest.raises(UnsupportedRecordError) as exc:
+            lift_dataset([(0.0, 1.0), (1.0, None), (None, None), (1e308, 1e308)], domains)
+        assert str(exc.value) == (
+            "record 1: endpoints out of range: the direction, centre or squared length "
+            "overflows the float range; "
+            "record 2: record '2' has 2 missing values; at most 1 is supported; "
+            "record 3: endpoints out of range: the direction, centre or squared length "
+            "overflows the float range")
+        with pytest.raises(ValueError, match="endpoints out of range"):
+            lift((1.0, None), domains)
+
     @pytest.mark.parametrize("domains, message", [
         ({0: AxisDomain(axis=1, window=(-1, 1))}, "domain for axis 1 is declared under key 0"),
         ({2: AxisDomain(axis=2, window=(-1, 1))},

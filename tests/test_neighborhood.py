@@ -652,6 +652,19 @@ class TestRowKernel:
             near.append((a, *ids))
         return U, spec, near
 
+    @staticmethod
+    def _relates_to_piece(l1, alpha1, l2, p2):
+        """A density-free l1's decision on l2 without a bound: relates_v1 to
+        l2's witness piece, segment(l2.x + lo * d, l2.x + hi * d) for its
+        witness domain [lo, hi], l2 itself when the domain is unbounded and
+        nothing when it is empty."""
+        lo, hi = _witness_domain(l2, p2)
+        if hi < lo:
+            return False
+        if math.isfinite(lo):
+            l2 = segment(l2.x + lo * l2.direction, l2.x + hi * l2.direction)
+        return relates_v1(l1, l2, alpha1)
+
     @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 7])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -665,8 +678,12 @@ class TestRowKernel:
                 alpha1 = scaling_factor(spec.volume, p1, l1, dim)
             else:
                 alpha1 = spec.alpha[i]
-            if p1 is None:
+            if version == 1:
                 expected = {j for j, l2 in enumerate(U) if relates_v1(l1, l2, alpha1)}
+            elif p1 is None:  # to each target's witness piece, built here from its domain
+                expected = {i} | {j for j, l2 in enumerate(U)
+                                  if j != i and self._relates_to_piece(l1, alpha1, l2,
+                                                                       profiles[j])}
             else:
                 expected = {j for j, l2 in enumerate(U)
                             if relates_prob(l1, p1, alpha1, l2, profiles[j])}
@@ -1239,3 +1256,49 @@ class TestMetamorphic:
         got, got_undecided = self._rows([U[i] for i in order], spec_p, staged)
         assert got == [{place[j] for j in rows[i]} for i in order]
         assert got_undecided == undecided
+
+
+class TestSymmetry:
+    """A metric row solves each open pair in one order, the lower index
+    first, between the two lines' witness pieces, and its gap is
+    span - (h_i + h_j), so two rows of one radius read one distance for
+    their pair: the relation is symmetric by construction, ties included.
+    The bare relates_v1 / min_distance keep their operand order."""
+
+    # two 3-d segments whose kernel distance depends on the operand order
+    L1 = segment((0.15294667794337813, 0.7890022451051026, -0.40492942400655885),
+                 (-0.9784422364999383, -0.5605481316581644, -0.08436899957479627))
+    L2 = segment((-0.6961901874511627, -0.43854527428318835, 0.47531284538956764),
+                 (-0.7226105588193314, 0.8961050138737114, -1.094382757069353))
+    ALPHA = 0.20857342075080956  # strictly between the two orders' distances
+
+    def test_kernel_order_tie(self):
+        d12, d21 = min_distance(self.L1, self.L2).distance, min_distance(self.L2, self.L1).distance
+        assert (d12, d21) == (0.20857342075080962, 0.20857342075080954)
+        assert d21 < self.ALPHA < d12
+        assert not relates_v1(self.L1, self.L2, self.ALPHA)
+        assert relates_v1(self.L2, self.L1, self.ALPHA)
+
+    @pytest.mark.parametrize("order, related", [((0, 1), False), ((1, 0), True)],
+                             ids=["l1-first", "l2-first"])
+    def test_one_radius_rows_agree(self, order, related):
+        U = [(self.L1, self.L2)[k] for k in order]
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=1, alpha=self.ALPHA))
+        # the lower index's operand order decides both rows
+        assert (ev.relates(0, 1), ev.relates(1, 0)) == (related, related)
+        ev.build_graph()
+        assert ([1 in ev.graph[0].tolist(), 0 in ev.graph[1].tolist()]
+                == [related, related])
+        pair = {0, 1} if related else set()
+        assert (ev.neighbor_set(0), ev.neighbor_set(1)) == ({0} | pair, {1} | pair)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_doughnut_graph_is_symmetric(self, seed):
+        U = [r.to_segment() for r in gen_doughnut(600, seed=seed)]
+        ev = RelationEvaluator(U, NeighbourhoodSpec(version=1, c=5, alpha=12.0))
+        ev.build_graph()
+        related = np.zeros((len(U), len(U)), dtype=bool)
+        for i, cols in enumerate(ev.graph):
+            related[i, cols] = True
+        assert related.sum() > len(U)
+        assert (related == related.T).all()
